@@ -70,7 +70,12 @@ def physical_mask(model: EquationModel, u: np.ndarray) -> np.ndarray:
     """Cellwise boolean: rho > floor and p > floor (scalars: always true)."""
     if model.kind != EULER:
         return np.ones(u.shape[1:], dtype=bool)
-    return (u[0] > POSITIVITY_FLOOR) & (pressure(model, u) > POSITIVITY_FLOOR)
+    return positive(u[0], pressure(model, u))
+
+
+def positive(rho, p) -> np.ndarray:
+    """The positivity test of ``physical_mask`` on given density and pressure."""
+    return (rho > POSITIVITY_FLOOR) & (p > POSITIVITY_FLOOR)
 
 
 def is_physical(model: EquationModel, u: np.ndarray) -> bool:
@@ -78,7 +83,12 @@ def is_physical(model: EquationModel, u: np.ndarray) -> bool:
 
 
 def _require_physical(model: EquationModel, u: np.ndarray) -> None:
-    mask = np.atleast_1d(physical_mask(model, u))
+    require_mask(u, physical_mask(model, u))
+
+
+def require_mask(u: np.ndarray, mask: np.ndarray) -> None:
+    """Raise UnphysicalStateError naming the first cell where ``mask`` is false."""
+    mask = np.atleast_1d(mask)
     if not mask.all():
         flat = int(np.flatnonzero(~mask.ravel())[0])
         idx = np.unravel_index(flat, mask.shape)
@@ -97,16 +107,19 @@ def physical_flux(model: EquationModel, u: np.ndarray, axis: int, check: bool = 
         return model.advection_speed[axis] * u
     if check:
         _require_physical(model, u)
-    rho = u[0]
-    mk = u[1 + axis]
-    vk = mk / rho
     p = pressure(model, u)
+    return euler_flux(model, u, axis, u[1 + axis] / u[0], p)
+
+
+def euler_flux(model: EquationModel, u: np.ndarray, axis: int, vk, p) -> np.ndarray:
+    """Euler flux along ``axis`` from the state and its velocity and pressure."""
+    dim = model.dim
     out = np.empty_like(u)
-    out[0] = mk
-    for j in range(model.dim):
-        out[1 + j] = u[1 + j] * vk
-    out[1 + axis] = out[1 + axis] + p
-    out[1 + model.dim] = (u[1 + model.dim] + p) * vk
+    out[0] = u[1 + axis]
+    np.multiply(u[1 : 1 + dim], vk, out=out[1 : 1 + dim])
+    out[1 + axis] += p
+    np.add(u[1 + dim], p, out=out[1 + dim])
+    out[1 + dim] *= vk
     return out
 
 
@@ -123,6 +136,18 @@ def max_wave_speed(model: EquationModel, u: np.ndarray, axis: int, check: bool =
     p = pressure(model, u)
     c = np.sqrt(model.gamma * p / rho)
     return np.abs(u[1 + axis] / rho) + c
+
+
+def max_wave_speeds(model: EquationModel, u: np.ndarray) -> list:
+    """``max_wave_speed`` (checked) for every axis, from one pressure pass."""
+    u = np.asarray(u, dtype=float)
+    if model.kind != EULER:
+        return [max_wave_speed(model, u, axis) for axis in range(model.dim)]
+    rho = u[0]
+    p = pressure(model, u)
+    require_mask(u, positive(rho, p))
+    c = np.sqrt(model.gamma * p / rho)
+    return [np.abs(u[1 + axis] / rho) + c for axis in range(model.dim)]
 
 
 def sound_speed(model: EquationModel, u: np.ndarray) -> np.ndarray:

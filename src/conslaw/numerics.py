@@ -4,6 +4,24 @@ Reconstruction operates component-wise on conserved variables.  The WENO
 variants blend two linear substencils over the window (u_{i-1}, u_i, u_{i+1});
 WENO3 uses the classical third-order ideal weights (1/3, 2/3), WENO2 the
 second-order central-slope weights (1/2, 1/2).  Both need a ghost width of 2.
+
+Along one axis, ``reconstruct_axis`` forms the undivided differences
+d_k = u_{k+1} - u_k once, and from them q_k = (eps + d_k^2)^2 and the
+unnormalized weights d0/q_k and d1/q_k.  The face on the downwind side of cell
+i reads d_{i-1} and d_i; its mirror on the upwind side of cell i+1 reads
+d_{i+1} and d_i with both signs flipped, so it is written as
+u_{i+1} - 0.5 (w0 d_{i+1} + w1 d_i).  IEEE rounding is symmetric under
+negation (a - b == -(b - a), (-a) b == -(a b), (-a) + (-b) == -(a + b)) and
+squares ignore the sign, so sharing the differences between the two sides
+gives the values of evaluating each face on its own stencil.
+
+For Euler, each side of a face goes through one primitive pass
+(``euler_side``): one pressure evaluation yields the positivity mask, which
+drives the solver's first-order fallback and the unphysical-state error, and
+the same pressure feeds the physical flux, the wave speeds and the HLLC star
+states.  HLLC builds one star state per face, from the inputs of the side
+whose star state the face selects.  No result differs from the per-face
+formulas of ``tests/oracles.py`` by more than the sign of a zero.
 """
 
 from __future__ import annotations
@@ -17,10 +35,12 @@ import numpy as np
 from .equations import (
     EquationModel,
     EULER,
+    euler_flux,
     max_wave_speed,
     physical_flux,
+    positive,
     pressure,
-    sound_speed,
+    require_mask,
 )
 from .errors import ConfigError, UnphysicalStateError
 from .grid import Field, data_axis, _sl
@@ -61,18 +81,45 @@ class FacePair(NamedTuple):
     uR: np.ndarray
 
 
+def _ideal_weights(kind: ReconstructionKind) -> tuple:
+    if kind not in IDEAL_WEIGHTS:
+        raise ConfigError(f"weno_weights needs WENO2 or WENO3, got {kind}")
+    return IDEAL_WEIGHTS[kind]
+
+
+# The helpers below update their own temporaries in place: a fresh array per
+# operation costs more than the arithmetic at these sizes.  x += y and x *= y
+# round exactly like y + x and y * x.
+
+
+def _smoothness(d, epsilon: float):
+    """(epsilon + beta)^2 with the smoothness indicator beta = d^2."""
+    q = d * d
+    q += epsilon
+    q *= q
+    return q
+
+
+def _weno_correction(dm, dp, am, ap):
+    """0.5 (w0 dm + w1 dp) with (w0, w1) = (am, ap) / (am + ap)."""
+    total = am + ap
+    w0 = am / total
+    w1 = ap / total
+    w0 *= dm
+    w1 *= dp
+    w0 += w1
+    w0 *= 0.5
+    return w0
+
+
 def weno_weights(um, uc, up, kind: ReconstructionKind, epsilon: float = 1e-6):
     """Normalized nonlinear weights for the two substencils of the window.
 
     Equal smoothness indicators give back the ideal weights exactly.
     """
-    if kind not in IDEAL_WEIGHTS:
-        raise ConfigError(f"weno_weights needs WENO2 or WENO3, got {kind}")
-    d0, d1 = IDEAL_WEIGHTS[kind]
-    beta0 = (np.asarray(uc) - np.asarray(um)) ** 2
-    beta1 = (np.asarray(up) - np.asarray(uc)) ** 2
-    a0 = d0 / (epsilon + beta0) ** 2
-    a1 = d1 / (epsilon + beta1) ** 2
+    d0, d1 = _ideal_weights(kind)
+    a0 = d0 / _smoothness(np.asarray(uc) - np.asarray(um), epsilon)
+    a1 = d1 / _smoothness(np.asarray(up) - np.asarray(uc), epsilon)
     total = a0 + a1
     return a0 / total, a1 / total
 
@@ -83,8 +130,13 @@ def weno_face_value(um, uc, up, kind: ReconstructionKind, epsilon: float):
     Incremental form keeps constant data bitwise exact: both candidate
     polynomials are written as uc plus a slope correction.
     """
-    w0, w1 = weno_weights(um, uc, up, kind, epsilon)
-    return uc + 0.5 * (w0 * (uc - um) + w1 * (up - uc))
+    d0, d1 = _ideal_weights(kind)
+    uc = np.asarray(uc)
+    dm = uc - np.asarray(um)
+    dp = np.asarray(up) - uc
+    return uc + _weno_correction(
+        dm, dp, d0 / _smoothness(dm, epsilon), d1 / _smoothness(dp, epsilon)
+    )
 
 
 def reconstruct_axis(
@@ -100,21 +152,24 @@ def reconstruct_axis(
             f"reconstruction radius {recon.radius} exceeds ghost width {g}"
         )
 
-    def take(lo, hi):
-        return data[_sl(nd, np_ax, slice(lo, hi))]
+    def take(arr, lo, hi):
+        return arr[_sl(nd, np_ax, slice(lo, hi))]
 
     if recon.kind is ReconstructionKind.NONE:
-        return FacePair(take(g - 1, g + n), take(g, g + n + 1))
+        return FacePair(take(data, g - 1, g + n), take(data, g, g + n + 1))
+    d0, d1 = IDEAL_WEIGHTS[recon.kind]
+    # d[k] = u[g-1+k] - u[g-2+k], k = 0..n+2; face j reads d[j], d[j+1], d[j+2]
+    d = take(data, g - 1, g + n + 2) - take(data, g - 2, g + n + 1)
+    q = _smoothness(d, recon.epsilon)
+    dmid = take(d, 1, n + 2)
+    a1 = d1 / take(q, 1, n + 2)  # a1[j] belongs to d[j+1]
+    a0 = np.divide(d0, q, out=q)
     # left state: downwind face of cells g-1 .. g+n-1
-    uL = weno_face_value(
-        take(g - 2, g + n - 1), take(g - 1, g + n), take(g, g + n + 1),
-        recon.kind, recon.epsilon,
-    )
+    uL = _weno_correction(take(d, 0, n + 1), dmid, take(a0, 0, n + 1), a1)
+    uL += take(data, g - 1, g + n)
     # right state: mirrored stencil around cells g .. g+n
-    uR = weno_face_value(
-        take(g + 1, g + n + 2), take(g, g + n + 1), take(g - 1, g + n),
-        recon.kind, recon.epsilon,
-    )
+    uR = _weno_correction(take(d, 2, n + 3), dmid, take(a0, 2, n + 3), a1)
+    np.subtract(take(data, g, g + n + 1), uR, out=uR)
     return FacePair(uL, uR)
 
 
@@ -130,70 +185,118 @@ def reconstruct(field: Field, axis: int, recon: Reconstruction) -> FacePair:
     )
 
 
-def rusanov_flux(model: EquationModel, pair: FacePair, axis: int) -> np.ndarray:
-    """Local Lax-Friedrichs flux: central average plus maximal dissipation."""
-    uL, uR = np.asarray(pair.uL, dtype=float), np.asarray(pair.uR, dtype=float)
-    fL = physical_flux(model, uL, axis)
-    fR = physical_flux(model, uR, axis)
-    s = np.maximum(
-        max_wave_speed(model, uL, axis, check=False),
-        max_wave_speed(model, uR, axis, check=False),
-    )
-    return 0.5 * (fL + fR) - 0.5 * s * (uR - uL)
+class EulerSide(NamedTuple):
+    """Euler states on one side of each face, with the pressure and the
+    positivity mask of their single primitive pass."""
+
+    u: np.ndarray
+    p: np.ndarray
+    ok: np.ndarray
 
 
-def hllc_flux(model: EquationModel, pair: FacePair, axis: int) -> np.ndarray:
+def euler_side(model: EquationModel, u) -> EulerSide:
+    """The primitive pass of one face side: one pressure evaluation."""
+    u = np.asarray(u, dtype=float)
+    p = pressure(model, u)
+    return EulerSide(u, p, positive(u[0], p))
+
+
+def _euler_sides(model: EquationModel, faces) -> tuple:
+    """Checked (left, right) EulerSides of a FacePair.  A pair of EulerSides
+    is returned as is: its caller has checked the masks."""
+    left, right = faces
+    if isinstance(left, EulerSide):
+        return left, right
+    sides = euler_side(model, left), euler_side(model, right)
+    for side in sides:
+        require_mask(side.u, side.ok)
+    return sides
+
+
+def _primitives(model: EquationModel, side: EulerSide, axis: int):
+    """(rho, v, c, physical flux) of one side."""
+    u = side.u
+    rho = u[0]
+    v = u[1 + axis] / rho
+    c = np.sqrt(model.gamma * side.p / rho)
+    return rho, v, c, euler_flux(model, u, axis, v, side.p)
+
+
+def rusanov_flux(model: EquationModel, faces, axis: int) -> np.ndarray:
+    """Local Lax-Friedrichs flux: central average plus maximal dissipation.
+
+    ``faces`` is a FacePair, or for Euler a (left, right) pair of checked
+    EulerSides.
+    """
+    if model.kind != EULER:
+        uL, uR = np.asarray(faces.uL, dtype=float), np.asarray(faces.uR, dtype=float)
+        fL = physical_flux(model, uL, axis)
+        fR = physical_flux(model, uR, axis)
+        s = np.maximum(
+            max_wave_speed(model, uL, axis, check=False),
+            max_wave_speed(model, uR, axis, check=False),
+        )
+        return 0.5 * (fL + fR) - 0.5 * s * (uR - uL)
+    L, R = _euler_sides(model, faces)
+    _, vL, cL, fL = _primitives(model, L, axis)
+    _, vR, cR, fR = _primitives(model, R, axis)
+    s = np.maximum(np.abs(vL) + cL, np.abs(vR) + cR)
+    jump = R.u - L.u
+    jump *= 0.5 * s
+    fL += fR
+    fL *= 0.5
+    fL -= jump
+    return fL
+
+
+def hllc_flux(model: EquationModel, faces, axis: int) -> np.ndarray:
     """Three-wave HLLC flux for Euler with Davis wave-speed estimates.
 
+    ``faces`` is a FacePair or a (left, right) pair of checked EulerSides.
     Exactly consistent: equal input states return the physical flux bitwise.
     """
     if model.kind != EULER:
         raise ConfigError("HLLC flux is only defined for the Euler equations")
-    uL = np.asarray(pair.uL, dtype=float)
-    uR = np.asarray(pair.uR, dtype=float)
-    fL = physical_flux(model, uL, axis)
-    fR = physical_flux(model, uR, axis)
-
-    dim = model.dim
-    rhoL, rhoR = uL[0], uR[0]
-    vL, vR = uL[1 + axis] / rhoL, uR[1 + axis] / rhoR
-    pL, pR = pressure(model, uL), pressure(model, uR)
-    cL, cR = sound_speed(model, uL), sound_speed(model, uR)
-    EL, ER = uL[1 + dim], uR[1 + dim]
+    L, R = _euler_sides(model, faces)
+    uL, uR = L.u, R.u
+    rhoL, vL, cL, fL = _primitives(model, L, axis)
+    rhoR, vR, cR, fR = _primitives(model, R, axis)
 
     sL = np.minimum(vL - cL, vR - cR)
     sR = np.maximum(vL + cL, vR + cR)
     if np.any(sR - sL <= 0):
         raise UnphysicalStateError("degenerate HLLC wave fan (sL >= sR)")
 
-    den = rhoL * (sL - vL) - rhoR * (sR - vR)  # strictly negative for c > 0
-    sM = (pR - pL + rhoL * vL * (sL - vL) - rhoR * vR * (sR - vR)) / den
-    p_star = pL + rhoL * (sL - vL) * (sM - vL)
+    aL, aR = sL - vL, sR - vR
+    mL, mR = rhoL * aL, rhoR * aR  # den = mL - mR is strictly negative for c > 0
+    sM = (R.p - L.p + rhoL * vL * aL - rhoR * vR * aR) / (mL - mR)
 
-    def star_state(u, rho, v, p, E, sK):
-        factor = rho * (sK - v) / (sK - sM)
-        out = np.empty_like(u)
-        out[0] = factor
-        for j in range(dim):
-            out[1 + j] = factor * (u[1 + j] / rho)
-        out[1 + axis] = factor * sM
-        out[1 + dim] = factor * (E / rho + (sM - v) * (sM + p / (rho * (sK - v))))
-        return out
-
-    ustarL = star_state(uL, rhoL, vL, pL, EL, sL)
-    ustarR = star_state(uR, rhoR, vR, pR, ER, sR)
-
-    fstarL = fL + sL * (ustarL - uL)
-    fstarR = fR + sR * (ustarR - uR)
-
-    flux = np.where(
-        sL >= 0,
-        fL,
-        np.where(sM >= 0, fstarL, np.where(sR > 0, fstarR, fR)),
-    )
-    # exact consistency F(u, u) = f(u)
-    equal = np.all(uL == uR, axis=0)
-    return np.where(equal, fL, flux)
+    # fL left of the fan and wherever uL == uR (exact consistency F(u, u) = f(u))
+    upwind_left = (sL >= 0) | np.all(uL == uR, axis=0)
+    # Each face uses at most one star state: the left one where sM >= 0, else
+    # the right one.  Pick that side's inputs and build it once.
+    left = sM >= 0
+    star_faces = ~upwind_left & (left | (sR > 0))
+    f = np.where(left | upwind_left, fL, fR)  # the flux wherever not star_faces
+    u = np.where(left, uL, uR)
+    v = np.where(left, vL, vR)
+    p = np.where(left, L.p, R.p)
+    s = np.where(left, sL, sR)
+    m = np.where(left, mL, mR)
+    rho = u[0]
+    dim = model.dim
+    factor = m / (s - sM)
+    star = np.empty_like(u)
+    star[0] = factor
+    for j in range(dim):
+        if j != axis:
+            star[1 + j] = factor * (u[1 + j] / rho)
+    star[1 + axis] = factor * sM
+    star[1 + dim] = factor * (u[1 + dim] / rho + (sM - v) * (sM + p / m))
+    star -= u
+    star *= s
+    star += f
+    return np.where(star_faces, star, f)
 
 
 FLUX_FUNCTIONS = {
@@ -202,5 +305,5 @@ FLUX_FUNCTIONS = {
 }
 
 
-def numerical_flux(model: EquationModel, kind: FluxKind, pair: FacePair, axis: int) -> np.ndarray:
-    return FLUX_FUNCTIONS[kind](model, pair, axis)
+def numerical_flux(model: EquationModel, kind: FluxKind, faces, axis: int) -> np.ndarray:
+    return FLUX_FUNCTIONS[kind](model, faces, axis)

@@ -12,8 +12,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .equations import EquationModel, EULER, max_wave_speed, physical_mask, is_physical
-from .errors import ConfigError, SimulationError, StaticFieldError
+from .equations import (
+    EULER,
+    EquationModel,
+    is_physical,
+    max_wave_speeds,
+    physical_mask,
+    require_mask,
+)
+from .errors import ConfigError, SimulationError, StaticFieldError, UnphysicalStateError
 from .grid import (
     BoundaryKind,
     Field,
@@ -24,10 +31,10 @@ from .grid import (
     fill_boundary,
 )
 from .numerics import (
-    FacePair,
     FluxKind,
     Reconstruction,
     ReconstructionKind,
+    euler_side,
     numerical_flux,
     reconstruct_axis,
 )
@@ -93,47 +100,58 @@ def spatial_residual(field: Field, cfg: SchemeConfig) -> np.ndarray:
         raise SimulationError(f"unphysical state in interior cell {idx}")
 
     out = np.zeros((field.ncomp,) + grid.interior_shape)
-    euler_fallback = model.kind == EULER and cfg.recon.kind is not ReconstructionKind.NONE
+    euler = model.kind == EULER
+    fallback = euler and cfg.recon.kind is not ReconstructionKind.NONE
     for axis in range(grid.dim):
         ax = data_axis(grid.dim, axis)
+        n = grid.cells[axis]
         # crop transverse axes to the interior before reconstructing
         sub = field.data
         for other in range(grid.dim):
             if other != axis:
                 oax = data_axis(grid.dim, other)
                 sub = sub[_sl(nd, oax, slice(g, g + grid.cells[other]))]
-        pair = reconstruct_axis(sub, ax, grid.cells[axis], g, cfg.recon)
-        if euler_fallback:
-            pair = _positivity_fallback(model, sub, ax, grid.cells[axis], g, pair)
-        F = numerical_flux(model, cfg.flux, pair, axis)
-        diff = (
-            F[_sl(nd, ax, slice(1, None))] - F[_sl(nd, ax, slice(None, -1))]
-        )
-        out -= diff / grid.deltas[axis]
+        # a contiguous copy with this axis first: every stencil shift is then
+        # a run of whole contiguous blocks, which numpy loops over fastest
+        sub = np.ascontiguousarray(sub.swapaxes(ax, 1))
+        faces = reconstruct_axis(sub, 1, n, g, cfg.recon)
+        if euler:
+            # one primitive pass per side feeds the fallback, the check and the flux
+            faces = (euler_side(model, faces.uL), euler_side(model, faces.uR))
+            if fallback:
+                faces = _positivity_fallback(model, sub, n, g, faces)
+            for side in faces:
+                if not side.ok.all():
+                    # in grid layout, so that the error names the face's cell
+                    require_mask(side.u.swapaxes(1, ax), side.ok.swapaxes(0, ax - 1))
+        F = numerical_flux(model, cfg.flux, faces, axis)
+        diff = F[:, 1:] - F[:, :-1]
+        diff /= grid.deltas[axis]
+        out -= diff.swapaxes(1, ax)
     return out
 
 
-def _positivity_fallback(model, sub, ax, n, g, pair: FacePair) -> FacePair:
-    """Replace unphysical reconstructed face states by piecewise-constant ones."""
-    ok = physical_mask(model, pair.uL) & physical_mask(model, pair.uR)
+def _positivity_fallback(model, sub, n, g, faces) -> tuple:
+    """Replace faces with an unphysical side by piecewise-constant states.
+
+    ``faces`` is the (left, right) pair of EulerSides reconstructed along
+    axis 1 of ``sub``.
+    """
+    left, right = faces
+    ok = left.ok & right.ok
     if ok.all():
-        return pair
-    pc = reconstruct_axis(sub, ax, n, g, Reconstruction(ReconstructionKind.NONE))
-    return FacePair(
-        np.where(ok, pair.uL, pc.uL),
-        np.where(ok, pair.uR, pc.uR),
+        return faces
+    pc = reconstruct_axis(sub, 1, n, g, Reconstruction(ReconstructionKind.NONE))
+    return (
+        euler_side(model, np.where(ok, left.u, pc.uL)),
+        euler_side(model, np.where(ok, right.u, pc.uR)),
     )
 
 
 def wave_speed_maxima(field: Field, cfg: SchemeConfig) -> np.ndarray:
     """Per-axis maximum wave speed over the interior cells."""
-    interior = field.interior
-    return np.array(
-        [
-            float(np.max(max_wave_speed(cfg.model, interior, axis)))
-            for axis in range(field.grid.dim)
-        ]
-    )
+    speeds = max_wave_speeds(cfg.model, field.interior)
+    return np.array([float(np.max(s)) for s in speeds])
 
 
 def dt_from_maxima(maxima: np.ndarray, deltas, cfl: float, remaining: float | None = None) -> float:
@@ -211,6 +229,7 @@ def run_simulation(
     if not is_physical(cfg.model, init.interior):
         raise SimulationError("initial field contains unphysical states")
     field = init.copy()
+    maxima = wave_speed_maxima(field, cfg)
     records: list[TimeStepRecord] = []
     t = 0.0
     step = 0
@@ -222,7 +241,7 @@ def run_simulation(
             break
         if max_steps is not None and step >= max_steps:
             break
-        dt = stable_dt(field, cfg, remaining)
+        dt = dt_from_maxima(maxima, field.grid.deltas, cfg.cfl, remaining)
         tic = time.perf_counter()
         field = ssp_rk_step(field, dt, cfg)
         seconds = time.perf_counter() - tic
@@ -236,10 +255,14 @@ def run_simulation(
             raise SimulationError(
                 f"non-finite value after step {step} (t = {t:.6g}) at cell {bad}"
             )
-        if not is_physical(cfg.model, interior):
+        # the positivity check of the new state and the next step's CFL
+        # speeds come from one pressure pass
+        try:
+            maxima = wave_speed_maxima(field, cfg)
+        except UnphysicalStateError as exc:
             raise SimulationError(
                 f"unphysical state after step {step} (t = {t:.6g})"
-            )
+            ) from exc
         records.append(TimeStepRecord(step, t, dt, seconds))
         for obs in observers:
             obs(step, t, field)

@@ -1,0 +1,295 @@
+"""The solver's Euler face path against a face-by-face reference, and its
+failure paths.
+
+``spatial_residual`` shares one set of WENO differences between both face
+sides and one pressure pass per side between the positivity fallback, the
+checks and the flux.  It must give the same values as evaluating every face
+on its own (``oracles.reference_euler_residual``).
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conslaw.equations import EquationModel, physical_mask, primitive_to_conserved
+from conslaw.errors import SimulationError, UnphysicalStateError
+from conslaw.grid import (
+    BoundaryKind,
+    GridSpec,
+    data_axis,
+    field_from_interior,
+    fill_boundary,
+)
+from conslaw.numerics import (
+    FacePair,
+    FluxKind,
+    Reconstruction,
+    ReconstructionKind,
+    hllc_flux,
+    numerical_flux,
+    reconstruct_axis,
+    rusanov_flux,
+)
+from conslaw.parallel import RankTopology, decompose, residual_region, run_parallel
+from conslaw import solver
+from conslaw.solver import SchemeConfig, run_simulation, spatial_residual, wave_speed_maxima
+from oracles import reference_euler_residual
+
+SCHEMES = [
+    (flux, recon)
+    for flux in (FluxKind.HLLC, FluxKind.RUSANOV)
+    for recon in (
+        ReconstructionKind.NONE,
+        ReconstructionKind.WENO2,
+        ReconstructionKind.WENO3,
+    )
+]
+
+
+def make_case(prim, flux, recon, bc=None, ghost=2):
+    """Ghost-filled Euler field from primitive interior data (numpy layout)."""
+    dim = prim.ndim - 1
+    model = EquationModel(kind="euler", dim=dim)
+    cells = tuple(reversed(prim.shape[1:]))
+    grid = GridSpec(
+        dim, cells, (0.0,) * dim, tuple(0.1 * c for c in cells), ghost_width=ghost
+    )
+    cfg = SchemeConfig(
+        model=model,
+        flux=flux,
+        recon=Reconstruction(recon),
+        rk_order=3,
+        bc=tuple(bc or (BoundaryKind.PERIODIC,) * dim),
+    )
+    field = field_from_interior(grid, primitive_to_conserved(model, prim))
+    fill_boundary(field, cfg.bc)
+    return field, cfg
+
+
+def reference(field, cfg):
+    return reference_euler_residual(
+        field.data,
+        field.grid.ghost_width,
+        field.grid.deltas,
+        cfg.model.gamma,
+        cfg.flux.value,
+        cfg.recon.kind.value,
+        cfg.recon.epsilon,
+    )
+
+
+def random_prim(rng, shape, palette=0):
+    """Primitive states; with a palette of k states, cells repeat states so
+    that many faces see equal neighbours."""
+    dim = len(shape)
+    count = palette or int(np.prod(shape))
+    states = np.empty((dim + 2, count))
+    states[0] = rng.uniform(0.2, 3.0, count)
+    states[1 : 1 + dim] = rng.normal(0.0, 1.5, (dim, count))
+    states[1 + dim] = rng.uniform(0.2, 4.0, count)
+    pick = rng.integers(0, count, shape) if palette else np.arange(count).reshape(shape)
+    return states[:, pick]
+
+
+def fallback_faces(field, cfg):
+    """Number of faces whose WENO states are unphysical on either side."""
+    grid = field.grid
+    g = grid.ghost_width
+    total = 0
+    for axis in range(grid.dim):
+        ax = data_axis(grid.dim, axis)
+        sub = field.data
+        for other in range(grid.dim):
+            if other != axis:
+                oax = data_axis(grid.dim, other)
+                idx = [slice(None)] * sub.ndim
+                idx[oax] = slice(g, g + grid.cells[other])
+                sub = sub[tuple(idx)]
+        pair = reconstruct_axis(sub, ax, grid.cells[axis], g, cfg.recon)
+        ok = physical_mask(cfg.model, pair.uL) & physical_mask(cfg.model, pair.uR)
+        total += int((~ok).sum())
+    return total
+
+
+@st.composite
+def euler_inputs(draw):
+    dim = draw(st.integers(1, 3))
+    n_max = {1: 10, 2: 6, 3: 4}[dim]
+    shape = tuple(draw(st.integers(2, n_max)) for _ in range(dim))
+    bc = tuple(
+        draw(st.sampled_from([BoundaryKind.PERIODIC, BoundaryKind.OUTFLOW]))
+        for _ in range(dim)
+    )
+    seed = draw(st.integers(0, 2**32 - 1))
+    palette = draw(st.sampled_from([0, 2, 3]))
+    return shape, bc, seed, palette
+
+
+@pytest.mark.parametrize("flux,recon", SCHEMES)
+@given(case=euler_inputs())
+@settings(max_examples=30, deadline=None)
+def test_residual_equals_face_by_face_reference(flux, recon, case):
+    shape, bc, seed, palette = case
+    prim = random_prim(np.random.default_rng(seed), shape, palette)
+    field, cfg = make_case(prim, flux, recon, bc)
+    assert np.array_equal(spatial_residual(field, cfg), reference(field, cfg))
+
+
+@pytest.mark.parametrize("flux,recon", SCHEMES)
+def test_equal_face_states_match_reference(flux, recon):
+    # two states in blocks: most faces see uL == uR, a few see a jump
+    prim = np.empty((4, 6, 8))
+    prim[:, :, :4] = np.array([1.0, 0.3, -0.2, 1.5])[:, None, None]
+    prim[:, :, 4:] = np.array([0.5, -0.1, 0.4, 0.8])[:, None, None]
+    field, cfg = make_case(prim, flux, recon)
+    pair = reconstruct_axis(field.data[:, 2:-2], 2, 8, 2, cfg.recon)
+    assert np.all(pair.uL == pair.uR, axis=0).sum() > 0
+    assert np.array_equal(spatial_residual(field, cfg), reference(field, cfg))
+
+
+def near_vacuum_prim():
+    # a fast light jet next to slow dense gas at low pressure: WENO faces
+    # overshoot the kinetic energy and need the first-order fallback
+    rho = np.array([1.0, 1.0, 1.0, 1e-3, 1e-3, 1e-3, 1.0, 1.0])
+    v = np.array([0.0, 0.0, 0.0, 30.0, 30.0, -30.0, 0.0, 0.0])
+    p = np.full(8, 1e-4)
+    return np.stack([rho, v, p])
+
+
+@pytest.mark.parametrize("flux", [FluxKind.HLLC, FluxKind.RUSANOV])
+@pytest.mark.parametrize("recon", [ReconstructionKind.WENO2, ReconstructionKind.WENO3])
+def test_positivity_fallback_matches_reference(flux, recon):
+    field, cfg = make_case(near_vacuum_prim(), flux, recon)
+    assert fallback_faces(field, cfg) > 0
+    assert np.array_equal(spatial_residual(field, cfg), reference(field, cfg))
+
+
+@pytest.mark.parametrize("flux,recon", SCHEMES)
+def test_cropped_region_matches_reference(flux, recon):
+    # residual_region crops to a ghost width equal to the stencil radius
+    prim = random_prim(np.random.default_rng(11), (5, 7))
+    bc = (BoundaryKind.OUTFLOW, BoundaryKind.PERIODIC)
+    field, cfg = make_case(prim, flux, recon, bc)
+    want = reference(field, cfg)
+    for lo, hi in [((0, 0), (7, 5)), ((0, 0), (3, 5)), ((3, 1), (7, 4)), ((2, 2), (3, 3))]:
+        got = residual_region(field, cfg, lo, hi)
+        assert np.array_equal(got, want[:, lo[1] : hi[1], lo[0] : hi[0]])
+
+
+# ---------------------------------------------------------------------------
+# Failure paths
+# ---------------------------------------------------------------------------
+
+
+def _states(shape):
+    return random_prim(np.random.default_rng(5), shape)
+
+
+@pytest.mark.parametrize("flux,recon", SCHEMES)
+def test_unphysical_ghost_names_the_face_cell(flux, recon):
+    field, cfg = make_case(_states((6,)), flux, recon)
+    # the ghost next to the first interior cell: negative total energy
+    field.data[:, 1] = [1.0, 0.0, -1.0]
+    with pytest.raises(UnphysicalStateError, match=r"unphysical state at cell \(0,\)"):
+        spatial_residual(field, cfg)
+
+
+@pytest.mark.parametrize("flux,recon", SCHEMES)
+def test_unphysical_ghost_names_the_face_cell_in_2d(flux, recon):
+    field, cfg = make_case(_states((4, 6)), flux, recon)
+    # an x ghost in row 2 is read by x face (2, 0) in (y, x) order
+    field.data[:, 2 + 2, 1] = [1.0, 0.0, 0.0, -1.0]
+    with pytest.raises(UnphysicalStateError, match=r"unphysical state at cell \(2, 0\)"):
+        spatial_residual(field, cfg)
+    # a y ghost above column 3 is read by y face (0, 3)
+    fill_boundary(field, cfg.bc)
+    field.data[:, 1, 2 + 3] = [1.0, 0.0, 0.0, -1.0]
+    with pytest.raises(UnphysicalStateError, match=r"unphysical state at cell \(0, 3\)"):
+        spatial_residual(field, cfg)
+
+
+@pytest.mark.parametrize("flux", [hllc_flux, rusanov_flux])
+def test_unphysical_face_state_names_the_cell(flux):
+    model = EquationModel(kind="euler", dim=2)
+    u = primitive_to_conserved(model, random_prim(np.random.default_rng(3), (3, 4)))
+    bad = u.copy()
+    bad[3, 2, 1] = -0.5
+    with pytest.raises(UnphysicalStateError, match=r"at cell \(2, 1\)"):
+        flux(model, FacePair(u, bad), 0)
+    with pytest.raises(UnphysicalStateError, match=r"at cell \(2, 1\)"):
+        flux(model, FacePair(bad, u), 1)
+
+
+def test_degenerate_wave_fan_raises():
+    # infinite density passes the positivity check but has no sound speed
+    model = EquationModel(kind="euler", dim=1)
+    u = np.array([[np.inf, 1.0], [0.0, 0.0], [1.0, 2.0]])
+    with pytest.raises(UnphysicalStateError, match="degenerate"):
+        hllc_flux(model, FacePair(u, u.copy()), 0)
+    with pytest.raises(UnphysicalStateError, match="degenerate"):
+        numerical_flux(model, FluxKind.HLLC, FacePair(u, u.copy()), 0)
+
+
+@pytest.mark.parametrize("recon", [ReconstructionKind.NONE, ReconstructionKind.WENO3])
+def test_degenerate_wave_fan_raises_in_residual(recon):
+    field, cfg = make_case(_states((6,)), FluxKind.HLLC, recon)
+    field.data[0] = np.inf
+    field.data[1] = 0.0
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(UnphysicalStateError, match="degenerate"):
+            spatial_residual(field, cfg)
+
+
+def _field_with_bad_cell(cell):
+    field, cfg = make_case(_states((4, 8)), FluxKind.HLLC, ReconstructionKind.WENO3)
+    g = field.grid.ghost_width
+    field.data[(3, g + cell[0], g + cell[1])] = -1.0  # negative energy
+    return field, cfg
+
+
+def test_interior_check_names_the_cell_serial():
+    field, cfg = _field_with_bad_cell((1, 6))
+    with pytest.raises(SimulationError, match=r"interior cell \(1, 6\)"):
+        spatial_residual(field, cfg)
+
+
+def test_interior_check_names_the_cell_on_2x1_ranks():
+    field, cfg = _field_with_bad_cell((1, 6))
+    parts = decompose(field.grid, RankTopology((2, 1)))
+    assert [p.offset for p in parts] == [(0, 0), (4, 0)]
+    # rank 0 owns x in [0, 4) and computes its residual without error
+    residual_region(field, cfg, (0, 0), (4, 4))
+    # rank 1 owns x in [4, 8): the cell is (1, 2) in its local numbering
+    with pytest.raises(SimulationError, match=r"interior cell \(1, 2\)"):
+        residual_region(field, cfg, (4, 0), (8, 4))
+
+
+def test_cfl_check_names_the_cell_serial_and_on_2x1_ranks():
+    field, cfg = _field_with_bad_cell((1, 6))
+    with pytest.raises(UnphysicalStateError, match=r"at cell \(1, 6\)"):
+        wave_speed_maxima(field, cfg)
+    # a bad cell on each rank, so that neither waits for the other
+    g = field.grid.ghost_width
+    field.data[(3, g + 2, g + 1)] = -1.0
+    with pytest.raises(SimulationError, match=r"rank 0 failed: .*at cell \(2, 1\)"):
+        run_parallel(field, cfg, (2, 1), n_steps=1, overlap=False)
+
+
+def test_unphysical_state_after_a_step_names_the_step(monkeypatch):
+    # the post-step positivity check shares its pressure pass with the CFL
+    field, cfg = make_case(_states((8,)), FluxKind.HLLC, ReconstructionKind.WENO3)
+    real_step = solver.ssp_rk_step
+    steps = []
+
+    def corrupting_step(f, dt, c):
+        new = real_step(f, dt, c)
+        steps.append(dt)
+        if len(steps) == 2:
+            new.interior[2, 3] = -1.0
+        return new
+
+    monkeypatch.setattr(solver, "ssp_rk_step", corrupting_step)
+    with pytest.raises(SimulationError, match=r"unphysical state after step 2 "):
+        run_simulation(field, cfg)
+    assert len(steps) == 2
