@@ -106,22 +106,21 @@ def cmd_run(args) -> int:
     ranks = _parse_ranks(args.ranks, cfg.grid.dim) if args.ranks else cfg.ranks_per_axis
     names = model.component_names
 
+    pending = sorted(cfg.output.snapshot_times)
+
+    def snapshot_observer(step, t, field):
+        while pending and t >= pending[0] - 1e-14:
+            target = pending.pop(0)
+            path = outdir / f"snapshot_t{target:g}.snap"
+            write_snapshot(field, header, path, components=names)
+
+    observers = [snapshot_observer] if pending else []
     if math.prod(ranks) == 1:
-        pending = sorted(cfg.output.snapshot_times)
-        emitted = []
-
-        def snapshot_observer(step, t, field):
-            while pending and t >= pending[0] - 1e-14:
-                target = pending.pop(0)
-                path = outdir / f"snapshot_t{target:g}.snap"
-                write_snapshot(field, header, path, components=names)
-                emitted.append(path)
-
-        final, records = run_simulation(init, cfg.scheme, observers=[snapshot_observer])
-        step_rows = [(r.step, r.t, r.dt, r.seconds) for r in records]
+        final, records = run_simulation(init, cfg.scheme, observers=observers)
     else:
-        final, rank_records = run_parallel(init, cfg.scheme, ranks)
-        step_rows = [(r.step, r.t, r.dt, r.seconds) for r in rank_records[0]]
+        final, rank_records = run_parallel(init, cfg.scheme, ranks, observers=observers)
+        records = rank_records[0]
+    step_rows = [(r.step, r.t, r.dt, r.seconds) for r in records]
 
     write_snapshot(final, header, outdir / "final.snap", components=names)
     _write_csv(outdir / "timing.csv", header, "step,t,dt,seconds", step_rows)

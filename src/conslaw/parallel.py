@@ -1,45 +1,39 @@
-"""Cartesian domain decomposition, halo exchange and communication overlap.
+"""Cartesian domain decomposition and halo exchange.
 
-Ranks are realized in-process (one worker thread per rank) and communicate
-only through an abstract message transport honoring the same pack/exchange/
-unpack contract an MPI implementation would: per-pair FIFO delivery, strictly
-increasing tags, no loss, no duplication.
+A decomposed run splits the grid into equal subdomains ("ranks") that are
+advanced in lockstep on the calling thread by the solver's one time loop
+(``solver.advance``), the same loop that runs a serial run as a single
+subdomain.  There are no rank threads and no overlap of communication with
+computation: on one interpreter they cost more than they save.
 
-Halo passes run axis by axis (x then y then z) so corner ghosts arrive
-transitively: 2*dim messages per fill instead of 3^dim - 1.
+Ranks communicate only through a message transport honoring the contract an
+MPI implementation would: per-pair FIFO delivery, strictly increasing tags,
+no loss, no duplication.  Halo passes run axis by axis (x then y then z) so
+corner ghosts arrive transitively: 2*dim messages per fill instead of
+3^dim - 1.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import queue
-import threading
-import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolError, SimulationError
+from .errors import ConfigError, ProtocolError
 from .grid import (
     BoundaryKind,
     Field,
     GridSpec,
     _sl,
     data_axis,
+    field_from_interior,
     fill_axis,
     make_field,
 )
-from .solver import (
-    SchemeConfig,
-    check_scheme,
-    dt_from_maxima,
-    spatial_residual,
-    ssp_rk_step,
-    wave_speed_maxima,
-)
-
-_RECV_TIMEOUT = 60.0
+from .solver import SchemeConfig, advance, check_scheme
 
 
 @dataclass(frozen=True)
@@ -107,6 +101,12 @@ def decompose(grid: GridSpec, topo: RankTopology) -> list[Subdomain]:
             raise ConfigError(
                 f"{n} cells on axis {axis} not divisible by {r} ranks"
             )
+        # a halo slab is ghost_width interior cells thick
+        if r > 1 and n // r < grid.ghost_width:
+            raise ConfigError(
+                f"{n // r} cells per rank on axis {axis} is fewer than the "
+                f"ghost width {grid.ghost_width}"
+            )
     local_cells = tuple(n // r for n, r in zip(grid.cells, topo.ranks_per_axis))
     out = []
     for rank in range(topo.size):
@@ -145,14 +145,17 @@ class Transport:
 
 
 class InProcessTransport(Transport):
-    """Queue-backed transport: the desk-scale stand-in for an MPI wire."""
+    """In-memory per-pair FIFO channels: the desk-scale stand-in for an MPI wire.
+
+    Ranks run in lockstep on one thread, so a message is sent before it is
+    received; an empty channel at a receive is a protocol error, raised at
+    once rather than waited on.
+    """
 
     def __init__(self, size: int):
         self.size = size
-        self._queues = {
-            (s, d): queue.SimpleQueue()
-            for s in range(size)
-            for d in range(size)
+        self._channels = {
+            (s, d): deque() for s in range(size) for d in range(size)
         }
         self._last_tag = {}
 
@@ -164,15 +167,15 @@ class InProcessTransport(Transport):
                 f"tag {msg.tag} not increasing on pair {key} (last {last})"
             )
         self._last_tag[key] = msg.tag
-        self._queues[key].put(msg)
+        self._channels[key].append(msg)
 
     def receive(self, source, dest, axis, side, tag) -> np.ndarray:
-        try:
-            msg = self._queues[(source, dest)].get(timeout=_RECV_TIMEOUT)
-        except queue.Empty:
+        channel = self._channels[(source, dest)]
+        if not channel:
             raise ProtocolError(
-                f"timed out waiting for message {source}->{dest} tag {tag}"
-            ) from None
+                f"no message {source}->{dest} tag {tag} sent before its receive"
+            )
+        msg = channel.popleft()
         if (msg.axis, msg.side, msg.tag) != (axis, side, tag):
             raise ProtocolError(
                 f"message mismatch on pair ({source}, {dest}): expected "
@@ -186,245 +189,98 @@ def _face_slab(data: np.ndarray, grid: GridSpec, axis: int, lo: int, hi: int):
     return data[_sl(data.ndim, data_axis(grid.dim, axis), slice(lo, hi))]
 
 
-def _fill_outflow_side(data: np.ndarray, grid: GridSpec, axis: int, side: int) -> None:
-    """Zero-order extrapolation into the ghost slab on one side only."""
-    g = grid.ghost_width
-    n = grid.cells[axis]
-    if side == 0:
-        _face_slab(data, grid, axis, 0, g)[...] = _face_slab(data, grid, axis, g, g + 1)
-    else:
-        _face_slab(data, grid, axis, n + g, n + 2 * g)[...] = _face_slab(
-            data, grid, axis, n + g - 1, n + g
+def _subtag(tag: int, dim: int, axis: int, toward: int) -> int:
+    """Tag of the message sent toward side ``toward`` of ``axis`` in pass
+    ``tag``: increasing along every channel from pass to pass."""
+    return (tag * dim + axis) * 2 + toward
+
+
+def _send_slabs(field: Field, rank, topo, transport, axis, periodic, tag) -> None:
+    """Send both boundary slabs of ``axis`` to the neighbors across them."""
+    grid = field.grid
+    g, n = grid.ghost_width, grid.cells[axis]
+    for side, (lo, hi) in enumerate(((g, 2 * g), (n, n + g))):
+        dest = topo.neighbor(rank, axis, side, periodic)
+        if dest is None or dest == rank:
+            continue
+        payload = _face_slab(field.data, grid, axis, lo, hi).copy()
+        transport.send(
+            HaloMessage(rank, dest, axis, 1 - side, _subtag(tag, grid.dim, axis, side), payload)
         )
 
 
+def _fill_ghosts(field: Field, rank, topo, transport, axis, periodic, tag) -> None:
+    """Fill both ghost slabs of ``axis`` from the messages sent by
+    ``_send_slabs`` or, at a physical boundary, by extrapolation."""
+    grid = field.grid
+    g, n = grid.ghost_width, grid.cells[axis]
+    if topo.neighbor(rank, axis, 0, periodic) == rank:
+        # alone along a periodic axis: plain wrap
+        fill_axis(field.data, grid, axis, BoundaryKind.PERIODIC)
+        return
+    # high ghosts first: where one channel carries both slabs (2 ranks along
+    # a periodic axis), the slab sent toward the low side, which fills the
+    # high ghosts, was sent first
+    for side, (lo, hi), edge in ((1, (n + g, n + 2 * g), n + g - 1), (0, (0, g), g)):
+        source = topo.neighbor(rank, axis, side, periodic)
+        ghosts = _face_slab(field.data, grid, axis, lo, hi)
+        if source is None:
+            # zero-order extrapolation from the nearest interior cell
+            ghosts[...] = _face_slab(field.data, grid, axis, edge, edge + 1)
+        else:
+            ghosts[...] = transport.receive(
+                source, rank, axis, side, _subtag(tag, grid.dim, axis, 1 - side)
+            )
+
+
+def _direct(rank, fn, *args):
+    return fn(*args)
+
+
 def exchange_halos(
-    field: Field,
-    rank: int,
+    fields: list[Field],
     topo: RankTopology,
     transport: Transport,
     bc,
     tag: int,
-) -> Field:
-    """Fill all ghost slabs from neighbor interiors (or physical boundaries).
+    on_rank=_direct,
+) -> None:
+    """One ordered halo pass: fill every ghost slab of every rank's field
+    from neighbor interiors (or physical boundaries), in place.
 
-    Axis passes are sequential; the slab sent in pass k spans the full padded
-    extent of the other axes, so ghosts filled in earlier passes propagate
-    into corners.  Mutates ``field`` and returns it.
+    Along each axis every rank first sends its boundary slabs, then every
+    rank fills its ghosts, so a receive never waits.  The slab sent along an
+    axis spans the full padded extent of the other axes, so ghosts filled
+    for earlier axes propagate into corners.  Each rank's part runs as
+    ``on_rank(rank, fn, *args)``, which lets the time loop time it and name
+    the rank in an error.
     """
-    grid = field.grid
-    g = grid.ghost_width
-    for axis in range(grid.dim):
-        n = grid.cells[axis]
+    for axis in range(topo.dim):
         periodic = bc[axis] is BoundaryKind.PERIODIC
-        neighbors = {
-            side: topo.neighbor(rank, axis, side, periodic) for side in (0, 1)
-        }
-        if neighbors[0] == rank and neighbors[1] == rank:
-            # single rank along a periodic axis: plain wrap
-            fill_axis(field.data, grid, axis, BoundaryKind.PERIODIC)
-            continue
-        # Two directional sub-passes so a pair of ranks that are mutual
-        # neighbors on both sides (2 ranks along a periodic axis) never put
-        # two same-tag messages on one channel.  Sub-pass 1 moves data toward
-        # +axis (fills low ghosts), sub-pass 0 toward -axis (fills high).
-        for d in (0, 1):
-            send_nb = neighbors[d]       # downstream in this direction
-            recv_nb = neighbors[1 - d]   # upstream; fills our side 1 - d
-            subtag = (tag * grid.dim + axis) * 2 + d
-            if send_nb is not None:
-                if d == 0:
-                    payload = _face_slab(field.data, grid, axis, g, 2 * g)
-                else:
-                    payload = _face_slab(field.data, grid, axis, n, n + g)
-                transport.send(
-                    HaloMessage(
-                        rank, send_nb, axis, 1 - d, subtag,
-                        np.ascontiguousarray(payload),
-                    )
-                )
-            if recv_nb is None:
-                _fill_outflow_side(field.data, grid, axis, 1 - d)
-            else:
-                payload = transport.receive(recv_nb, rank, axis, 1 - d, subtag)
-                if d == 1:
-                    _face_slab(field.data, grid, axis, 0, g)[...] = payload
-                else:
-                    _face_slab(field.data, grid, axis, n + g, n + 2 * g)[...] = payload
-    return field
+        for step in (_send_slabs, _fill_ghosts):
+            for rank, field in enumerate(fields):
+                on_rank(rank, step, field, rank, topo, transport, axis, periodic, tag)
 
 
-# ---------------------------------------------------------------------------
-# Region-restricted residuals (for the overlap schedule)
-# ---------------------------------------------------------------------------
-
-
-def _crop_field(field: Field, lo, hi, margin: int) -> Field:
-    """Sub-field over interior box [lo, hi) with ``margin`` halo cells."""
-    grid = field.grid
-    g = grid.ghost_width
-    cells = tuple(h - l for l, h in zip(lo, hi))
-    origin = tuple(
-        grid.origin[k] + lo[k] * grid.deltas[k] for k in range(grid.dim)
-    )
-    extent = tuple(c * d for c, d in zip(cells, grid.deltas))
-    sub = GridSpec(
-        grid.dim, cells, origin, extent, ghost_width=margin, deltas=grid.deltas
-    )
-    data = field.data
-    for axis in range(grid.dim):
-        ax = data_axis(grid.dim, axis)
-        data = data[_sl(data.ndim, ax, slice(g + lo[axis] - margin, g + hi[axis] + margin))]
-    return Field(sub, field.ncomp, data)
-
-
-def residual_region(field: Field, cfg: SchemeConfig, lo, hi) -> np.ndarray:
-    """Residual restricted to the interior box [lo, hi); bitwise identical to
-    the same cells of the full-field residual."""
-    cropped = _crop_field(field, lo, hi, cfg.recon.radius)
-    return spatial_residual(cropped, cfg)
-
-
-def _shell_boxes(cells, r: int):
-    """Disjoint boxes covering the boundary shell, plus the inner box."""
-    dim = len(cells)
-    lo = [0] * dim
-    hi = list(cells)
-    shell = []
-    for a in range(dim):
-        inner_lo = min(r, cells[a])
-        inner_hi = max(cells[a] - r, inner_lo)
-        if inner_lo > 0:
-            box_lo = list(lo)
-            box_hi = list(hi)
-            box_lo[a], box_hi[a] = 0, inner_lo
-            shell.append((tuple(box_lo), tuple(box_hi)))
-        if inner_hi < cells[a]:
-            box_lo = list(lo)
-            box_hi = list(hi)
-            box_lo[a], box_hi[a] = inner_hi, cells[a]
-            shell.append((tuple(box_lo), tuple(box_hi)))
-        lo[a], hi[a] = inner_lo, inner_hi
-    inner = (tuple(lo), tuple(hi))
-    # a collapsed inner region leaves degenerate slabs on later axes
-    shell = [box for box in shell if not _box_empty(box)]
-    return shell, inner
-
-
-def _box_empty(box) -> bool:
-    return any(h <= l for l, h in zip(*box))
-
-
-def _box_slices(ncomp: int, dim: int, box) -> tuple:
-    lo, hi = box
+def _interior_slice(part: Subdomain) -> tuple:
+    """Index of a subdomain's cells in the global interior (x last)."""
     return (slice(None),) + tuple(
-        slice(lo[dim - 1 - j], hi[dim - 1 - j]) for j in range(dim)
+        slice(o, o + n) for o, n in zip(reversed(part.offset), reversed(part.grid.cells))
     )
-
-
-def overlapped_residual(
-    field: Field, cfg: SchemeConfig, exchange: Callable[[Field], None]
-) -> np.ndarray:
-    """Residual with communication/computation overlap.
-
-    The halo exchange runs on a helper thread while the inner region (cells
-    whose stencils touch no ghost) is computed; the boundary shell follows
-    once the exchange completes.  Bitwise identical to exchanging first and
-    computing the full residual.
-    """
-    grid = field.grid
-    r = cfg.recon.radius
-    shell, inner = _shell_boxes(grid.cells, r)
-    out = np.empty((field.ncomp,) + grid.interior_shape)
-
-    error: list[BaseException] = []
-
-    def run_exchange():
-        try:
-            exchange(field)
-        except BaseException as exc:  # propagated to the caller after join
-            error.append(exc)
-
-    worker = threading.Thread(target=run_exchange)
-    worker.start()
-    if not _box_empty(inner):
-        out[_box_slices(field.ncomp, grid.dim, inner)] = residual_region(
-            field, cfg, *inner
-        )
-    worker.join()
-    if error:
-        raise error[0]
-    for box in shell:
-        out[_box_slices(field.ncomp, grid.dim, box)] = residual_region(
-            field, cfg, *box
-        )
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Deterministic reductions and the multi-rank runner
-# ---------------------------------------------------------------------------
-
-
-class Reducer:
-    """All-reduce over in-process ranks, applied in fixed rank order."""
-
-    def __init__(self, size: int):
-        self.size = size
-        self._gather = queue.SimpleQueue()
-        self._results = [queue.SimpleQueue() for _ in range(size)]
-
-    def allreduce(self, rank: int, value, op: Callable):
-        self._gather.put((rank, value))
-        if rank == 0:
-            parts = [self._gather.get(timeout=_RECV_TIMEOUT) for _ in range(self.size)]
-            parts.sort(key=lambda rv: rv[0])
-            acc = parts[0][1]
-            for _, v in parts[1:]:
-                acc = op(acc, v)
-            for q in self._results:
-                q.put(acc)
-        return self._results[rank].get(timeout=_RECV_TIMEOUT)
 
 
 def scatter_field(global_field: Field, parts: list[Subdomain]) -> list[Field]:
-    out = []
-    src = global_field.interior
-    for part in parts:
-        local = make_field(part.grid, global_field.ncomp, 0.0)
-        sl = (slice(None),) + tuple(
-            slice(
-                part.offset[part.grid.dim - 1 - j],
-                part.offset[part.grid.dim - 1 - j] + part.grid.cells[part.grid.dim - 1 - j],
-            )
-            for j in range(part.grid.dim)
-        )
-        local.interior[...] = src[sl]
-        out.append(local)
-    return out
+    return [
+        field_from_interior(part.grid, global_field.interior[_interior_slice(part)])
+        for part in parts
+    ]
 
 
 def stitch_fields(global_grid: GridSpec, parts: list[Subdomain], locals_: list[Field]) -> Field:
     out = make_field(global_grid, locals_[0].ncomp, 0.0)
-    dst = out.interior
     for part, local in zip(parts, locals_):
-        sl = (slice(None),) + tuple(
-            slice(
-                part.offset[part.grid.dim - 1 - j],
-                part.offset[part.grid.dim - 1 - j] + part.grid.cells[part.grid.dim - 1 - j],
-            )
-            for j in range(part.grid.dim)
-        )
-        dst[sl] = local.interior
+        out.interior[_interior_slice(part)] = local.interior
     return out
-
-
-@dataclass
-class RankRecord:
-    step: int
-    t: float
-    dt: float
-    seconds: float
 
 
 def run_parallel(
@@ -432,93 +288,30 @@ def run_parallel(
     cfg: SchemeConfig,
     ranks_per_axis,
     n_steps: int | None = None,
-    overlap: bool = True,
+    observers=(),
 ):
     """Advance a decomposed run; returns the stitched final field and the
     per-rank step records.
 
-    ``n_steps`` caps the step count (used by benchmarks); otherwise the run
-    stops at ``cfg.t_end``.  The result is bitwise identical for every rank
-    layout, including the 1-rank serial path.
+    ``n_steps`` fixes the step count (used by benchmarks) and ignores
+    ``cfg.t_end``; otherwise the run stops at ``cfg.t_end``.  Observers see
+    the stitched field, as in ``run_simulation``.  The result is bitwise
+    identical for every rank layout, including the 1-rank serial path.
     """
     check_scheme(init.grid, cfg)
     topo = RankTopology(tuple(ranks_per_axis))
     parts = decompose(init.grid, topo)
-    locals_ = scatter_field(init, parts)
     transport = InProcessTransport(topo.size)
-    reducer = Reducer(topo.size)
+    tags = itertools.count(1)
 
-    results: list = [None] * topo.size
-    errors: list = [None] * topo.size
+    def fill(stages, on_rank):
+        exchange_halos(stages, topo, transport, cfg.bc, next(tags), on_rank)
 
-    def worker(rank: int):
-        try:
-            results[rank] = _rank_loop(
-                rank, locals_[rank], cfg, topo, transport, reducer, n_steps, overlap
-            )
-        except BaseException as exc:
-            errors[rank] = exc
-
-    threads = [
-        threading.Thread(target=worker, args=(rank,), name=f"rank-{rank}")
-        for rank in range(topo.size)
-    ]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
-    for rank, exc in enumerate(errors):
-        if exc is not None:
-            raise SimulationError(f"rank {rank} failed: {exc}") from exc
-
-    finals = [res[0] for res in results]
-    records = [res[1] for res in results]
-    return stitch_fields(init.grid, parts, finals), records
-
-
-def _rank_loop(rank, field, cfg, topo, transport, reducer, n_steps, overlap):
-    tag_counter = [0]
-
-    def make_exchange():
-        tag_counter[0] += 1
-        tag = tag_counter[0]
-        return lambda f: exchange_halos(f, rank, topo, transport, cfg.bc, tag)
-
-    records: list[RankRecord] = []
-    t = 0.0
-    step = 0
-    while True:
-        if n_steps is not None:
-            if step >= n_steps:
-                break
-        else:
-            if t >= cfg.t_end or cfg.t_end - t <= 1e-14 * cfg.t_end:
-                break
-        tic = time.perf_counter()
-        local_maxima = wave_speed_maxima(field, cfg)
-        maxima = reducer.allreduce(rank, local_maxima, np.maximum)
-        remaining = None if n_steps is not None else cfg.t_end - t
-        dt = dt_from_maxima(maxima, field.grid.deltas, cfg.cfl, remaining)
-
-        if overlap:
-            def residual(f, c):
-                return overlapped_residual(f, c, make_exchange())
-
-            field = ssp_rk_step(
-                field, dt, cfg, fill_ghosts=lambda f: None, residual=residual
-            )
-        else:
-            def fill(f):
-                make_exchange()(f)
-
-            field = ssp_rk_step(field, dt, cfg, fill_ghosts=fill)
-        seconds = time.perf_counter() - tic
-        step += 1
-        t += dt
-        if not np.isfinite(field.interior).all():
-            raise SimulationError(f"non-finite value after step {step}")
-        records.append(RankRecord(step, t, dt, seconds))
-    return field, records
+    return advance(
+        scatter_field(init, parts), cfg, fill,
+        lambda fields: stitch_fields(init.grid, parts, fields),
+        observers, n_steps, None if n_steps is not None else cfg.t_end,
+    )
 
 
 # ---------------------------------------------------------------------------

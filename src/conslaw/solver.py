@@ -15,12 +15,17 @@ import numpy as np
 from .equations import (
     EULER,
     EquationModel,
-    is_physical,
     max_wave_speeds,
     physical_mask,
     require_mask,
 )
-from .errors import ConfigError, SimulationError, StaticFieldError, UnphysicalStateError
+from .errors import (
+    ConfigError,
+    ProtocolError,
+    SimulationError,
+    StaticFieldError,
+    UnphysicalStateError,
+)
 from .grid import (
     BoundaryKind,
     Field,
@@ -192,26 +197,118 @@ def ssp_rk_advance(u, dt: float, L: Callable, order: int):
 
 
 def ssp_rk_step(
-    field: Field,
+    fields: list[Field],
     dt: float,
     cfg: SchemeConfig,
-    fill_ghosts: Callable[[Field], None] | None = None,
-    residual: Callable[[Field, SchemeConfig], np.ndarray] | None = None,
-) -> Field:
-    """One SSP-RK step; ghosts are refilled before every stage evaluation."""
-    grid = field.grid
-    if fill_ghosts is None:
-        fill_ghosts = lambda f: fill_boundary(f, cfg.bc)
-    if residual is None:
-        residual = spatial_residual
+    residual: Callable[[np.ndarray], np.ndarray],
+) -> list[Field]:
+    """One SSP-RK step of every subdomain at once.
 
-    def L(interior: np.ndarray) -> np.ndarray:
-        stage = field_from_interior(grid, interior)
-        fill_ghosts(stage)
-        return residual(stage, cfg)
+    The state is the subdomain interiors stacked on a leading rank axis;
+    ``residual`` maps such a stack to the stack of its residuals.  The
+    arithmetic is elementwise, so each subdomain gets the values a run of it
+    alone would get.
+    """
+    u = np.stack([f.interior for f in fields])
+    new = ssp_rk_advance(u, dt, residual, cfg.rk_order)
+    return [field_from_interior(f.grid, x) for f, x in zip(fields, new)]
 
-    new_interior = ssp_rk_advance(field.interior.copy(), dt, L, cfg.rk_order)
-    return field_from_interior(grid, new_interior)
+
+def _checked_maxima(field: Field, cfg: SchemeConfig, when: str) -> np.ndarray:
+    """CFL speed maxima of one subdomain, after checking that every interior
+    cell is finite; the positivity check shares the speeds' pressure pass."""
+    interior = field.interior
+    if not np.isfinite(interior).all():
+        bad = tuple(int(i) for i in np.argwhere(~np.isfinite(interior))[0][1:])
+        raise SimulationError(f"non-finite value {when} at cell {bad}")
+    try:
+        return wave_speed_maxima(field, cfg)
+    except UnphysicalStateError as exc:
+        raise SimulationError(f"unphysical state {when}: {exc}") from exc
+
+
+def advance(
+    fields: list[Field],
+    cfg: SchemeConfig,
+    fill: Callable,
+    gather: Callable[[list[Field]], Field],
+    observers: Sequence[Callable] = (),
+    max_steps: int | None = None,
+    t_end: float | None = None,
+):
+    """The time loop of serial and decomposed runs: every subdomain advances
+    in lockstep on the calling thread.
+
+    ``fields`` holds one field per subdomain, all of one shape.  Before every
+    stage, ``fill(stages, on_rank)`` fills the ghosts of all stage fields,
+    running each subdomain's part as ``on_rank(rank, fn, *args)``.
+    ``gather`` turns the subdomain fields into the global field handed to
+    ``observer(step, t, field)`` (once with the initial state and after every
+    step) and returned at the end.  The run stops after ``max_steps`` steps
+    or at ``t_end``, whichever comes first; with ``t_end=None`` dt is never
+    shortened to land on an end time.
+
+    Returns the final global field and one list of step records per
+    subdomain.  A record's ``seconds`` count only that subdomain's own ghost
+    fill, residual and CFL work.  An error in one subdomain of several is
+    raised at once as a SimulationError naming its rank.
+    """
+    nranks = len(fields)
+    grids = [f.grid for f in fields]
+    seconds = [0.0] * nranks
+
+    def on_rank(rank, fn, *args):
+        tic = time.perf_counter()
+        try:
+            return fn(*args)
+        except (SimulationError, UnphysicalStateError, ProtocolError) as exc:
+            if nranks == 1:
+                raise
+            raise SimulationError(f"rank {rank} failed: {exc}") from exc
+        finally:
+            seconds[rank] += time.perf_counter() - tic
+
+    def residual(u: np.ndarray) -> np.ndarray:
+        stages = [field_from_interior(grid, x) for grid, x in zip(grids, u)]
+        fill(stages, on_rank)
+        return np.stack(
+            [on_rank(r, spatial_residual, s, cfg) for r, s in enumerate(stages)]
+        )
+
+    def speed_maxima(when: str) -> np.ndarray:
+        # rank-ordered, as an MPI all-reduce would apply it
+        return np.maximum.reduce(
+            [on_rank(r, _checked_maxima, f, cfg, when) for r, f in enumerate(fields)]
+        )
+
+    def notify(step, t):
+        if observers:
+            field = gather(fields)
+            for obs in observers:
+                obs(step, t, field)
+
+    maxima = speed_maxima("in the initial field")
+    records: list[list[TimeStepRecord]] = [[] for _ in fields]
+    t = 0.0
+    step = 0
+    notify(step, t)
+    while max_steps is None or step < max_steps:
+        remaining = None
+        if t_end is not None:
+            remaining = t_end - t
+            if remaining <= 1e-14 * t_end:
+                break
+        dt = dt_from_maxima(maxima, grids[0].deltas, cfg.cfl, remaining)
+        seconds[:] = [0.0] * nranks
+        fields = ssp_rk_step(fields, dt, cfg, residual)
+        step += 1
+        t += dt
+        # the post-step check and the next step's CFL speeds
+        maxima = speed_maxima(f"after step {step} (t = {t:.6g})")
+        for rank, rec in enumerate(records):
+            rec.append(TimeStepRecord(step, t, dt, seconds[rank]))
+        notify(step, t)
+    return gather(fields), records
 
 
 def run_simulation(
@@ -226,44 +323,12 @@ def run_simulation(
     state and after every accepted step.
     """
     check_scheme(init.grid, cfg)
-    if not is_physical(cfg.model, init.interior):
-        raise SimulationError("initial field contains unphysical states")
-    field = init.copy()
-    maxima = wave_speed_maxima(field, cfg)
-    records: list[TimeStepRecord] = []
-    t = 0.0
-    step = 0
-    for obs in observers:
-        obs(step, t, field)
-    while t < cfg.t_end:
-        remaining = cfg.t_end - t
-        if remaining <= 1e-14 * cfg.t_end:
-            break
-        if max_steps is not None and step >= max_steps:
-            break
-        dt = dt_from_maxima(maxima, field.grid.deltas, cfg.cfl, remaining)
-        tic = time.perf_counter()
-        field = ssp_rk_step(field, dt, cfg)
-        seconds = time.perf_counter() - tic
-        step += 1
-        t += dt
-        interior = field.interior
-        if not np.isfinite(interior).all():
-            bad = tuple(
-                int(i) for i in np.argwhere(~np.isfinite(interior))[0][1:]
-            )
-            raise SimulationError(
-                f"non-finite value after step {step} (t = {t:.6g}) at cell {bad}"
-            )
-        # the positivity check of the new state and the next step's CFL
-        # speeds come from one pressure pass
-        try:
-            maxima = wave_speed_maxima(field, cfg)
-        except UnphysicalStateError as exc:
-            raise SimulationError(
-                f"unphysical state after step {step} (t = {t:.6g})"
-            ) from exc
-        records.append(TimeStepRecord(step, t, dt, seconds))
-        for obs in observers:
-            obs(step, t, field)
-    return field, records
+
+    def fill(stages, on_rank):
+        on_rank(0, fill_boundary, stages[0], cfg.bc)
+
+    final, records = advance(
+        [init.copy()], cfg, fill, lambda fields: fields[0],
+        observers, max_steps, cfg.t_end,
+    )
+    return final, records[0]

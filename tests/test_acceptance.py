@@ -113,19 +113,16 @@ def test_criterion_4_decomposition_invariance():
     init = eval_init(cfg.initial_exprs, cfg.scheme.model, cfg.grid, draw_sample(plan, 0))
     fields = {}
     for ranks in ((1, 1), (2, 1), (1, 2), (2, 2)):
-        for overlap in (True, False):
-            final, _ = run_parallel(
-                init.copy(), cfg.scheme, ranks, n_steps=50, overlap=overlap
-            )
-            fields[(ranks, overlap)] = final.interior
-    ref = fields[((1, 1), True)]
+        final, _ = run_parallel(init.copy(), cfg.scheme, ranks, n_steps=50)
+        fields[ranks] = final.interior
+    ref = fields[(1, 1)]
     mismatches = [
         key for key, val in fields.items() if not np.array_equal(val, ref)
     ]
     report(
         4, not mismatches,
         "kh2d 50 steps bitwise identical over ranks {1, 2x1, 1x2, 2x2} "
-        f"with and without overlap (mismatches: {mismatches or 'none'})",
+        f"(mismatches: {mismatches or 'none'})",
     )
 
 

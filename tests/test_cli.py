@@ -90,6 +90,22 @@ def test_run_decomposed_matches_serial(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_run_decomposed_writes_the_serial_snapshots(tmp_path, capsys):
+    cfg = small_kh(tmp_path)
+    cfg.write_text(cfg.read_text().replace("snapshot_times = 2.0", "snapshot_times = 0.01 0.02"))
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["run", str(cfg), "--output", str(a)]) == 0
+    assert main(["run", str(cfg), "--ranks", "2x1", "--output", str(b)]) == 0
+    names = sorted(p.name for p in a.glob("snapshot_t*.snap"))
+    assert names == ["snapshot_t0.01.snap", "snapshot_t0.02.snap"]
+    assert sorted(p.name for p in b.glob("snapshot_t*.snap")) == names
+    for name in names:
+        assert strip_timestamps((a / name).read_bytes()) == strip_timestamps(
+            (b / name).read_bytes()
+        )
+    capsys.readouterr()
+
+
 def test_run_bad_rank_layout_exits_2(tmp_path, capsys):
     cfg = small_kh(tmp_path)
     assert main(["run", str(cfg), "--ranks", "2x2x2"]) == 2

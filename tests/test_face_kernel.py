@@ -31,7 +31,7 @@ from conslaw.numerics import (
     reconstruct_axis,
     rusanov_flux,
 )
-from conslaw.parallel import RankTopology, decompose, residual_region, run_parallel
+from conslaw.parallel import RankTopology, decompose, run_parallel
 from conslaw import solver
 from conslaw.solver import SchemeConfig, run_simulation, spatial_residual, wave_speed_maxima
 from oracles import reference_euler_residual
@@ -165,18 +165,6 @@ def test_positivity_fallback_matches_reference(flux, recon):
     assert np.array_equal(spatial_residual(field, cfg), reference(field, cfg))
 
 
-@pytest.mark.parametrize("flux,recon", SCHEMES)
-def test_cropped_region_matches_reference(flux, recon):
-    # residual_region crops to a ghost width equal to the stencil radius
-    prim = random_prim(np.random.default_rng(11), (5, 7))
-    bc = (BoundaryKind.OUTFLOW, BoundaryKind.PERIODIC)
-    field, cfg = make_case(prim, flux, recon, bc)
-    want = reference(field, cfg)
-    for lo, hi in [((0, 0), (7, 5)), ((0, 0), (3, 5)), ((3, 1), (7, 4)), ((2, 2), (3, 3))]:
-        got = residual_region(field, cfg, lo, hi)
-        assert np.array_equal(got, want[:, lo[1] : hi[1], lo[0] : hi[0]])
-
-
 # ---------------------------------------------------------------------------
 # Failure paths
 # ---------------------------------------------------------------------------
@@ -254,42 +242,70 @@ def test_interior_check_names_the_cell_serial():
         spatial_residual(field, cfg)
 
 
-def test_interior_check_names_the_cell_on_2x1_ranks():
-    field, cfg = _field_with_bad_cell((1, 6))
+def test_interior_check_names_the_cell_on_2x1_ranks(monkeypatch):
+    field, cfg = make_case(_states((4, 8)), FluxKind.HLLC, ReconstructionKind.WENO3)
+    g = field.grid.ghost_width
     parts = decompose(field.grid, RankTopology((2, 1)))
     assert [p.offset for p in parts] == [(0, 0), (4, 0)]
-    # rank 0 owns x in [0, 4) and computes its residual without error
-    residual_region(field, cfg, (0, 0), (4, 4))
-    # rank 1 owns x in [4, 8): the cell is (1, 2) in its local numbering
-    with pytest.raises(SimulationError, match=r"interior cell \(1, 2\)"):
-        residual_region(field, cfg, (4, 0), (8, 4))
+    real_residual = solver.spatial_residual
+
+    def corrupting_residual(stage, c):
+        # rank 1 owns x in [4, 8): global cell (1, 6) is (1, 2) in its
+        # local numbering; rank 0's stages stay physical
+        if stage.grid.origin[0] > 0.0:
+            stage.data[(3, g + 1, g + 2)] = -1.0
+        return real_residual(stage, c)
+
+    monkeypatch.setattr(solver, "spatial_residual", corrupting_residual)
+    with pytest.raises(
+        SimulationError, match=r"^rank 1 failed: unphysical state in interior cell \(1, 2\)"
+    ):
+        run_parallel(field, cfg, (2, 1), n_steps=1)
 
 
 def test_cfl_check_names_the_cell_serial_and_on_2x1_ranks():
     field, cfg = _field_with_bad_cell((1, 6))
     with pytest.raises(UnphysicalStateError, match=r"at cell \(1, 6\)"):
         wave_speed_maxima(field, cfg)
-    # a bad cell on each rank, so that neither waits for the other
+    # a bad cell on each rank: rank 0 is checked first
     g = field.grid.ghost_width
     field.data[(3, g + 2, g + 1)] = -1.0
     with pytest.raises(SimulationError, match=r"rank 0 failed: .*at cell \(2, 1\)"):
-        run_parallel(field, cfg, (2, 1), n_steps=1, overlap=False)
+        run_parallel(field, cfg, (2, 1), n_steps=1)
+
+
+def _corrupt_after_step_2(monkeypatch, rank, index):
+    """Make ``solver.ssp_rk_step`` write an unphysical value into one rank's
+    state after the second step; returns the list of steps taken."""
+    real_step = solver.ssp_rk_step
+    steps = []
+
+    def corrupting_step(fields, *args):
+        new = real_step(fields, *args)
+        steps.append(args[0])
+        if len(steps) == 2:
+            new[rank].interior[index] = -1.0
+        return new
+
+    monkeypatch.setattr(solver, "ssp_rk_step", corrupting_step)
+    return steps
 
 
 def test_unphysical_state_after_a_step_names_the_step(monkeypatch):
     # the post-step positivity check shares its pressure pass with the CFL
     field, cfg = make_case(_states((8,)), FluxKind.HLLC, ReconstructionKind.WENO3)
-    real_step = solver.ssp_rk_step
-    steps = []
-
-    def corrupting_step(f, dt, c):
-        new = real_step(f, dt, c)
-        steps.append(dt)
-        if len(steps) == 2:
-            new.interior[2, 3] = -1.0
-        return new
-
-    monkeypatch.setattr(solver, "ssp_rk_step", corrupting_step)
+    steps = _corrupt_after_step_2(monkeypatch, 0, (2, 3))
     with pytest.raises(SimulationError, match=r"unphysical state after step 2 "):
         run_simulation(field, cfg)
+    assert len(steps) == 2
+
+
+def test_unphysical_state_after_a_step_names_the_step_on_2x1_ranks(monkeypatch):
+    field, cfg = make_case(_states((4, 8)), FluxKind.HLLC, ReconstructionKind.WENO3)
+    steps = _corrupt_after_step_2(monkeypatch, 1, (3, 1, 2))
+    with pytest.raises(
+        SimulationError,
+        match=r"^rank 1 failed: unphysical state after step 2 .*at cell \(1, 2\)",
+    ):
+        run_parallel(field, cfg, (2, 1))
     assert len(steps) == 2

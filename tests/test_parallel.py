@@ -1,8 +1,10 @@
+import time
+
 import numpy as np
 import pytest
 
 from conslaw.equations import EquationModel, primitive_to_conserved
-from conslaw.errors import ConfigError, ProtocolError
+from conslaw.errors import ConfigError, ProtocolError, SimulationError
 from conslaw.grid import BoundaryKind, GridSpec, field_from_interior, fill_boundary
 from conslaw.numerics import FluxKind, Reconstruction, ReconstructionKind
 from conslaw.parallel import (
@@ -12,12 +14,11 @@ from conslaw.parallel import (
     decompose,
     exchange_halos,
     overhead_metric,
-    overlapped_residual,
     run_parallel,
     scatter_field,
     stitch_fields,
 )
-from conslaw.solver import SchemeConfig, run_simulation, spatial_residual
+from conslaw.solver import SchemeConfig, run_simulation
 
 
 def kh_like_field(n=32, dim=2, seed=8):
@@ -38,14 +39,14 @@ def kh_like_field(n=32, dim=2, seed=8):
     return field_from_interior(grid, u), model
 
 
-def euler_scheme(model, t_end=0.1):
+def euler_scheme(model, t_end=0.1, bc=BoundaryKind.PERIODIC):
     return SchemeConfig(
         model=model,
         flux=FluxKind.HLLC,
         recon=Reconstruction(ReconstructionKind.WENO3),
         rk_order=3,
         t_end=t_end,
-        bc=(BoundaryKind.PERIODIC,) * model.dim,
+        bc=(bc,) * model.dim,
     )
 
 
@@ -87,6 +88,14 @@ def test_decompose_rejects_indivisible_grid():
         decompose(grid, RankTopology((3,)))
 
 
+def test_decompose_rejects_ranks_thinner_than_the_ghost_layer():
+    grid = GridSpec(1, (8,), (0.0,), (1.0,))  # ghost width 2
+    assert len(decompose(grid, RankTopology((4,)))) == 4
+    # one cell per rank: the slab sent to a neighbor would include a ghost
+    with pytest.raises(ConfigError, match="ghost width"):
+        decompose(grid, RankTopology((8,)))
+
+
 def test_scatter_stitch_round_trip():
     field, _ = kh_like_field(16)
     parts = decompose(field.grid, RankTopology((2, 2)))
@@ -103,17 +112,7 @@ def test_scatter_stitch_round_trip():
 def _exchange_all(global_field, topo, bc, tag=1):
     parts = decompose(global_field.grid, topo)
     locals_ = scatter_field(global_field, parts)
-    transport = InProcessTransport(topo.size)
-    import threading
-
-    def worker(rank):
-        exchange_halos(locals_[rank], rank, topo, transport, bc, tag)
-
-    threads = [threading.Thread(target=worker, args=(r,)) for r in range(topo.size)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    exchange_halos(locals_, topo, InProcessTransport(topo.size), bc, tag)
     return parts, locals_
 
 
@@ -172,30 +171,17 @@ def test_receive_validates_metadata():
 
 
 # ---------------------------------------------------------------------------
-# Overlap and whole-run equivalence
+# Whole-run equivalence and failures
 # ---------------------------------------------------------------------------
 
 
-def test_overlapped_residual_bitwise_matches_plain():
-    field, model = kh_like_field(24)
-    cfg = euler_scheme(model)
-    plain = field.copy()
-    fill_boundary(plain, cfg.bc)
-    want = spatial_residual(plain, cfg)
-
-    got = overlapped_residual(
-        field.copy(), cfg, lambda f: fill_boundary(f, cfg.bc)
-    )
-    np.testing.assert_array_equal(got, want)
-
-
 @pytest.mark.parametrize("ranks", [(2, 1), (1, 2), (2, 2)])
-@pytest.mark.parametrize("overlap", [True, False])
-def test_decomposed_run_bitwise_matches_serial(ranks, overlap):
+@pytest.mark.parametrize("bc", [BoundaryKind.PERIODIC, BoundaryKind.OUTFLOW])
+def test_decomposed_run_bitwise_matches_serial(ranks, bc):
     field, model = kh_like_field(16)
-    cfg = euler_scheme(model, t_end=0.05)
+    cfg = euler_scheme(model, t_end=0.05, bc=bc)
     serial, _ = run_simulation(field.copy(), cfg)
-    par, records = run_parallel(field.copy(), cfg, ranks, overlap=overlap)
+    par, records = run_parallel(field.copy(), cfg, ranks)
     np.testing.assert_array_equal(par.interior, serial.interior)
     assert len(records) == ranks[0] * ranks[1]
     # all ranks agreed on every timestep
@@ -203,8 +189,21 @@ def test_decomposed_run_bitwise_matches_serial(ranks, overlap):
     assert len(dts) == 1
 
 
+def test_unphysical_cell_in_one_rank_fails_at_once_naming_it():
+    field, model = kh_like_field(16)
+    cfg = euler_scheme(model)
+    g = field.grid.ghost_width
+    # global cell (x, y) = (10, 13) is (2, 5) in rank 3 of a 2x2 layout,
+    # named in (y, x) order like every cell index
+    field.data[(3, g + 13, g + 10)] = -1.0  # negative energy
+    tic = time.perf_counter()
+    with pytest.raises(SimulationError, match=r"^rank 3 failed: .*at cell \(5, 2\)"):
+        run_parallel(field, cfg, (2, 2))
+    assert time.perf_counter() - tic < 1.0
+
+
 def test_three_dimensional_run_with_degenerate_inner_box():
-    # local grids so small the overlap inner region is empty
+    # local grids of 4^3 cells: every cell's stencil reaches a ghost
     field, model = kh_like_field(8, dim=3)
     cfg = euler_scheme(model, t_end=0.02)
     serial, _ = run_simulation(field.copy(), cfg)
