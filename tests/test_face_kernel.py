@@ -31,7 +31,14 @@ from conslaw.numerics import (
     reconstruct_axis,
     rusanov_flux,
 )
-from conslaw.parallel import RankTopology, decompose, run_parallel
+from conslaw.parallel import (
+    InProcessTransport,
+    RankTopology,
+    decompose,
+    exchange_halos,
+    run_parallel,
+    scatter_field,
+)
 from conslaw import solver
 from conslaw.solver import SchemeConfig, run_simulation, spatial_residual, wave_speed_maxima
 from oracles import reference_euler_residual
@@ -163,6 +170,27 @@ def test_positivity_fallback_matches_reference(flux, recon):
     field, cfg = make_case(near_vacuum_prim(), flux, recon)
     assert fallback_faces(field, cfg) > 0
     assert np.array_equal(spatial_residual(field, cfg), reference(field, cfg))
+
+
+@pytest.mark.parametrize("flux,recon", SCHEMES)
+def test_cropped_region_matches_reference(flux, recon):
+    # each rank's residual over its subdomain, with ghosts as wide as the
+    # stencil radius filled by one halo pass, equals the same cells of the
+    # global residual
+    prim = random_prim(np.random.default_rng(11), (6, 8))
+    bc = (BoundaryKind.OUTFLOW, BoundaryKind.PERIODIC)
+    ghost = Reconstruction(recon).radius
+    field, cfg = make_case(prim, flux, recon, bc, ghost=ghost)
+    want = reference(field, cfg)
+    for ranks in ((1, 1), (2, 1), (1, 2), (2, 2)):
+        topo = RankTopology(ranks)
+        parts = decompose(field.grid, topo)
+        locals_ = scatter_field(field, parts)
+        exchange_halos(locals_, topo, InProcessTransport(topo.size), cfg.bc, 1)
+        for part, local in zip(parts, locals_):
+            (x0, y0), (nx, ny) = part.offset, part.grid.cells
+            got = spatial_residual(local, cfg)
+            assert np.array_equal(got, want[:, y0 : y0 + ny, x0 : x0 + nx])
 
 
 # ---------------------------------------------------------------------------
