@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ConfigError, ConslawError
 from .grid import GridSpec, total_integral
 from .iodsl import eval_init, parse_config
+from .iodsl.config import check_workers
 from .iodsl.output import OutputHeader, write_snapshot, write_stats
 from .parallel import overhead_metric, run_parallel
 from .presets import PRESETS
@@ -204,7 +205,8 @@ def cmd_uq(args) -> int:
         raise ConfigError("config has no [uq] section")
     uq = cfg.uq
     seed = uq.seed if args.seed is None else args.seed
-    workers = uq.workers if args.workers is None else args.workers
+    if args.workers is not None:
+        check_workers(args.workers)
     header = OutputHeader(cfg.digest, seed)
     outdir = _output_dir(args, cfg)
     model = cfg.scheme.model
@@ -226,24 +228,26 @@ def cmd_uq(args) -> int:
             seed=seed,
             stochastic_dim=uq.stochastic_dim,
         )
-        result = run_mlmc(plan, lambda g: cfg.scheme, evaluate_init, workers=workers)
-        moments = FieldMoments(cfg.grid, model.ncomp)
-        moments.acc.count = sum(uq.level_samples)
-        moments.acc.mean = result.mean
-        moments.acc.m2 = result.variance * max(moments.acc.count - 1, 1)
-        written = write_stats([moments], header, outdir)
+        result = run_mlmc(plan, lambda g: cfg.scheme, evaluate_init)
+        written = write_stats([result], header, outdir)
         sys.stdout.write(
             f"mlmc levels={uq.levels} samples={list(uq.level_samples)} "
             f"mean(rho) range [{result.mean[0].min():.6g}, {result.mean[0].max():.6g}]\n"
         )
+        negative = int(np.any(result.variance < 0, axis=0).sum())
+        if negative:
+            print(
+                f"warning: MLMC variance is negative in {negative} of "
+                f"{math.prod(cfg.grid.cells)} cells",
+                file=sys.stderr,
+            )
     else:
         plan = SamplePlan(
             method=uq.method, samples=uq.samples, seed=seed,
             stochastic_dim=uq.stochastic_dim,
         )
         results = run_mc(
-            plan, cfg.grid, cfg.scheme, evaluate_init, _build_functionals(cfg),
-            workers=workers,
+            plan, cfg.grid, cfg.scheme, evaluate_init, _build_functionals(cfg)
         )
         written = write_stats(results, header, outdir)
         for res in results:
@@ -397,7 +401,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_uq.add_argument("config")
     p_uq.add_argument("--output", help="output directory")
     p_uq.add_argument("--seed", type=int, help="override the config seed")
-    p_uq.add_argument("--workers", type=int, help="override the worker count")
+    p_uq.add_argument(
+        "--workers", type=int,
+        help="override the worker count (checked, no effect: samples run on one thread)",
+    )
     p_uq.set_defaults(fn=cmd_uq)
 
     p_bench = sub.add_parser("bench", help="weak-scaling benchmark")

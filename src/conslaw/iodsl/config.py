@@ -50,7 +50,7 @@ class UqSettings:
     samples: int = 1
     seed: int = 0
     stochastic_dim: int = 1
-    workers: int = 1
+    workers: int = 1  # checked, no effect (see check_workers)
     levels: int = 1
     level_samples: tuple = ()
     functionals: tuple = ("moments",)
@@ -253,6 +253,13 @@ def _spot_check_initial(exprs, model, grid, stochastic_dim, primitive) -> None:
             raise ConfigError(f"initial data fails validation: {exc}") from exc
 
 
+def check_workers(workers: int) -> None:
+    """Check the worker count of ``[uq] workers`` or ``uq --workers``.  It
+    selects nothing: every sample runs on the calling thread."""
+    if workers < 1:
+        raise ConfigError("worker count must be >= 1")
+
+
 def _build_uq(uq: _Section, grid: GridSpec, model, present: bool) -> UqSettings:
     settings = UqSettings(
         method=uq.choice("method", ("mc", "qmc"), "mc"),
@@ -270,8 +277,7 @@ def _build_uq(uq: _Section, grid: GridSpec, model, present: bool) -> UqSettings:
     )
     if settings.samples < 1:
         raise ConfigError("sample count must be >= 1")
-    if settings.workers < 1:
-        raise ConfigError("worker count must be >= 1")
+    check_workers(settings.workers)
     for f in settings.functionals:
         if f not in _FUNCTIONAL_NAMES:
             raise ConfigError(

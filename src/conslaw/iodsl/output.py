@@ -142,10 +142,11 @@ def read_snapshot(path) -> tuple[Field, dict]:
 def write_stats(results, header: OutputHeader, directory, suffix: str = "") -> list[Path]:
     """Write finalized accumulators, one file per functional.
 
-    Mean/variance become snapshot-format field files; histograms and
-    structure functions become CSV with the header carried in comment lines.
+    Mean/variance (of ``FieldMoments`` or an ``MlmcMoments`` result) become
+    snapshot-format field files; histograms and structure functions become
+    CSV with the header carried in comment lines.
     """
-    from ..uq import FieldMoments, Histogram, StructureFunctionAccumulator
+    from ..uq import FieldMoments, Histogram, MlmcMoments, StructureFunctionAccumulator
     from ..grid import field_from_interior
 
     directory = Path(directory)
@@ -155,16 +156,17 @@ def write_stats(results, header: OutputHeader, directory, suffix: str = "") -> l
     def comment_lines():
         return "".join(f"# {line}\n" for line in header.lines())
 
+    def write_moments(grid, mean, variance):
+        for name, values in (("mean", mean), ("variance", variance)):
+            path = directory / f"{name}{suffix}.snap"
+            write_snapshot(field_from_interior(grid, values), header, path)
+            written.append(path)
+
     for res in results:
         if isinstance(res, FieldMoments):
-            grid = res.grid
-            mean_path = directory / f"mean{suffix}.snap"
-            var_path = directory / f"variance{suffix}.snap"
-            write_snapshot(field_from_interior(grid, res.acc.mean), header, mean_path)
-            write_snapshot(
-                field_from_interior(grid, res.acc.variance(ddof=1)), header, var_path
-            )
-            written += [mean_path, var_path]
+            write_moments(res.grid, res.acc.mean, res.acc.variance(ddof=1))
+        elif isinstance(res, MlmcMoments):
+            write_moments(res.grid, res.mean, res.variance)
         elif isinstance(res, Histogram):
             path = directory / f"histogram{suffix}.csv"
             with open(path, "w") as fh:

@@ -6,14 +6,15 @@ of nested grids, with both runs of each correction pair driven by the same
 random vector.
 
 Random numbers come from a counter-based generator keyed by (seed, level,
-sample index), so any sample is reproducible in isolation and the estimate is
-bitwise independent of worker count and scheduling.
+sample index), so any sample is reproducible in isolation.  Every estimator
+runs its samples through one loop, in sample-index order on the calling
+thread, and merges each sample into its functionals as it finishes.  There
+are no worker threads: the ``workers`` setting of a campaign is accepted but
+has no effect.
 """
 
 from __future__ import annotations
 
-import heapq
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,9 +95,13 @@ def halton_point(index: int, dim: int) -> np.ndarray:
     return np.array([radical_inverse(index, _PRIMES[d]) for d in range(dim)])
 
 
+def _sample_count(plan, level: int) -> int:
+    return plan.samples_per_level[level] if isinstance(plan, MlmcPlan) else plan.samples
+
+
 def draw_sample(plan, k: int, level: int = 0) -> np.ndarray:
-    """Random vector in [0,1)^d for sample k (independent of the worker)."""
-    samples = plan.samples_per_level[level] if isinstance(plan, MlmcPlan) else plan.samples
+    """Random vector in [0,1)^d for sample k of a level."""
+    samples = _sample_count(plan, level)
     if not 0 <= k < samples:
         raise ConfigError(f"sample index {k} out of range [0, {samples})")
     if plan.method == QMC:
@@ -292,11 +297,15 @@ def _run_one_sample(plan, level, k, grid, cfg, evaluate_init, functionals):
     return contribs
 
 
-def _map_samples(worker_fn, n, workers):
-    if workers <= 1:
-        return [worker_fn(k) for k in range(n)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker_fn, range(n)))
+def _run_level(plan, level, grid, cfg, evaluate_init, functionals):
+    """Run the samples of one level on one grid, in index order, and merge
+    each sample's contributions into fresh copies of ``functionals``."""
+    merged = [f.fresh() for f in functionals]
+    for k in range(_sample_count(plan, level)):
+        contribs = _run_one_sample(plan, level, k, grid, cfg, evaluate_init, functionals)
+        for m, c in zip(merged, contribs):
+            m.merge(c)
+    return merged
 
 
 def run_mc(
@@ -305,27 +314,17 @@ def run_mc(
     cfg: SchemeConfig,
     evaluate_init,
     functionals,
-    workers: int = 1,
 ):
     """Single-level estimate: run M independent samples and stream every
-    final field into each functional.  Merges happen in sample-index order,
-    so the result does not depend on worker count."""
-    per_sample = _map_samples(
-        lambda k: _run_one_sample(plan, 0, k, grid, cfg, evaluate_init, functionals),
-        plan.samples,
-        workers,
-    )
-    merged = [f.fresh() for f in functionals]
-    for contribs in per_sample:
-        for m, c in zip(merged, contribs):
-            m.merge(c)
-    return merged
+    final field into each functional, in sample-index order."""
+    return _run_level(plan, 0, grid, cfg, evaluate_init, functionals)
 
 
 @dataclass
 class MlmcMoments:
     """Telescoped first/second moments, combined on the finest grid."""
 
+    grid: GridSpec
     mean: np.ndarray
     second_moment: np.ndarray
     variance: np.ndarray
@@ -345,12 +344,7 @@ def prolong(values: np.ndarray, factor_per_axis) -> np.ndarray:
     return out
 
 
-def run_mlmc(
-    plan: MlmcPlan,
-    make_cfg,
-    evaluate_init,
-    workers: int = 1,
-):
+def run_mlmc(plan: MlmcPlan, make_cfg, evaluate_init) -> MlmcMoments:
     """Multilevel estimate of the field mean and variance.
 
     Sample k of level l runs the same random vector on the level-l and
@@ -359,52 +353,29 @@ def run_mlmc(
     With one level this reduces bitwise to the single-level estimator.
     """
     finest = plan.grids[-1]
+
+    def moments(level, grid):
+        cfg = make_cfg(grid)
+        functionals = [FieldMoments(grid, cfg.model.ncomp)]
+        return _run_level(plan, level, grid, cfg, evaluate_init, functionals)[0].acc
+
+    def on_finest(values, grid):
+        return prolong(values, tuple(nf // n for nf, n in zip(finest.cells, grid.cells)))
+
     mean_total = None
     second_total = None
-    acc_level0 = None
     for level in range(plan.levels):
         grid_f = plan.grids[level]
-        cfg_f = make_cfg(grid_f)
-
-        def one(k, level=level, grid_f=grid_f, cfg_f=cfg_f):
-            vector = draw_sample(plan, k, level)
-            try:
-                fine, _ = run_simulation(evaluate_init(grid_f, vector), cfg_f)
-                if level > 0:
-                    grid_c = plan.grids[level - 1]
-                    coarse, _ = run_simulation(
-                        evaluate_init(grid_c, vector), make_cfg(grid_c)
-                    )
-                else:
-                    coarse = None
-            except Exception as exc:
-                raise SimulationError(f"level {level}, sample {k} failed: {exc}") from exc
-            sf = MomentAccumulator(np.asarray(fine.interior).shape)
-            sf.update(np.asarray(fine.interior))
-            sc = None
-            if coarse is not None:
-                sc = MomentAccumulator(np.asarray(coarse.interior).shape)
-                sc.update(np.asarray(coarse.interior))
-            return sf, sc
-
-        singles = _map_samples(one, plan.samples_per_level[level], workers)
-        # merge in sample-index order: matches run_mc's accumulation bitwise
-        acc_f = singles[0][0].fresh()
-        acc_c = singles[0][1].fresh() if singles[0][1] is not None else None
-        for sf, sc in singles:
-            acc_f.merge(sf)
-            if acc_c is not None:
-                acc_c.merge(sc)
+        acc_f = moments(level, grid_f)
         if level == 0:
             acc_level0 = acc_f
-        factor_f = tuple(nf // nl for nf, nl in zip(finest.cells, grid_f.cells))
-        mean_l = prolong(acc_f.mean, factor_f)
-        second_l = prolong(acc_f.second_moment(), factor_f)
-        if acc_c is not None:
+        mean_l = on_finest(acc_f.mean, grid_f)
+        second_l = on_finest(acc_f.second_moment(), grid_f)
+        if level > 0:
             grid_c = plan.grids[level - 1]
-            factor_c = tuple(nf // nl for nf, nl in zip(finest.cells, grid_c.cells))
-            mean_l = mean_l - prolong(acc_c.mean, factor_c)
-            second_l = second_l - prolong(acc_c.second_moment(), factor_c)
+            acc_c = moments(level, grid_c)
+            mean_l = mean_l - on_finest(acc_c.mean, grid_c)
+            second_l = second_l - on_finest(acc_c.second_moment(), grid_c)
         if mean_total is None:
             mean_total = mean_l
             second_total = second_l
@@ -416,33 +387,4 @@ def run_mlmc(
         variance = acc_level0.variance(ddof=1)
     else:
         variance = second_total - mean_total ** 2
-    return MlmcMoments(mean_total, second_total, variance)
-
-
-# ---------------------------------------------------------------------------
-# Sample-to-worker load balancing
-# ---------------------------------------------------------------------------
-
-
-def load_balance(sample_costs, workers: int) -> list[list[int]]:
-    """Longest-processing-time-first assignment of samples to workers.
-
-    Returns per-worker lists of sample indices; ties break toward the lowest
-    worker index so the assignment is deterministic.
-    """
-    costs = list(sample_costs)
-    if not costs:
-        raise ConfigError("no samples to balance")
-    if workers < 1:
-        raise ConfigError(f"need at least one worker, got {workers}")
-    if any(c <= 0 for c in costs):
-        raise ConfigError("sample costs must be positive")
-    order = sorted(range(len(costs)), key=lambda i: (-costs[i], i))
-    heap = [(0.0, w) for w in range(workers)]
-    heapq.heapify(heap)
-    assignment: list[list[int]] = [[] for _ in range(workers)]
-    for i in order:
-        load, w = heapq.heappop(heap)
-        assignment[w].append(i)
-        heapq.heappush(heap, (load + costs[i], w))
-    return assignment
+    return MlmcMoments(finest, mean_total, second_total, variance)

@@ -3,12 +3,11 @@
 Everything here is written from first principles against the governing
 equations, deliberately sharing no code with the package: an exact Riemann
 solver for the 1D Euler equations, naive two-pass statistics, a digit-reversal
-sequence, a brute-force partitioner, and a face-by-face Euler residual.
+sequence, and a face-by-face Euler residual.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -149,17 +148,6 @@ def digit_reversal(index: int, base: int) -> float:
     for d in reversed(digits):
         value = value / base + d
     return value / base
-
-
-def brute_force_makespan(costs, workers: int) -> float:
-    """Minimum makespan over every assignment (exponential; keep inputs tiny)."""
-    best = math.inf
-    for assignment in itertools.product(range(workers), repeat=len(costs)):
-        loads = [0.0] * workers
-        for cost, w in zip(costs, assignment):
-            loads[w] += cost
-        best = min(best, max(loads))
-    return best
 
 
 def scalar_rusanov(f, speed, u_l, u_r):

@@ -1,11 +1,15 @@
 import re
+import threading
 
 import numpy as np
 
-from conslaw.cli import main
+import conslaw.cli
+from conslaw.cli import _level_grids, main
+from conslaw.iodsl import eval_init
 from conslaw.iodsl.config import parse_config
 from conslaw.iodsl.output import read_snapshot
 from conslaw.presets import KH2D, PRESETS, SOD
+from conslaw.uq import MlmcPlan, run_mlmc
 
 
 def small_sod(tmp_path, cells=64):
@@ -171,6 +175,83 @@ def test_uq_multilevel(tmp_path, capsys):
     mean, meta = read_snapshot(out / "mean.snap")
     assert mean.grid.cells == (16, 16)
     assert np.isfinite(mean.interior).all()
+    capsys.readouterr()
+
+
+def test_uq_multilevel_writes_the_mlmc_variance_bitwise(tmp_path, capsys):
+    cfg_path = small_kh(tmp_path, extra="levels = 2\nlevel_samples = 4 2\n")
+    # at 16x16 the preset's 0.01 interface perturbation crosses no cell
+    # centre, so the samples would coincide; 0.1 makes every cell vary
+    cfg_path.write_text(cfg_path.read_text().replace("0.01 *", "0.1 *"))
+    out = tmp_path / "out"
+    assert main(["uq", str(cfg_path), "--output", str(out)]) == 0
+    cfg = parse_config(cfg_path.read_text())
+    plan = MlmcPlan(
+        grids=_level_grids(cfg.grid, 2), samples_per_level=(4, 2),
+        method=cfg.uq.method, seed=cfg.uq.seed, stochastic_dim=cfg.uq.stochastic_dim,
+    )
+
+    def evaluate_init(grid, vector):
+        return eval_init(
+            cfg.initial_exprs, cfg.scheme.model, grid, vector,
+            primitive=cfg.initial_primitive,
+        )
+
+    want = run_mlmc(plan, lambda g: cfg.scheme, evaluate_init)
+    mean, _ = read_snapshot(out / "mean.snap")
+    variance, _ = read_snapshot(out / "variance.snap")
+    np.testing.assert_array_equal(mean.interior, want.mean)
+    np.testing.assert_array_equal(variance.interior, want.variance)
+    capsys.readouterr()
+
+
+def test_uq_reports_negative_mlmc_variance(tmp_path, monkeypatch, capsys):
+    # a constant state per sample stays constant, so the QMC estimate is exact
+    # arithmetic: level 0 draws 0.5 and 0.25 on the coarse grid, level 1 draws
+    # 0.5 and spreads it on the coarse grid only, and the telescoped variance
+    # comes out at -0.109375 in every cell
+    cfg = tmp_path / "spread.cfg"
+    cfg.write_text(
+        "[grid]\ncells = 8\norigin = 0\nextent = 1\n\n"
+        "[scheme]\nequation = advection\nadvection_speed = 1\nflux = rusanov\n"
+        "reconstruction = none\nrk_order = 1\nt_end = 0.05\nboundary = periodic\n\n"
+        "[initial]\nu = 1 + X0\n\n"
+        "[uq]\nmethod = qmc\nstochastic_dim = 1\nlevels = 2\nlevel_samples = 2 1\n"
+    )
+    real_eval_init = conslaw.cli.eval_init
+
+    def coarse_spreads_more(exprs, model, grid, vector, primitive=True):
+        if grid.cells == (8,):
+            vector = np.zeros_like(vector)
+        return real_eval_init(exprs, model, grid, vector, primitive=primitive)
+
+    monkeypatch.setattr(conslaw.cli, "eval_init", coarse_spreads_more)
+    out = tmp_path / "out"
+    assert main(["uq", str(cfg), "--output", str(out)]) == 0
+    assert "MLMC variance is negative in 8 of 8 cells" in capsys.readouterr().err
+    variance, _ = read_snapshot(out / "variance.snap")
+    np.testing.assert_array_equal(variance.interior, np.full((1, 8), -0.109375))
+
+
+def test_uq_worker_flag_is_checked_like_the_config_key(tmp_path, capsys):
+    cfg = small_kh(tmp_path)
+    for workers in ("0", "-3"):
+        assert main(["uq", str(cfg), "--output", str(tmp_path / "x"), "--workers", workers]) == 2
+        assert "worker count must be >= 1" in capsys.readouterr().err
+    cfg.write_text(cfg.read_text().replace("workers = 1", "workers = 0"))
+    assert main(["uq", str(cfg), "--output", str(tmp_path / "x")]) == 2
+    assert "worker count must be >= 1" in capsys.readouterr().err
+
+
+def test_uq_starts_no_thread(tmp_path, monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError(f"uq started thread {self.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for tag, extra in (("mc", ""), ("mlmc", "levels = 2\nlevel_samples = 2 2\n")):
+        cfg = small_kh(tmp_path, cells=8, extra=extra)
+        out = tmp_path / tag
+        assert main(["uq", str(cfg), "--output", str(out), "--workers", "4"]) == 0
     capsys.readouterr()
 
 

@@ -17,13 +17,12 @@ from conslaw.uq import (
     StructureFunctionAccumulator,
     draw_sample,
     halton_point,
-    load_balance,
     prolong,
     radical_inverse,
     run_mc,
     run_mlmc,
 )
-from oracles import brute_force_makespan, digit_reversal, two_pass_moments
+from oracles import digit_reversal, two_pass_moments
 
 
 # ---------------------------------------------------------------------------
@@ -205,21 +204,6 @@ def _instant_setup(n=8):
     return grid, cfg, evaluate_init
 
 
-def test_mc_statistics_independent_of_worker_count():
-    grid, cfg, evaluate_init = _instant_setup()
-    plan = SamplePlan(method="mc", samples=12, seed=11, stochastic_dim=1)
-    results = {}
-    for workers in (1, 2, 4):
-        out = run_mc(
-            plan, grid, cfg, evaluate_init,
-            [FieldMoments(grid, cfg.model.ncomp)], workers=workers,
-        )
-        results[workers] = out[0].acc
-    for workers in (2, 4):
-        np.testing.assert_array_equal(results[workers].mean, results[1].mean)
-        np.testing.assert_array_equal(results[workers].m2, results[1].m2)
-
-
 def test_mc_mean_matches_direct_average():
     grid, cfg, evaluate_init = _instant_setup()
     plan = SamplePlan(method="mc", samples=20, seed=12, stochastic_dim=1)
@@ -290,7 +274,7 @@ def test_mlmc_two_levels_produces_finite_fields():
             grids=(coarse, grid), samples_per_level=(8, 4), method="mc",
             seed=15, stochastic_dim=1,
         ),
-        lambda g: cfg, evaluate_init, workers=2,
+        lambda g: cfg, evaluate_init,
     )
     assert res.mean.shape == (3, 8)
     assert np.isfinite(res.mean).all()
@@ -305,40 +289,3 @@ def test_mlmc_plan_requires_nested_grids():
             grids=(g6, g8), samples_per_level=(4, 2), method="mc",
             seed=1, stochastic_dim=1,
         )
-
-
-# ---------------------------------------------------------------------------
-# Load balancing
-# ---------------------------------------------------------------------------
-
-
-def test_load_balance_known_example():
-    # classic LPT trace: 5->w0, 4->w1, 3->w1, 3->w0, 3->w1 gives loads (8, 10);
-    # the optimum is 9, and LPT's 10 is within its 7/6 guarantee
-    costs = [5.0, 4.0, 3.0, 3.0, 3.0]
-    groups = load_balance(costs, 2)
-    loads = sorted(sum(costs[i] for i in grp) for grp in groups)
-    assert loads == [8.0, 10.0]
-
-
-def test_load_balance_covers_all_samples_once():
-    groups = load_balance([1.0] * 7, 3)
-    seen = sorted(i for grp in groups for i in grp)
-    assert seen == list(range(7))
-
-
-def test_load_balance_near_optimal_on_small_instances():
-    rng = np.random.default_rng(16)
-    for _ in range(20):
-        costs = list(rng.uniform(0.5, 3.0, 7))
-        workers = int(rng.integers(2, 4))
-        groups = load_balance(costs, workers)
-        got = max(sum(costs[i] for i in grp) for grp in groups)
-        best = brute_force_makespan(costs, workers)
-        # greedy longest-processing-time is within 4/3 of optimal
-        assert got <= best * (4.0 / 3.0 - 1.0 / (3.0 * workers)) + 1e-12
-
-
-def test_load_balance_is_deterministic():
-    costs = [2.0, 2.0, 1.0, 1.0, 1.0]
-    assert load_balance(costs, 2) == load_balance(costs, 2)
