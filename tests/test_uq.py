@@ -215,6 +215,67 @@ def test_mc_mean_matches_direct_average():
     np.testing.assert_allclose(out[0].acc.mean[0], want, rtol=1e-13)
 
 
+def _record_solves(monkeypatch, evaluate_init):
+    """Wrap ``evaluate_init`` and ``conslaw.uq.run_simulation`` so every
+    sample logs its grid, random vector and the thread that solved it."""
+    import threading
+
+    import conslaw.uq as uq
+
+    inits, solves = [], []
+    solve = uq.run_simulation
+
+    def logged_init(g, vector):
+        inits.append((g.cells, np.array(vector)))
+        return evaluate_init(g, vector)
+
+    def logged_solve(init, cfg):
+        solves.append((init.grid.cells, threading.get_ident()))
+        return solve(init, cfg)
+
+    monkeypatch.setattr(uq, "run_simulation", logged_solve)
+    return logged_init, inits, solves
+
+
+def test_mc_solves_every_sample_in_index_order_on_the_calling_thread(monkeypatch):
+    import threading
+
+    grid, cfg, evaluate_init = _instant_setup()
+    plan = SamplePlan(method="mc", samples=5, seed=16, stochastic_dim=2)
+    logged_init, inits, solves = _record_solves(monkeypatch, evaluate_init)
+    run_mc(plan, grid, cfg, logged_init, [FieldMoments(grid, cfg.model.ncomp)])
+    assert len(inits) == len(solves) == 5
+    for k, (cells, vector) in enumerate(inits):
+        assert cells == grid.cells
+        np.testing.assert_array_equal(vector, draw_sample(plan, k))
+    assert {ident for _, ident in solves} == {threading.get_ident()}
+
+
+def test_mlmc_runs_coarse_and_fine_grids_on_the_same_vectors(monkeypatch):
+    import threading
+
+    grid, cfg, evaluate_init = _instant_setup(n=8)
+    coarse = GridSpec(1, (4,), (0.0,), (1.0,))
+    plan = MlmcPlan(
+        grids=(coarse, grid), samples_per_level=(3, 2), method="mc",
+        seed=17, stochastic_dim=1,
+    )
+    logged_init, inits, solves = _record_solves(monkeypatch, evaluate_init)
+    run_mlmc(plan, lambda g: cfg, logged_init)
+    # level 0 on the coarse grid, then level 1 on the fine and the coarse
+    # grid, each in sample-index order
+    want = (
+        [(coarse.cells, draw_sample(plan, k, 0)) for k in range(3)]
+        + [(grid.cells, draw_sample(plan, k, 1)) for k in range(2)]
+        + [(coarse.cells, draw_sample(plan, k, 1)) for k in range(2)]
+    )
+    assert [cells for cells, _ in inits] == [cells for cells, _ in want]
+    for (_, got), (_, vector) in zip(inits, want):
+        np.testing.assert_array_equal(got, vector)
+    assert [cells for cells, _ in solves] == [cells for cells, _ in want]
+    assert {ident for _, ident in solves} == {threading.get_ident()}
+
+
 def test_prolongation_repeats_cells():
     coarse = np.array([[1.0, 2.0], [3.0, 4.0]])
     fine = prolong(coarse[None], (2, 2))[0]
