@@ -38,9 +38,5 @@ class StaticFieldError(SimulationError):
     """All wave speeds vanish: no finite CFL timestep exists."""
 
 
-class ProtocolError(ConslawError):
-    """Halo-exchange message arrived out of contract (wrong tag/axis/side)."""
-
-
 class SnapshotError(ConslawError):
     """Snapshot file is corrupt, truncated, or of an unknown version."""

@@ -1,6 +1,6 @@
 """Cartesian structured grid and cell-averaged field storage with ghost layers.
 
-Memory layout convention (relied upon by halo packing and snapshot I/O):
+Memory layout convention (relied upon by the halo exchange and snapshot I/O):
 ``Field.data`` has shape ``(ncomp, n_last, ..., n_x)`` where the x axis is the
 fastest-varying (last) numpy axis.  Spatial axis ``k`` (0 = x) therefore lives
 at numpy axis ``1 + (dim - 1 - k)``.

@@ -6,23 +6,20 @@ advanced in lockstep on the calling thread by the solver's one time loop
 subdomain.  There are no rank threads and no overlap of communication with
 computation: on one interpreter they cost more than they save.
 
-Ranks communicate only through a message transport honoring the contract an
-MPI implementation would: per-pair FIFO delivery, strictly increasing tags,
-no loss, no duplication.  Halo passes run axis by axis (x then y then z) so
-corner ghosts arrive transitively: 2*dim messages per fill instead of
-3^dim - 1.
+A halo pass copies each ghost slab straight from the neighbor's interior
+slab; physical ends, and ranks alone along a periodic axis, use the serial
+``grid.fill_axis``.  Passes run axis by axis (x then y then z) so corner
+ghosts arrive transitively, as in ``grid.fill_boundary``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError
 from .grid import (
     BoundaryKind,
     Field,
@@ -124,112 +121,31 @@ def decompose(grid: GridSpec, topo: RankTopology) -> list[Subdomain]:
     return out
 
 
-@dataclass
-class HaloMessage:
-    source: int
-    dest: int
-    axis: int
-    side: int  # side of the *destination* being filled: 0 = low ghosts
-    tag: int
-    payload: np.ndarray
-
-
-class Transport:
-    """Abstract point-to-point message channel with per-pair FIFO delivery."""
-
-    def send(self, msg: HaloMessage) -> None:
-        raise NotImplementedError
-
-    def receive(self, source: int, dest: int, axis: int, side: int, tag: int) -> np.ndarray:
-        raise NotImplementedError
-
-
-class InProcessTransport(Transport):
-    """In-memory per-pair FIFO channels: the desk-scale stand-in for an MPI wire.
-
-    Ranks run in lockstep on one thread, so a message is sent before it is
-    received; an empty channel at a receive is a protocol error, raised at
-    once rather than waited on.
-    """
-
-    def __init__(self, size: int):
-        self.size = size
-        self._channels = {
-            (s, d): deque() for s in range(size) for d in range(size)
-        }
-        self._last_tag = {}
-
-    def send(self, msg: HaloMessage) -> None:
-        key = (msg.source, msg.dest)
-        last = self._last_tag.get(key)
-        if last is not None and msg.tag <= last:
-            raise ProtocolError(
-                f"tag {msg.tag} not increasing on pair {key} (last {last})"
-            )
-        self._last_tag[key] = msg.tag
-        self._channels[key].append(msg)
-
-    def receive(self, source, dest, axis, side, tag) -> np.ndarray:
-        channel = self._channels[(source, dest)]
-        if not channel:
-            raise ProtocolError(
-                f"no message {source}->{dest} tag {tag} sent before its receive"
-            )
-        msg = channel.popleft()
-        if (msg.axis, msg.side, msg.tag) != (axis, side, tag):
-            raise ProtocolError(
-                f"message mismatch on pair ({source}, {dest}): expected "
-                f"(axis={axis}, side={side}, tag={tag}), got "
-                f"(axis={msg.axis}, side={msg.side}, tag={msg.tag})"
-            )
-        return msg.payload
-
-
 def _face_slab(data: np.ndarray, grid: GridSpec, axis: int, lo: int, hi: int):
     return data[_sl(data.ndim, data_axis(grid.dim, axis), slice(lo, hi))]
 
 
-def _subtag(tag: int, dim: int, axis: int, toward: int) -> int:
-    """Tag of the message sent toward side ``toward`` of ``axis`` in pass
-    ``tag``: increasing along every channel from pass to pass."""
-    return (tag * dim + axis) * 2 + toward
+def _fill_rank_axis(fields: list[Field], rank, topo, axis, kind) -> None:
+    """Fill both ghost slabs of ``axis`` of one rank's field in place.
 
-
-def _send_slabs(field: Field, rank, topo, transport, axis, periodic, tag) -> None:
-    """Send both boundary slabs of ``axis`` to the neighbors across them."""
+    At a physical end, or alone along a periodic axis, the serial
+    ``fill_axis`` fills them; a slab that faces another rank is then
+    overwritten with a copy of that rank's interior slab.
+    """
+    field = fields[rank]
     grid = field.grid
     g, n = grid.ghost_width, grid.cells[axis]
-    for side, (lo, hi) in enumerate(((g, 2 * g), (n, n + g))):
-        dest = topo.neighbor(rank, axis, side, periodic)
-        if dest is None or dest == rank:
-            continue
-        payload = _face_slab(field.data, grid, axis, lo, hi).copy()
-        transport.send(
-            HaloMessage(rank, dest, axis, 1 - side, _subtag(tag, grid.dim, axis, side), payload)
-        )
-
-
-def _fill_ghosts(field: Field, rank, topo, transport, axis, periodic, tag) -> None:
-    """Fill both ghost slabs of ``axis`` from the messages sent by
-    ``_send_slabs`` or, at a physical boundary, by extrapolation."""
-    grid = field.grid
-    g, n = grid.ghost_width, grid.cells[axis]
-    if topo.neighbor(rank, axis, 0, periodic) == rank:
-        # alone along a periodic axis: plain wrap
-        fill_axis(field.data, grid, axis, BoundaryKind.PERIODIC)
-        return
-    # high ghosts first: where one channel carries both slabs (2 ranks along
-    # a periodic axis), the slab sent toward the low side, which fills the
-    # high ghosts, was sent first
-    for side, (lo, hi), edge in ((1, (n + g, n + 2 * g), n + g - 1), (0, (0, g), g)):
-        source = topo.neighbor(rank, axis, side, periodic)
-        ghosts = _face_slab(field.data, grid, axis, lo, hi)
-        if source is None:
-            # zero-order extrapolation from the nearest interior cell
-            ghosts[...] = _face_slab(field.data, grid, axis, edge, edge + 1)
-        else:
-            ghosts[...] = transport.receive(
-                source, rank, axis, side, _subtag(tag, grid.dim, axis, 1 - side)
+    periodic = kind is BoundaryKind.PERIODIC
+    low, high = (topo.neighbor(rank, axis, side, periodic) for side in (0, 1))
+    if low is None or high is None or low == rank:
+        fill_axis(field.data, grid, axis, kind)
+    for source, ghosts, slab in (
+        (low, (0, g), (n, n + g)),
+        (high, (n + g, n + 2 * g), (g, 2 * g)),
+    ):
+        if source is not None and source != rank:
+            _face_slab(field.data, grid, axis, *ghosts)[...] = _face_slab(
+                fields[source].data, grid, axis, *slab
             )
 
 
@@ -237,29 +153,21 @@ def _direct(rank, fn, *args):
     return fn(*args)
 
 
-def exchange_halos(
-    fields: list[Field],
-    topo: RankTopology,
-    transport: Transport,
-    bc,
-    tag: int,
-    on_rank=_direct,
-) -> None:
+def exchange_halos(fields: list[Field], topo: RankTopology, bc, on_rank=_direct) -> None:
     """One ordered halo pass: fill every ghost slab of every rank's field
     from neighbor interiors (or physical boundaries), in place.
 
-    Along each axis every rank first sends its boundary slabs, then every
-    rank fills its ghosts, so a receive never waits.  The slab sent along an
-    axis spans the full padded extent of the other axes, so ghosts filled
-    for earlier axes propagate into corners.  Each rank's part runs as
-    ``on_rank(rank, fn, *args)``, which lets the time loop time it and name
-    the rank in an error.
+    Axes are filled one after the other (x, then y, then z), every rank
+    along one axis before the next axis.  A ghost slab of one axis reads
+    only cells interior along that axis, and it spans the full padded
+    extent of the other axes, so ghosts filled for earlier axes propagate
+    into corners exactly as in the serial ``fill_boundary``.  Each rank's
+    part runs as ``on_rank(rank, fn, *args)``, which lets the time loop time
+    it and name the rank in an error.
     """
     for axis in range(topo.dim):
-        periodic = bc[axis] is BoundaryKind.PERIODIC
-        for step in (_send_slabs, _fill_ghosts):
-            for rank, field in enumerate(fields):
-                on_rank(rank, step, field, rank, topo, transport, axis, periodic, tag)
+        for rank in range(len(fields)):
+            on_rank(rank, _fill_rank_axis, fields, rank, topo, axis, bc[axis])
 
 
 def _interior_slice(part: Subdomain) -> tuple:
@@ -301,40 +209,12 @@ def run_parallel(
     check_scheme(init.grid, cfg)
     topo = RankTopology(tuple(ranks_per_axis))
     parts = decompose(init.grid, topo)
-    transport = InProcessTransport(topo.size)
-    tags = itertools.count(1)
 
     def fill(stages, on_rank):
-        exchange_halos(stages, topo, transport, cfg.bc, next(tags), on_rank)
+        exchange_halos(stages, topo, cfg.bc, on_rank)
 
     return advance(
         scatter_field(init, parts), cfg, fill,
         lambda fields: stitch_fields(init.grid, parts, fields),
         observers, n_steps, None if n_steps is not None else cfg.t_end,
     )
-
-
-# ---------------------------------------------------------------------------
-# Weak-scaling overhead metric
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class OverheadReport:
-    ranks: int
-    mean_seconds: float
-    baseline_seconds: float
-    overhead_fraction: float
-
-
-def overhead_metric(times_K, times_1, ranks: int) -> OverheadReport:
-    """Communication overhead of a weak-scaling run:
-    (runtime/step at K ranks - runtime/step at 1 rank) / runtime/step at 1 rank.
-    """
-    times_K = list(times_K)
-    times_1 = list(times_1)
-    if not times_K or not times_1:
-        raise ConfigError("overhead metric needs non-empty timing series")
-    mean_K = sum(times_K) / len(times_K)
-    mean_1 = sum(times_1) / len(times_1)
-    return OverheadReport(ranks, mean_K, mean_1, (mean_K - mean_1) / mean_1)

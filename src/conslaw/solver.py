@@ -21,7 +21,6 @@ from .equations import (
 )
 from .errors import (
     ConfigError,
-    ProtocolError,
     SimulationError,
     StaticFieldError,
     UnphysicalStateError,
@@ -261,7 +260,7 @@ def advance(
         tic = time.perf_counter()
         try:
             return fn(*args)
-        except (SimulationError, UnphysicalStateError, ProtocolError) as exc:
+        except (SimulationError, UnphysicalStateError) as exc:
             if nranks == 1:
                 raise
             raise SimulationError(f"rank {rank} failed: {exc}") from exc

@@ -275,8 +275,28 @@ def test_bench_emits_csvs(tmp_path, capsys):
         if l and not l.startswith("#")
     ]
     assert over[0] == "ranks,layout,mean_seconds,overhead_fraction"
-    assert float(over[1].split(",")[3]) == 0.0  # single rank defines the baseline
+    # each rank count's mean over the steps after the 5 warmup steps, and
+    # its excess over the single-rank mean, relative to that mean
+    means = {}
+    for K in (1, 2):
+        seconds = [float(l.split(",")[4]) for l in lines[1:] if l.split(",")[0] == str(K)]
+        means[K] = sum(seconds[5:]) / len(seconds[5:])
+    for row in over[1:]:
+        K, layout, mean, fraction = row.split(",")
+        assert layout == "multix"
+        assert float(mean) == means[int(K)]
+        assert float(fraction) == (means[int(K)] - means[1]) / means[1]
     capsys.readouterr()
+
+
+def test_bench_rejects_fewer_than_one_step(tmp_path, capsys):
+    cfg = small_kh(tmp_path, cells=8)
+    for steps in ("0", "-3"):
+        assert main([
+            "bench", str(cfg), "--ranks", "1", "--steps", steps,
+            "--output", str(tmp_path / "x"),
+        ]) == 2
+        assert "--steps must be >= 1" in capsys.readouterr().err
 
 
 def test_bench_3d_layout_on_2d_config_exits_2(tmp_path, capsys):

@@ -32,7 +32,6 @@ from conslaw.numerics import (
     rusanov_flux,
 )
 from conslaw.parallel import (
-    InProcessTransport,
     RankTopology,
     decompose,
     exchange_halos,
@@ -186,7 +185,7 @@ def test_cropped_region_matches_reference(flux, recon):
         topo = RankTopology(ranks)
         parts = decompose(field.grid, topo)
         locals_ = scatter_field(field, parts)
-        exchange_halos(locals_, topo, InProcessTransport(topo.size), cfg.bc, 1)
+        exchange_halos(locals_, topo, cfg.bc)
         for part, local in zip(parts, locals_):
             (x0, y0), (nx, ny) = part.offset, part.grid.cells
             got = spatial_residual(local, cfg)

@@ -1,19 +1,17 @@
+import itertools
 import time
 
 import numpy as np
 import pytest
 
 from conslaw.equations import EquationModel, primitive_to_conserved
-from conslaw.errors import ConfigError, ProtocolError, SimulationError
+from conslaw.errors import ConfigError, SimulationError
 from conslaw.grid import BoundaryKind, GridSpec, field_from_interior, fill_boundary
 from conslaw.numerics import FluxKind, Reconstruction, ReconstructionKind
 from conslaw.parallel import (
-    HaloMessage,
-    InProcessTransport,
     RankTopology,
     decompose,
     exchange_halos,
-    overhead_metric,
     run_parallel,
     scatter_field,
     stitch_fields,
@@ -109,65 +107,59 @@ def test_scatter_stitch_round_trip():
 # ---------------------------------------------------------------------------
 
 
-def _exchange_all(global_field, topo, bc, tag=1):
-    parts = decompose(global_field.grid, topo)
-    locals_ = scatter_field(global_field, parts)
-    exchange_halos(locals_, topo, InProcessTransport(topo.size), bc, tag)
-    return parts, locals_
+PERIODIC, OUTFLOW = BoundaryKind.PERIODIC, BoundaryKind.OUTFLOW
+
+EXCHANGE_CASES = [
+    (ranks, bc)
+    for ranks in [(2, 1), (1, 2), (2, 2), (4, 1), (2, 2, 2)]
+    for bc in itertools.product((PERIODIC, OUTFLOW), repeat=len(ranks))
+]
+EXCHANGE_IDS = [
+    "x".join(map(str, ranks)) + "-" + "-".join(kind.value for kind in bc)
+    for ranks, bc in EXCHANGE_CASES
+]
 
 
-@pytest.mark.parametrize("ranks", [(2, 1), (1, 2), (2, 2), (4, 1)])
-def test_exchanged_ghosts_match_serial_fill(ranks):
-    field, _ = kh_like_field(16)
-    bc = (BoundaryKind.PERIODIC, BoundaryKind.PERIODIC)
-    reference = field.copy()
-    fill_boundary(reference, bc)
-    parts, locals_ = _exchange_all(field, RankTopology(ranks), bc)
-    g = field.grid.ghost_width
+def _global_padded_index(part, global_grid, axis, kind):
+    """Global padded index of every local padded index along ``axis``: the
+    same cell, wrapped across a periodic boundary; outflow ghosts at a
+    physical end land on the global outflow ghosts."""
+    g, n = global_grid.ghost_width, global_grid.cells[axis]
+    index = part.offset[axis] + np.arange(part.grid.padded[axis])
+    return (index - g) % n + g if kind is PERIODIC else index
+
+
+@pytest.mark.parametrize("ranks,bc", EXCHANGE_CASES, ids=EXCHANGE_IDS)
+def test_exchanged_ghosts_match_serial_fill(ranks, bc):
+    dim = len(ranks)
+    field, _ = kh_like_field(16 if dim == 2 else 8, dim=dim)
+    reference = fill_boundary(field.copy(), bc)
+    topo = RankTopology(ranks)
+    parts = decompose(field.grid, topo)
+    locals_ = scatter_field(field, parts)
+    exchange_halos(locals_, topo, bc)
     for part, local in zip(parts, locals_):
-        # every padded cell of the local field must equal the corresponding
-        # (wrapped) cell of the serially filled global field
-        for jy in range(local.grid.padded[1]):
-            gy = (part.offset[1] + jy - g) % field.grid.cells[1] + g
-            got = local.data[:, jy, :]
-            lo = part.offset[0]
-            want_cols = [
-                (lo + jx - g) % field.grid.cells[0] + g
-                for jx in range(local.grid.padded[0])
-            ]
-            np.testing.assert_array_equal(got, reference.data[:, gy, want_cols])
+        # every padded cell, corners included, equals the same cell of the
+        # serially filled global field
+        index = [
+            _global_padded_index(part, field.grid, axis, bc[axis])
+            for axis in reversed(range(dim))
+        ]
+        want = reference.data[np.ix_(range(field.ncomp), *index)]
+        np.testing.assert_array_equal(local.data, want)
 
 
-def test_exchange_with_outflow_boundary():
-    field, model = kh_like_field(16)
-    bc = (BoundaryKind.OUTFLOW, BoundaryKind.OUTFLOW)
-    reference = field.copy()
-    fill_boundary(reference, bc)
-    parts, locals_ = _exchange_all(field, RankTopology((2, 2)), bc)
-    back = stitch_fields(field.grid, parts, locals_)
-    np.testing.assert_array_equal(back.interior, reference.interior)
-    # edge rank ghost slabs replicate the boundary cells
-    g = field.grid.ghost_width
-    np.testing.assert_array_equal(
-        locals_[0].data[:, g, 0], reference.data[:, g, 0]
-    )
-
-
-def test_transport_rejects_stale_tags():
-    tr = InProcessTransport(2)
-    tr.send(HaloMessage(0, 1, 0, 0, 5, np.zeros(1)))
-    with pytest.raises(ProtocolError, match="tag"):
-        tr.send(HaloMessage(0, 1, 0, 0, 5, np.zeros(1)))
-    with pytest.raises(ProtocolError):
-        tr.send(HaloMessage(0, 1, 0, 1, 4, np.zeros(1)))
-    tr.send(HaloMessage(0, 1, 0, 1, 6, np.zeros(1)))  # increasing again: fine
-
-
-def test_receive_validates_metadata():
-    tr = InProcessTransport(2)
-    tr.send(HaloMessage(0, 1, axis=0, side=0, tag=1, payload=np.zeros(1)))
-    with pytest.raises(ProtocolError, match="mismatch"):
-        tr.receive(0, 1, axis=1, side=0, tag=1)
+def test_lone_rank_on_a_periodic_axis_thinner_than_the_ghosts_is_rejected():
+    # one cell along y with ghost width 2: the wrap would copy ghosts from
+    # the rank's own ghosts instead of its interior
+    grid = GridSpec(2, (8, 1), (0.0, 0.0), (1.0, 1.0))
+    model = EquationModel(kind="euler", dim=2)
+    prim = np.ones((4, 1, 8))
+    prim[1:3] = 0.0  # at rest
+    u = primitive_to_conserved(model, prim)
+    cfg = euler_scheme(model, t_end=0.01)
+    with pytest.raises(ConfigError, match="ghost_width"):
+        run_parallel(field_from_interior(grid, u), cfg, (2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -216,26 +208,3 @@ def test_step_capped_run(n=4):
     cfg = euler_scheme(model, t_end=10.0)
     _, records = run_parallel(field.copy(), cfg, (2, 1), n_steps=n)
     assert all(len(rec) == n for rec in records)
-
-
-# ---------------------------------------------------------------------------
-# Overhead metric
-# ---------------------------------------------------------------------------
-
-
-def test_overhead_zero_for_identical_series():
-    rep = overhead_metric([0.105, 0.095], [0.105, 0.095], 1)
-    assert rep.overhead_fraction == 0.0
-
-
-def test_overhead_matches_hand_computed_fractions():
-    # 30% slower than the single-rank baseline
-    rep = overhead_metric([0.13], [0.10], 512)
-    assert rep.overhead_fraction == pytest.approx(0.30)
-    rep = overhead_metric([0.11], [0.10], 512)
-    assert rep.overhead_fraction == pytest.approx(0.10)
-
-
-def test_overhead_requires_data():
-    with pytest.raises(ConfigError):
-        overhead_metric([], [0.1], 2)
