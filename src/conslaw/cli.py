@@ -51,12 +51,14 @@ def _load_config(path: str):
 
 
 def _output_dir(args, cfg) -> Path:
+    """``--output``, else ``CONSLAW_OUTPUT_DIR``, else the config's
+    ``[output] directory``, which is relative to the config file."""
     if getattr(args, "output", None):
         return Path(args.output)
     env = os.environ.get("CONSLAW_OUTPUT_DIR")
     if env:
         return Path(env)
-    return Path(cfg.output.directory)
+    return Path(args.config).parent / cfg.output.directory
 
 
 def _parse_ranks(text: str, dim: int) -> tuple:
@@ -119,8 +121,7 @@ def cmd_run(args) -> int:
     if math.prod(ranks) == 1:
         final, records = run_simulation(init, cfg.scheme, observers=observers)
     else:
-        final, rank_records = run_parallel(init, cfg.scheme, ranks, observers=observers)
-        records = rank_records[0]
+        final, records = run_parallel(init, cfg.scheme, ranks, observers=observers)
     step_rows = [(r.step, r.t, r.dt, r.seconds) for r in records]
 
     write_snapshot(final, header, outdir / "final.snap", components=names)
@@ -336,12 +337,9 @@ def cmd_bench(args) -> int:
         init = eval_init(
             cfg.initial_exprs, model, grid, vector, primitive=cfg.initial_primitive
         )
-        _final, rank_records = run_parallel(init, cfg.scheme, ranks, n_steps=steps)
-        # slowest rank bounds the step, as a barrier would on a real machine
-        per_step = [
-            max(rank_records[r][s].seconds for r in range(len(rank_records)))
-            for s in range(steps)
-        ]
+        _final, records = run_parallel(init, cfg.scheme, ranks, n_steps=steps)
+        # wall time of each step of all ranks together
+        per_step = [r.seconds for r in records]
         for s, seconds in enumerate(per_step):
             rows.append((K, args.layout, cells_per_rank, s, repr(seconds)))
         measured = per_step[warmup:]

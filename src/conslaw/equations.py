@@ -150,10 +150,6 @@ def max_wave_speeds(model: EquationModel, u: np.ndarray) -> list:
     return [np.abs(u[1 + axis] / rho) + c for axis in range(model.dim)]
 
 
-def sound_speed(model: EquationModel, u: np.ndarray) -> np.ndarray:
-    return np.sqrt(model.gamma * pressure(model, u) / u[0])
-
-
 def primitive_to_conserved(model: EquationModel, w: np.ndarray) -> np.ndarray:
     """(rho, v, p) -> (rho, m, E) with E = p/(gamma-1) + rho |v|^2 / 2."""
     w = np.asarray(w, dtype=float)
@@ -168,15 +164,3 @@ def primitive_to_conserved(model: EquationModel, w: np.ndarray) -> np.ndarray:
         kinetic = kinetic + w[1 + k] ** 2
     u[1 + model.dim] = p / (model.gamma - 1.0) + 0.5 * rho * kinetic
     return u
-
-
-def conserved_to_primitive(model: EquationModel, u: np.ndarray) -> np.ndarray:
-    """(rho, m, E) -> (rho, v, p)."""
-    u = np.asarray(u, dtype=float)
-    _require_physical(model, u)
-    w = np.empty_like(u)
-    w[0] = u[0]
-    for k in range(model.dim):
-        w[1 + k] = u[1 + k] / u[0]
-    w[1 + model.dim] = pressure(model, u)
-    return w

@@ -3,7 +3,9 @@
 Memory layout convention (relied upon by the halo exchange and snapshot I/O):
 ``Field.data`` has shape ``(ncomp, n_last, ..., n_x)`` where the x axis is the
 fastest-varying (last) numpy axis.  Spatial axis ``k`` (0 = x) therefore lives
-at numpy axis ``1 + (dim - 1 - k)``.
+at numpy axis ``1 + (dim - 1 - k)``, and always at ``-1 - k``: the solver's
+stack of subdomains puts a rank axis between the components and the spatial
+axes, ``(ncomp, R, n_last, ..., n_x)``, and the fills below work on either.
 """
 
 from __future__ import annotations
@@ -30,10 +32,12 @@ def data_axis(dim: int, axis: int) -> int:
     return 1 + (dim - 1 - axis)
 
 
-def _sl(ndim: int, ax: int, s: slice) -> tuple:
-    idx = [slice(None)] * ndim
-    idx[ax] = s
-    return tuple(idx)
+def slab(arr: np.ndarray, ax: int, lo: int, hi: int) -> np.ndarray:
+    """View of ``arr`` restricted to ``[lo, hi)`` along numpy axis ``ax``
+    (negative counts from the end)."""
+    idx = [slice(None)] * arr.ndim
+    idx[ax] = slice(lo, hi)
+    return arr[tuple(idx)]
 
 
 @dataclass(frozen=True)
@@ -97,7 +101,13 @@ class GridSpec:
 
 
 def cell_center(grid: GridSpec, i) -> tuple:
-    """Physical center of the interior cell with multi-index ``i`` (x first)."""
+    """Physical center of the interior cell with multi-index ``i`` (x first).
+
+    Public API, exported from the package: the solver itself works on whole
+    axes (``GridSpec.cell_centers``), but a user locating one cell of a
+    snapshot, or the cell an error names (errors give it in (z, y, x)
+    order), needs its coordinates.
+    """
     i = tuple(i) if hasattr(i, "__len__") else (i,)
     if len(i) != grid.dim:
         raise ConfigError(f"index has {len(i)} entries for a {grid.dim}D grid")
@@ -111,7 +121,11 @@ def cell_center(grid: GridSpec, i) -> tuple:
 
 @dataclass
 class Field:
-    """Dense cell-averaged state: ``data[c, ..., ix]`` with ghost padding."""
+    """Dense cell-averaged state: ``data[c, ..., ix]`` with ghost padding.
+
+    ``data`` may hold a rank axis after the component axis: a stack of
+    subdomains that all have the shape and spacing of ``grid``.
+    """
 
     grid: GridSpec
     ncomp: int
@@ -120,7 +134,7 @@ class Field:
     @property
     def interior(self) -> np.ndarray:
         g = self.grid.ghost_width
-        sl = (slice(None),) + tuple(slice(g, g + n) for n in self.grid.interior_shape)
+        sl = (...,) + tuple(slice(g, g + n) for n in self.grid.interior_shape)
         return self.data[sl]
 
     def copy(self) -> "Field":
@@ -148,20 +162,17 @@ def fill_axis(data: np.ndarray, grid: GridSpec, axis: int, kind: BoundaryKind) -
     """Fill both ghost slabs of one axis in place, full extent in the others."""
     g = grid.ghost_width
     n = grid.cells[axis]
-    ax = data_axis(grid.dim, axis)
-    nd = data.ndim
+    ax = -1 - axis
     if kind is BoundaryKind.PERIODIC:
         if n < g:
             raise ConfigError(
                 f"periodic axis {axis} needs cells >= ghost_width ({n} < {g})"
             )
-        data[_sl(nd, ax, slice(0, g))] = data[_sl(nd, ax, slice(n, n + g))]
-        data[_sl(nd, ax, slice(n + g, n + 2 * g))] = data[_sl(nd, ax, slice(g, 2 * g))]
+        slab(data, ax, 0, g)[...] = slab(data, ax, n, n + g)
+        slab(data, ax, n + g, n + 2 * g)[...] = slab(data, ax, g, 2 * g)
     else:  # outflow: zero-order extrapolation from the nearest interior cell
-        lo = data[_sl(nd, ax, slice(g, g + 1))]
-        hi = data[_sl(nd, ax, slice(n + g - 1, n + g))]
-        data[_sl(nd, ax, slice(0, g))] = lo
-        data[_sl(nd, ax, slice(n + g, n + 2 * g))] = hi
+        slab(data, ax, 0, g)[...] = slab(data, ax, g, g + 1)
+        slab(data, ax, n + g, n + 2 * g)[...] = slab(data, ax, n + g - 1, n + g)
 
 
 def fill_boundary(field: Field, bc) -> Field:

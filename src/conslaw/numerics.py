@@ -43,7 +43,7 @@ from .equations import (
     require_mask,
 )
 from .errors import ConfigError, UnphysicalStateError
-from .grid import Field, data_axis, _sl
+from .grid import slab
 
 
 class ReconstructionKind(Enum):
@@ -81,12 +81,6 @@ class FacePair(NamedTuple):
     uR: np.ndarray
 
 
-def _ideal_weights(kind: ReconstructionKind) -> tuple:
-    if kind not in IDEAL_WEIGHTS:
-        raise ConfigError(f"weno_weights needs WENO2 or WENO3, got {kind}")
-    return IDEAL_WEIGHTS[kind]
-
-
 # The helpers below update their own temporaries in place: a fresh array per
 # operation costs more than the arithmetic at these sizes.  x += y and x *= y
 # round exactly like y + x and y * x.
@@ -112,33 +106,6 @@ def _weno_correction(dm, dp, am, ap):
     return w0
 
 
-def weno_weights(um, uc, up, kind: ReconstructionKind, epsilon: float = 1e-6):
-    """Normalized nonlinear weights for the two substencils of the window.
-
-    Equal smoothness indicators give back the ideal weights exactly.
-    """
-    d0, d1 = _ideal_weights(kind)
-    a0 = d0 / _smoothness(np.asarray(uc) - np.asarray(um), epsilon)
-    a1 = d1 / _smoothness(np.asarray(up) - np.asarray(uc), epsilon)
-    total = a0 + a1
-    return a0 / total, a1 / total
-
-
-def weno_face_value(um, uc, up, kind: ReconstructionKind, epsilon: float):
-    """Reconstructed value at the downwind face of the center cell.
-
-    Incremental form keeps constant data bitwise exact: both candidate
-    polynomials are written as uc plus a slope correction.
-    """
-    d0, d1 = _ideal_weights(kind)
-    uc = np.asarray(uc)
-    dm = uc - np.asarray(um)
-    dp = np.asarray(up) - uc
-    return uc + _weno_correction(
-        dm, dp, d0 / _smoothness(dm, epsilon), d1 / _smoothness(dp, epsilon)
-    )
-
-
 def reconstruct_axis(
     data: np.ndarray, np_ax: int, n: int, g: int, recon: Reconstruction
 ) -> FacePair:
@@ -146,43 +113,33 @@ def reconstruct_axis(
 
     Interface j sits between padded cells (g-1+j, g+j), j = 0..n.
     """
-    nd = data.ndim
     if recon.radius > g:
         raise ConfigError(
             f"reconstruction radius {recon.radius} exceeds ghost width {g}"
         )
 
-    def take(arr, lo, hi):
-        return arr[_sl(nd, np_ax, slice(lo, hi))]
-
     if recon.kind is ReconstructionKind.NONE:
-        return FacePair(take(data, g - 1, g + n), take(data, g, g + n + 1))
+        return FacePair(
+            slab(data, np_ax, g - 1, g + n), slab(data, np_ax, g, g + n + 1)
+        )
     d0, d1 = IDEAL_WEIGHTS[recon.kind]
     # d[k] = u[g-1+k] - u[g-2+k], k = 0..n+2; face j reads d[j], d[j+1], d[j+2]
-    d = take(data, g - 1, g + n + 2) - take(data, g - 2, g + n + 1)
+    d = slab(data, np_ax, g - 1, g + n + 2) - slab(data, np_ax, g - 2, g + n + 1)
     q = _smoothness(d, recon.epsilon)
-    dmid = take(d, 1, n + 2)
-    a1 = d1 / take(q, 1, n + 2)  # a1[j] belongs to d[j+1]
+    dmid = slab(d, np_ax, 1, n + 2)
+    a1 = d1 / slab(q, np_ax, 1, n + 2)  # a1[j] belongs to d[j+1]
     a0 = np.divide(d0, q, out=q)
     # left state: downwind face of cells g-1 .. g+n-1
-    uL = _weno_correction(take(d, 0, n + 1), dmid, take(a0, 0, n + 1), a1)
-    uL += take(data, g - 1, g + n)
-    # right state: mirrored stencil around cells g .. g+n
-    uR = _weno_correction(take(d, 2, n + 3), dmid, take(a0, 2, n + 3), a1)
-    np.subtract(take(data, g, g + n + 1), uR, out=uR)
-    return FacePair(uL, uR)
-
-
-def reconstruct(field: Field, axis: int, recon: Reconstruction) -> FacePair:
-    """Face states along ``axis`` for every interface of a ghost-filled field."""
-    grid = field.grid
-    return reconstruct_axis(
-        field.data,
-        data_axis(grid.dim, axis),
-        grid.cells[axis],
-        grid.ghost_width,
-        recon,
+    uL = _weno_correction(
+        slab(d, np_ax, 0, n + 1), dmid, slab(a0, np_ax, 0, n + 1), a1
     )
+    uL += slab(data, np_ax, g - 1, g + n)
+    # right state: mirrored stencil around cells g .. g+n
+    uR = _weno_correction(
+        slab(d, np_ax, 2, n + 3), dmid, slab(a0, np_ax, 2, n + 3), a1
+    )
+    np.subtract(slab(data, np_ax, g, g + n + 1), uR, out=uR)
+    return FacePair(uL, uR)
 
 
 class EulerSide(NamedTuple):

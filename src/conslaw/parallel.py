@@ -1,35 +1,33 @@
 """Cartesian domain decomposition and halo exchange.
 
-A decomposed run splits the grid into equal subdomains ("ranks") that are
-advanced in lockstep on the calling thread by the solver's one time loop
-(``solver.advance``), the same loop that runs a serial run as a single
-subdomain.  There are no rank threads and no overlap of communication with
-computation: on one interpreter they cost more than they save.
+A decomposed run splits the grid into equal subdomains ("ranks") and keeps
+them as one stack: a field whose data has the shape ``(ncomp, R, *padded)``,
+with the rank axis right after the components.  The solver's one time loop
+(``solver.advance``), which runs a serial run as a stack of one, advances
+all ranks in lockstep on the calling thread, with one ``spatial_residual``
+call per stage for the whole stack.  There are no rank threads and no
+overlap of communication with computation: on one interpreter they cost
+more than they save.
 
-A halo pass copies each ghost slab straight from the neighbor's interior
-slab; physical ends, and ranks alone along a periodic axis, use the serial
-``grid.fill_axis``.  Passes run axis by axis (x then y then z) so corner
-ghosts arrive transitively, as in ``grid.fill_boundary``.
+Scattering a global field into the stack and stitching it back are a
+reshape and a transpose of the interior, ``(c, Ry*ly, Rx*lx) <-> (c, R, ly,
+lx)`` in 2D.  A halo pass is slab assignments inside the stack: each ghost
+slab that faces another rank is copied from that rank's interior slab, one
+fancy-indexed copy per axis and side; physical ends, and axes with a single
+rank, use the serial ``grid.fill_axis``.  Passes run axis by axis (x then y
+then z) so corner ghosts arrive transitively, as in ``grid.fill_boundary``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .grid import (
-    BoundaryKind,
-    Field,
-    GridSpec,
-    _sl,
-    data_axis,
-    field_from_interior,
-    fill_axis,
-    make_field,
-)
+from .grid import BoundaryKind, Field, GridSpec, fill_axis, make_field, slab
 from .solver import SchemeConfig, advance, check_scheme
 
 
@@ -121,73 +119,83 @@ def decompose(grid: GridSpec, topo: RankTopology) -> list[Subdomain]:
     return out
 
 
-def _face_slab(data: np.ndarray, grid: GridSpec, axis: int, lo: int, hi: int):
-    return data[_sl(data.ndim, data_axis(grid.dim, axis), slice(lo, hi))]
+def exchange_halos(stack: Field, topo: RankTopology, bc) -> None:
+    """One ordered halo pass: fill every ghost slab of every rank of the
+    stack from neighbor interiors (or physical boundaries), in place.
 
-
-def _fill_rank_axis(fields: list[Field], rank, topo, axis, kind) -> None:
-    """Fill both ghost slabs of ``axis`` of one rank's field in place.
-
-    At a physical end, or alone along a periodic axis, the serial
-    ``fill_axis`` fills them; a slab that faces another rank is then
-    overwritten with a copy of that rank's interior slab.
+    Axes are filled one after the other (x, then y, then z).  A ghost slab
+    of one axis reads only cells interior along that axis, and it spans the
+    full padded extent of the other axes, so ghosts filled for earlier axes
+    propagate into corners exactly as in the serial ``fill_boundary``.
     """
-    field = fields[rank]
-    grid = field.grid
-    g, n = grid.ghost_width, grid.cells[axis]
-    periodic = kind is BoundaryKind.PERIODIC
-    low, high = (topo.neighbor(rank, axis, side, periodic) for side in (0, 1))
-    if low is None or high is None or low == rank:
-        fill_axis(field.data, grid, axis, kind)
-    for source, ghosts, slab in (
-        (low, (0, g), (n, n + g)),
-        (high, (n + g, n + 2 * g), (g, 2 * g)),
-    ):
-        if source is not None and source != rank:
-            _face_slab(field.data, grid, axis, *ghosts)[...] = _face_slab(
-                fields[source].data, grid, axis, *slab
-            )
-
-
-def _direct(rank, fn, *args):
-    return fn(*args)
-
-
-def exchange_halos(fields: list[Field], topo: RankTopology, bc, on_rank=_direct) -> None:
-    """One ordered halo pass: fill every ghost slab of every rank's field
-    from neighbor interiors (or physical boundaries), in place.
-
-    Axes are filled one after the other (x, then y, then z), every rank
-    along one axis before the next axis.  A ghost slab of one axis reads
-    only cells interior along that axis, and it spans the full padded
-    extent of the other axes, so ghosts filled for earlier axes propagate
-    into corners exactly as in the serial ``fill_boundary``.  Each rank's
-    part runs as ``on_rank(rank, fn, *args)``, which lets the time loop time
-    it and name the rank in an error.
-    """
+    data, grid = stack.data, stack.grid
+    g = grid.ghost_width
     for axis in range(topo.dim):
-        for rank in range(len(fields)):
-            on_rank(rank, _fill_rank_axis, fields, rank, topo, axis, bc[axis])
+        kind = bc[axis]
+        if kind is BoundaryKind.OUTFLOW or topo.ranks_per_axis[axis] == 1:
+            # every rank: the faces between ranks are overwritten below
+            fill_axis(data, grid, axis, kind)
+        if topo.ranks_per_axis[axis] == 1:
+            continue
+        n, ax = grid.cells[axis], -1 - axis
+        periodic = kind is BoundaryKind.PERIODIC
+        # low ghosts read the low neighbor's last interior cells, high ghosts
+        # the high neighbor's first ones
+        for side, ghosts, source in (
+            (0, (0, g), (n, n + g)),
+            (1, (n + g, n + 2 * g), (g, 2 * g)),
+        ):
+            ranks, sources = _facing(topo, axis, side, periodic)
+            slab(data, ax, *ghosts)[:, ranks] = slab(data, ax, *source)[:, sources]
 
 
-def _interior_slice(part: Subdomain) -> tuple:
-    """Index of a subdomain's cells in the global interior (x last)."""
-    return (slice(None),) + tuple(
-        slice(o, o + n) for o, n in zip(reversed(part.offset), reversed(part.grid.cells))
+@functools.lru_cache(maxsize=256)
+def _facing(topo: RankTopology, axis: int, side: int, periodic: bool) -> tuple:
+    """(ranks, neighbors): each rank that has a neighbor across the given
+    face, and that neighbor.  Cached: a halo pass runs every stage."""
+    def neighbor(rank):
+        return topo.neighbor(rank, axis, side, periodic)
+
+    ranks = tuple(rank for rank in range(topo.size) if neighbor(rank) is not None)
+    return ranks, tuple(neighbor(rank) for rank in ranks)
+
+
+def _blocks(topo: RankTopology, local: GridSpec) -> tuple:
+    """Shape that splits each spatial axis of a global interior into (ranks,
+    local cells), and the axis order that gathers the rank axes after the
+    component axis, slowest (z) first, so that they flatten to rank order."""
+    pairs = tuple(zip(reversed(topo.ranks_per_axis), local.interior_shape))
+    shape = tuple(v for pair in pairs for v in pair)
+    d = topo.dim
+    order = (0,) + tuple(range(1, 2 * d, 2)) + tuple(range(2, 2 * d + 1, 2))
+    return shape, order
+
+
+def scatter_field(field: Field, topo: RankTopology) -> Field:
+    """The stack of ``field``'s subdomains, ranks in ``RankTopology`` order,
+    with ghosts zero; its grid is rank 0's."""
+    local = decompose(field.grid, topo)[0].grid
+    shape, order = _blocks(topo, local)
+    c = field.ncomp
+    stack = Field(local, c, np.zeros((c, topo.size) + local.data_shape))
+    stack.interior[...] = (
+        field.interior.reshape((c,) + shape).transpose(order)
+        .reshape((c, topo.size) + local.interior_shape)
     )
+    return stack
 
 
-def scatter_field(global_field: Field, parts: list[Subdomain]) -> list[Field]:
-    return [
-        field_from_interior(part.grid, global_field.interior[_interior_slice(part)])
-        for part in parts
-    ]
-
-
-def stitch_fields(global_grid: GridSpec, parts: list[Subdomain], locals_: list[Field]) -> Field:
-    out = make_field(global_grid, locals_[0].ncomp, 0.0)
-    for part, local in zip(parts, locals_):
-        out.interior[_interior_slice(part)] = local.interior
+def stitch_fields(stack: Field, topo: RankTopology, grid: GridSpec) -> Field:
+    """The global field on ``grid`` whose subdomains are the stack's ranks."""
+    _, order = _blocks(topo, stack.grid)
+    c = stack.ncomp
+    out = make_field(grid, c, 0.0)
+    ranks = tuple(reversed(topo.ranks_per_axis))
+    out.interior[...] = (
+        stack.interior.reshape((c,) + ranks + stack.grid.interior_shape)
+        .transpose(np.argsort(order))
+        .reshape((c,) + grid.interior_shape)
+    )
     return out
 
 
@@ -199,7 +207,7 @@ def run_parallel(
     observers=(),
 ):
     """Advance a decomposed run; returns the stitched final field and the
-    per-rank step records.
+    step records.
 
     ``n_steps`` fixes the step count (used by benchmarks) and ignores
     ``cfg.t_end``; otherwise the run stops at ``cfg.t_end``.  Observers see
@@ -208,13 +216,9 @@ def run_parallel(
     """
     check_scheme(init.grid, cfg)
     topo = RankTopology(tuple(ranks_per_axis))
-    parts = decompose(init.grid, topo)
-
-    def fill(stages, on_rank):
-        exchange_halos(stages, topo, cfg.bc, on_rank)
-
     return advance(
-        scatter_field(init, parts), cfg, fill,
-        lambda fields: stitch_fields(init.grid, parts, fields),
+        scatter_field(init, topo), cfg,
+        lambda stack: exchange_halos(stack, topo, cfg.bc),
+        lambda stack: stitch_fields(stack, topo, init.grid),
         observers, n_steps, None if n_steps is not None else cfg.t_end,
     )

@@ -29,10 +29,9 @@ from .grid import (
     BoundaryKind,
     Field,
     GridSpec,
-    _sl,
-    data_axis,
     field_from_interior,
     fill_boundary,
+    slab,
 )
 from .numerics import (
     FluxKind,
@@ -75,6 +74,8 @@ class SchemeConfig:
 
 @dataclass
 class TimeStepRecord:
+    """One accepted step; ``seconds`` is its wall time, all ranks together."""
+
     step: int
     t: float
     dt: float
@@ -91,61 +92,68 @@ def check_scheme(grid: GridSpec, cfg: SchemeConfig) -> None:
 
 
 def spatial_residual(field: Field, cfg: SchemeConfig) -> np.ndarray:
-    """Time derivative of the interior cell averages (ghosts must be filled)."""
+    """Time derivative of the interior cell averages (ghosts must be filled).
+
+    ``field`` may be a stack of subdomains, with a rank axis after the
+    component axis; the residual then has that axis too.
+    """
     grid = field.grid
     model = cfg.model
     check_scheme(grid, cfg)
     g = grid.ghost_width
-    nd = field.data.ndim
+    # the component axis, and the rank axis of a stack
+    lead = field.data.ndim - grid.dim
 
     mask = physical_mask(model, field.interior)
     if not mask.all():
         idx = tuple(int(i) for i in np.argwhere(~np.atleast_1d(mask))[0])
         raise SimulationError(f"unphysical state in interior cell {idx}")
 
-    out = np.zeros((field.ncomp,) + grid.interior_shape)
+    out = np.zeros(field.interior.shape)
     euler = model.kind == EULER
     fallback = euler and cfg.recon.kind is not ReconstructionKind.NONE
     for axis in range(grid.dim):
-        ax = data_axis(grid.dim, axis)
+        ax = -1 - axis
         n = grid.cells[axis]
         # crop transverse axes to the interior before reconstructing
         sub = field.data
         for other in range(grid.dim):
             if other != axis:
-                oax = data_axis(grid.dim, other)
-                sub = sub[_sl(nd, oax, slice(g, g + grid.cells[other]))]
-        # a contiguous copy with this axis first: every stencil shift is then
-        # a run of whole contiguous blocks, which numpy loops over fastest
-        sub = np.ascontiguousarray(sub.swapaxes(ax, 1))
-        faces = reconstruct_axis(sub, 1, n, g, cfg.recon)
+                sub = slab(sub, -1 - other, g, g + grid.cells[other])
+        # a contiguous copy with this axis right after the component and rank
+        # axes: every stencil shift is then a run of whole contiguous blocks,
+        # which numpy loops over fastest
+        sub = np.ascontiguousarray(sub.swapaxes(ax, lead))
+        faces = reconstruct_axis(sub, lead, n, g, cfg.recon)
         if euler:
             # one primitive pass per side feeds the fallback, the check and the flux
             faces = (euler_side(model, faces.uL), euler_side(model, faces.uR))
             if fallback:
-                faces = _positivity_fallback(model, sub, n, g, faces)
+                faces = _positivity_fallback(model, sub, lead, n, g, faces)
             for side in faces:
                 if not side.ok.all():
                     # in grid layout, so that the error names the face's cell
-                    require_mask(side.u.swapaxes(1, ax), side.ok.swapaxes(0, ax - 1))
+                    require_mask(
+                        side.u.swapaxes(lead, ax), side.ok.swapaxes(lead - 1, ax)
+                    )
         F = numerical_flux(model, cfg.flux, faces, axis)
-        diff = F[:, 1:] - F[:, :-1]
+        diff = slab(F, lead, 1, n + 1) - slab(F, lead, 0, n)
         diff /= grid.deltas[axis]
-        out -= diff.swapaxes(1, ax)
+        out -= diff.swapaxes(lead, ax)
     return out
 
 
-def _positivity_fallback(model, sub, n, g, faces) -> tuple:
+def _positivity_fallback(model, sub, np_ax, n, g, faces) -> tuple:
     """Replace faces with an unphysical side by piecewise-constant states.
 
     ``faces`` is the (left, right) pair of EulerSides reconstructed along
-    axis 1 of ``sub``.
+    axis ``np_ax`` of ``sub``.
     """
     left, right = faces
     ok = left.ok & right.ok
     if ok.all():
         return faces
-    pc = reconstruct_axis(sub, 1, n, g, Reconstruction(ReconstructionKind.NONE))
+    pc = reconstruct_axis(sub, np_ax, n, g, Reconstruction(ReconstructionKind.NONE))
     return (
         euler_side(model, np.where(ok, left.u, pc.uL)),
         euler_side(model, np.where(ok, right.u, pc.uR)),
@@ -153,7 +161,9 @@ def _positivity_fallback(model, sub, n, g, faces) -> tuple:
 
 
 def wave_speed_maxima(field: Field, cfg: SchemeConfig) -> np.ndarray:
-    """Per-axis maximum wave speed over the interior cells."""
+    """Per-axis maximum wave speed over the interior cells (of every rank of
+    a stack: the maximum is exact, so it equals the rank-ordered reduction
+    of per-rank maxima)."""
     speeds = max_wave_speeds(cfg.model, field.interior)
     return np.array([float(np.max(s)) for s in speeds])
 
@@ -177,49 +187,62 @@ def stable_dt(field: Field, cfg: SchemeConfig, remaining: float | None = None) -
     )
 
 
-def ssp_rk_advance(u, dt: float, L: Callable, order: int):
+#: (a, b) of each stage after the first: u <- a u0 + b (u + dt L(u)), where
+#: u0 is the state at the start of the step
+SSP_STAGES = {1: (), 2: ((0.5, 0.5),), 3: ((0.75, 0.25), (1.0 / 3.0, 2.0 / 3.0))}
+
+
+def ssp_rk_advance(u: np.ndarray, dt: float, L: Callable, order: int, start=None):
     """SSP Runge-Kutta step written as convex combinations of Euler steps.
 
-    Works on any array-like state with an arbitrary right-hand side, which
-    doubles as a diagnostic mode for scalar stability checks.
+    Updates ``u`` in place and returns it.  ``L(u)`` must return a new array,
+    which is used as scratch; ``start`` (shaped like ``u``) receives the state
+    at the start of the step and is allocated when not given.  Every value
+    rounds as in ``a * u0 + b * (u + dt * L(u))``.  Works on any array state
+    with an arbitrary right-hand side, which doubles as a diagnostic mode for
+    scalar stability checks.
     """
-    if order == 1:
-        return u + dt * L(u)
-    if order == 2:
-        u1 = u + dt * L(u)
-        return 0.5 * u + 0.5 * (u1 + dt * L(u1))
-    if order == 3:
-        u1 = u + dt * L(u)
-        u2 = 0.75 * u + 0.25 * (u1 + dt * L(u1))
-        return (1.0 / 3.0) * u + (2.0 / 3.0) * (u2 + dt * L(u2))
-    raise ConfigError(f"unsupported rk order {order}")
+    if order not in SSP_STAGES:
+        raise ConfigError(f"unsupported rk order {order}")
+    stages = SSP_STAGES[order]
+    if stages:
+        if start is None:
+            start = np.empty_like(u)
+        start[...] = u
+    k = L(u)
+    k *= dt
+    u += k
+    for a, b in stages:
+        k = L(u)
+        k *= dt
+        k += u
+        k *= b
+        np.multiply(start, a, out=u)
+        u += k
+    return u
 
 
 def ssp_rk_step(
-    fields: list[Field],
-    dt: float,
-    cfg: SchemeConfig,
-    residual: Callable[[np.ndarray], np.ndarray],
-) -> list[Field]:
-    """One SSP-RK step of every subdomain at once.
+    state: Field, dt: float, cfg: SchemeConfig, residual: Callable, start: np.ndarray
+) -> None:
+    """One SSP-RK step of every subdomain of a stack at once, in place.
 
-    The state is the subdomain interiors stacked on a leading rank axis;
-    ``residual`` maps such a stack to the stack of its residuals.  The
-    arithmetic is elementwise, so each subdomain gets the values a run of it
-    alone would get.
+    ``residual`` maps the stack's interior to its residual; ``start`` is the
+    buffer for the state at the start of the step.  The arithmetic is
+    elementwise, so each subdomain gets the values a run of it alone would
+    get.
     """
-    u = np.stack([f.interior for f in fields])
-    new = ssp_rk_advance(u, dt, residual, cfg.rk_order)
-    return [field_from_interior(f.grid, x) for f, x in zip(fields, new)]
+    ssp_rk_advance(state.interior, dt, residual, cfg.rk_order, start)
 
 
 def _checked_maxima(field: Field, cfg: SchemeConfig, when: str) -> np.ndarray:
-    """CFL speed maxima of one subdomain, after checking that every interior
-    cell is finite; the positivity check shares the speeds' pressure pass."""
-    interior = field.interior
-    if not np.isfinite(interior).all():
-        bad = tuple(int(i) for i in np.argwhere(~np.isfinite(interior))[0][1:])
-        raise SimulationError(f"non-finite value {when} at cell {bad}")
+    """CFL speed maxima of a field or stack, after checking that every
+    interior cell is finite; the positivity check shares the speeds'
+    pressure pass."""
+    bad = ~np.isfinite(field.interior).all(axis=0)
+    if bad.any():
+        cell = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise SimulationError(f"non-finite value {when} at cell {cell}")
     try:
         return wave_speed_maxima(field, cfg)
     except UnphysicalStateError as exc:
@@ -227,10 +250,10 @@ def _checked_maxima(field: Field, cfg: SchemeConfig, when: str) -> np.ndarray:
 
 
 def advance(
-    fields: list[Field],
+    state: Field,
     cfg: SchemeConfig,
-    fill: Callable,
-    gather: Callable[[list[Field]], Field],
+    fill: Callable[[Field], object],
+    gather: Callable[[Field], Field],
     observers: Sequence[Callable] = (),
     max_steps: int | None = None,
     t_end: float | None = None,
@@ -238,76 +261,73 @@ def advance(
     """The time loop of serial and decomposed runs: every subdomain advances
     in lockstep on the calling thread.
 
-    ``fields`` holds one field per subdomain, all of one shape.  Before every
-    stage, ``fill(stages, on_rank)`` fills the ghosts of all stage fields,
-    running each subdomain's part as ``on_rank(rank, fn, *args)``.
-    ``gather`` turns the subdomain fields into the global field handed to
-    ``observer(step, t, field)`` (once with the initial state and after every
-    step) and returned at the end.  The run stops after ``max_steps`` steps
-    or at ``t_end``, whichever comes first; with ``t_end=None`` dt is never
-    shortened to land on an end time.
+    ``state`` is the stack of subdomains: its data has the shape
+    ``(ncomp, R, *padded)``, with the rank axis right after the components,
+    and ``state.grid`` is the grid of each subdomain.  It is advanced in
+    place.  Each stage calls ``fill(state)``, which fills every ghost of the
+    stack, and then one ``spatial_residual`` over the whole stack.
+    ``gather(state)`` turns the stack into a new global field, which is
+    handed to ``observer(step, t, field)`` (once with the initial state and
+    after every step) and returned at the end.  The run stops after
+    ``max_steps`` steps or at ``t_end``, whichever comes first; with
+    ``t_end=None`` dt is never shortened to land on an end time.
 
-    Returns the final global field and one list of step records per
-    subdomain.  A record's ``seconds`` count only that subdomain's own ghost
-    fill, residual and CFL work.  An error in one subdomain of several is
-    raised at once as a SimulationError naming its rank.
+    Returns the final global field and one step record per step, whose
+    ``seconds`` is the wall time of the step.  A failed check is located by
+    repeating it rank by rank: with several ranks, the first failing rank is
+    raised as a SimulationError ``rank N failed: ...``.
     """
-    nranks = len(fields)
-    grids = [f.grid for f in fields]
-    seconds = [0.0] * nranks
+    nranks = state.data.shape[1]
+    grid = state.grid
 
-    def on_rank(rank, fn, *args):
-        tic = time.perf_counter()
+    def checked(fn, *args):
+        """``fn(state, *args)``; when it fails, ``fn`` on each rank's field
+        in turn names the first failing rank and its local cell."""
         try:
-            return fn(*args)
-        except (SimulationError, UnphysicalStateError) as exc:
-            if nranks == 1:
-                raise
-            raise SimulationError(f"rank {rank} failed: {exc}") from exc
-        finally:
-            seconds[rank] += time.perf_counter() - tic
+            return fn(state, *args)
+        except (SimulationError, UnphysicalStateError):
+            for rank in range(nranks):
+                try:
+                    fn(Field(grid, state.ncomp, state.data[:, rank]), *args)
+                except (SimulationError, UnphysicalStateError) as rank_exc:
+                    if nranks == 1:
+                        raise
+                    raise SimulationError(f"rank {rank} failed: {rank_exc}") from rank_exc
+            raise
 
     def residual(u: np.ndarray) -> np.ndarray:
-        stages = [field_from_interior(grid, x) for grid, x in zip(grids, u)]
-        fill(stages, on_rank)
-        return np.stack(
-            [on_rank(r, spatial_residual, s, cfg) for r, s in enumerate(stages)]
-        )
-
-    def speed_maxima(when: str) -> np.ndarray:
-        # rank-ordered, as an MPI all-reduce would apply it
-        return np.maximum.reduce(
-            [on_rank(r, _checked_maxima, f, cfg, when) for r, f in enumerate(fields)]
-        )
+        # ``u`` is the stack's interior, so the stage is already in place
+        fill(state)
+        return checked(spatial_residual, cfg)
 
     def notify(step, t):
         if observers:
-            field = gather(fields)
+            field = gather(state)
             for obs in observers:
                 obs(step, t, field)
 
-    maxima = speed_maxima("in the initial field")
-    records: list[list[TimeStepRecord]] = [[] for _ in fields]
+    maxima = checked(_checked_maxima, cfg, "in the initial field")
+    start = np.empty_like(state.interior)
+    records: list[TimeStepRecord] = []
     t = 0.0
     step = 0
     notify(step, t)
     while max_steps is None or step < max_steps:
+        tic = time.perf_counter()
         remaining = None
         if t_end is not None:
             remaining = t_end - t
             if remaining <= 1e-14 * t_end:
                 break
-        dt = dt_from_maxima(maxima, grids[0].deltas, cfg.cfl, remaining)
-        seconds[:] = [0.0] * nranks
-        fields = ssp_rk_step(fields, dt, cfg, residual)
+        dt = dt_from_maxima(maxima, grid.deltas, cfg.cfl, remaining)
+        ssp_rk_step(state, dt, cfg, residual, start)
         step += 1
         t += dt
         # the post-step check and the next step's CFL speeds
-        maxima = speed_maxima(f"after step {step} (t = {t:.6g})")
-        for rank, rec in enumerate(records):
-            rec.append(TimeStepRecord(step, t, dt, seconds[rank]))
+        maxima = checked(_checked_maxima, cfg, f"after step {step} (t = {t:.6g})")
+        records.append(TimeStepRecord(step, t, dt, time.perf_counter() - tic))
         notify(step, t)
-    return gather(fields), records
+    return gather(state), records
 
 
 def run_simulation(
@@ -322,12 +342,10 @@ def run_simulation(
     state and after every accepted step.
     """
     check_scheme(init.grid, cfg)
-
-    def fill(stages, on_rank):
-        on_rank(0, fill_boundary, stages[0], cfg.bc)
-
-    final, records = advance(
-        [init.copy()], cfg, fill, lambda fields: fields[0],
+    state = Field(init.grid, init.ncomp, init.data[:, None].copy())
+    return advance(
+        state, cfg,
+        lambda stack: fill_boundary(stack, cfg.bc),
+        lambda stack: field_from_interior(init.grid, stack.interior[:, 0]),
         observers, max_steps, cfg.t_end,
     )
-    return final, records[0]

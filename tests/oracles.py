@@ -3,12 +3,16 @@
 Everything here is written from first principles against the governing
 equations, deliberately sharing no code with the package: an exact Riemann
 solver for the 1D Euler equations, naive two-pass statistics, a digit-reversal
-sequence, and a face-by-face Euler residual.
+sequence, WENO face values and weights, the sound speed and primitive
+variables, and a face-by-face Euler residual.  The WENO formulas are the ones
+the face-by-face residual uses, which the solver must match bit for bit, so
+the tests of their properties also hold for the solver.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -154,6 +158,64 @@ def scalar_rusanov(f, speed, u_l, u_r):
     """Local Lax-Friedrichs flux for a scalar law with flux f and |f'| bound."""
     s = max(speed(u_l), speed(u_r))
     return 0.5 * (f(u_l) + f(u_r)) - 0.5 * s * (u_r - u_l)
+
+
+def sound_speed(model, u):
+    """c = sqrt(gamma p / rho) of Euler states (component axis first)."""
+    return np.sqrt(model.gamma * _ref_pressure(u, model.dim, model.gamma) / u[0])
+
+
+def conserved_to_primitive(model, u):
+    """(rho, m, E) -> (rho, v, p)."""
+    u = np.asarray(u, dtype=float)
+    w = np.empty_like(u)
+    w[0] = u[0]
+    for k in range(model.dim):
+        w[1 + k] = u[1 + k] / u[0]
+    w[1 + model.dim] = _ref_pressure(u, model.dim, model.gamma)
+    return w
+
+
+# ---------------------------------------------------------------------------
+# WENO reconstruction, vectorized over arrays of windows
+# ---------------------------------------------------------------------------
+
+Faces = namedtuple("Faces", "uL uR")
+
+
+def weno_weights(um, uc, up, kind, epsilon=1e-6):
+    """Normalized nonlinear weights of the two substencils of the window
+    (um, uc, up); ``kind`` is a WENO2 or WENO3 ReconstructionKind."""
+    um, uc, up = (np.asarray(v, dtype=float) for v in (um, uc, up))
+    ideal = _IDEAL[kind.value]
+    beta0, beta1 = (uc - um) * (uc - um), (up - uc) * (up - uc)
+    a0 = ideal[0] / ((epsilon + beta0) * (epsilon + beta0))
+    a1 = ideal[1] / ((epsilon + beta1) * (epsilon + beta1))
+    total = a0 + a1
+    return a0 / total, a1 / total
+
+
+def weno_face_value(um, uc, up, kind, epsilon):
+    """Reconstructed value at the downwind face of the center cell, written
+    as uc plus a slope correction, so constant data is reproduced exactly."""
+    um, uc, up = (np.asarray(v, dtype=float) for v in (um, uc, up))
+    w0, w1 = weno_weights(um, uc, up, kind, epsilon)
+    return uc + 0.5 * (w0 * (uc - um) + w1 * (up - uc))
+
+
+def reconstruct(field, axis, recon):
+    """Face states at the n+1 interfaces along spatial ``axis`` of a
+    ghost-filled field; interface j sits between padded cells g-1+j, g+j."""
+    g, n = field.grid.ghost_width, field.grid.cells[axis]
+    ax = field.data.ndim - 1 - axis
+    u = np.moveaxis(field.data, ax, 0)
+    if recon.kind.value == "none":
+        uL, uR = u[g - 1 : g + n], u[g : g + n + 1]
+    else:
+        left, center, right = u[g - 2 : g + n - 1], u[g - 1 : g + n], u[g : g + n + 1]
+        uL = weno_face_value(left, center, right, recon.kind, recon.epsilon)
+        uR = weno_face_value(u[g + 1 : g + n + 2], right, center, recon.kind, recon.epsilon)
+    return Faces(np.moveaxis(uL, 0, ax), np.moveaxis(uR, 0, ax))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from conslaw.grid import GridSpec, field_from_interior, total_integral
 from conslaw.iodsl.config import canonical_digest, parse_config
 from conslaw.iodsl.expr import parse_expr, print_expr, eval_init
 from conslaw.iodsl.output import OutputHeader, read_snapshot, write_snapshot
-from conslaw.numerics import ReconstructionKind, weno_face_value, weno_weights
+from conslaw.numerics import ReconstructionKind
 from conslaw.parallel import run_parallel
 from conslaw.presets import ADVECTION_SMOOTH, KH2D, KH3D, SOD
 from conslaw.solver import run_simulation
@@ -27,7 +27,7 @@ from conslaw.uq import (
     run_mc,
     run_mlmc,
 )
-from oracles import riemann_density_profile
+from oracles import riemann_density_profile, weno_face_value, weno_weights
 
 
 def report(num: int, ok: bool, detail: str) -> None:

@@ -83,6 +83,23 @@ def test_run_output_dir_from_environment(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_run_output_dir_is_relative_to_the_config_file(tmp_path, monkeypatch, capsys):
+    # [output] directory of the sod preset is out-sod
+    cfgdir, workdir = tmp_path / "cfgdir", tmp_path / "work"
+    cfgdir.mkdir()
+    workdir.mkdir()
+    cfg = small_sod(cfgdir)
+    monkeypatch.delenv("CONSLAW_OUTPUT_DIR", raising=False)
+    monkeypatch.chdir(workdir)
+    assert main(["run", "../cfgdir/sod.cfg"]) == 0
+    assert (cfgdir / "out-sod" / "final.snap").exists()
+    assert not (workdir / "out-sod").exists()
+    # --output stays relative to the working directory
+    assert main(["run", str(cfg), "--output", "here"]) == 0
+    assert (workdir / "here" / "final.snap").exists()
+    capsys.readouterr()
+
+
 def test_run_decomposed_matches_serial(tmp_path, capsys):
     cfg = small_kh(tmp_path)
     a, b = tmp_path / "a", tmp_path / "b"

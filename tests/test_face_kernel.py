@@ -16,6 +16,7 @@ from conslaw.equations import EquationModel, physical_mask, primitive_to_conserv
 from conslaw.errors import SimulationError, UnphysicalStateError
 from conslaw.grid import (
     BoundaryKind,
+    Field,
     GridSpec,
     data_axis,
     field_from_interior,
@@ -171,25 +172,65 @@ def test_positivity_fallback_matches_reference(flux, recon):
     assert np.array_equal(spatial_residual(field, cfg), reference(field, cfg))
 
 
+# (cells, rank layouts, boundary kinds) of the stacked residual checks
+STACK_CASES = [
+    ((8,), [(2,), (4,)], (BoundaryKind.OUTFLOW,)),
+    (
+        (8, 6),
+        [(1, 1), (2, 1), (1, 2), (2, 2)],
+        (BoundaryKind.OUTFLOW, BoundaryKind.PERIODIC),
+    ),
+    (
+        (4, 4, 4),
+        [(2, 1, 2), (2, 2, 2)],
+        (BoundaryKind.PERIODIC, BoundaryKind.OUTFLOW, BoundaryKind.PERIODIC),
+    ),
+]
+
+
 @pytest.mark.parametrize("flux,recon", SCHEMES)
-def test_cropped_region_matches_reference(flux, recon):
-    # each rank's residual over its subdomain, with ghosts as wide as the
-    # stencil radius filled by one halo pass, equals the same cells of the
-    # global residual
-    prim = random_prim(np.random.default_rng(11), (6, 8))
-    bc = (BoundaryKind.OUTFLOW, BoundaryKind.PERIODIC)
+@pytest.mark.parametrize("cells,layouts,bc", STACK_CASES, ids=["1d", "2d", "3d"])
+def test_cropped_region_matches_reference(flux, recon, cells, layouts, bc):
+    # one residual call over the stack of all ranks, with ghosts as wide as
+    # the stencil radius filled by one halo pass, gives each rank the same
+    # cells of the global residual
+    prim = random_prim(np.random.default_rng(11), tuple(reversed(cells)))
     ghost = Reconstruction(recon).radius
     field, cfg = make_case(prim, flux, recon, bc, ghost=ghost)
     want = reference(field, cfg)
-    for ranks in ((1, 1), (2, 1), (1, 2), (2, 2)):
+    for ranks in layouts:
         topo = RankTopology(ranks)
-        parts = decompose(field.grid, topo)
-        locals_ = scatter_field(field, parts)
-        exchange_halos(locals_, topo, cfg.bc)
-        for part, local in zip(parts, locals_):
-            (x0, y0), (nx, ny) = part.offset, part.grid.cells
-            got = spatial_residual(local, cfg)
-            assert np.array_equal(got, want[:, y0 : y0 + ny, x0 : x0 + nx])
+        stack = scatter_field(field, topo)
+        exchange_halos(stack, topo, cfg.bc)
+        got = spatial_residual(stack, cfg)
+        for part in decompose(field.grid, topo):
+            crop = tuple(
+                slice(o, o + n)
+                for o, n in zip(reversed(part.offset), reversed(part.grid.cells))
+            )
+            assert np.array_equal(got[:, part.rank], want[(slice(None),) + crop])
+
+
+def test_fallback_in_one_rank_only_matches_serial():
+    # the near-vacuum jet lies in rank 0 (cells 0..7); rank 1 is quiet gas
+    quiet = np.array([1.0, 0.0, 1e-4])[:, None]
+    jet = near_vacuum_prim()[:, 2:]
+    prim = np.concatenate([quiet, quiet, jet, np.repeat(quiet, 8, axis=1)], axis=1)
+    field, cfg = make_case(prim, FluxKind.HLLC, ReconstructionKind.WENO3)
+    topo = RankTopology((2,))
+    stack = scatter_field(field, topo)
+    exchange_halos(stack, topo, cfg.bc)
+    ranks = [Field(stack.grid, stack.ncomp, stack.data[:, r]) for r in range(2)]
+    assert fallback_faces(ranks[0], cfg) > 0
+    assert fallback_faces(ranks[1], cfg) == 0
+    assert np.array_equal(
+        spatial_residual(stack, cfg).reshape(field.ncomp, -1),
+        spatial_residual(field, cfg),
+    )
+    serial, serial_records = run_simulation(field.copy(), cfg, max_steps=3)
+    par, records = run_parallel(field.copy(), cfg, (2,), n_steps=3)
+    assert np.array_equal(par.interior, serial.interior)
+    assert [r.dt for r in records] == [r.dt for r in serial_records]
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +319,10 @@ def test_interior_check_names_the_cell_on_2x1_ranks(monkeypatch):
 
     def corrupting_residual(stage, c):
         # rank 1 owns x in [4, 8): global cell (1, 6) is (1, 2) in its
-        # local numbering; rank 0's stages stay physical
-        if stage.grid.origin[0] > 0.0:
-            stage.data[(3, g + 1, g + 2)] = -1.0
+        # local numbering; rank 0's stages stay physical.  The stack of both
+        # ranks has a rank axis after the components.
+        if stage.data.ndim == 4:
+            stage.data[(3, 1, g + 1, g + 2)] = -1.0
         return real_residual(stage, c)
 
     monkeypatch.setattr(solver, "spatial_residual", corrupting_residual)
@@ -301,18 +343,34 @@ def test_cfl_check_names_the_cell_serial_and_on_2x1_ranks():
         run_parallel(field, cfg, (2, 1), n_steps=1)
 
 
+def test_non_finite_values_name_the_first_rank_and_its_first_cell():
+    field, cfg = make_case(_states((16, 16)), FluxKind.HLLC, ReconstructionKind.WENO3)
+    g = field.grid.ghost_width
+    # (y, x) cells: rank 1 owns x >= 8, so (3, 12) is its local (3, 4)
+    field.data[(0, g + 3, g + 12)] = np.nan
+    # rank 0: component 3 at (9, 5) comes before component 0 at (12, 1) in
+    # cell order, which is what counts, not component order
+    field.data[(3, g + 9, g + 5)] = np.inf
+    field.data[(0, g + 12, g + 1)] = np.nan
+    with pytest.raises(
+        SimulationError,
+        match=r"^rank 0 failed: non-finite value in the initial field at cell \(9, 5\)$",
+    ):
+        run_parallel(field, cfg, (2, 1))
+
+
 def _corrupt_after_step_2(monkeypatch, rank, index):
     """Make ``solver.ssp_rk_step`` write an unphysical value into one rank's
     state after the second step; returns the list of steps taken."""
     real_step = solver.ssp_rk_step
     steps = []
 
-    def corrupting_step(fields, *args):
-        new = real_step(fields, *args)
+    def corrupting_step(state, *args):
+        real_step(state, *args)
         steps.append(args[0])
         if len(steps) == 2:
-            new[rank].interior[index] = -1.0
-        return new
+            # the state is the stack of ranks: component axis, then rank axis
+            state.interior[(index[0], rank) + index[1:]] = -1.0
 
     monkeypatch.setattr(solver, "ssp_rk_step", corrupting_step)
     return steps

@@ -12,12 +12,9 @@ from conslaw.numerics import (
     ReconstructionKind,
     hllc_flux,
     numerical_flux,
-    reconstruct,
     rusanov_flux,
-    weno_face_value,
-    weno_weights,
 )
-from oracles import scalar_rusanov
+from oracles import reconstruct, scalar_rusanov, weno_face_value, weno_weights
 
 EULER1 = EquationModel(kind="euler", dim=1)
 BURGERS = EquationModel(kind="burgers", dim=1)
