@@ -348,12 +348,13 @@ def cmd_bench(args) -> int:
     _write_csv(
         outdir / "bench.csv", header, "ranks,layout,cells_per_rank,step,seconds", rows
     )
-    base = means[ks[0]] if 1 not in means else means[1]
+    base = 1 if 1 in means else ks[0]
     overhead_rows = []
     for K in ks:
-        # weak-scaling overhead: excess time per step over the 1-rank run
-        # (or the first one listed), relative to it
-        overhead = (means[K] - base) / base
+        # weak-scaling overhead: excess time per step and rank over the 1-rank
+        # run (or the first one listed), relative to it; all ranks share one
+        # thread, so K ranks at perfect efficiency take K times as long
+        overhead = (means[K] / K) / (means[base] / base) - 1
         overhead_rows.append((K, args.layout, repr(means[K]), repr(overhead)))
         sys.stdout.write(f"ranks {K}: {means[K]:.6f} s/step, overhead {overhead:+.3f}\n")
     _write_csv(

@@ -98,15 +98,14 @@ def require_mask(u: np.ndarray, mask: np.ndarray) -> None:
         )
 
 
-def physical_flux(model: EquationModel, u: np.ndarray, axis: int, check: bool = True) -> np.ndarray:
+def physical_flux(model: EquationModel, u: np.ndarray, axis: int) -> np.ndarray:
     """Physical flux F_k(u) along spatial axis ``axis``."""
     u = np.asarray(u, dtype=float)
     if model.kind == BURGERS:
         return 0.5 * u * u
     if model.kind == ADVECTION:
         return model.advection_speed[axis] * u
-    if check:
-        _require_physical(model, u)
+    _require_physical(model, u)
     p = pressure(model, u)
     return euler_flux(model, u, axis, u[1 + axis] / u[0], p)
 
@@ -123,15 +122,14 @@ def euler_flux(model: EquationModel, u: np.ndarray, axis: int, vk, p) -> np.ndar
     return out
 
 
-def max_wave_speed(model: EquationModel, u: np.ndarray, axis: int, check: bool = True) -> np.ndarray:
+def max_wave_speed(model: EquationModel, u: np.ndarray, axis: int) -> np.ndarray:
     """Cellwise |v_k| + c for Euler; |u| for Burgers; |a_k| for advection."""
     u = np.asarray(u, dtype=float)
     if model.kind == BURGERS:
         return np.abs(u[0])
     if model.kind == ADVECTION:
         return np.broadcast_to(abs(model.advection_speed[axis]), u.shape[1:]).copy()
-    if check:
-        _require_physical(model, u)
+    _require_physical(model, u)
     rho = u[0]
     p = pressure(model, u)
     c = np.sqrt(model.gamma * p / rho)

@@ -38,7 +38,7 @@ _KEYS = {
         "histogram_bins",
         "structure_p", "structure_max_offset", "structure_component",
     },
-    "output": {"directory", "snapshot_times", "formats"},
+    "output": {"directory", "snapshot_times"},
 }
 
 _FUNCTIONAL_NAMES = ("moments", "histogram", "structure_function")
@@ -67,7 +67,6 @@ class UqSettings:
 class OutputSettings:
     directory: str = "out"
     snapshot_times: tuple = ()
-    formats: tuple = ("snapshot",)
 
 
 @dataclass
@@ -405,7 +404,6 @@ def parse_config(text: str) -> RunConfig:
     output = OutputSettings(
         directory=output_s.raw("directory", "out")[0],
         snapshot_times=output_s.floats("snapshot_times", ()),
-        formats=tuple(output_s.words("formats", ("snapshot",))),
     )
 
     return RunConfig(

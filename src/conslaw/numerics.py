@@ -190,8 +190,8 @@ def rusanov_flux(model: EquationModel, faces, axis: int) -> np.ndarray:
         fL = physical_flux(model, uL, axis)
         fR = physical_flux(model, uR, axis)
         s = np.maximum(
-            max_wave_speed(model, uL, axis, check=False),
-            max_wave_speed(model, uR, axis, check=False),
+            max_wave_speed(model, uL, axis),
+            max_wave_speed(model, uR, axis),
         )
         return 0.5 * (fL + fR) - 0.5 * s * (uR - uL)
     L, R = _euler_sides(model, faces)

@@ -178,7 +178,7 @@ def dt_from_maxima(maxima: np.ndarray, deltas, cfl: float, remaining: float | No
     dt = cfl / denom
     if remaining is not None:
         dt = min(dt, remaining)
-    return dt
+    return float(dt)
 
 
 def stable_dt(field: Field, cfg: SchemeConfig, remaining: float | None = None) -> float:

@@ -8,9 +8,9 @@ random vector.
 Random numbers come from a counter-based generator keyed by (seed, level,
 sample index), so any sample is reproducible in isolation.  Every estimator
 runs its samples through one loop, in sample-index order on the calling
-thread, and merges each sample into its functionals as it finishes.  There
-are no worker threads: the ``workers`` setting of a campaign is accepted but
-has no effect.
+thread, and updates each functional once with every final field as soon as
+its sample finishes.  There are no worker threads: the ``workers`` setting of
+a campaign is accepted but has no effect.
 """
 
 from __future__ import annotations
@@ -117,40 +117,32 @@ def draw_sample(plan, k: int, level: int = 0) -> np.ndarray:
 
 
 class MomentAccumulator:
-    """Streaming per-cell mean and M2 (Welford, with pairwise merge)."""
+    """Streaming per-cell mean and M2.
+
+    Each update adds one sample as Chan et al.'s pairwise combination of the
+    running moments with a one-sample set (mean ``value``, M2 zero).  The
+    textbook Welford form ``m2 += delta * (value - mean)`` is algebraically
+    the same but rounds differently, so it would change the written bits.
+    """
 
     def __init__(self, shape):
         self.count = 0
         self.mean = np.zeros(shape)
         self.m2 = np.zeros(shape)
 
-    def fresh(self) -> "MomentAccumulator":
-        return MomentAccumulator(self.mean.shape)
-
     def update(self, value: np.ndarray) -> None:
         if value.shape != self.mean.shape:
             raise ConfigError(
                 f"accumulator shape {self.mean.shape} does not match value {value.shape}"
             )
-        self.count += 1
         delta = value - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (value - self.mean)
-
-    def merge(self, other: "MomentAccumulator") -> None:
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self.mean = other.mean.copy()
-            self.m2 = other.m2.copy()
-            return
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        frac = other.count / total
-        self.mean = self.mean + delta * frac
-        self.m2 = self.m2 + other.m2 + delta ** 2 * self.count * frac
-        self.count = total
+        frac = 1 / (self.count + 1)
+        self.mean += delta * frac
+        if self.count:
+            # a first sample has no spread; skipping it also keeps m2 at 0
+            # where delta ** 2 overflows
+            self.m2 += delta ** 2 * self.count * frac
+        self.count += 1
 
     def variance(self, ddof: int = 1) -> np.ndarray:
         if self.count <= ddof:
@@ -173,14 +165,8 @@ class FieldMoments:
         self.ncomp = ncomp
         self.acc = MomentAccumulator((ncomp,) + grid.interior_shape)
 
-    def fresh(self):
-        return FieldMoments(self.grid, self.ncomp)
-
     def update(self, field: Field) -> None:
         self.acc.update(np.asarray(field.interior))
-
-    def merge(self, other: "FieldMoments") -> None:
-        self.acc.merge(other.acc)
 
 
 class Histogram:
@@ -208,9 +194,6 @@ class Histogram:
     def edges(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.bins + 1)
 
-    def fresh(self):
-        return Histogram(self.probe_cells, self.component, self.lo, self.hi, self.bins)
-
     def update(self, field: Field) -> None:
         interior = field.interior
         width = (self.hi - self.lo) / self.bins
@@ -225,12 +208,6 @@ class Histogram:
             else:
                 self.counts[p, 1 + min(int((v - self.lo) / width), self.bins - 1)] += 1
         self.samples += 1
-
-    def merge(self, other: "Histogram") -> None:
-        if other.counts.shape != self.counts.shape:
-            raise ConfigError("histogram shapes do not match")
-        self.counts += other.counts
-        self.samples += other.samples
 
 
 class StructureFunctionAccumulator:
@@ -253,9 +230,6 @@ class StructureFunctionAccumulator:
         self.sums = np.zeros(self.max_offset + 1)
         self.samples = 0
 
-    def fresh(self):
-        return StructureFunctionAccumulator(self.p, self.max_offset, self.component)
-
     def update(self, field: Field) -> None:
         w = np.asarray(field.interior[self.component])
         dim = field.grid.dim
@@ -265,12 +239,6 @@ class StructureFunctionAccumulator:
                 acc += float(np.mean(np.abs(np.roll(w, -h, axis=j) - w) ** self.p))
             self.sums[h] += acc / dim
         self.samples += 1
-
-    def merge(self, other: "StructureFunctionAccumulator") -> None:
-        if other.max_offset != self.max_offset or other.p != self.p:
-            raise ConfigError("structure-function specs do not match")
-        self.sums += other.sums
-        self.samples += other.samples
 
     def values(self) -> np.ndarray:
         if self.samples == 0:
@@ -283,29 +251,20 @@ class StructureFunctionAccumulator:
 # ---------------------------------------------------------------------------
 
 
-def _run_one_sample(plan, level, k, grid, cfg, evaluate_init, functionals):
-    vector = draw_sample(plan, k, level)
-    try:
-        init = evaluate_init(grid, vector)
-        final, _ = run_simulation(init, cfg)
-    except Exception as exc:
-        where = f"level {level}, " if isinstance(plan, MlmcPlan) else ""
-        raise SimulationError(f"{where}sample {k} failed: {exc}") from exc
-    contribs = [f.fresh() for f in functionals]
-    for c in contribs:
-        c.update(final)
-    return contribs
-
-
 def _run_level(plan, level, grid, cfg, evaluate_init, functionals):
-    """Run the samples of one level on one grid, in index order, and merge
-    each sample's contributions into fresh copies of ``functionals``."""
-    merged = [f.fresh() for f in functionals]
+    """Run the samples of one level on one grid, in index order, update
+    ``functionals`` with each final field and return them."""
     for k in range(_sample_count(plan, level)):
-        contribs = _run_one_sample(plan, level, k, grid, cfg, evaluate_init, functionals)
-        for m, c in zip(merged, contribs):
-            m.merge(c)
-    return merged
+        vector = draw_sample(plan, k, level)
+        try:
+            init = evaluate_init(grid, vector)
+            final, _ = run_simulation(init, cfg)
+        except Exception as exc:
+            where = f"level {level}, " if isinstance(plan, MlmcPlan) else ""
+            raise SimulationError(f"{where}sample {k} failed: {exc}") from exc
+        for f in functionals:
+            f.update(final)
+    return functionals
 
 
 def run_mc(

@@ -141,6 +141,27 @@ def two_pass_moments(samples):
     return mean, var
 
 
+def streamed_moments(samples):
+    """Count, mean and M2 of ``samples`` as a per-sample merge loop makes
+    them: each sample becomes a one-sample Welford accumulator that is then
+    merged pairwise (Chan et al.) into the running one, which an empty
+    running accumulator copies."""
+    count, mean, m2 = 0, None, None
+    for value in np.asarray(samples, dtype=float):
+        one = 0.0 + (value - 0.0) / 1
+        one_m2 = 0.0 + (value - 0.0) * (value - one)
+        if count == 0:
+            mean, m2 = one.copy(), one_m2.copy()
+        else:
+            total = count + 1
+            delta = one - mean
+            frac = 1 / total
+            mean = mean + delta * frac
+            m2 = m2 + one_m2 + delta ** 2 * count * frac
+        count += 1
+    return count, mean, m2
+
+
 def digit_reversal(index: int, base: int) -> float:
     """Reverse the base-b digits of ``index`` across the radix point."""
     digits = []

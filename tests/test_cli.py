@@ -9,6 +9,7 @@ from conslaw.iodsl import eval_init
 from conslaw.iodsl.config import parse_config
 from conslaw.iodsl.output import read_snapshot
 from conslaw.presets import KH2D, PRESETS, SOD
+from conslaw.solver import TimeStepRecord
 from conslaw.uq import MlmcPlan, run_mlmc
 
 
@@ -73,6 +74,23 @@ def test_run_writes_outputs(tmp_path, capsys):
     assert "step,t,dt,seconds" in timing
     assert "conservation_drift" in (out / "summary.txt").read_text()
     assert "steps:" in capsys.readouterr().out
+
+
+def test_run_summary_final_time_is_a_plain_number(tmp_path, capsys):
+    cfg = small_sod(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--output", str(out)]) == 0
+    summary = (out / "summary.txt").read_text()
+    (line,) = [l for l in summary.splitlines() if l.startswith("final_time:")]
+    assert float(line.split(":", 1)[1]) == 0.05
+    assert line in capsys.readouterr().out
+
+
+def test_output_formats_key_is_unknown(tmp_path, capsys):
+    cfg = small_sod(tmp_path)
+    cfg.write_text(cfg.read_text().replace("[output]\n", "[output]\nformats = snapshot\n"))
+    assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 2
+    assert "unknown key 'formats' in [output]" in capsys.readouterr().err
 
 
 def test_run_output_dir_from_environment(tmp_path, monkeypatch, capsys):
@@ -302,7 +320,31 @@ def test_bench_emits_csvs(tmp_path, capsys):
         K, layout, mean, fraction = row.split(",")
         assert layout == "multix"
         assert float(mean) == means[int(K)]
-        assert float(fraction) == (means[int(K)] - means[1]) / means[1]
+        assert float(fraction) == (means[int(K)] / int(K)) / means[1] - 1
+    capsys.readouterr()
+
+
+def test_bench_overhead_is_zero_when_step_time_grows_with_the_ranks(
+    tmp_path, monkeypatch, capsys
+):
+    def run_parallel(init, cfg, ranks, n_steps):
+        # K ranks on one thread at perfect efficiency: K times the 1-rank time
+        seconds = 2.0 ** -10 * int(np.prod(ranks))
+        return init, [TimeStepRecord(s + 1, 0.0, 0.0, seconds) for s in range(n_steps)]
+
+    monkeypatch.setattr(conslaw.cli, "run_parallel", run_parallel)
+    cfg = small_kh(tmp_path, cells=8)
+    out = tmp_path / "bench"
+    assert main([
+        "bench", str(cfg), "--ranks", "1,2,3,4", "--layout", "multixmultiy",
+        "--steps", "13", "--output", str(out),
+    ]) == 0
+    over = [
+        l.split(",") for l in (out / "overhead.csv").read_text().splitlines()
+        if l and not l.startswith("#")
+    ]
+    assert [int(r[0]) for r in over[1:]] == [1, 2, 3, 4]
+    assert all(float(r[3]) == 0.0 for r in over[1:])
     capsys.readouterr()
 
 

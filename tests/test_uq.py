@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conslaw.equations import EquationModel, primitive_to_conserved
-from conslaw.errors import ConfigError
+from conslaw.errors import ConfigError, SimulationError
 from conslaw.grid import BoundaryKind, GridSpec, field_from_interior
 from conslaw.numerics import FluxKind, Reconstruction, ReconstructionKind
 from conslaw.solver import SchemeConfig
@@ -22,7 +22,7 @@ from conslaw.uq import (
     run_mc,
     run_mlmc,
 )
-from oracles import digit_reversal, two_pass_moments
+from oracles import digit_reversal, streamed_moments, two_pass_moments
 
 
 # ---------------------------------------------------------------------------
@@ -107,32 +107,23 @@ def test_streaming_matches_two_pass_oracle():
     np.testing.assert_allclose(acc.variance(ddof=1), var, rtol=1e-12)
 
 
-def test_merge_equals_concatenation():
+def test_update_is_bitwise_the_per_sample_merge_oracle():
     rng = np.random.default_rng(10)
-    a_data = rng.normal(0.0, 1.0, (37, 3))
-    b_data = rng.normal(5.0, 0.5, (63, 3))
-    a = MomentAccumulator((3,))
-    b = MomentAccumulator((3,))
-    for s in a_data:
-        a.update(s)
-    for s in b_data:
-        b.update(s)
-    a.merge(b)
-    mean, var = two_pass_moments(np.vstack([a_data, b_data]))
-    assert a.count == 100
-    np.testing.assert_allclose(a.mean, mean, rtol=1e-12)
-    np.testing.assert_allclose(a.variance(ddof=1), var, rtol=1e-12)
-
-
-def test_merge_with_empty_accumulator():
-    a = MomentAccumulator((2,))
-    b = MomentAccumulator((2,))
-    b.update(np.array([1.0, 2.0]))
-    a.merge(b)
-    np.testing.assert_array_equal(a.mean, [1.0, 2.0])
-    assert a.count == 1
-    a.merge(MomentAccumulator((2,)))
-    assert a.count == 1
+    # a large offset makes every rounding difference show in m2
+    samples = rng.normal(1e3, 1.0, (60, 500))
+    samples[rng.random(samples.shape) < 0.05] = -0.0
+    samples[:, 0] = -0.0
+    # delta ** 2 overflows; one constant huge value still has no spread
+    samples[:, 1] = 1e200
+    acc = MomentAccumulator((500,))
+    for s in samples:
+        acc.update(s)
+    count, mean, m2 = streamed_moments(samples)
+    assert acc.count == count
+    assert np.array_equal(acc.mean, mean)
+    assert np.array_equal(acc.m2, m2)
+    assert np.array_equal(np.signbit(acc.mean), np.signbit(mean))
+    assert acc.m2[1] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +204,31 @@ def test_mc_mean_matches_direct_average():
     draws = [draw_sample(plan, k)[0] for k in range(20)]
     want = 1.0 + np.mean(draws)
     np.testing.assert_allclose(out[0].acc.mean[0], want, rtol=1e-13)
+
+
+def _failing_on(vector, evaluate_init):
+    def init(g, v):
+        if np.array_equal(v, vector):
+            raise ValueError("bad initial data")
+        return evaluate_init(g, v)
+
+    return init
+
+
+def test_sample_failure_names_the_level_and_the_sample():
+    grid, cfg, evaluate_init = _instant_setup(n=8)
+    coarse = GridSpec(1, (4,), (0.0,), (1.0,))
+    mlmc = MlmcPlan(
+        grids=(coarse, grid), samples_per_level=(3, 2), method="mc",
+        seed=18, stochastic_dim=1,
+    )
+    failing = _failing_on(draw_sample(mlmc, 1, 1), evaluate_init)
+    with pytest.raises(SimulationError, match=r"^level 1, sample 1 failed: bad initial data"):
+        run_mlmc(mlmc, lambda g: cfg, failing)
+    mc = SamplePlan(method="mc", samples=5, seed=18, stochastic_dim=1)
+    failing = _failing_on(draw_sample(mc, 3), evaluate_init)
+    with pytest.raises(SimulationError, match=r"^sample 3 failed: bad initial data"):
+        run_mc(mc, grid, cfg, failing, [FieldMoments(grid, cfg.model.ncomp)])
 
 
 def _record_solves(monkeypatch, evaluate_init):
