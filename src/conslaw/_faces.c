@@ -1,0 +1,314 @@
+/* One axis sweep of the Euler residual: reconstruction, the primitive pass
+ * of each face side, the positivity fallback, the numerical flux and the
+ * flux difference, line by line.
+ *
+ * Every value rounds as in the numpy path of conslaw.numerics and
+ * conslaw.solver.spatial_residual: each operation below is the one numpy
+ * performs, in the same order and with the same operands (x += y is x + y,
+ * a product of three factors is evaluated left to right), and np.minimum /
+ * np.maximum return their second operand on ties.  Compile without
+ * -ffast-math and with -ffp-contract=off, so that no multiply-add is fused;
+ * vectorized loops then round like scalar ones.
+ *
+ * The sweep reads the padded state through strides and subtracts
+ * (F[i+1] - F[i]) / delta from each interior cell of `out`.  Each line of
+ * cells along the sweep axis is copied to contiguous per-component arrays,
+ * so that every stage is a loop over the faces of the line.  The sweep
+ * returns 0, or a nonzero status for the first line where the numpy path
+ * raises: 1 for an unphysical face state, 2 for a degenerate HLLC wave fan;
+ * `out` is then partly updated.
+ */
+
+#include <math.h>
+#include <stdlib.h>
+
+#define MAXCOMP 5
+#define INLINE static inline __attribute__((always_inline))
+
+enum { STATUS_OK = 0, STATUS_UNPHYSICAL = 1, STATUS_DEGENERATE = 2, STATUS_NOMEM = 3 };
+
+typedef struct {
+    int axis, weno, hllc;
+    double epsilon, d0, d1, gamma, gm1, floor, delta;
+} Scheme;
+
+/* per-line scratch: n + 2g cells and n + 1 faces per component */
+typedef struct {
+    double *cols;             /* cells, component-major */
+    double *face[2];          /* WENO states left and right of each face */
+    double *d, *a0, *a1;      /* differences and WENO weights, n + 3 */
+    double *p[2], *v[2], *c[2], *half_s;
+    double *f[2];             /* physical fluxes, component-major */
+    double *F;                /* numerical fluxes, component-major */
+} Work;
+
+/* np.minimum / np.maximum: NaN propagates from either side, ties give b */
+INLINE double np_min(double a, double b) { return (a < b || a != a) ? a : b; }
+INLINE double np_max(double a, double b) { return (a > b || a != a) ? a : b; }
+
+/* equations.pressure: (gamma - 1) (E - (m0^2 + m1^2 + m2^2) / (2 rho)) */
+INLINE double pressure(const double *const *u, long j, int dim, double gm1)
+{
+    double kinetic = u[1][j] * u[1][j];
+    for (int k = 1; k < dim; k++)
+        kinetic = kinetic + u[1 + k][j] * u[1 + k][j];
+    return gm1 * (u[1 + dim][j] - kinetic / (2.0 * u[0][j]));
+}
+
+INLINE int positive(const double *const *u, long j, double p, double floor)
+{
+    return (u[0][j] > floor) & (p > floor);
+}
+
+/* numerics._weno_correction: 0.5 (w0 dm + w1 dp), (w0, w1) = (am, ap) / (am + ap) */
+INLINE double weno_correction(double dm, double dp, double am, double ap)
+{
+    double total = am + ap;
+    double w0 = am / total, w1 = ap / total;
+    return (w0 * dm + w1 * dp) * 0.5;
+}
+
+/* numerics.reconstruct_axis on one line of cells: the states left (fl) and
+ * right (fr) of its n + 1 interior faces */
+static void weno_line(const Scheme *s, const double *restrict col, long n, int ghost,
+                      double *restrict d, double *restrict a0, double *restrict a1,
+                      double *restrict fl, double *restrict fr)
+{
+    const double *u = col + ghost - 2; /* d[k] = u[k+1] - u[k], k = 0..n+2 */
+    for (long k = 0; k < n + 3; k++) {
+        d[k] = u[k + 1] - u[k];
+        double q = d[k] * d[k] + s->epsilon;
+        q = q * q;
+        a0[k] = s->d0 / q;
+        a1[k] = s->d1 / q;
+    }
+    for (long j = 0; j < n + 1; j++) {
+        fl[j] = weno_correction(d[j], d[j + 1], a0[j], a1[j + 1]) + u[j + 1];
+        fr[j] = u[j + 2] - weno_correction(d[j + 2], d[j + 1], a0[j + 2], a1[j + 1]);
+    }
+}
+
+/* numerics._primitives of one side: velocity, sound speed, physical flux */
+INLINE void primitives(const Scheme *s, int dim, const double *const *u, const double *p,
+                       long nf, double *restrict v, double *restrict c, double *restrict f)
+{
+    const double *un = u[1 + s->axis];
+    for (long j = 0; j < nf; j++) {
+        v[j] = un[j] / u[0][j];
+        c[j] = sqrt(s->gamma * p[j] / u[0][j]);
+    }
+    for (long j = 0; j < nf; j++)
+        f[j] = un[j];
+    for (int k = 0; k < dim; k++) {
+        double *fk = f + (1 + k) * nf;
+        if (k == s->axis)
+            for (long j = 0; j < nf; j++)
+                fk[j] = u[1 + k][j] * v[j] + p[j];
+        else
+            for (long j = 0; j < nf; j++)
+                fk[j] = u[1 + k][j] * v[j];
+    }
+    double *fe = f + (1 + dim) * nf;
+    for (long j = 0; j < nf; j++)
+        fe[j] = (u[1 + dim][j] + p[j]) * v[j];
+}
+
+static void rusanov_flux(const Scheme *s, int ncomp, const double *const *uL,
+                         const double *const *uR, long nf, Work *w)
+{
+    const double *vL = w->v[0], *cL = w->c[0], *vR = w->v[1], *cR = w->c[1];
+    double *restrict half_s = w->half_s;
+    for (long j = 0; j < nf; j++)
+        half_s[j] = 0.5 * np_max(fabs(vL[j]) + cL[j], fabs(vR[j]) + cR[j]);
+    for (int c = 0; c < ncomp; c++) {
+        const double *fL = w->f[0] + c * nf, *fR = w->f[1] + c * nf;
+        const double *ul = uL[c], *ur = uR[c];
+        double *restrict F = w->F + c * nf;
+        for (long j = 0; j < nf; j++)
+            F[j] = (fL[j] + fR[j]) * 0.5 - (ur[j] - ul[j]) * half_s[j];
+    }
+}
+
+/* numerics.hllc_flux; returns STATUS_DEGENERATE if any face of the line
+ * has sR <= sL */
+INLINE int hllc_flux(const Scheme *s, int dim, const double *const *uL,
+                     const double *const *uR, long nf, Work *w)
+{
+    int axis = s->axis, ncomp = dim + 2, degenerate = 0;
+    const double *vL = w->v[0], *cL = w->c[0], *pL = w->p[0];
+    const double *vR = w->v[1], *cR = w->c[1], *pR = w->p[1];
+    const double *fL = w->f[0], *fR = w->f[1];
+    double *restrict F = w->F;
+    for (long j = 0; j < nf; j++) {
+        double rhoL = uL[0][j], rhoR = uR[0][j];
+        double sL = np_min(vL[j] - cL[j], vR[j] - cR[j]);
+        double sR = np_max(vL[j] + cL[j], vR[j] + cR[j]);
+        degenerate |= sR - sL <= 0;
+        double aL = sL - vL[j], aR = sR - vR[j];
+        double mL = rhoL * aL, mR = rhoR * aR;
+        double sM = ((pR[j] - pL[j]) + rhoL * vL[j] * aL - rhoR * vR[j] * aR) / (mL - mR);
+
+        int same = 1;
+        for (int c = 0; c < ncomp; c++)
+            same &= uL[c][j] == uR[c][j];
+        int upwind_left = (sL >= 0) | same;
+        int left = sM >= 0;
+        const double *f = (left | upwind_left) ? fL : fR;
+        if (upwind_left | !(left | (sR > 0))) {
+            for (int c = 0; c < ncomp; c++)
+                F[c * nf + j] = f[c * nf + j];
+            continue;
+        }
+        /* the star state of the side the face selects */
+        const double *const *u = left ? uL : uR;
+        double rho = left ? rhoL : rhoR, v = left ? vL[j] : vR[j];
+        double p = left ? pL[j] : pR[j], sw = left ? sL : sR, mass = left ? mL : mR;
+        double factor = mass / (sw - sM), star[MAXCOMP];
+        star[0] = factor;
+        for (int k = 0; k < dim; k++)
+            if (k != axis)
+                star[1 + k] = factor * (u[1 + k][j] / rho);
+        star[1 + axis] = factor * sM;
+        star[1 + dim] = factor * (u[1 + dim][j] / rho + (sM - v) * (sM + p / mass));
+        for (int c = 0; c < ncomp; c++)
+            F[c * nf + j] = (star[c] - u[c][j]) * sw + f[c * nf + j];
+    }
+    return degenerate ? STATUS_DEGENERATE : STATUS_OK;
+}
+
+/* one line: cells at line[c * sc + k * sk], k = 0..n+2g-1; interior cell i
+ * of the residual at oline[c * oc + i * oi] */
+INLINE int sweep_line(const Scheme *s, int dim, const double *line, long sc, long sk,
+                      double *oline, long oc, long oi, long n, int ghost, Work *w)
+{
+    int ncomp = dim + 2;
+    long N = n + 2 * ghost, nf = n + 1;
+    for (int c = 0; c < ncomp; c++)
+        for (long k = 0; k < N; k++)
+            w->cols[c * N + k] = line[c * sc + k * sk];
+    /* the face states: side 0 left of each face, side 1 right of it */
+    const double *u[2][MAXCOMP];
+    for (int c = 0; c < ncomp; c++) {
+        const double *col = w->cols + c * N;
+        if (s->weno) {
+            weno_line(s, col, n, ghost, w->d, w->a0, w->a1,
+                      w->face[0] + c * nf, w->face[1] + c * nf);
+            u[0][c] = w->face[0] + c * nf;
+            u[1][c] = w->face[1] + c * nf;
+        } else {
+            u[0][c] = col + ghost - 1;
+            u[1][c] = col + ghost;
+        }
+    }
+    /* one primitive pass per side */
+    int bad = 0;
+    double gm1 = s->gm1, floor = s->floor;
+    double *restrict pl = w->p[0], *restrict pr = w->p[1];
+    for (long j = 0; j < nf; j++) {
+        pl[j] = pressure(u[0], j, dim, gm1);
+        pr[j] = pressure(u[1], j, dim, gm1);
+        bad |= !(positive(u[0], j, pl[j], floor) & positive(u[1], j, pr[j], floor));
+    }
+    if (bad) {
+        if (!s->weno)
+            return STATUS_UNPHYSICAL;
+        /* first-order fallback: both sides of such a face take their cells */
+        for (long j = 0; j < nf; j++) {
+            if (positive(u[0], j, pl[j], floor) & positive(u[1], j, pr[j], floor))
+                continue;
+            for (int c = 0; c < ncomp; c++) {
+                w->face[0][c * nf + j] = w->cols[c * N + ghost - 1 + j];
+                w->face[1][c * nf + j] = w->cols[c * N + ghost + j];
+            }
+            pl[j] = pressure(u[0], j, dim, gm1);
+            pr[j] = pressure(u[1], j, dim, gm1);
+            if (!(positive(u[0], j, pl[j], floor) & positive(u[1], j, pr[j], floor)))
+                return STATUS_UNPHYSICAL;
+        }
+    }
+    for (int side = 0; side < 2; side++)
+        primitives(s, dim, u[side], w->p[side], nf, w->v[side], w->c[side], w->f[side]);
+    if (s->hllc) {
+        int status = hllc_flux(s, dim, u[0], u[1], nf, w);
+        if (status)
+            return status;
+    } else {
+        rusanov_flux(s, ncomp, u[0], u[1], nf, w);
+    }
+    /* the flux difference of each interior cell */
+    for (int c = 0; c < ncomp; c++) {
+        const double *F = w->F + c * nf;
+        double *o = oline + c * oc;
+        if (oi == 1)
+            for (long i = 0; i < n; i++)
+                o[i] = o[i] - (F[i + 1] - F[i]) / s->delta;
+        else
+            for (long i = 0; i < n; i++)
+                o[i * oi] = o[i * oi] - (F[i + 1] - F[i]) / s->delta;
+    }
+    return STATUS_OK;
+}
+
+static int sweep_1d(const Scheme *s, const double *line, long sc, long sk, double *oline,
+                    long oc, long oi, long n, int ghost, Work *w)
+{
+    return sweep_line(s, 1, line, sc, sk, oline, oc, oi, n, ghost, w);
+}
+
+static int sweep_2d(const Scheme *s, const double *line, long sc, long sk, double *oline,
+                    long oc, long oi, long n, int ghost, Work *w)
+{
+    return sweep_line(s, 2, line, sc, sk, oline, oc, oi, n, ghost, w);
+}
+
+static int sweep_3d(const Scheme *s, const double *line, long sc, long sk, double *oline,
+                    long oc, long oi, long n, int ghost, Work *w)
+{
+    return sweep_line(s, 3, line, sc, sk, oline, oc, oi, n, ghost, w);
+}
+
+/* u: padded cell 0 of the sweep axis at rank 0 and the first interior
+ * transverse cell; ustr: element strides of (component, rank, sweep axis,
+ * transverse 1, transverse 2).  out, ostr: the same for interior cell 0.
+ * shape: (ranks, n, T1, T2), with n interior cells along the sweep. */
+int euler_sweep(const double *u, const long *ustr, double *out, const long *ostr,
+                const long *shape, int dim, int axis, int ghost, int weno, int hllc,
+                double epsilon, double d0, double d1, double gamma, double gm1,
+                double floor, double delta)
+{
+    Scheme s = {axis, weno, hllc, epsilon, d0, d1, gamma, gm1, floor, delta};
+    int (*line_sweep)(const Scheme *, const double *, long, long, double *, long, long,
+                      long, int, Work *) = dim == 1 ? sweep_1d : dim == 2 ? sweep_2d : sweep_3d;
+    long R = shape[0], n = shape[1], T1 = shape[2], T2 = shape[3];
+    long ncomp = dim + 2, N = n + 2 * ghost, nf = n + 1;
+    double *buf = malloc(sizeof(double) * (ncomp * N + 3 * (n + 3) + (5 * ncomp + 7) * nf));
+    if (!buf)
+        return STATUS_NOMEM;
+    Work w;
+    double *next = buf;
+#define TAKE(ptr, count) (ptr = next, next += (count))
+    TAKE(w.cols, ncomp * N);
+    TAKE(w.d, n + 3);
+    TAKE(w.a0, n + 3);
+    TAKE(w.a1, n + 3);
+    TAKE(w.half_s, nf);
+    TAKE(w.F, ncomp * nf);
+    for (int side = 0; side < 2; side++) {
+        TAKE(w.face[side], ncomp * nf);
+        TAKE(w.f[side], ncomp * nf);
+        TAKE(w.p[side], nf);
+        TAKE(w.v[side], nf);
+        TAKE(w.c[side], nf);
+    }
+#undef TAKE
+    int status = STATUS_OK;
+    for (long r = 0; r < R && !status; r++)
+        for (long t1 = 0; t1 < T1 && !status; t1++)
+            for (long t2 = 0; t2 < T2 && !status; t2++)
+                status = line_sweep(
+                    &s, u + r * ustr[1] + t1 * ustr[3] + t2 * ustr[4], ustr[0], ustr[2],
+                    out + r * ostr[1] + t1 * ostr[3] + t2 * ostr[4], ostr[0], ostr[2],
+                    n, ghost, &w);
+    free(buf);
+    return status;
+}

@@ -276,6 +276,14 @@ def _build_uq(uq: _Section, grid: GridSpec, model, present: bool) -> UqSettings:
     )
     if settings.samples < 1:
         raise ConfigError("sample count must be >= 1")
+    for key in ("histogram_component", "structure_component"):
+        component = getattr(settings, key)
+        if not 0 <= component < model.ncomp:
+            raise ConfigError(
+                f"{key} {component} is not a component of {model.kind} in "
+                f"{model.dim}D (0..{model.ncomp - 1}: {' '.join(model.component_names)})",
+                line=uq.raw(key)[1], key=key,
+            )
     check_workers(settings.workers)
     for f in settings.functionals:
         if f not in _FUNCTIONAL_NAMES:
@@ -309,10 +317,22 @@ def _build_uq(uq: _Section, grid: GridSpec, model, present: bool) -> UqSettings:
         value, line = uq.raw("histogram_points")
         points = []
         for part in value.split(";"):
-            coords = tuple(float(x) for x in part.replace(",", " ").split())
+            try:
+                coords = tuple(float(x) for x in part.replace(",", " ").split())
+            except ValueError:
+                raise ConfigError(
+                    f"histogram point {part.strip()!r} must be numbers", line=line
+                ) from None
             if len(coords) != grid.dim:
                 raise ConfigError(
                     f"histogram point {part.strip()!r} needs {grid.dim} coordinates",
+                    line=line,
+                )
+            if not all(
+                o <= x <= o + e for x, o, e in zip(coords, grid.origin, grid.extent)
+            ):
+                raise ConfigError(
+                    f"histogram point {part.strip()!r} lies outside the domain",
                     line=line,
                 )
             points.append(coords)

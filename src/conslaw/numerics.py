@@ -22,12 +22,33 @@ the same pressure feeds the physical flux, the wave speeds and the HLLC star
 states.  HLLC builds one star state per face, from the inputs of the side
 whose star state the face selects.  No result differs from the per-face
 formulas of ``tests/oracles.py`` by more than the sign of a zero.
+
+For Euler, ``spatial_residual`` runs each axis sweep as one call of the C
+function ``euler_sweep`` of ``_faces.c``: reconstruction, the primitive pass,
+the fallback, the flux and the flux difference, one line of cells at a time,
+with the operations of the numpy path in the same order, so that every bit
+agrees.
+``face_kernel`` builds it on the first Euler residual with gcc (or cc),
+caches the library in ``__pycache__/faces-<hash>.so`` next to this file (in
+a private temporary directory when that is not writable) and loads it with
+``ctypes``.  Without a compiler the numpy functions below do the work; they
+also stay the reference of the tests, the only path of the scalar models
+and the path that reports a failed sweep.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
+import os
+import platform
+import shutil
+import subprocess
+import tempfile
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -35,6 +56,7 @@ import numpy as np
 from .equations import (
     EquationModel,
     EULER,
+    POSITIVITY_FLOOR,
     euler_flux,
     max_wave_speed,
     physical_flux,
@@ -264,3 +286,136 @@ FLUX_FUNCTIONS = {
 
 def numerical_flux(model: EquationModel, kind: FluxKind, faces, axis: int) -> np.ndarray:
     return FLUX_FUNCTIONS[kind](model, faces, axis)
+
+
+# ---------------------------------------------------------------------------
+# The compiled Euler face sweep (_faces.c)
+# ---------------------------------------------------------------------------
+
+_SOURCE = Path(__file__).with_name("_faces.c")
+# No flag may change a rounded value: no fast-math and no fused multiply-add.
+# -O3 vectorizes the loops over the faces of a line and -fno-math-errno lets
+# sqrt vectorize; IEEE operations round the same in vector registers.
+_CFLAGS = (
+    "-O3", "-fno-fast-math", "-fno-math-errno", "-ffp-contract=off", "-fPIC", "-shared"
+)
+
+
+def _intact(lib: Path) -> bool:
+    """Whether ``lib`` is a library followed by its own sha256, as the build
+    writes it.  Loading a damaged library can crash the process."""
+    try:
+        blob = lib.read_bytes()
+    except OSError:
+        return False
+    return len(blob) > 32 and hashlib.sha256(blob[:-32]).digest() == blob[-32:]
+
+
+def _load_face_kernel(cache_dir: Path):
+    """Build ``_faces.c`` into ``cache_dir`` (once per source, flags and
+    machine) and load its ``euler_sweep``; None when no C compiler is found
+    or the build fails.  A damaged cached library is rebuilt."""
+    compiler = shutil.which("gcc") or shutil.which("cc")
+    if compiler is None or not _SOURCE.is_file():
+        return None
+    key = hashlib.sha256(
+        _SOURCE.read_bytes() + " ".join(_CFLAGS).encode() + platform.machine().encode()
+    ).hexdigest()
+    private = None
+    try:
+        cache_dir.mkdir(exist_ok=True)
+    except OSError:
+        pass
+    if not os.access(cache_dir, os.W_OK):
+        cache_dir = private = Path(tempfile.mkdtemp(prefix="conslaw-faces-"))
+    lib = cache_dir / f"faces-{key[:32]}.so"
+    tmp = cache_dir / f"{lib.name}.{os.getpid()}.tmp"
+    try:
+        if not _intact(lib):
+            subprocess.run(
+                [compiler, *_CFLAGS, "-o", str(tmp), str(_SOURCE), "-lm"],
+                check=True, capture_output=True, timeout=120,
+            )
+            with open(tmp, "ab") as fh:
+                fh.write(hashlib.sha256(tmp.read_bytes()).digest())
+            # concurrent builders each write their own file; the rename is atomic
+            os.replace(tmp, lib)
+        sweep = ctypes.CDLL(str(lib)).euler_sweep
+    except (OSError, AttributeError, subprocess.SubprocessError):
+        return None
+    finally:
+        tmp.unlink(missing_ok=True)
+        if private is not None:
+            shutil.rmtree(private, ignore_errors=True)
+    strides = ctypes.POINTER(ctypes.c_long)
+    sweep.restype = ctypes.c_int
+    sweep.argtypes = (
+        [ctypes.c_void_p, strides, ctypes.c_void_p, strides, strides]
+        + [ctypes.c_int] * 5 + [ctypes.c_double] * 7
+    )
+    return sweep
+
+
+@functools.cache
+def face_kernel():
+    """The compiled Euler face sweep, built on first use, or None."""
+    return _load_face_kernel(Path(__file__).parent / "__pycache__")
+
+
+def face_kernel_name(model: EquationModel) -> str:
+    """Which face sweep ``spatial_residual`` runs for ``model``."""
+    return "compiled" if model.kind == EULER and face_kernel() is not None else "numpy"
+
+
+def _element_strides(arr: np.ndarray, axes) -> "ctypes.Array":
+    """Strides of ``arr`` in elements along ``axes``; None stands for a
+    missing axis of length 1."""
+    size = arr.itemsize
+    return (ctypes.c_long * 5)(*(0 if a is None else arr.strides[a] // size for a in axes))
+
+
+def euler_face_sweep(
+    model: EquationModel, flux: FluxKind, recon: Reconstruction,
+    data: np.ndarray, out: np.ndarray, axis: int, g: int, cells: tuple, delta: float,
+):
+    """Subtract the flux differences of spatial axis ``axis`` from ``out``
+    with the compiled sweep.
+
+    ``data`` is the padded state, ``out`` the interior residual, both in
+    grid layout, with or without a rank axis after the components.  Returns
+    None without a compiled kernel, else its status: 0 when done, nonzero
+    where the numpy path raises (``out`` is then partly updated).
+    """
+    kernel = face_kernel()
+    if kernel is None or data.dtype != np.float64:
+        return None
+    dim = model.dim
+    if data.ndim == dim + 1:
+        data, out = data[:, None], out[:, None]
+    # crop the transverse axes to the interior
+    for other in range(dim):
+        if other != axis:
+            data = slab(data, -1 - other, g, g + cells[other])
+    ax = data.ndim - 1 - axis
+    interior = tuple(reversed(cells))
+    padded = interior[: ax - 2] + (cells[axis] + 2 * g,) + interior[ax - 1 :]
+    if data.shape[2:] != padded or out.shape != data.shape[:2] + interior:
+        raise ValueError(
+            f"sweep of axis {axis}: state {data.shape} and residual {out.shape} "
+            f"do not fit {cells} cells with {g} ghosts"
+        )
+    if out.dtype != np.float64:
+        raise ValueError(f"the residual must be float64, got {out.dtype}")
+    trans = [a for a in range(2, data.ndim) if a != ax] + [None, None]
+    axes = (0, 1, ax, trans[0], trans[1])
+    shape = (ctypes.c_long * 4)(
+        data.shape[1], cells[axis], *(1 if a is None else data.shape[a] for a in trans[:2])
+    )
+    weights = IDEAL_WEIGHTS.get(recon.kind, (0.0, 0.0))
+    return kernel(
+        data.ctypes.data, _element_strides(data, axes),
+        out.ctypes.data, _element_strides(out, axes), shape,
+        dim, axis, g, recon.kind is not ReconstructionKind.NONE,
+        flux is FluxKind.HLLC, recon.epsilon, *weights,
+        model.gamma, model.gamma - 1.0, POSITIVITY_FLOOR, delta,
+    )

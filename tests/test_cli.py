@@ -4,6 +4,7 @@ import threading
 import numpy as np
 
 import conslaw.cli
+import conslaw.uq
 from conslaw.cli import _level_grids, main
 from conslaw.iodsl import eval_init
 from conslaw.iodsl.config import parse_config
@@ -84,6 +85,30 @@ def test_run_summary_final_time_is_a_plain_number(tmp_path, capsys):
     (line,) = [l for l in summary.splitlines() if l.startswith("final_time:")]
     assert float(line.split(":", 1)[1]) == 0.05
     assert line in capsys.readouterr().out
+
+
+def test_run_summary_names_the_face_kernel(face_path, tmp_path, capsys):
+    cfg = small_sod(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--output", str(out)]) == 0
+    line = f"face_kernel: {face_path}"
+    assert line in (out / "summary.txt").read_text().splitlines()
+    assert line in capsys.readouterr().out.splitlines()
+
+
+def test_bad_uq_functional_setting_exits_2_before_any_sample(tmp_path, monkeypatch, capsys):
+    # each bad setting of tests/test_iodsl.py is a ConfigError at parse time
+    extra = "histogram_component = 7"
+    cfg = small_kh(tmp_path, extra=extra)
+    cfg.write_text(cfg.read_text().replace(
+        "functionals = moments", "functionals = histogram structure_function"
+    ))
+    solves = []
+    monkeypatch.setattr(conslaw.uq, "run_simulation", lambda *a, **k: solves.append(a))
+    assert main(["uq", str(cfg), "--output", str(tmp_path / "out")]) == 2
+    line = cfg.read_text().splitlines().index(extra) + 1
+    assert f"error: line {line}: " in capsys.readouterr().err
+    assert solves == []
 
 
 def test_output_formats_key_is_unknown(tmp_path, capsys):

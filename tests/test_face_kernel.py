@@ -4,7 +4,9 @@ failure paths.
 ``spatial_residual`` shares one set of WENO differences between both face
 sides and one pressure pass per side between the positivity fallback, the
 checks and the flux.  It must give the same values as evaluating every face
-on its own (``oracles.reference_euler_residual``).
+on its own (``oracles.reference_euler_residual``).  Every test runs on both
+face sweeps, the compiled one and the numpy one (the ``face_path`` fixture),
+and must see the same values and the same error messages on each.
 """
 
 import numpy as np
@@ -42,6 +44,8 @@ from conslaw.parallel import (
 from conslaw import solver
 from conslaw.solver import SchemeConfig, run_simulation, spatial_residual, wave_speed_maxima
 from oracles import reference_euler_residual
+
+pytestmark = pytest.mark.usefixtures("face_path")
 
 SCHEMES = [
     (flux, recon)

@@ -249,6 +249,38 @@ def test_digest_changes_with_any_value():
     assert parse_config(SOD.replace("cfl = 0.475", "cfl = 0.5")).digest != parse_config(SOD).digest
 
 
+def _kh_uq(extra):
+    """The kh2d preset with extra ``[uq]`` lines; returns (text, line of the
+    first extra line)."""
+    text = KH2D.replace("functionals = moments", "functionals = moments\n" + extra)
+    line = text.splitlines().index(extra.splitlines()[0]) + 1
+    return text, line
+
+
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        ("histogram_component = 7", "histogram_component 7 is not a component"),
+        ("structure_component = 9", "structure_component 9 is not a component"),
+        ("structure_component = -1", "structure_component -1 is not a component"),
+        ("histogram_points = 0.5 abc", "histogram point '0.5 abc' must be numbers"),
+        ("histogram_points = 0.5 0.5; 5 5", "histogram point '5 5' lies outside the domain"),
+    ],
+)
+def test_bad_uq_functional_settings_name_their_line(extra, message):
+    text, line = _kh_uq(extra)
+    with pytest.raises(ConfigError, match=message) as err:
+        parse_config(text)
+    assert err.value.line == line
+
+
+def test_uq_functional_settings_at_the_domain_edge_parse():
+    text, _ = _kh_uq("histogram_points = 0 0; 1 1; 0.5 0.25\nstructure_component = 3")
+    cfg = parse_config(text)
+    assert cfg.uq.histogram_points == ((0.0, 0.0), (1.0, 1.0), (0.5, 0.25))
+    assert cfg.uq.structure_component == 3
+
+
 def test_ranks_must_divide_cells():
     text = KH2D.replace("ranks = 1 1", "ranks = 3 1")
     with pytest.raises(ConfigError, match="divisible"):
