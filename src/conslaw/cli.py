@@ -22,7 +22,6 @@ from .iodsl import eval_init, parse_config
 from .iodsl.config import check_workers
 from .iodsl.output import OutputHeader, write_snapshot, write_stats
 from .numerics import face_kernel_name
-from .parallel import run_parallel
 from .presets import PRESETS
 from .solver import run_simulation
 from .uq import (
@@ -119,10 +118,7 @@ def cmd_run(args) -> int:
             write_snapshot(field, header, path, components=names)
 
     observers = [snapshot_observer] if pending else []
-    if math.prod(ranks) == 1:
-        final, records = run_simulation(init, cfg.scheme, observers=observers)
-    else:
-        final, records = run_parallel(init, cfg.scheme, ranks, observers=observers)
+    final, records = run_simulation(init, cfg.scheme, ranks, observers)
     step_rows = [(r.step, r.t, r.dt, r.seconds) for r in records]
 
     write_snapshot(final, header, outdir / "final.snap", components=names)
@@ -231,7 +227,7 @@ def cmd_uq(args) -> int:
             seed=seed,
             stochastic_dim=uq.stochastic_dim,
         )
-        result = run_mlmc(plan, lambda g: cfg.scheme, evaluate_init)
+        result = run_mlmc(plan, cfg.scheme, evaluate_init)
         written = write_stats([result], header, outdir)
         sys.stdout.write(
             f"mlmc levels={uq.levels} samples={list(uq.level_samples)} "
@@ -339,7 +335,7 @@ def cmd_bench(args) -> int:
         init = eval_init(
             cfg.initial_exprs, model, grid, vector, primitive=cfg.initial_primitive
         )
-        _final, records = run_parallel(init, cfg.scheme, ranks, n_steps=steps)
+        _final, records = run_simulation(init, cfg.scheme, ranks, steps=steps)
         # wall time of each step of all ranks together
         per_step = [r.seconds for r in records]
         for s, seconds in enumerate(per_step):

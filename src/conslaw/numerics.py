@@ -84,6 +84,12 @@ class Reconstruction:
     kind: ReconstructionKind = ReconstructionKind.NONE
     epsilon: float = 1e-6
 
+    def __post_init__(self):
+        # 0 makes the weights 0/0 on flat data, and a face with NaN weights
+        # would fall back to first order without a word
+        if not 0.0 < self.epsilon < np.inf:
+            raise ConfigError(f"weno_epsilon must be finite and > 0, got {self.epsilon}")
+
     @property
     def radius(self) -> int:
         return 1 if self.kind is ReconstructionKind.NONE else 2

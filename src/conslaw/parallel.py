@@ -2,12 +2,14 @@
 
 A decomposed run splits the grid into equal subdomains ("ranks") and keeps
 them as one stack: a field whose data has the shape ``(ncomp, R, *padded)``,
-with the rank axis right after the components.  The solver's one time loop
-(``solver.advance``), which runs a serial run as a stack of one, advances
-all ranks in lockstep on the calling thread, with one ``spatial_residual``
-call per stage for the whole stack.  There are no rank threads and no
-overlap of communication with computation: on one interpreter they cost
-more than they save.
+with the rank axis right after the components.  This layer sits below the
+time loop: ``solver.run_simulation``, the one entry point of every solve,
+scatters the initial field into a stack (a serial run is a stack of one),
+calls ``exchange_halos`` each stage and stitches the result back.  The loop
+advances all ranks in lockstep on the calling thread, with one
+``spatial_residual`` call per stage for the whole stack.  There are no rank
+threads and no overlap of communication with computation: on one
+interpreter they cost more than they save.
 
 Scattering a global field into the stack and stitching it back are a
 reshape and a transpose of the interior, ``(c, Ry*ly, Rx*lx) <-> (c, R, ly,
@@ -28,7 +30,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import BoundaryKind, Field, GridSpec, fill_axis, make_field, slab
-from .solver import SchemeConfig, advance, check_scheme
 
 
 @dataclass(frozen=True)
@@ -197,28 +198,3 @@ def stitch_fields(stack: Field, topo: RankTopology, grid: GridSpec) -> Field:
         .reshape((c,) + grid.interior_shape)
     )
     return out
-
-
-def run_parallel(
-    init: Field,
-    cfg: SchemeConfig,
-    ranks_per_axis,
-    n_steps: int | None = None,
-    observers=(),
-):
-    """Advance a decomposed run; returns the stitched final field and the
-    step records.
-
-    ``n_steps`` fixes the step count (used by benchmarks) and ignores
-    ``cfg.t_end``; otherwise the run stops at ``cfg.t_end``.  Observers see
-    the stitched field, as in ``run_simulation``.  The result is bitwise
-    identical for every rank layout, including the 1-rank serial path.
-    """
-    check_scheme(init.grid, cfg)
-    topo = RankTopology(tuple(ranks_per_axis))
-    return advance(
-        scatter_field(init, topo), cfg,
-        lambda stack: exchange_halos(stack, topo, cfg.bc),
-        lambda stack: stitch_fields(stack, topo, init.grid),
-        observers, n_steps, None if n_steps is not None else cfg.t_end,
-    )

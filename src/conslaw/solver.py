@@ -2,6 +2,9 @@
 
 The residual of cell i is -sum_k (F_{i+1/2 e_k} - F_{i-1/2 e_k}) / delta_k,
 with each interface flux computed once and shared by both neighbours.
+``run_simulation`` is the one entry point of a solve: it runs serial and
+decomposed runs through the same time loop, a serial run being the layout
+with one rank per axis (see ``conslaw.parallel``).
 """
 
 from __future__ import annotations
@@ -25,14 +28,7 @@ from .errors import (
     StaticFieldError,
     UnphysicalStateError,
 )
-from .grid import (
-    BoundaryKind,
-    Field,
-    GridSpec,
-    field_from_interior,
-    fill_boundary,
-    slab,
-)
+from .grid import BoundaryKind, Field, GridSpec, slab
 from .numerics import (
     FluxKind,
     Reconstruction,
@@ -42,6 +38,7 @@ from .numerics import (
     numerical_flux,
     reconstruct_axis,
 )
+from .parallel import RankTopology, exchange_halos, scatter_field, stitch_fields
 
 
 @dataclass(frozen=True)
@@ -265,35 +262,39 @@ def _checked_maxima(field: Field, cfg: SchemeConfig, when: str) -> np.ndarray:
         raise SimulationError(f"unphysical state {when}: {exc}") from exc
 
 
-def advance(
-    state: Field,
+def run_simulation(
+    init: Field,
     cfg: SchemeConfig,
-    fill: Callable[[Field], object],
-    gather: Callable[[Field], Field],
+    ranks=None,
     observers: Sequence[Callable] = (),
-    max_steps: int | None = None,
-    t_end: float | None = None,
+    steps: int | None = None,
 ):
-    """The time loop of serial and decomposed runs: every subdomain advances
-    in lockstep on the calling thread.
+    """Run a solve: the one entry point of serial and decomposed runs.
 
-    ``state`` is the stack of subdomains: its data has the shape
-    ``(ncomp, R, *padded)``, with the rank axis right after the components,
-    and ``state.grid`` is the grid of each subdomain.  It is advanced in
-    place.  Each stage calls ``fill(state)``, which fills every ghost of the
-    stack, and then one ``spatial_residual`` over the whole stack.
-    ``gather(state)`` turns the stack into a new global field, which is
-    handed to ``observer(step, t, field)`` (once with the initial state and
-    after every step) and returned at the end.  The run stops after
-    ``max_steps`` steps or at ``t_end``, whichever comes first; with
-    ``t_end=None`` dt is never shortened to land on an end time.
+    ``init`` is split into the subdomains of the rank layout ``ranks`` (one
+    count per axis; ``None`` is one rank per axis, a serial run) and kept as
+    one stack whose data has the shape ``(ncomp, R, *padded)``, with the rank
+    axis right after the components.  Every subdomain advances in lockstep on
+    the calling thread: each stage is one ``parallel.exchange_halos`` pass
+    over the stack and one ``spatial_residual`` call for all of it.  With one
+    rank per axis the halo pass makes the same ``grid.fill_axis`` calls as
+    ``grid.fill_boundary``, and the result is bitwise the same for every rank
+    layout.
+
+    With ``steps=None`` the run stops at ``cfg.t_end``, its last step
+    shortened to land on it; ``steps=n`` runs exactly n steps, and ``t_end``
+    neither stops the run nor shortens a step.  Observers are called as
+    ``observer(step, t, field)`` with the global field, once with the initial
+    state and after every step.
 
     Returns the final global field and one step record per step, whose
     ``seconds`` is the wall time of the step.  A failed check is located by
     repeating it rank by rank: with several ranks, the first failing rank is
     raised as a SimulationError ``rank N failed: ...``.
     """
-    nranks = state.data.shape[1]
+    check_scheme(init.grid, cfg)
+    topo = RankTopology(tuple(ranks) if ranks is not None else (1,) * init.grid.dim)
+    state = scatter_field(init, topo)
     grid = state.grid
 
     def checked(fn, *args):
@@ -302,23 +303,23 @@ def advance(
         try:
             return fn(state, *args)
         except (SimulationError, UnphysicalStateError):
-            for rank in range(nranks):
+            for rank in range(topo.size):
                 try:
                     fn(Field(grid, state.ncomp, state.data[:, rank]), *args)
                 except (SimulationError, UnphysicalStateError) as rank_exc:
-                    if nranks == 1:
+                    if topo.size == 1:
                         raise
                     raise SimulationError(f"rank {rank} failed: {rank_exc}") from rank_exc
             raise
 
     def residual(u: np.ndarray) -> np.ndarray:
         # ``u`` is the stack's interior, so the stage is already in place
-        fill(state)
+        exchange_halos(state, topo, cfg.bc)
         return checked(spatial_residual, cfg)
 
     def notify(step, t):
         if observers:
-            field = gather(state)
+            field = stitch_fields(state, topo, init.grid)
             for obs in observers:
                 obs(step, t, field)
 
@@ -328,12 +329,12 @@ def advance(
     t = 0.0
     step = 0
     notify(step, t)
-    while max_steps is None or step < max_steps:
+    while steps is None or step < steps:
         tic = time.perf_counter()
         remaining = None
-        if t_end is not None:
-            remaining = t_end - t
-            if remaining <= 1e-14 * t_end:
+        if steps is None:
+            remaining = cfg.t_end - t
+            if remaining <= 1e-14 * cfg.t_end:
                 break
         dt = dt_from_maxima(maxima, grid.deltas, cfg.cfl, remaining)
         ssp_rk_step(state, dt, cfg, residual, start)
@@ -343,25 +344,4 @@ def advance(
         maxima = checked(_checked_maxima, cfg, f"after step {step} (t = {t:.6g})")
         records.append(TimeStepRecord(step, t, dt, time.perf_counter() - tic))
         notify(step, t)
-    return gather(state), records
-
-
-def run_simulation(
-    init: Field,
-    cfg: SchemeConfig,
-    observers: Sequence[Callable] = (),
-    max_steps: int | None = None,
-):
-    """Advance from t = 0 to t_end; returns the final field and step records.
-
-    Observers are called as ``observer(step, t, field)`` once with the initial
-    state and after every accepted step.
-    """
-    check_scheme(init.grid, cfg)
-    state = Field(init.grid, init.ncomp, init.data[:, None].copy())
-    return advance(
-        state, cfg,
-        lambda stack: fill_boundary(stack, cfg.bc),
-        lambda stack: field_from_interior(init.grid, stack.interior[:, 0]),
-        observers, max_steps, cfg.t_end,
-    )
+    return stitch_fields(state, topo, init.grid), records

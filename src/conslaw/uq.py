@@ -29,6 +29,13 @@ QMC = "qmc"
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 
+def _check_seed(seed: int) -> None:
+    """The generator key is a uint64: reject what it cannot hold up front,
+    before any sample is solved."""
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
+
+
 @dataclass(frozen=True)
 class SamplePlan:
     method: str = MC
@@ -43,6 +50,7 @@ class SamplePlan:
             raise ConfigError(f"sample count must be >= 1, got {self.samples}")
         if self.stochastic_dim < 1:
             raise ConfigError(f"stochastic_dim must be >= 1, got {self.stochastic_dim}")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -62,6 +70,7 @@ class MlmcPlan:
             raise ConfigError("MLMC needs at least one level")
         if any(m < 1 for m in self.samples_per_level):
             raise ConfigError("per-level sample counts must be >= 1")
+        _check_seed(self.seed)
         for l in range(1, len(self.grids)):
             coarse, fine = self.grids[l - 1], self.grids[l]
             same = all(f == c for f, c in zip(fine.cells, coarse.cells))
@@ -303,18 +312,17 @@ def prolong(values: np.ndarray, factor_per_axis) -> np.ndarray:
     return out
 
 
-def run_mlmc(plan: MlmcPlan, make_cfg, evaluate_init) -> MlmcMoments:
+def run_mlmc(plan: MlmcPlan, cfg: SchemeConfig, evaluate_init) -> MlmcMoments:
     """Multilevel estimate of the field mean and variance.
 
     Sample k of level l runs the same random vector on the level-l and
-    level-(l-1) grids; the level-0 correction uses the coarse run alone.
-    ``make_cfg(grid)`` supplies the scheme configuration per level grid.
-    With one level this reduces bitwise to the single-level estimator.
+    level-(l-1) grids, with the scheme ``cfg`` on every level; the level-0
+    correction uses the coarse run alone.  With one level this reduces
+    bitwise to the single-level estimator.
     """
     finest = plan.grids[-1]
 
     def moments(level, grid):
-        cfg = make_cfg(grid)
         functionals = [FieldMoments(grid, cfg.model.ncomp)]
         return _run_level(plan, level, grid, cfg, evaluate_init, functionals)[0].acc
 

@@ -16,7 +16,6 @@ from conslaw.iodsl.config import canonical_digest, parse_config
 from conslaw.iodsl.expr import parse_expr, print_expr, eval_init
 from conslaw.iodsl.output import OutputHeader, read_snapshot, write_snapshot
 from conslaw.numerics import ReconstructionKind
-from conslaw.parallel import run_parallel
 from conslaw.presets import ADVECTION_SMOOTH, KH2D, KH3D, SOD
 from conslaw.solver import run_simulation
 from conslaw.uq import (
@@ -94,7 +93,7 @@ def test_criterion_3_conservation():
     plan = SamplePlan("mc", cfg.uq.samples, cfg.uq.seed, cfg.uq.stochastic_dim)
     init = eval_init(cfg.initial_exprs, cfg.scheme.model, cfg.grid, draw_sample(plan, 0))
     q0 = total_integral(init)
-    final, records = run_simulation(init, cfg.scheme, max_steps=100)
+    final, records = run_simulation(init, cfg.scheme, steps=100)
     q1 = total_integral(final)
     scale = np.abs(q0).max()
     drift = np.abs(q1 - q0) / np.maximum(np.abs(q0), scale)
@@ -113,7 +112,7 @@ def test_criterion_4_decomposition_invariance():
     init = eval_init(cfg.initial_exprs, cfg.scheme.model, cfg.grid, draw_sample(plan, 0))
     fields = {}
     for ranks in ((1, 1), (2, 1), (1, 2), (2, 2)):
-        final, _ = run_parallel(init.copy(), cfg.scheme, ranks, n_steps=50)
+        final, _ = run_simulation(init.copy(), cfg.scheme, ranks, steps=50)
         fields[ranks] = final.interior
     ref = fields[(1, 1)]
     mismatches = [
@@ -191,11 +190,11 @@ def test_criterion_6_mlmc_degeneracy():
 
     single = run_mlmc(
         MlmcPlan((grid,), (8,), method="mc", seed=21, stochastic_dim=1),
-        lambda g: cfg, evaluate_init,
+        cfg, evaluate_init,
     )
     stacked = run_mlmc(
         MlmcPlan((grid, grid), (8, 6), method="mc", seed=21, stochastic_dim=1),
-        lambda g: cfg, evaluate_init,
+        cfg, evaluate_init,
     )
     correction = float(np.abs(stacked.mean - single.mean).max())
 

@@ -2,6 +2,7 @@ import re
 import threading
 
 import numpy as np
+import pytest
 
 import conslaw.cli
 import conslaw.uq
@@ -175,6 +176,46 @@ def test_run_bad_rank_layout_exits_2(tmp_path, capsys):
     assert main(["run", str(cfg), "--ranks", "2x2x2"]) == 2
     assert main(["run", str(cfg), "--ranks", "abc"]) == 2
     capsys.readouterr()
+    # the product of -1x-1 is 1, which must not pass for a serial layout
+    for layout in ("-1x-1", "-2x-2"):
+        assert main(["run", str(cfg), f"--ranks={layout}"]) == 2
+        assert "ranks per axis must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1e-6", "nan", "inf"])
+def test_run_rejects_a_weno_epsilon_that_is_not_finite_and_positive(tmp_path, capsys, value):
+    cfg = small_kh(tmp_path)
+    cfg.write_text(cfg.read_text().replace(
+        "reconstruction = weno3", f"reconstruction = weno3\nweno_epsilon = {value}"
+    ))
+    assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 2
+    assert "weno_epsilon" in capsys.readouterr().err
+
+
+MLMC = "levels = 2\nlevel_samples = 2 1\n"
+
+
+@pytest.mark.parametrize("command,config_seed,flags,extra", [
+    ("run", "-5", [], ""),
+    ("uq", "-5", [], ""),
+    ("uq", "-5", [], MLMC),
+    ("run", "42", ["--seed=-1"], ""),
+    ("uq", "42", ["--seed=-1"], ""),
+    ("uq", "42", ["--seed=-1"], MLMC),
+    ("uq", "42", [f"--seed={2 ** 64}"], ""),
+], ids=["run-key", "mc-key", "mlmc-key", "run-flag", "mc-flag", "mlmc-flag", "mc-2**64"])
+def test_seed_outside_uint64_exits_2_before_any_solve(
+    tmp_path, monkeypatch, capsys, command, config_seed, flags, extra
+):
+    cfg = small_kh(tmp_path, extra=extra)
+    cfg.write_text(cfg.read_text().replace("seed = 42", f"seed = {config_seed}"))
+    solves = []
+    for module in (conslaw.cli, conslaw.uq):
+        monkeypatch.setattr(module, "run_simulation", lambda *a, **k: solves.append(a))
+    out = tmp_path / "out"
+    assert main([command, str(cfg), "--output", str(out)] + flags) == 2
+    assert "seed must lie in [0, 2**64)" in capsys.readouterr().err
+    assert solves == []
 
 
 def test_uq_outputs_identical_across_reruns_and_workers(tmp_path, capsys):
@@ -257,7 +298,7 @@ def test_uq_multilevel_writes_the_mlmc_variance_bitwise(tmp_path, capsys):
             primitive=cfg.initial_primitive,
         )
 
-    want = run_mlmc(plan, lambda g: cfg.scheme, evaluate_init)
+    want = run_mlmc(plan, cfg.scheme, evaluate_init)
     mean, _ = read_snapshot(out / "mean.snap")
     variance, _ = read_snapshot(out / "variance.snap")
     np.testing.assert_array_equal(mean.interior, want.mean)
@@ -352,12 +393,12 @@ def test_bench_emits_csvs(tmp_path, capsys):
 def test_bench_overhead_is_zero_when_step_time_grows_with_the_ranks(
     tmp_path, monkeypatch, capsys
 ):
-    def run_parallel(init, cfg, ranks, n_steps):
+    def run_simulation(init, cfg, ranks, steps):
         # K ranks on one thread at perfect efficiency: K times the 1-rank time
         seconds = 2.0 ** -10 * int(np.prod(ranks))
-        return init, [TimeStepRecord(s + 1, 0.0, 0.0, seconds) for s in range(n_steps)]
+        return init, [TimeStepRecord(s + 1, 0.0, 0.0, seconds) for s in range(steps)]
 
-    monkeypatch.setattr(conslaw.cli, "run_parallel", run_parallel)
+    monkeypatch.setattr(conslaw.cli, "run_simulation", run_simulation)
     cfg = small_kh(tmp_path, cells=8)
     out = tmp_path / "bench"
     assert main([

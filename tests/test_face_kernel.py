@@ -38,7 +38,6 @@ from conslaw.parallel import (
     RankTopology,
     decompose,
     exchange_halos,
-    run_parallel,
     scatter_field,
 )
 from conslaw import solver
@@ -231,8 +230,8 @@ def test_fallback_in_one_rank_only_matches_serial():
         spatial_residual(stack, cfg).reshape(field.ncomp, -1),
         spatial_residual(field, cfg),
     )
-    serial, serial_records = run_simulation(field.copy(), cfg, max_steps=3)
-    par, records = run_parallel(field.copy(), cfg, (2,), n_steps=3)
+    serial, serial_records = run_simulation(field.copy(), cfg, steps=3)
+    par, records = run_simulation(field.copy(), cfg, (2,), steps=3)
     assert np.array_equal(par.interior, serial.interior)
     assert [r.dt for r in records] == [r.dt for r in serial_records]
 
@@ -333,7 +332,7 @@ def test_interior_check_names_the_cell_on_2x1_ranks(monkeypatch):
     with pytest.raises(
         SimulationError, match=r"^rank 1 failed: unphysical state in interior cell \(1, 2\)"
     ):
-        run_parallel(field, cfg, (2, 1), n_steps=1)
+        run_simulation(field, cfg, (2, 1), steps=1)
 
 
 def test_cfl_check_names_the_cell_serial_and_on_2x1_ranks():
@@ -344,7 +343,7 @@ def test_cfl_check_names_the_cell_serial_and_on_2x1_ranks():
     g = field.grid.ghost_width
     field.data[(3, g + 2, g + 1)] = -1.0
     with pytest.raises(SimulationError, match=r"rank 0 failed: .*at cell \(2, 1\)"):
-        run_parallel(field, cfg, (2, 1), n_steps=1)
+        run_simulation(field, cfg, (2, 1), steps=1)
 
 
 def test_non_finite_values_name_the_first_rank_and_its_first_cell():
@@ -360,7 +359,7 @@ def test_non_finite_values_name_the_first_rank_and_its_first_cell():
         SimulationError,
         match=r"^rank 0 failed: non-finite value in the initial field at cell \(9, 5\)$",
     ):
-        run_parallel(field, cfg, (2, 1))
+        run_simulation(field, cfg, (2, 1))
 
 
 def _corrupt_after_step_2(monkeypatch, rank, index):
@@ -396,5 +395,5 @@ def test_unphysical_state_after_a_step_names_the_step_on_2x1_ranks(monkeypatch):
         SimulationError,
         match=r"^rank 1 failed: unphysical state after step 2 .*at cell \(1, 2\)",
     ):
-        run_parallel(field, cfg, (2, 1))
+        run_simulation(field, cfg, (2, 1))
     assert len(steps) == 2

@@ -12,7 +12,6 @@ from conslaw.parallel import (
     RankTopology,
     decompose,
     exchange_halos,
-    run_parallel,
     scatter_field,
     stitch_fields,
 )
@@ -164,7 +163,7 @@ def test_lone_rank_on_a_periodic_axis_thinner_than_the_ghosts_is_rejected():
     u = primitive_to_conserved(model, prim)
     cfg = euler_scheme(model, t_end=0.01)
     with pytest.raises(ConfigError, match="ghost_width"):
-        run_parallel(field_from_interior(grid, u), cfg, (2, 1))
+        run_simulation(field_from_interior(grid, u), cfg, (2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +177,7 @@ def test_decomposed_run_bitwise_matches_serial(ranks, bc):
     field, model = kh_like_field(16)
     cfg = euler_scheme(model, t_end=0.05, bc=bc)
     serial, serial_records = run_simulation(field.copy(), cfg)
-    par, records = run_parallel(field.copy(), cfg, ranks)
+    par, records = run_simulation(field.copy(), cfg, ranks)
     np.testing.assert_array_equal(par.interior, serial.interior)
     # the same timesteps as the serial run
     assert [r.dt for r in records] == [r.dt for r in serial_records]
@@ -193,7 +192,7 @@ def test_unphysical_cell_in_one_rank_fails_at_once_naming_it():
     field.data[(3, g + 13, g + 10)] = -1.0  # negative energy
     tic = time.perf_counter()
     with pytest.raises(SimulationError, match=r"^rank 3 failed: .*at cell \(5, 2\)"):
-        run_parallel(field, cfg, (2, 2))
+        run_simulation(field, cfg, (2, 2))
     assert time.perf_counter() - tic < 1.0
 
 
@@ -202,12 +201,12 @@ def test_three_dimensional_run_with_degenerate_inner_box():
     field, model = kh_like_field(8, dim=3)
     cfg = euler_scheme(model, t_end=0.02)
     serial, _ = run_simulation(field.copy(), cfg)
-    par, _ = run_parallel(field.copy(), cfg, (2, 2, 2))
+    par, _ = run_simulation(field.copy(), cfg, (2, 2, 2))
     np.testing.assert_array_equal(par.interior, serial.interior)
 
 
 def test_step_capped_run(n=4):
     field, model = kh_like_field(16)
     cfg = euler_scheme(model, t_end=10.0)
-    _, records = run_parallel(field.copy(), cfg, (2, 1), n_steps=n)
+    _, records = run_simulation(field.copy(), cfg, (2, 1), steps=n)
     assert len(records) == n

@@ -184,7 +184,7 @@ def test_observer_sees_initial_state_and_every_step():
     run_simulation(
         f, burgers_cfg(t_end=0.05, recon=ReconstructionKind.WENO2, rk_order=2),
         observers=[lambda step, t, fld: seen.append((step, t))],
-        max_steps=5,
+        steps=5,
     )
     assert seen[0][0] == 0 and seen[0][1] == 0.0
     assert [s for s, _ in seen] == list(range(len(seen)))

@@ -76,6 +76,17 @@ def test_draw_sample_reproducible_and_distinct():
     assert ((a >= 0) & (a < 1)).all()
 
 
+def test_seed_must_fit_the_uint64_generator_key():
+    # the largest key draws; one past either end is refused by both plans
+    draw_sample(SamplePlan(seed=2 ** 64 - 1), 0)
+    grid = GridSpec(1, (4,), (0.0,), (1.0,))
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ConfigError, match="seed"):
+            SamplePlan(seed=seed)
+        with pytest.raises(ConfigError, match="seed"):
+            MlmcPlan(grids=(grid,), samples_per_level=(1,), seed=seed)
+
+
 def test_qmc_samples_are_halton():
     plan = SamplePlan(method="qmc", samples=8, seed=3, stochastic_dim=2)
     np.testing.assert_allclose(draw_sample(plan, 0), halton_point(1, 2))
@@ -224,7 +235,7 @@ def test_sample_failure_names_the_level_and_the_sample():
     )
     failing = _failing_on(draw_sample(mlmc, 1, 1), evaluate_init)
     with pytest.raises(SimulationError, match=r"^level 1, sample 1 failed: bad initial data"):
-        run_mlmc(mlmc, lambda g: cfg, failing)
+        run_mlmc(mlmc, cfg, failing)
     mc = SamplePlan(method="mc", samples=5, seed=18, stochastic_dim=1)
     failing = _failing_on(draw_sample(mc, 3), evaluate_init)
     with pytest.raises(SimulationError, match=r"^sample 3 failed: bad initial data"):
@@ -277,7 +288,7 @@ def test_mlmc_runs_coarse_and_fine_grids_on_the_same_vectors(monkeypatch):
         seed=17, stochastic_dim=1,
     )
     logged_init, inits, solves = _record_solves(monkeypatch, evaluate_init)
-    run_mlmc(plan, lambda g: cfg, logged_init)
+    run_mlmc(plan, cfg, logged_init)
     # level 0 on the coarse grid, then level 1 on the fine and the coarse
     # grid, each in sample-index order
     want = (
@@ -312,7 +323,7 @@ def test_mlmc_single_level_is_plain_mc_bitwise():
             grids=(grid,), samples_per_level=(10,), method="mc",
             seed=13, stochastic_dim=1,
         ),
-        lambda g: cfg,
+        cfg,
         evaluate_init,
     )
     np.testing.assert_array_equal(mlmc.mean, mc.mean)
@@ -326,14 +337,14 @@ def test_mlmc_identical_grids_have_vanishing_corrections():
             grids=(grid,), samples_per_level=(6,), method="mc",
             seed=14, stochastic_dim=1,
         ),
-        lambda g: cfg, evaluate_init,
+        cfg, evaluate_init,
     )
     stacked = run_mlmc(
         MlmcPlan(
             grids=(grid, grid), samples_per_level=(6, 5), method="mc",
             seed=14, stochastic_dim=1,
         ),
-        lambda g: cfg, evaluate_init,
+        cfg, evaluate_init,
     )
     # fine and coarse samples coincide on identical grids, so every
     # correction term cancels and the answer is the level-0 estimate
@@ -351,7 +362,7 @@ def test_mlmc_two_levels_produces_finite_fields():
             grids=(coarse, grid), samples_per_level=(8, 4), method="mc",
             seed=15, stochastic_dim=1,
         ),
-        lambda g: cfg, evaluate_init,
+        cfg, evaluate_init,
     )
     assert res.mean.shape == (3, 8)
     assert np.isfinite(res.mean).all()
