@@ -49,8 +49,9 @@ class GridSpec:
     origin: tuple
     extent: tuple
     ghost_width: int = 2
-    # Explicit cell sizes; set by `decompose` so sub-grids inherit the global
-    # deltas bitwise instead of recomputing extent/cells with fresh rounding.
+    # Explicit cell sizes; set by `parallel.local_grid` so sub-grids inherit
+    # the global deltas bitwise instead of recomputing extent/cells with
+    # fresh rounding.
     deltas: tuple | None = None
 
     def __post_init__(self):

@@ -15,6 +15,7 @@ from ..equations import ADVECTION, BURGERS, EULER, EquationModel
 from ..errors import ConfigError, ConslawError, ExprError
 from ..grid import BoundaryKind, GridSpec
 from ..numerics import FluxKind, Reconstruction, ReconstructionKind
+from ..parallel import local_grid
 from ..solver import SchemeConfig, check_scheme
 from .expr import eval_init, max_random_index, parse_expr
 
@@ -186,6 +187,12 @@ class _Section:
             key, lambda v: tuple(x for x in v.replace(",", " ").split()),
             default, "a list of words",
         )
+
+
+def _with_line(exc: ConfigError, section: _Section, key) -> ConfigError:
+    """``exc`` naming the line that sets ``key`` in ``section``, if any."""
+    line = section.raw(key, "")[1] if key else None
+    return exc if line is None else ConfigError(str(exc), line=line, key=key)
 
 
 def _check_known(sections) -> None:
@@ -382,15 +389,18 @@ def parse_config(text: str) -> RunConfig:
                           line=line) from None
 
     grid = GridSpec(dim, cells, origin, extent, ghost_width=max(recon.radius, 1))
-    scheme = SchemeConfig(
-        model=model,
-        flux=flux,
-        recon=recon,
-        rk_order=scheme_s.int("rk_order", 2),
-        cfl=scheme_s.float("cfl", 0.475),
-        t_end=scheme_s.float("t_end", 1.0),
-        bc=bc,
-    )
+    try:
+        scheme = SchemeConfig(
+            model=model,
+            flux=flux,
+            recon=recon,
+            rk_order=scheme_s.int("rk_order", 2),
+            cfl=scheme_s.float("cfl", 0.475),
+            t_end=scheme_s.float("t_end", 1.0),
+            bc=bc,
+        )
+    except ConfigError as exc:
+        raise _with_line(exc, scheme_s, exc.key) from None
     check_scheme(grid, scheme)
 
     initial_s = _section(sections, "initial")
@@ -400,14 +410,10 @@ def parse_config(text: str) -> RunConfig:
 
     parallel_s = _section(sections, "parallel")
     ranks = parallel_s.ints("ranks", (1,) * dim)
-    if len(ranks) != dim:
-        _value, line = parallel_s.raw("ranks")
-        raise ConfigError(f"ranks needs {dim} entries", line=line)
-    for axis, (n, r) in enumerate(zip(cells, ranks)):
-        if r < 1 or n % r != 0:
-            raise ConfigError(
-                f"{n} cells on axis {axis} not divisible into {r} ranks"
-            )
+    try:
+        local_grid(grid, ranks)
+    except ConfigError as exc:
+        raise _with_line(exc, parallel_s, "ranks") from None
 
     uq_s = _section(sections, "uq")
     uq = _build_uq(uq_s, grid, model, "uq" in sections)

@@ -48,7 +48,6 @@ class OutputHeader:
     tool_version: str = _version
     revision: str = dc_field(default_factory=source_revision)
     sample: int | None = None
-    level: int | None = None
     created: str = dc_field(
         default_factory=lambda: _dt.datetime.now(_dt.timezone.utc).isoformat()
     )
@@ -62,8 +61,6 @@ class OutputHeader:
         ]
         if self.sample is not None:
             out.append(f"sample: {self.sample}")
-        if self.level is not None:
-            out.append(f"level: {self.level}")
         out.append(f"created: {self.created}")
         return out
 
@@ -139,7 +136,7 @@ def read_snapshot(path) -> tuple[Field, dict]:
     return field, header
 
 
-def write_stats(results, header: OutputHeader, directory, suffix: str = "") -> list[Path]:
+def write_stats(results, header: OutputHeader, directory) -> list[Path]:
     """Write finalized accumulators, one file per functional.
 
     Mean/variance (of ``FieldMoments`` or an ``MlmcMoments`` result) become
@@ -158,7 +155,7 @@ def write_stats(results, header: OutputHeader, directory, suffix: str = "") -> l
 
     def write_moments(grid, mean, variance):
         for name, values in (("mean", mean), ("variance", variance)):
-            path = directory / f"{name}{suffix}.snap"
+            path = directory / f"{name}.snap"
             write_snapshot(field_from_interior(grid, values), header, path)
             written.append(path)
 
@@ -168,7 +165,7 @@ def write_stats(results, header: OutputHeader, directory, suffix: str = "") -> l
         elif isinstance(res, MlmcMoments):
             write_moments(res.grid, res.mean, res.variance)
         elif isinstance(res, Histogram):
-            path = directory / f"histogram{suffix}.csv"
+            path = directory / "histogram.csv"
             with open(path, "w") as fh:
                 fh.write(comment_lines())
                 fh.write("probe,bin_lo,bin_hi,count\n")
@@ -182,7 +179,7 @@ def write_stats(results, header: OutputHeader, directory, suffix: str = "") -> l
                     fh.write(f"{p},{edges[-1]!r},inf,{res.counts[p, -1]}\n")
             written.append(path)
         elif isinstance(res, StructureFunctionAccumulator):
-            path = directory / f"structure_function{suffix}.csv"
+            path = directory / "structure_function.csv"
             with open(path, "w") as fh:
                 fh.write(comment_lines())
                 fh.write("offset,value\n")

@@ -380,6 +380,11 @@ def _element_strides(arr: np.ndarray, axes) -> "ctypes.Array":
     return (ctypes.c_long * 5)(*(0 if a is None else arr.strides[a] // size for a in axes))
 
 
+#: ``euler_face_sweep``'s status when the kernel could not allocate its line
+#: buffers (``STATUS_NOMEM`` in ``_faces.c``); the numpy sweep would pass
+SWEEP_NOMEM = 3
+
+
 def euler_face_sweep(
     model: EquationModel, flux: FluxKind, recon: Reconstruction,
     data: np.ndarray, out: np.ndarray, axis: int, g: int, cells: tuple, delta: float,
@@ -389,8 +394,9 @@ def euler_face_sweep(
 
     ``data`` is the padded state, ``out`` the interior residual, both in
     grid layout, with or without a rank axis after the components.  Returns
-    None without a compiled kernel, else its status: 0 when done, nonzero
-    where the numpy path raises (``out`` is then partly updated).
+    None without a compiled kernel, else its status: 0 when done,
+    ``SWEEP_NOMEM`` when out of memory, otherwise nonzero where the numpy
+    path raises (``out`` is then partly updated).
     """
     kernel = face_kernel()
     if kernel is None or data.dtype != np.float64:

@@ -1,30 +1,28 @@
 """Cartesian domain decomposition and halo exchange.
 
-A decomposed run splits the grid into equal subdomains ("ranks") and keeps
-them as one stack: a field whose data has the shape ``(ncomp, R, *padded)``,
-with the rank axis right after the components.  This layer sits below the
-time loop: ``solver.run_simulation``, the one entry point of every solve,
+A rank layout is a tuple of counts, one per axis (x first), checked by
+``local_grid``.  A run on it keeps its equal subdomains ("ranks") as one
+stack: a field whose data has the shape ``(ncomp, R, *padded)``, ranks
+numbered x fastest, so the rank axis reshapes to the rank grid and the stack
+is a view ``(ncomp, Rz, Ry, Rx, *padded)``.  Only this module knows that
+order.  ``solver.run_simulation``, the one entry point of every solve,
 scatters the initial field into a stack (a serial run is a stack of one),
-calls ``exchange_halos`` each stage and stitches the result back.  The loop
-advances all ranks in lockstep on the calling thread, with one
-``spatial_residual`` call per stage for the whole stack.  There are no rank
-threads and no overlap of communication with computation: on one
-interpreter they cost more than they save.
+calls ``exchange_halos`` each stage and stitches the result back; all ranks
+advance in lockstep on the calling thread, since on one interpreter rank
+threads cost more than they save.
 
-Scattering a global field into the stack and stitching it back are a
-reshape and a transpose of the interior, ``(c, Ry*ly, Rx*lx) <-> (c, R, ly,
-lx)`` in 2D.  A halo pass is slab assignments inside the stack: each ghost
-slab that faces another rank is copied from that rank's interior slab, one
-fancy-indexed copy per axis and side; physical ends, and axes with a single
-rank, use the serial ``grid.fill_axis``.  Passes run axis by axis (x then y
-then z) so corner ghosts arrive transitively, as in ``grid.fill_boundary``.
+Scatter and stitch are a reshape and a transpose of the interior, ``(c,
+Ry*ly, Rx*lx) <-> (c, Ry, Rx, ly, lx)`` in 2D.  A halo pass is basic slicing
+of the rank-grid view: along an axis split over r ranks, the low ghosts of
+ranks [1, r) take the last interior cells of ranks [0, r-1) and the high
+ghosts of ranks [0, r-1) the first interior cells of ranks [1, r); a
+periodic axis adds the same two assignments between the last rank and the
+first.  Physical ends, and axes with a single rank, use ``grid.fill_axis``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,95 +30,50 @@ from .errors import ConfigError
 from .grid import BoundaryKind, Field, GridSpec, fill_axis, make_field, slab
 
 
-@dataclass(frozen=True)
-class RankTopology:
-    """Cartesian layout of ranks; rank 0 is at the origin, x fastest."""
+def local_grid(grid: GridSpec, ranks) -> GridSpec:
+    """The grid of each subdomain of ``grid`` on the rank layout ``ranks``,
+    placed at rank 0; it inherits the global cell sizes bitwise.
 
-    ranks_per_axis: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "ranks_per_axis", tuple(int(r) for r in self.ranks_per_axis)
-        )
-        if any(r < 1 for r in self.ranks_per_axis):
-            raise ConfigError(f"ranks per axis must be >= 1, got {self.ranks_per_axis}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.ranks_per_axis)
-
-    @property
-    def size(self) -> int:
-        return math.prod(self.ranks_per_axis)
-
-    def coords(self, rank: int) -> tuple:
-        out = []
-        for r in self.ranks_per_axis:
-            out.append(rank % r)
-            rank //= r
-        return tuple(out)
-
-    def rank_of(self, coords) -> int:
-        rank = 0
-        for c, r in zip(reversed(coords), reversed(self.ranks_per_axis)):
-            rank = rank * r + c
-        return rank
-
-    def neighbor(self, rank: int, axis: int, side: int, periodic: bool):
-        """Rank across the given face (side 0 = low, 1 = high), or None."""
-        c = list(self.coords(rank))
-        c[axis] += 1 if side else -1
-        r = self.ranks_per_axis[axis]
-        if 0 <= c[axis] < r:
-            return self.rank_of(c)
-        if not periodic:
-            return None
-        c[axis] %= r
-        return self.rank_of(c)
-
-
-@dataclass(frozen=True)
-class Subdomain:
-    rank: int
-    grid: GridSpec
-    offset: tuple
-
-
-def decompose(grid: GridSpec, topo: RankTopology) -> list[Subdomain]:
-    """Tile the global grid exactly; local grids inherit the global deltas."""
-    if topo.dim != grid.dim:
-        raise ConfigError(
-            f"topology dim {topo.dim} does not match grid dim {grid.dim}"
-        )
-    for axis, (n, r) in enumerate(zip(grid.cells, topo.ranks_per_axis)):
+    The one check of a layout: one count per axis, each >= 1, dividing the
+    axis' cells, and on a split axis at least ``ghost_width`` cells per rank
+    (a halo slab is that many interior cells thick).
+    """
+    if len(ranks) != grid.dim:
+        raise ConfigError(f"rank layout {tuple(ranks)} does not match grid dim {grid.dim}")
+    if any(r < 1 for r in ranks):
+        raise ConfigError(f"ranks per axis must be >= 1, got {tuple(ranks)}")
+    for axis, (n, r) in enumerate(zip(grid.cells, ranks)):
         if n % r != 0:
-            raise ConfigError(
-                f"{n} cells on axis {axis} not divisible by {r} ranks"
-            )
-        # a halo slab is ghost_width interior cells thick
+            raise ConfigError(f"{n} cells on axis {axis} not divisible by {r} ranks")
         if r > 1 and n // r < grid.ghost_width:
             raise ConfigError(
                 f"{n // r} cells per rank on axis {axis} is fewer than the "
                 f"ghost width {grid.ghost_width}"
             )
-    local_cells = tuple(n // r for n, r in zip(grid.cells, topo.ranks_per_axis))
-    out = []
-    for rank in range(topo.size):
-        coords = topo.coords(rank)
-        offset = tuple(c * m for c, m in zip(coords, local_cells))
-        origin = tuple(
-            grid.origin[k] + offset[k] * grid.deltas[k] for k in range(grid.dim)
-        )
-        extent = tuple(m * d for m, d in zip(local_cells, grid.deltas))
-        local = GridSpec(
-            grid.dim, local_cells, origin, extent,
-            ghost_width=grid.ghost_width, deltas=grid.deltas,
-        )
-        out.append(Subdomain(rank, local, offset))
-    return out
+    cells = tuple(n // r for n, r in zip(grid.cells, ranks))
+    return GridSpec(
+        grid.dim, cells, grid.origin, tuple(m * d for m, d in zip(cells, grid.deltas)),
+        ghost_width=grid.ghost_width, deltas=grid.deltas,
+    )
 
 
-def exchange_halos(stack: Field, topo: RankTopology, bc) -> None:
+def _rank_grid(a: np.ndarray, ranks) -> np.ndarray:
+    """View of a stack array ``(c, R, ...)`` with the rank axis split into
+    the rank grid ``(Rz, Ry, Rx)``, x fastest.  Splitting one axis never
+    copies, so writes to the view land in ``a``."""
+    return a.reshape(a.shape[:1] + tuple(reversed(ranks)) + a.shape[2:])
+
+
+def _subdomains(interior: np.ndarray, ranks) -> np.ndarray:
+    """View of a global interior ``(c, Rz*lz, Ry*ly, Rx*lx)`` as the blocks
+    of its subdomains, ``(c, Rz, Ry, Rx, lz, ly, lx)``."""
+    d = len(ranks)
+    split = [v for r, n in zip(reversed(ranks), interior.shape[1:]) for v in (r, n // r)]
+    order = (0,) + tuple(range(1, 2 * d, 2)) + tuple(range(2, 2 * d + 1, 2))
+    return interior.reshape(interior.shape[:1] + tuple(split)).transpose(order)
+
+
+def exchange_halos(stack: Field, ranks, bc) -> None:
     """One ordered halo pass: fill every ghost slab of every rank of the
     stack from neighbor interiors (or physical boundaries), in place.
 
@@ -131,70 +84,36 @@ def exchange_halos(stack: Field, topo: RankTopology, bc) -> None:
     """
     data, grid = stack.data, stack.grid
     g = grid.ghost_width
-    for axis in range(topo.dim):
-        kind = bc[axis]
-        if kind is BoundaryKind.OUTFLOW or topo.ranks_per_axis[axis] == 1:
+    view = _rank_grid(data, ranks)
+    for axis, (kind, r) in enumerate(zip(bc, ranks)):
+        if kind is BoundaryKind.OUTFLOW or r == 1:
             # every rank: the faces between ranks are overwritten below
             fill_axis(data, grid, axis, kind)
-        if topo.ranks_per_axis[axis] == 1:
+        if r == 1:
             continue
-        n, ax = grid.cells[axis], -1 - axis
-        periodic = kind is BoundaryKind.PERIODIC
-        # low ghosts read the low neighbor's last interior cells, high ghosts
-        # the high neighbor's first ones
-        for side, ghosts, source in (
-            (0, (0, g), (n, n + g)),
-            (1, (n + g, n + 2 * g), (g, 2 * g)),
-        ):
-            ranks, sources = _facing(topo, axis, side, periodic)
-            slab(data, ax, *ghosts)[:, ranks] = slab(data, ax, *source)[:, sources]
+        n, ax, rank_ax = grid.cells[axis], -1 - axis, grid.dim - axis
+        low, high = slab(view, ax, 0, g), slab(view, ax, n + g, n + 2 * g)
+        first, last = slab(view, ax, g, 2 * g), slab(view, ax, n, n + g)
+        # (low, high) rank slices that face each other across this axis
+        pairs = [((0, r - 1), (1, r))]
+        if kind is BoundaryKind.PERIODIC:
+            pairs.append(((r - 1, r), (0, 1)))
+        for lo, hi in pairs:
+            slab(low, rank_ax, *hi)[...] = slab(last, rank_ax, *lo)
+            slab(high, rank_ax, *lo)[...] = slab(first, rank_ax, *hi)
 
 
-@functools.lru_cache(maxsize=256)
-def _facing(topo: RankTopology, axis: int, side: int, periodic: bool) -> tuple:
-    """(ranks, neighbors): each rank that has a neighbor across the given
-    face, and that neighbor.  Cached: a halo pass runs every stage."""
-    def neighbor(rank):
-        return topo.neighbor(rank, axis, side, periodic)
-
-    ranks = tuple(rank for rank in range(topo.size) if neighbor(rank) is not None)
-    return ranks, tuple(neighbor(rank) for rank in ranks)
-
-
-def _blocks(topo: RankTopology, local: GridSpec) -> tuple:
-    """Shape that splits each spatial axis of a global interior into (ranks,
-    local cells), and the axis order that gathers the rank axes after the
-    component axis, slowest (z) first, so that they flatten to rank order."""
-    pairs = tuple(zip(reversed(topo.ranks_per_axis), local.interior_shape))
-    shape = tuple(v for pair in pairs for v in pair)
-    d = topo.dim
-    order = (0,) + tuple(range(1, 2 * d, 2)) + tuple(range(2, 2 * d + 1, 2))
-    return shape, order
-
-
-def scatter_field(field: Field, topo: RankTopology) -> Field:
-    """The stack of ``field``'s subdomains, ranks in ``RankTopology`` order,
-    with ghosts zero; its grid is rank 0's."""
-    local = decompose(field.grid, topo)[0].grid
-    shape, order = _blocks(topo, local)
-    c = field.ncomp
-    stack = Field(local, c, np.zeros((c, topo.size) + local.data_shape))
-    stack.interior[...] = (
-        field.interior.reshape((c,) + shape).transpose(order)
-        .reshape((c, topo.size) + local.interior_shape)
-    )
+def scatter_field(field: Field, ranks) -> Field:
+    """The stack of ``field``'s subdomains on the layout ``ranks`` (checked
+    by ``local_grid``), with ghosts zero; its grid is rank 0's."""
+    local, c = local_grid(field.grid, ranks), field.ncomp
+    stack = Field(local, c, np.zeros((c, math.prod(ranks)) + local.data_shape))
+    _rank_grid(stack.interior, ranks)[...] = _subdomains(field.interior, ranks)
     return stack
 
 
-def stitch_fields(stack: Field, topo: RankTopology, grid: GridSpec) -> Field:
+def stitch_fields(stack: Field, ranks, grid: GridSpec) -> Field:
     """The global field on ``grid`` whose subdomains are the stack's ranks."""
-    _, order = _blocks(topo, stack.grid)
-    c = stack.ncomp
-    out = make_field(grid, c, 0.0)
-    ranks = tuple(reversed(topo.ranks_per_axis))
-    out.interior[...] = (
-        stack.interior.reshape((c,) + ranks + stack.grid.interior_shape)
-        .transpose(np.argsort(order))
-        .reshape((c,) + grid.interior_shape)
-    )
+    out = make_field(grid, stack.ncomp, 0.0)
+    _subdomains(out.interior, ranks)[...] = _rank_grid(stack.interior, ranks)
     return out

@@ -9,6 +9,7 @@ with one rank per axis (see ``conslaw.parallel``).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -30,6 +31,7 @@ from .errors import (
 )
 from .grid import BoundaryKind, Field, GridSpec, slab
 from .numerics import (
+    SWEEP_NOMEM,
     FluxKind,
     Reconstruction,
     ReconstructionKind,
@@ -38,7 +40,7 @@ from .numerics import (
     numerical_flux,
     reconstruct_axis,
 )
-from .parallel import RankTopology, exchange_halos, scatter_field, stitch_fields
+from .parallel import exchange_halos, scatter_field, stitch_fields
 
 
 @dataclass(frozen=True)
@@ -53,11 +55,16 @@ class SchemeConfig:
 
     def __post_init__(self):
         if self.rk_order not in (1, 2, 3):
-            raise ConfigError(f"rk_order must be 1, 2 or 3, got {self.rk_order}")
+            raise ConfigError(
+                f"rk_order must be 1, 2 or 3, got {self.rk_order}", key="rk_order"
+            )
         if not 0.0 < self.cfl <= 1.0:
-            raise ConfigError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if self.t_end < 0.0:
-            raise ConfigError(f"t_end must be >= 0, got {self.t_end}")
+            raise ConfigError(f"cfl must lie in (0, 1], got {self.cfl}", key="cfl")
+        # nan would never reach the end time, inf would end before the start
+        if not 0.0 <= self.t_end < math.inf:
+            raise ConfigError(
+                f"t_end must be finite and >= 0, got {self.t_end}", key="t_end"
+            )
         if self.flux is FluxKind.HLLC and self.model.kind != EULER:
             raise ConfigError("HLLC flux requires the Euler equations")
         if not self.bc:
@@ -121,6 +128,11 @@ def spatial_residual(field: Field, cfg: SchemeConfig) -> np.ndarray:
         ) if euler else None
         if status == 0:
             continue
+        if status == SWEEP_NOMEM:
+            raise MemoryError(
+                f"the compiled face sweep on axis {axis} could not allocate "
+                f"its line buffers"
+            )
         # the numpy sweep: without the compiled kernel, or to raise the error
         # of a sweep the kernel stopped
         # crop transverse axes to the interior before reconstructing
@@ -271,13 +283,15 @@ def run_simulation(
 ):
     """Run a solve: the one entry point of serial and decomposed runs.
 
-    ``init`` is split into the subdomains of the rank layout ``ranks`` (one
-    count per axis; ``None`` is one rank per axis, a serial run) and kept as
-    one stack whose data has the shape ``(ncomp, R, *padded)``, with the rank
-    axis right after the components.  Every subdomain advances in lockstep on
-    the calling thread: each stage is one ``parallel.exchange_halos`` pass
-    over the stack and one ``spatial_residual`` call for all of it.  With one
-    rank per axis the halo pass makes the same ``grid.fill_axis`` calls as
+    ``init`` is split into the subdomains of the rank layout ``ranks``, a
+    tuple of counts, one per axis (``None`` is one rank per axis, a serial
+    run; ``parallel.local_grid`` checks it and raises ConfigError), and kept
+    as one stack whose data has the shape ``(ncomp, R, *padded)``, with the
+    rank axis right after the components; the rank order is
+    ``conslaw.parallel``'s.  Every subdomain advances in lockstep on the
+    calling thread: each stage is one ``parallel.exchange_halos`` pass over
+    the stack and one ``spatial_residual`` call for all of it.  With one rank
+    per axis the halo pass makes the same ``grid.fill_axis`` calls as
     ``grid.fill_boundary``, and the result is bitwise the same for every rank
     layout.
 
@@ -293,9 +307,9 @@ def run_simulation(
     raised as a SimulationError ``rank N failed: ...``.
     """
     check_scheme(init.grid, cfg)
-    topo = RankTopology(tuple(ranks) if ranks is not None else (1,) * init.grid.dim)
-    state = scatter_field(init, topo)
-    grid = state.grid
+    ranks = tuple(ranks) if ranks is not None else (1,) * init.grid.dim
+    state = scatter_field(init, ranks)
+    grid, size = state.grid, state.data.shape[1]
 
     def checked(fn, *args):
         """``fn(state, *args)``; when it fails, ``fn`` on each rank's field
@@ -303,23 +317,23 @@ def run_simulation(
         try:
             return fn(state, *args)
         except (SimulationError, UnphysicalStateError):
-            for rank in range(topo.size):
+            for rank in range(size):
                 try:
                     fn(Field(grid, state.ncomp, state.data[:, rank]), *args)
                 except (SimulationError, UnphysicalStateError) as rank_exc:
-                    if topo.size == 1:
+                    if size == 1:
                         raise
                     raise SimulationError(f"rank {rank} failed: {rank_exc}") from rank_exc
             raise
 
     def residual(u: np.ndarray) -> np.ndarray:
         # ``u`` is the stack's interior, so the stage is already in place
-        exchange_halos(state, topo, cfg.bc)
+        exchange_halos(state, ranks, cfg.bc)
         return checked(spatial_residual, cfg)
 
     def notify(step, t):
         if observers:
-            field = stitch_fields(state, topo, init.grid)
+            field = stitch_fields(state, ranks, init.grid)
             for obs in observers:
                 obs(step, t, field)
 
@@ -344,4 +358,4 @@ def run_simulation(
         maxima = checked(_checked_maxima, cfg, f"after step {step} (t = {t:.6g})")
         records.append(TimeStepRecord(step, t, dt, time.perf_counter() - tic))
         notify(step, t)
-    return stitch_fields(state, topo, init.grid), records
+    return stitch_fields(state, ranks, init.grid), records

@@ -2,15 +2,17 @@
 
 Everything here is written from first principles against the governing
 equations, deliberately sharing no code with the package: an exact Riemann
-solver for the 1D Euler equations, naive two-pass statistics, a digit-reversal
-sequence, WENO face values and weights, the sound speed and primitive
-variables, and a face-by-face Euler residual.  The WENO formulas are the ones
-the face-by-face residual uses, which the solver must match bit for bit, so
-the tests of their properties also hold for the solver.
+solver for the 1D Euler equations, naive two-pass statistics, the rank
+offsets of a decomposition, a digit-reversal sequence, WENO face values and
+weights, the sound speed and primitive variables, and a face-by-face Euler
+residual.  The WENO formulas are the ones the face-by-face residual uses,
+which the solver must match bit for bit, so the tests of their properties
+also hold for the solver.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
 
@@ -160,6 +162,18 @@ def streamed_moments(samples):
             m2 = m2 + one_m2 + delta ** 2 * count * frac
         count += 1
     return count, mean, m2
+
+
+def rank_offsets(cells, ranks):
+    """Global index (x first) of the first interior cell of each rank of the
+    layout ``ranks`` on a grid of ``cells``, in rank order: ranks numbered x
+    fastest, then y, then z."""
+    local = [n // r for n, r in zip(cells, ranks)]
+    # product() varies its last factor fastest: list the axes z first
+    coords = itertools.product(*(range(r) for r in reversed(ranks)))
+    return [
+        tuple(c * m for c, m in zip(reversed(zyx), local)) for zyx in coords
+    ]
 
 
 def digit_reversal(index: int, base: int) -> float:

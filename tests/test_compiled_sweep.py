@@ -105,6 +105,16 @@ def test_compiled_and_numpy_sweeps_disagreeing_is_an_error(monkeypatch):
         spatial_residual(field, cfg)
 
 
+def test_a_sweep_out_of_memory_is_a_memory_error(monkeypatch):
+    # a kernel that cannot allocate its line buffers (STATUS_NOMEM in _faces.c)
+    field, cfg = make_case(
+        random_prim(np.random.default_rng(2), (4, 6)), FluxKind.HLLC, ReconstructionKind.WENO3
+    )
+    monkeypatch.setattr(numerics, "face_kernel", lambda: (lambda *args: 3))
+    with pytest.raises(MemoryError, match="on axis 0 could not allocate"):
+        spatial_residual(field, cfg)
+
+
 @needs_kernel
 def test_the_sweep_rejects_arrays_that_do_not_fit_the_grid():
     field, cfg = make_case(

@@ -34,15 +34,10 @@ from conslaw.numerics import (
     reconstruct_axis,
     rusanov_flux,
 )
-from conslaw.parallel import (
-    RankTopology,
-    decompose,
-    exchange_halos,
-    scatter_field,
-)
+from conslaw.parallel import exchange_halos, local_grid, scatter_field
 from conslaw import solver
 from conslaw.solver import SchemeConfig, run_simulation, spatial_residual, wave_speed_maxima
-from oracles import reference_euler_residual
+from oracles import rank_offsets, reference_euler_residual
 
 pytestmark = pytest.mark.usefixtures("face_path")
 
@@ -202,16 +197,15 @@ def test_cropped_region_matches_reference(flux, recon, cells, layouts, bc):
     field, cfg = make_case(prim, flux, recon, bc, ghost=ghost)
     want = reference(field, cfg)
     for ranks in layouts:
-        topo = RankTopology(ranks)
-        stack = scatter_field(field, topo)
-        exchange_halos(stack, topo, cfg.bc)
+        stack = scatter_field(field, ranks)
+        exchange_halos(stack, ranks, cfg.bc)
         got = spatial_residual(stack, cfg)
-        for part in decompose(field.grid, topo):
+        for rank, offset in enumerate(rank_offsets(field.grid.cells, ranks)):
             crop = tuple(
                 slice(o, o + n)
-                for o, n in zip(reversed(part.offset), reversed(part.grid.cells))
+                for o, n in zip(reversed(offset), reversed(stack.grid.cells))
             )
-            assert np.array_equal(got[:, part.rank], want[(slice(None),) + crop])
+            assert np.array_equal(got[:, rank], want[(slice(None),) + crop])
 
 
 def test_fallback_in_one_rank_only_matches_serial():
@@ -220,9 +214,8 @@ def test_fallback_in_one_rank_only_matches_serial():
     jet = near_vacuum_prim()[:, 2:]
     prim = np.concatenate([quiet, quiet, jet, np.repeat(quiet, 8, axis=1)], axis=1)
     field, cfg = make_case(prim, FluxKind.HLLC, ReconstructionKind.WENO3)
-    topo = RankTopology((2,))
-    stack = scatter_field(field, topo)
-    exchange_halos(stack, topo, cfg.bc)
+    stack = scatter_field(field, (2,))
+    exchange_halos(stack, (2,), cfg.bc)
     ranks = [Field(stack.grid, stack.ncomp, stack.data[:, r]) for r in range(2)]
     assert fallback_faces(ranks[0], cfg) > 0
     assert fallback_faces(ranks[1], cfg) == 0
@@ -316,8 +309,8 @@ def test_interior_check_names_the_cell_serial():
 def test_interior_check_names_the_cell_on_2x1_ranks(monkeypatch):
     field, cfg = make_case(_states((4, 8)), FluxKind.HLLC, ReconstructionKind.WENO3)
     g = field.grid.ghost_width
-    parts = decompose(field.grid, RankTopology((2, 1)))
-    assert [p.offset for p in parts] == [(0, 0), (4, 0)]
+    assert rank_offsets(field.grid.cells, (2, 1)) == [(0, 0), (4, 0)]
+    assert local_grid(field.grid, (2, 1)).cells == (4, 4)
     real_residual = solver.spatial_residual
 
     def corrupting_residual(stage, c):

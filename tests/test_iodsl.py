@@ -281,6 +281,24 @@ def test_uq_functional_settings_at_the_domain_edge_parse():
     assert cfg.uq.structure_component == 3
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_t_end_that_is_not_finite_names_its_line(value):
+    text = KH2D.replace("t_end = 2.0", f"t_end = {value}")
+    line = 1 + text.splitlines().index(f"t_end = {value}")
+    with pytest.raises(ConfigError, match="t_end must be finite") as err:
+        parse_config(text)
+    assert err.value.line == line
+
+
+def test_ranks_thinner_than_the_ghost_layer_name_their_line():
+    # 64 cells on 64 ranks: one cell per rank, under the WENO3 ghost width 2
+    text = KH2D.replace("ranks = 1 1", "ranks = 64 1")
+    line = 1 + text.splitlines().index("ranks = 64 1")
+    with pytest.raises(ConfigError, match="fewer than the ghost width 2") as err:
+        parse_config(text)
+    assert err.value.line == line
+
+
 def test_ranks_must_divide_cells():
     text = KH2D.replace("ranks = 1 1", "ranks = 3 1")
     with pytest.raises(ConfigError, match="divisible"):

@@ -8,14 +8,9 @@ from conslaw.equations import EquationModel, primitive_to_conserved
 from conslaw.errors import ConfigError, SimulationError
 from conslaw.grid import BoundaryKind, GridSpec, field_from_interior, fill_boundary
 from conslaw.numerics import FluxKind, Reconstruction, ReconstructionKind
-from conslaw.parallel import (
-    RankTopology,
-    decompose,
-    exchange_halos,
-    scatter_field,
-    stitch_fields,
-)
+from conslaw.parallel import exchange_halos, local_grid, scatter_field, stitch_fields
 from conslaw.solver import SchemeConfig, run_simulation
+from oracles import rank_offsets
 
 
 def kh_like_field(n=32, dim=2, seed=8):
@@ -48,62 +43,54 @@ def euler_scheme(model, t_end=0.1, bc=BoundaryKind.PERIODIC):
 
 
 # ---------------------------------------------------------------------------
-# Topology and decomposition
+# Layout and decomposition
 # ---------------------------------------------------------------------------
 
 
-def test_topology_coords_round_trip():
-    topo = RankTopology((3, 2))
-    assert topo.size == 6
-    for rank in range(6):
-        assert topo.rank_of(topo.coords(rank)) == rank
-    assert topo.coords(0) == (0, 0)
-    assert topo.coords(1) == (1, 0)  # x fastest
-    assert topo.coords(3) == (0, 1)
-
-
-def test_periodic_neighbors_wrap():
-    topo = RankTopology((4,))
-    assert topo.neighbor(0, 0, 0, periodic=True) == 3
-    assert topo.neighbor(3, 0, 1, periodic=True) == 0
-    assert topo.neighbor(0, 0, 0, periodic=False) is None
-
-
-def test_decompose_64_squared_into_2x2():
+def test_local_grid_of_64_squared_on_2x2():
     grid = GridSpec(2, (64, 64), (0.0, 0.0), (1.0, 1.0))
-    parts = decompose(grid, RankTopology((2, 2)))
-    assert [p.offset for p in parts] == [(0, 0), (32, 0), (0, 32), (32, 32)]
-    assert all(p.grid.cells == (32, 32) for p in parts)
-    assert parts[1].grid.origin == pytest.approx((0.5, 0.0))
+    local = local_grid(grid, (2, 2))
+    offsets = rank_offsets(grid.cells, (2, 2))
+    assert offsets == [(0, 0), (32, 0), (0, 32), (32, 32)]
+    assert local.cells == (32, 32)
+    assert local.origin == grid.origin
+    rank1_origin = [o + k * d for o, k, d in zip(local.origin, offsets[1], local.deltas)]
+    assert rank1_origin == pytest.approx((0.5, 0.0))
     # locals share the global spacing bitwise
-    assert all(p.grid.deltas == grid.deltas for p in parts)
+    assert local.deltas == grid.deltas
 
 
-def test_decompose_rejects_indivisible_grid():
+def test_local_grid_rejects_indivisible_grid():
     grid = GridSpec(1, (64,), (0.0,), (1.0,))
     with pytest.raises(ConfigError, match="divisible"):
-        decompose(grid, RankTopology((3,)))
+        local_grid(grid, (3,))
 
 
-def test_decompose_rejects_ranks_thinner_than_the_ghost_layer():
+def test_local_grid_rejects_ranks_thinner_than_the_ghost_layer():
     grid = GridSpec(1, (8,), (0.0,), (1.0,))  # ghost width 2
-    assert len(decompose(grid, RankTopology((4,)))) == 4
+    assert local_grid(grid, (4,)).cells == (2,)
     # one cell per rank: the slab sent to a neighbor would include a ghost
     with pytest.raises(ConfigError, match="ghost width"):
-        decompose(grid, RankTopology((8,)))
+        local_grid(grid, (8,))
 
 
-def test_scatter_stitch_round_trip():
-    field, _ = kh_like_field(16)
-    topo = RankTopology((2, 2))
-    stack = scatter_field(field, topo)
-    assert stack.data.shape == (4, 4, 12, 12)
-    for part in decompose(field.grid, topo):
-        (x0, y0), (nx, ny) = part.offset, part.grid.cells
+@pytest.mark.parametrize(
+    "n,ranks,shape",
+    [(16, (2, 2), (4, 4, 12, 12)), (24, (3, 2), (4, 6, 16, 12))],
+    ids=["2x2", "3x2"],
+)
+def test_scatter_stitch_round_trip(n, ranks, shape):
+    field, _ = kh_like_field(n)
+    stack = scatter_field(field, ranks)
+    assert stack.data.shape == shape
+    assert stack.grid == local_grid(field.grid, ranks)
+    nx, ny = stack.grid.cells
+    # every rank's block sits at the oracle's offset, ranks x fastest
+    for rank, (x0, y0) in enumerate(rank_offsets(field.grid.cells, ranks)):
         np.testing.assert_array_equal(
-            stack.interior[:, part.rank], field.interior[:, y0 : y0 + ny, x0 : x0 + nx]
+            stack.interior[:, rank], field.interior[:, y0 : y0 + ny, x0 : x0 + nx]
         )
-    back = stitch_fields(stack, topo, field.grid)
+    back = stitch_fields(stack, ranks, field.grid)
     np.testing.assert_array_equal(back.interior, field.interior)
 
 
@@ -125,12 +112,12 @@ EXCHANGE_IDS = [
 ]
 
 
-def _global_padded_index(part, global_grid, axis, kind):
-    """Global padded index of every local padded index along ``axis``: the
-    same cell, wrapped across a periodic boundary; outflow ghosts at a
-    physical end land on the global outflow ghosts."""
+def _global_padded_index(offset, local, global_grid, axis, kind):
+    """Global padded index of every padded index along ``axis`` of the rank
+    at ``offset``: the same cell, wrapped across a periodic boundary;
+    outflow ghosts at a physical end land on the global outflow ghosts."""
     g, n = global_grid.ghost_width, global_grid.cells[axis]
-    index = part.offset[axis] + np.arange(part.grid.padded[axis])
+    index = offset[axis] + np.arange(local.padded[axis])
     return (index - g) % n + g if kind is PERIODIC else index
 
 
@@ -139,18 +126,17 @@ def test_exchanged_ghosts_match_serial_fill(ranks, bc):
     dim = len(ranks)
     field, _ = kh_like_field(16 if dim == 2 else 8, dim=dim)
     reference = fill_boundary(field.copy(), bc)
-    topo = RankTopology(ranks)
-    stack = scatter_field(field, topo)
-    exchange_halos(stack, topo, bc)
-    for part in decompose(field.grid, topo):
+    stack = scatter_field(field, ranks)
+    exchange_halos(stack, ranks, bc)
+    for rank, offset in enumerate(rank_offsets(field.grid.cells, ranks)):
         # every padded cell, corners included, equals the same cell of the
         # serially filled global field
         index = [
-            _global_padded_index(part, field.grid, axis, bc[axis])
+            _global_padded_index(offset, stack.grid, field.grid, axis, bc[axis])
             for axis in reversed(range(dim))
         ]
         want = reference.data[np.ix_(range(field.ncomp), *index)]
-        np.testing.assert_array_equal(stack.data[:, part.rank], want)
+        np.testing.assert_array_equal(stack.data[:, rank], want)
 
 
 def test_lone_rank_on_a_periodic_axis_thinner_than_the_ghosts_is_rejected():

@@ -190,6 +190,13 @@ def test_observer_sees_initial_state_and_every_step():
     assert [s for s, _ in seen] == list(range(len(seen)))
 
 
+@pytest.mark.parametrize("t_end", [float("nan"), float("inf")])
+def test_scheme_rejects_a_t_end_that_is_not_finite(t_end):
+    # nan never reaches the end time, inf ends the run before its first step
+    with pytest.raises(ConfigError, match="t_end must be finite"):
+        burgers_cfg(t_end=t_end)
+
+
 def test_scheme_validation():
     with pytest.raises(ConfigError):
         burgers_cfg(t_end=-1.0)
