@@ -2,21 +2,21 @@
  * of each face side, the positivity fallback, the numerical flux and the
  * flux difference, line by line.
  *
- * Every value rounds as in the numpy path of conslaw.numerics and
- * conslaw.solver.spatial_residual: each operation below is the one numpy
- * performs, in the same order and with the same operands (x += y is x + y,
- * a product of three factors is evaluated left to right), and np.minimum /
- * np.maximum return their second operand on ties.  Compile without
- * -ffast-math and with -ffp-contract=off, so that no multiply-add is fused;
- * vectorized loops then round like scalar ones.
+ * Every value rounds as in the face-by-face reference of tests/oracles.py,
+ * up to the sign of a zero, and the reconstruction as
+ * conslaw.numerics.reconstruct_axis: each operation below is performed in a
+ * fixed order on fixed operands (a product of three factors is evaluated
+ * left to right), and min / max return their second operand on ties.
+ * Compile without -ffast-math and with -ffp-contract=off, so that no
+ * multiply-add is fused; vectorized loops then round like scalar ones.
  *
  * The sweep reads the padded state through strides and subtracts
  * (F[i+1] - F[i]) / delta from each interior cell of `out`.  Each line of
  * cells along the sweep axis is copied to contiguous per-component arrays,
  * so that every stage is a loop over the faces of the line.  The sweep
- * returns 0, or a nonzero status for the first line where the numpy path
- * raises: 1 for an unphysical face state, 2 for a degenerate HLLC wave fan;
- * `out` is then partly updated.
+ * returns 0, or a nonzero status for the first line that fails: 1 for an
+ * unphysical face state, 2 for a degenerate HLLC wave fan; `out` is then
+ * partly updated.  conslaw.solver locates the failing face itself.
  */
 
 #include <math.h>
@@ -42,7 +42,7 @@ typedef struct {
     double *F;                /* numerical fluxes, component-major */
 } Work;
 
-/* np.minimum / np.maximum: NaN propagates from either side, ties give b */
+/* minimum / maximum: NaN propagates from either side, ties give b */
 INLINE double np_min(double a, double b) { return (a < b || a != a) ? a : b; }
 INLINE double np_max(double a, double b) { return (a > b || a != a) ? a : b; }
 
@@ -88,7 +88,7 @@ static void weno_line(const Scheme *s, const double *restrict col, long n, int g
     }
 }
 
-/* numerics._primitives of one side: velocity, sound speed, physical flux */
+/* the velocity, sound speed and physical flux of one side */
 INLINE void primitives(const Scheme *s, int dim, const double *const *u, const double *p,
                        long nf, double *restrict v, double *restrict c, double *restrict f)
 {
@@ -113,7 +113,7 @@ INLINE void primitives(const Scheme *s, int dim, const double *const *u, const d
         fe[j] = (u[1 + dim][j] + p[j]) * v[j];
 }
 
-static void rusanov_flux(const Scheme *s, int ncomp, const double *const *uL,
+static void rusanov_line(const Scheme *s, int ncomp, const double *const *uL,
                          const double *const *uR, long nf, Work *w)
 {
     const double *vL = w->v[0], *cL = w->c[0], *vR = w->v[1], *cR = w->c[1];
@@ -129,9 +129,9 @@ static void rusanov_flux(const Scheme *s, int ncomp, const double *const *uL,
     }
 }
 
-/* numerics.hllc_flux; returns STATUS_DEGENERATE if any face of the line
- * has sR <= sL */
-INLINE int hllc_flux(const Scheme *s, int dim, const double *const *uL,
+/* the HLLC flux with Davis wave-speed estimates; returns STATUS_DEGENERATE
+ * if any face of the line has sR <= sL */
+INLINE int hllc_line(const Scheme *s, int dim, const double *const *uL,
                      const double *const *uR, long nf, Work *w)
 {
     int axis = s->axis, ncomp = dim + 2, degenerate = 0;
@@ -229,11 +229,11 @@ INLINE int sweep_line(const Scheme *s, int dim, const double *line, long sc, lon
     for (int side = 0; side < 2; side++)
         primitives(s, dim, u[side], w->p[side], nf, w->v[side], w->c[side], w->f[side]);
     if (s->hllc) {
-        int status = hllc_flux(s, dim, u[0], u[1], nf, w);
+        int status = hllc_line(s, dim, u[0], u[1], nf, w);
         if (status)
             return status;
     } else {
-        rusanov_flux(s, ncomp, u[0], u[1], nf, w);
+        rusanov_line(s, ncomp, u[0], u[1], nf, w);
     }
     /* the flux difference of each interior cell */
     for (int c = 0; c < ncomp; c++) {

@@ -21,7 +21,6 @@ from .grid import GridSpec, total_integral
 from .iodsl import eval_init, parse_config
 from .iodsl.config import check_workers
 from .iodsl.output import OutputHeader, write_snapshot, write_stats
-from .numerics import face_kernel_name
 from .presets import PRESETS
 from .solver import run_simulation
 from .uq import (
@@ -134,7 +133,6 @@ def cmd_run(args) -> int:
         f"steps: {steps}\n"
         f"final_time: {t_final!r}\n"
         f"conservation_drift: {drift:.3e}\n"
-        f"face_kernel: {face_kernel_name(model)}\n"
     )
     with open(outdir / "summary.txt", "w") as fh:
         for line in header.lines():

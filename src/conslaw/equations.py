@@ -36,8 +36,9 @@ class EquationModel:
             raise ConfigError(f"unknown equation kind {self.kind!r}")
         if self.dim not in (1, 2, 3):
             raise ConfigError(f"dim must be 1, 2 or 3, got {self.dim}")
-        if self.kind == EULER and self.gamma <= 1.0:
-            raise ConfigError(f"gamma must be > 1, got {self.gamma}")
+        # nan would pass a plain gamma > 1 and surface as unphysical data
+        if self.kind == EULER and not 1.0 < self.gamma < np.inf:
+            raise ConfigError(f"gamma must be finite and > 1, got {self.gamma}", key="gamma")
         if self.kind == ADVECTION:
             if len(self.advection_speed) != self.dim:
                 raise ConfigError(
@@ -82,10 +83,6 @@ def is_physical(model: EquationModel, u: np.ndarray) -> bool:
     return bool(np.all(physical_mask(model, u)))
 
 
-def _require_physical(model: EquationModel, u: np.ndarray) -> None:
-    require_mask(u, physical_mask(model, u))
-
-
 def require_mask(u: np.ndarray, mask: np.ndarray) -> None:
     """Raise UnphysicalStateError naming the first cell where ``mask`` is false."""
     mask = np.atleast_1d(mask)
@@ -99,45 +96,25 @@ def require_mask(u: np.ndarray, mask: np.ndarray) -> None:
 
 
 def physical_flux(model: EquationModel, u: np.ndarray, axis: int) -> np.ndarray:
-    """Physical flux F_k(u) along spatial axis ``axis``."""
+    """Physical flux F_k(u) along spatial axis ``axis`` of a scalar model
+    (the Euler fluxes are computed by ``_faces.c``)."""
     u = np.asarray(u, dtype=float)
     if model.kind == BURGERS:
         return 0.5 * u * u
-    if model.kind == ADVECTION:
-        return model.advection_speed[axis] * u
-    _require_physical(model, u)
-    p = pressure(model, u)
-    return euler_flux(model, u, axis, u[1 + axis] / u[0], p)
-
-
-def euler_flux(model: EquationModel, u: np.ndarray, axis: int, vk, p) -> np.ndarray:
-    """Euler flux along ``axis`` from the state and its velocity and pressure."""
-    dim = model.dim
-    out = np.empty_like(u)
-    out[0] = u[1 + axis]
-    np.multiply(u[1 : 1 + dim], vk, out=out[1 : 1 + dim])
-    out[1 + axis] += p
-    np.add(u[1 + dim], p, out=out[1 + dim])
-    out[1 + dim] *= vk
-    return out
+    return model.advection_speed[axis] * u
 
 
 def max_wave_speed(model: EquationModel, u: np.ndarray, axis: int) -> np.ndarray:
-    """Cellwise |v_k| + c for Euler; |u| for Burgers; |a_k| for advection."""
+    """Cellwise |u| for Burgers, |a_k| for advection (scalar models)."""
     u = np.asarray(u, dtype=float)
     if model.kind == BURGERS:
         return np.abs(u[0])
-    if model.kind == ADVECTION:
-        return np.broadcast_to(abs(model.advection_speed[axis]), u.shape[1:]).copy()
-    _require_physical(model, u)
-    rho = u[0]
-    p = pressure(model, u)
-    c = np.sqrt(model.gamma * p / rho)
-    return np.abs(u[1 + axis] / rho) + c
+    return np.broadcast_to(abs(model.advection_speed[axis]), u.shape[1:]).copy()
 
 
 def max_wave_speeds(model: EquationModel, u: np.ndarray) -> list:
-    """``max_wave_speed`` (checked) for every axis, from one pressure pass."""
+    """Cellwise wave speed bound for every axis: ``max_wave_speed`` for the
+    scalar models, |v_k| + c for Euler, checked and from one pressure pass."""
     u = np.asarray(u, dtype=float)
     if model.kind != EULER:
         return [max_wave_speed(model, u, axis) for axis in range(model.dim)]

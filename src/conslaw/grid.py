@@ -60,14 +60,21 @@ class GridSpec:
         for name in ("cells", "origin", "extent"):
             v = getattr(self, name)
             if len(v) != self.dim:
-                raise ConfigError(f"{name} must have {self.dim} entries, got {len(v)}")
+                raise ConfigError(
+                    f"{name} must have {self.dim} entries, got {len(v)}", key=name
+                )
         object.__setattr__(self, "cells", tuple(int(c) for c in self.cells))
         object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
         object.__setattr__(self, "extent", tuple(float(v) for v in self.extent))
         if any(c < 1 for c in self.cells):
-            raise ConfigError(f"all cell counts must be >= 1, got {self.cells}")
-        if any(e <= 0 for e in self.extent):
-            raise ConfigError(f"extent must be strictly positive, got {self.extent}")
+            raise ConfigError(f"all cell counts must be >= 1, got {self.cells}", key="cells")
+        # a nan or inf bound makes nan cell sizes and coordinates
+        if not all(math.isfinite(o) for o in self.origin):
+            raise ConfigError(f"origin must be finite, got {self.origin}", key="origin")
+        if not all(0.0 < e < math.inf for e in self.extent):
+            raise ConfigError(
+                f"extent must be finite and strictly positive, got {self.extent}", key="extent"
+            )
         if self.ghost_width < 1:
             raise ConfigError(f"ghost_width must be >= 1, got {self.ghost_width}")
         if self.deltas is None:

@@ -190,8 +190,9 @@ class _Section:
 
 
 def _with_line(exc: ConfigError, section: _Section, key) -> ConfigError:
-    """``exc`` naming the line that sets ``key`` in ``section``, if any."""
-    line = section.raw(key, "")[1] if key else None
+    """``exc`` naming the line that sets ``key`` in ``section``, unless it
+    names a line already or the key is not set."""
+    line = section.raw(key, "")[1] if key and exc.line is None else None
     return exc if line is None else ConfigError(str(exc), line=line, key=key)
 
 
@@ -365,31 +366,28 @@ def parse_config(text: str) -> RunConfig:
     extent = grid_s.floats("extent", (1.0,) * dim)
 
     scheme_s = _section(sections, "scheme")
-    model = _build_model(scheme_s, dim)
-    flux_name = scheme_s.choice("flux", ("rusanov", "hllc"), "rusanov")
-    flux = FluxKind(flux_name)
-    if flux is FluxKind.HLLC and model.kind != EULER:
-        _value, line = scheme_s.raw("flux")
-        raise ConfigError("flux incompatible with equation: hllc needs euler", line=line)
-    recon_name = scheme_s.choice("reconstruction", ("none", "weno2", "weno3"), "none")
-    recon = Reconstruction(
-        ReconstructionKind(recon_name), scheme_s.float("weno_epsilon", 1e-6)
-    )
-    bc_words = scheme_s.words("boundary", ("periodic",))
-    if len(bc_words) == 1:
-        bc_words = bc_words * dim
-    if len(bc_words) != dim:
-        _value, line = scheme_s.raw("boundary")
-        raise ConfigError(f"boundary needs 1 or {dim} entries", line=line)
     try:
-        bc = tuple(BoundaryKind(w) for w in bc_words)
-    except ValueError:
-        _value, line = scheme_s.raw("boundary")
-        raise ConfigError(f"boundary entries must be periodic/outflow, got {bc_words}",
-                          line=line) from None
-
-    grid = GridSpec(dim, cells, origin, extent, ghost_width=max(recon.radius, 1))
-    try:
+        model = _build_model(scheme_s, dim)
+        flux = FluxKind(scheme_s.choice("flux", ("rusanov", "hllc"), "rusanov"))
+        if flux is FluxKind.HLLC and model.kind != EULER:
+            _value, line = scheme_s.raw("flux")
+            raise ConfigError("flux incompatible with equation: hllc needs euler", line=line)
+        recon_name = scheme_s.choice("reconstruction", ("none", "weno2", "weno3"), "none")
+        recon = Reconstruction(
+            ReconstructionKind(recon_name), scheme_s.float("weno_epsilon", 1e-6)
+        )
+        bc_words = scheme_s.words("boundary", ("periodic",))
+        if len(bc_words) == 1:
+            bc_words = bc_words * dim
+        if len(bc_words) != dim:
+            _value, line = scheme_s.raw("boundary")
+            raise ConfigError(f"boundary needs 1 or {dim} entries", line=line)
+        try:
+            bc = tuple(BoundaryKind(w) for w in bc_words)
+        except ValueError:
+            _value, line = scheme_s.raw("boundary")
+            raise ConfigError(f"boundary entries must be periodic/outflow, got {bc_words}",
+                              line=line) from None
         scheme = SchemeConfig(
             model=model,
             flux=flux,
@@ -401,6 +399,10 @@ def parse_config(text: str) -> RunConfig:
         )
     except ConfigError as exc:
         raise _with_line(exc, scheme_s, exc.key) from None
+    try:
+        grid = GridSpec(dim, cells, origin, extent, ghost_width=max(recon.radius, 1))
+    except ConfigError as exc:
+        raise _with_line(exc, grid_s, exc.key) from None
     check_scheme(grid, scheme)
 
     initial_s = _section(sections, "initial")

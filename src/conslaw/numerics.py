@@ -15,25 +15,18 @@ negation (a - b == -(b - a), (-a) b == -(a b), (-a) + (-b) == -(a + b)) and
 squares ignore the sign, so sharing the differences between the two sides
 gives the values of evaluating each face on its own stencil.
 
-For Euler, each side of a face goes through one primitive pass
-(``euler_side``): one pressure evaluation yields the positivity mask, which
-drives the solver's first-order fallback and the unphysical-state error, and
-the same pressure feeds the physical flux, the wave speeds and the HLLC star
-states.  HLLC builds one star state per face, from the inputs of the side
-whose star state the face selects.  No result differs from the per-face
-formulas of ``tests/oracles.py`` by more than the sign of a zero.
-
-For Euler, ``spatial_residual`` runs each axis sweep as one call of the C
-function ``euler_sweep`` of ``_faces.c``: reconstruction, the primitive pass,
-the fallback, the flux and the flux difference, one line of cells at a time,
-with the operations of the numpy path in the same order, so that every bit
-agrees.
-``face_kernel`` builds it on the first Euler residual with gcc (or cc),
-caches the library in ``__pycache__/faces-<hash>.so`` next to this file (in
-a private temporary directory when that is not writable) and loads it with
-``ctypes``.  Without a compiler the numpy functions below do the work; they
-also stay the reference of the tests, the only path of the scalar models
-and the path that reports a failed sweep.
+The Euler fluxes have one implementation: ``spatial_residual`` runs each
+axis sweep as one call of the C function ``euler_sweep`` of ``_faces.c``:
+reconstruction, one primitive pass per face side, the first-order
+positivity fallback, the HLLC or Rusanov flux and the flux difference, one
+line of cells at a time.  Its reconstruction rounds like ``reconstruct_axis``
+and every value like the face-by-face reference of ``tests/oracles.py``, up
+to the sign of a zero.  ``face_kernel`` builds it on the first use with gcc
+(or cc), caches the library in ``__pycache__/faces-<hash>.so`` next to this
+file (in a private temporary directory when that is not writable) and loads
+it with ``ctypes``; Euler runs need a C compiler.  The numpy functions below
+serve the scalar models, and ``reconstruct_axis`` also locates the face that
+a failed Euler sweep reports.
 """
 
 from __future__ import annotations
@@ -53,18 +46,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .equations import (
-    EquationModel,
-    EULER,
-    POSITIVITY_FLOOR,
-    euler_flux,
-    max_wave_speed,
-    physical_flux,
-    positive,
-    pressure,
-    require_mask,
-)
-from .errors import ConfigError, UnphysicalStateError
+from .equations import EquationModel, POSITIVITY_FLOOR, max_wave_speed, physical_flux
+from .errors import ConfigError
 from .grid import slab
 
 
@@ -88,7 +71,9 @@ class Reconstruction:
         # 0 makes the weights 0/0 on flat data, and a face with NaN weights
         # would fall back to first order without a word
         if not 0.0 < self.epsilon < np.inf:
-            raise ConfigError(f"weno_epsilon must be finite and > 0, got {self.epsilon}")
+            raise ConfigError(
+                f"weno_epsilon must be finite and > 0, got {self.epsilon}", key="weno_epsilon"
+            )
 
     @property
     def radius(self) -> int:
@@ -170,128 +155,17 @@ def reconstruct_axis(
     return FacePair(uL, uR)
 
 
-class EulerSide(NamedTuple):
-    """Euler states on one side of each face, with the pressure and the
-    positivity mask of their single primitive pass."""
-
-    u: np.ndarray
-    p: np.ndarray
-    ok: np.ndarray
-
-
-def euler_side(model: EquationModel, u) -> EulerSide:
-    """The primitive pass of one face side: one pressure evaluation."""
-    u = np.asarray(u, dtype=float)
-    p = pressure(model, u)
-    return EulerSide(u, p, positive(u[0], p))
-
-
-def _euler_sides(model: EquationModel, faces) -> tuple:
-    """Checked (left, right) EulerSides of a FacePair.  A pair of EulerSides
-    is returned as is: its caller has checked the masks."""
-    left, right = faces
-    if isinstance(left, EulerSide):
-        return left, right
-    sides = euler_side(model, left), euler_side(model, right)
-    for side in sides:
-        require_mask(side.u, side.ok)
-    return sides
-
-
-def _primitives(model: EquationModel, side: EulerSide, axis: int):
-    """(rho, v, c, physical flux) of one side."""
-    u = side.u
-    rho = u[0]
-    v = u[1 + axis] / rho
-    c = np.sqrt(model.gamma * side.p / rho)
-    return rho, v, c, euler_flux(model, u, axis, v, side.p)
-
-
-def rusanov_flux(model: EquationModel, faces, axis: int) -> np.ndarray:
-    """Local Lax-Friedrichs flux: central average plus maximal dissipation.
-
-    ``faces`` is a FacePair, or for Euler a (left, right) pair of checked
-    EulerSides.
-    """
-    if model.kind != EULER:
-        uL, uR = np.asarray(faces.uL, dtype=float), np.asarray(faces.uR, dtype=float)
-        fL = physical_flux(model, uL, axis)
-        fR = physical_flux(model, uR, axis)
-        s = np.maximum(
-            max_wave_speed(model, uL, axis),
-            max_wave_speed(model, uR, axis),
-        )
-        return 0.5 * (fL + fR) - 0.5 * s * (uR - uL)
-    L, R = _euler_sides(model, faces)
-    _, vL, cL, fL = _primitives(model, L, axis)
-    _, vR, cR, fR = _primitives(model, R, axis)
-    s = np.maximum(np.abs(vL) + cL, np.abs(vR) + cR)
-    jump = R.u - L.u
-    jump *= 0.5 * s
-    fL += fR
-    fL *= 0.5
-    fL -= jump
-    return fL
-
-
-def hllc_flux(model: EquationModel, faces, axis: int) -> np.ndarray:
-    """Three-wave HLLC flux for Euler with Davis wave-speed estimates.
-
-    ``faces`` is a FacePair or a (left, right) pair of checked EulerSides.
-    Exactly consistent: equal input states return the physical flux bitwise.
-    """
-    if model.kind != EULER:
-        raise ConfigError("HLLC flux is only defined for the Euler equations")
-    L, R = _euler_sides(model, faces)
-    uL, uR = L.u, R.u
-    rhoL, vL, cL, fL = _primitives(model, L, axis)
-    rhoR, vR, cR, fR = _primitives(model, R, axis)
-
-    sL = np.minimum(vL - cL, vR - cR)
-    sR = np.maximum(vL + cL, vR + cR)
-    if np.any(sR - sL <= 0):
-        raise UnphysicalStateError("degenerate HLLC wave fan (sL >= sR)")
-
-    aL, aR = sL - vL, sR - vR
-    mL, mR = rhoL * aL, rhoR * aR  # den = mL - mR is strictly negative for c > 0
-    sM = (R.p - L.p + rhoL * vL * aL - rhoR * vR * aR) / (mL - mR)
-
-    # fL left of the fan and wherever uL == uR (exact consistency F(u, u) = f(u))
-    upwind_left = (sL >= 0) | np.all(uL == uR, axis=0)
-    # Each face uses at most one star state: the left one where sM >= 0, else
-    # the right one.  Pick that side's inputs and build it once.
-    left = sM >= 0
-    star_faces = ~upwind_left & (left | (sR > 0))
-    f = np.where(left | upwind_left, fL, fR)  # the flux wherever not star_faces
-    u = np.where(left, uL, uR)
-    v = np.where(left, vL, vR)
-    p = np.where(left, L.p, R.p)
-    s = np.where(left, sL, sR)
-    m = np.where(left, mL, mR)
-    rho = u[0]
-    dim = model.dim
-    factor = m / (s - sM)
-    star = np.empty_like(u)
-    star[0] = factor
-    for j in range(dim):
-        if j != axis:
-            star[1 + j] = factor * (u[1 + j] / rho)
-    star[1 + axis] = factor * sM
-    star[1 + dim] = factor * (u[1 + dim] / rho + (sM - v) * (sM + p / m))
-    star -= u
-    star *= s
-    star += f
-    return np.where(star_faces, star, f)
-
-
-FLUX_FUNCTIONS = {
-    FluxKind.RUSANOV: rusanov_flux,
-    FluxKind.HLLC: hllc_flux,
-}
-
-
-def numerical_flux(model: EquationModel, kind: FluxKind, faces, axis: int) -> np.ndarray:
-    return FLUX_FUNCTIONS[kind](model, faces, axis)
+def rusanov_flux(model: EquationModel, faces: FacePair, axis: int) -> np.ndarray:
+    """Local Lax-Friedrichs flux of the scalar models: central average plus
+    maximal dissipation."""
+    uL, uR = np.asarray(faces.uL, dtype=float), np.asarray(faces.uR, dtype=float)
+    fL = physical_flux(model, uL, axis)
+    fR = physical_flux(model, uR, axis)
+    s = np.maximum(
+        max_wave_speed(model, uL, axis),
+        max_wave_speed(model, uR, axis),
+    )
+    return 0.5 * (fL + fR) - 0.5 * s * (uR - uL)
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +193,16 @@ def _intact(lib: Path) -> bool:
 
 def _load_face_kernel(cache_dir: Path):
     """Build ``_faces.c`` into ``cache_dir`` (once per source, flags and
-    machine) and load its ``euler_sweep``; None when no C compiler is found
-    or the build fails.  A damaged cached library is rebuilt."""
+    machine) and load its ``euler_sweep``.  A damaged cached library is
+    rebuilt.  Raises ConfigError naming the missing compiler or source, or
+    the failed build."""
     compiler = shutil.which("gcc") or shutil.which("cc")
-    if compiler is None or not _SOURCE.is_file():
-        return None
+    if compiler is None:
+        raise ConfigError(
+            "Euler runs need a C compiler to build the face sweep: found neither gcc nor cc"
+        )
+    if not _SOURCE.is_file():
+        raise ConfigError(f"Euler runs need the face sweep source, but {_SOURCE} is missing")
     key = hashlib.sha256(
         _SOURCE.read_bytes() + " ".join(_CFLAGS).encode() + platform.machine().encode()
     ).hexdigest()
@@ -347,8 +226,12 @@ def _load_face_kernel(cache_dir: Path):
             # concurrent builders each write their own file; the rename is atomic
             os.replace(tmp, lib)
         sweep = ctypes.CDLL(str(lib)).euler_sweep
-    except (OSError, AttributeError, subprocess.SubprocessError):
-        return None
+    except (OSError, AttributeError, subprocess.SubprocessError) as exc:
+        detail = (getattr(exc, "stderr", None) or b"").decode(errors="replace").strip()
+        raise ConfigError(
+            f"Euler runs need the face sweep, but building or loading {_SOURCE.name} "
+            f"with {compiler} failed: {detail or exc}"
+        ) from None
     finally:
         tmp.unlink(missing_ok=True)
         if private is not None:
@@ -362,15 +245,15 @@ def _load_face_kernel(cache_dir: Path):
     return sweep
 
 
+#: where ``face_kernel`` keeps the built library
+_CACHE_DIR = Path(__file__).parent / "__pycache__"
+
+
 @functools.cache
 def face_kernel():
-    """The compiled Euler face sweep, built on first use, or None."""
-    return _load_face_kernel(Path(__file__).parent / "__pycache__")
-
-
-def face_kernel_name(model: EquationModel) -> str:
-    """Which face sweep ``spatial_residual`` runs for ``model``."""
-    return "compiled" if model.kind == EULER and face_kernel() is not None else "numpy"
+    """The compiled Euler face sweep, built on first use.  Raises
+    ConfigError when it cannot be built; a failure is not cached."""
+    return _load_face_kernel(_CACHE_DIR)
 
 
 def _element_strides(arr: np.ndarray, axes) -> "ctypes.Array":
@@ -380,9 +263,10 @@ def _element_strides(arr: np.ndarray, axes) -> "ctypes.Array":
     return (ctypes.c_long * 5)(*(0 if a is None else arr.strides[a] // size for a in axes))
 
 
-#: ``euler_face_sweep``'s status when the kernel could not allocate its line
-#: buffers (``STATUS_NOMEM`` in ``_faces.c``); the numpy sweep would pass
-SWEEP_NOMEM = 3
+#: ``euler_face_sweep``'s statuses for a degenerate HLLC wave fan and for
+#: line buffers it could not allocate (``STATUS_*`` in ``_faces.c``); 1 is
+#: an unphysical face state
+SWEEP_DEGENERATE, SWEEP_NOMEM = 2, 3
 
 
 def euler_face_sweep(
@@ -393,14 +277,16 @@ def euler_face_sweep(
     with the compiled sweep.
 
     ``data`` is the padded state, ``out`` the interior residual, both in
-    grid layout, with or without a rank axis after the components.  Returns
-    None without a compiled kernel, else its status: 0 when done,
-    ``SWEEP_NOMEM`` when out of memory, otherwise nonzero where the numpy
-    path raises (``out`` is then partly updated).
+    grid layout, with or without a rank axis after the components, both
+    float64.  Returns the kernel's status: 0 when done, else one of the
+    ``SWEEP_*`` statuses of the first line that failed (``out`` is then
+    partly updated).
     """
+    if data.dtype != np.float64 or out.dtype != np.float64:
+        raise ValueError(
+            f"the state and the residual must be float64, got {data.dtype} and {out.dtype}"
+        )
     kernel = face_kernel()
-    if kernel is None or data.dtype != np.float64:
-        return None
     dim = model.dim
     if data.ndim == dim + 1:
         data, out = data[:, None], out[:, None]
@@ -416,8 +302,6 @@ def euler_face_sweep(
             f"sweep of axis {axis}: state {data.shape} and residual {out.shape} "
             f"do not fit {cells} cells with {g} ghosts"
         )
-    if out.dtype != np.float64:
-        raise ValueError(f"the residual must be float64, got {out.dtype}")
     trans = [a for a in range(2, data.ndim) if a != ax] + [None, None]
     axes = (0, 1, ax, trans[0], trans[1])
     shape = (ctypes.c_long * 4)(

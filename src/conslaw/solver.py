@@ -1,7 +1,10 @@
 """Semi-discrete finite volume operator, CFL control and SSP Runge-Kutta.
 
 The residual of cell i is -sum_k (F_{i+1/2 e_k} - F_{i-1/2 e_k}) / delta_k,
-with each interface flux computed once and shared by both neighbours.
+with each interface flux computed once and shared by both neighbours.  The
+Euler faces are computed by the compiled sweep of ``_faces.c`` alone, so an
+Euler run needs a C compiler; ``check_scheme`` builds the sweep before any
+step, and the scalar models take the numpy path of ``conslaw.numerics``.
 ``run_simulation`` is the one entry point of a solve: it runs serial and
 decomposed runs through the same time loop, a serial run being the layout
 with one rank per axis (see ``conslaw.parallel``).
@@ -31,14 +34,16 @@ from .errors import (
 )
 from .grid import BoundaryKind, Field, GridSpec, slab
 from .numerics import (
+    SWEEP_DEGENERATE,
     SWEEP_NOMEM,
+    FacePair,
     FluxKind,
     Reconstruction,
     ReconstructionKind,
     euler_face_sweep,
-    euler_side,
-    numerical_flux,
+    face_kernel,
     reconstruct_axis,
+    rusanov_flux,
 )
 from .parallel import exchange_halos, scatter_field, stitch_fields
 
@@ -88,12 +93,43 @@ class TimeStepRecord:
 
 
 def check_scheme(grid: GridSpec, cfg: SchemeConfig) -> None:
-    """Solver-assembly validation: stencil must fit in the ghost layer."""
+    """Solver-assembly validation: the stencil must fit in the ghost layer,
+    and Euler runs need the compiled face sweep (``numerics.face_kernel``
+    raises ConfigError naming the missing compiler or the failed build)."""
     if cfg.recon.radius > grid.ghost_width:
         raise ConfigError(
             f"ghost_width {grid.ghost_width} too small for reconstruction "
             f"radius {cfg.recon.radius}"
         )
+    if cfg.model.kind == EULER:
+        face_kernel()
+
+
+def _axis_faces(field: Field, axis: int, recon: Reconstruction) -> FacePair:
+    """Face states of spatial axis ``axis`` over the interior of the other
+    axes, in grid layout."""
+    grid, g = field.grid, field.grid.ghost_width
+    sub = field.data
+    for other in range(grid.dim):
+        if other != axis:
+            sub = slab(sub, -1 - other, g, g + grid.cells[other])
+    return reconstruct_axis(sub, -1 - axis, grid.cells[axis], g, recon)
+
+
+def _require_physical_faces(field: Field, cfg: SchemeConfig, axis: int) -> None:
+    """Raise UnphysicalStateError naming the first face of ``axis``, in grid
+    order, whose left state is unphysical after the first-order fallback,
+    else the first such right state, as the compiled sweep judges them."""
+    faces = _axis_faces(field, axis, cfg.recon)
+    ok = [physical_mask(cfg.model, side) for side in faces]
+    if cfg.recon.kind is not ReconstructionKind.NONE:
+        # both sides of a face with an unphysical side take their cells
+        both = ok[0] & ok[1]
+        cells = _axis_faces(field, axis, Reconstruction(ReconstructionKind.NONE))
+        faces = [np.where(both, side, cell) for side, cell in zip(faces, cells)]
+        ok = [physical_mask(cfg.model, side) for side in faces]
+    for side, mask in zip(faces, ok):
+        require_mask(side, mask)
 
 
 def spatial_residual(field: Field, cfg: SchemeConfig) -> np.ndarray:
@@ -101,15 +137,14 @@ def spatial_residual(field: Field, cfg: SchemeConfig) -> np.ndarray:
 
     ``field`` may be a stack of subdomains, with a rank axis after the
     component axis; the residual then has that axis too.  For Euler each
-    axis is one call of the compiled face sweep when it is available
-    (``numerics.euler_face_sweep``), with the same bits as the numpy sweep.
+    axis is one call of the compiled face sweep
+    (``numerics.euler_face_sweep``); when it stops, the failing face is
+    located here and named in the error.
     """
     grid = field.grid
     model = cfg.model
     check_scheme(grid, cfg)
     g = grid.ghost_width
-    # the component axis, and the rank axis of a stack
-    lead = field.data.ndim - grid.dim
 
     mask = physical_mask(model, field.interior)
     if not mask.all():
@@ -117,72 +152,32 @@ def spatial_residual(field: Field, cfg: SchemeConfig) -> np.ndarray:
         raise SimulationError(f"unphysical state in interior cell {idx}")
 
     out = np.zeros(field.interior.shape)
-    euler = model.kind == EULER
-    fallback = euler and cfg.recon.kind is not ReconstructionKind.NONE
     for axis in range(grid.dim):
-        ax = -1 - axis
-        n = grid.cells[axis]
+        if model.kind != EULER:
+            F = rusanov_flux(model, _axis_faces(field, axis, cfg.recon), axis)
+            ax = -1 - axis
+            diff = slab(F, ax, 1, grid.cells[axis] + 1) - slab(F, ax, 0, grid.cells[axis])
+            diff /= grid.deltas[axis]
+            out -= diff
+            continue
         status = euler_face_sweep(
             model, cfg.flux, cfg.recon, field.data, out, axis, g,
             grid.cells, grid.deltas[axis],
-        ) if euler else None
-        if status == 0:
-            continue
+        )
         if status == SWEEP_NOMEM:
             raise MemoryError(
                 f"the compiled face sweep on axis {axis} could not allocate "
                 f"its line buffers"
             )
-        # the numpy sweep: without the compiled kernel, or to raise the error
-        # of a sweep the kernel stopped
-        # crop transverse axes to the interior before reconstructing
-        sub = field.data
-        for other in range(grid.dim):
-            if other != axis:
-                sub = slab(sub, -1 - other, g, g + grid.cells[other])
-        # a contiguous copy with this axis right after the component and rank
-        # axes: every stencil shift is then a run of whole contiguous blocks,
-        # which numpy loops over fastest
-        sub = np.ascontiguousarray(sub.swapaxes(ax, lead))
-        faces = reconstruct_axis(sub, lead, n, g, cfg.recon)
-        if euler:
-            # one primitive pass per side feeds the fallback, the check and the flux
-            faces = (euler_side(model, faces.uL), euler_side(model, faces.uR))
-            if fallback:
-                faces = _positivity_fallback(model, sub, lead, n, g, faces)
-            for side in faces:
-                if not side.ok.all():
-                    # in grid layout, so that the error names the face's cell
-                    require_mask(
-                        side.u.swapaxes(lead, ax), side.ok.swapaxes(lead - 1, ax)
-                    )
-        F = numerical_flux(model, cfg.flux, faces, axis)
-        diff = slab(F, lead, 1, n + 1) - slab(F, lead, 0, n)
-        diff /= grid.deltas[axis]
-        out -= diff.swapaxes(lead, ax)
-        if status is not None:
+        if status:
+            _require_physical_faces(field, cfg, axis)
+            if status == SWEEP_DEGENERATE:
+                raise UnphysicalStateError("degenerate HLLC wave fan (sL >= sR)")
             raise SimulationError(
-                f"compiled and numpy face sweeps disagree on axis {axis}: the "
-                f"compiled one stopped with status {status}, the numpy one passes"
+                f"the compiled face sweep on axis {axis} stopped with status "
+                f"{status} on physical face states"
             )
     return out
-
-
-def _positivity_fallback(model, sub, np_ax, n, g, faces) -> tuple:
-    """Replace faces with an unphysical side by piecewise-constant states.
-
-    ``faces`` is the (left, right) pair of EulerSides reconstructed along
-    axis ``np_ax`` of ``sub``.
-    """
-    left, right = faces
-    ok = left.ok & right.ok
-    if ok.all():
-        return faces
-    pc = reconstruct_axis(sub, np_ax, n, g, Reconstruction(ReconstructionKind.NONE))
-    return (
-        euler_side(model, np.where(ok, left.u, pc.uL)),
-        euler_side(model, np.where(ok, right.u, pc.uR)),
-    )
 
 
 def wave_speed_maxima(field: Field, cfg: SchemeConfig) -> np.ndarray:

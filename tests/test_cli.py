@@ -88,13 +88,29 @@ def test_run_summary_final_time_is_a_plain_number(tmp_path, capsys):
     assert line in capsys.readouterr().out
 
 
-def test_run_summary_names_the_face_kernel(face_path, tmp_path, capsys):
-    cfg = small_sod(tmp_path)
-    out = tmp_path / "out"
-    assert main(["run", str(cfg), "--output", str(out)]) == 0
-    line = f"face_kernel: {face_path}"
-    assert line in (out / "summary.txt").read_text().splitlines()
-    assert line in capsys.readouterr().out.splitlines()
+# (line of the KH2D preset, its replacement, the message that must follow
+# "line N: ")
+BAD_LINES = [
+    ("extent = 1 1", "extent = 1 nan", r"extent must be finite and strictly positive"),
+    ("extent = 1 1", "extent = 1 inf", r"extent must be finite and strictly positive"),
+    ("origin = 0 0", "origin = nan 0", r"origin must be finite"),
+    ("gamma = 1.4", "gamma = nan", r"gamma must be finite and > 1, got nan"),
+    ("gamma = 1.4", "gamma = 1", r"gamma must be finite and > 1, got 1\.0"),
+    ("cfl = 0.475", "weno_epsilon = 0", r"weno_epsilon must be finite and > 0, got 0\.0"),
+    # a value that is not a number is named once
+    ("cfl = 0.475", "cfl = abc", r"'cfl' must be a number, got 'abc'$"),
+]
+
+
+@pytest.mark.parametrize("old,new,message", BAD_LINES, ids=[b[1] for b in BAD_LINES])
+def test_a_bad_value_exits_2_naming_its_line(old, new, message, tmp_path, capsys):
+    text = KH2D.replace(old, new)
+    line = 1 + text.splitlines().index(new)
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(text)
+    assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 2
+    assert re.match(rf"^error: line {line}: {message}", capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_uq_functional_setting_exits_2_before_any_sample(tmp_path, monkeypatch, capsys):

@@ -1,106 +1,30 @@
-"""The compiled Euler face sweep (``_faces.c``) against the numpy sweep on
-whole runs, and its loader: fallback without a compiler and the library
-cache.
+"""The compiled Euler face sweep (``_faces.c``): its failure statuses, the
+checks of its arguments, and its loader: the compiler requirement and the
+library cache.
 """
-
-import re
 
 import numpy as np
 import pytest
 
-from conslaw import numerics
+from conslaw import numerics, solver
 from conslaw.cli import main
-from conslaw.errors import SimulationError
-from conslaw.iodsl.output import read_snapshot
+from conslaw.errors import ConfigError, SimulationError
 from conslaw.numerics import FluxKind, ReconstructionKind
-from conslaw.presets import KH2D, KH3D, SOD
 from conslaw.solver import spatial_residual
+from test_cli import small_kh
 from test_face_kernel import make_case, random_prim
 
-needs_kernel = pytest.mark.skipif(
-    numerics.face_kernel() is None, reason="no C compiler for the face sweep"
-)
 
-
-def _scheme(text, flux, recon):
-    text = re.sub(r"(?m)^flux = .*$", f"flux = {flux}", text)
-    return re.sub(r"(?m)^reconstruction = .*$", f"reconstruction = {recon}", text)
-
-
-def _kh(cells, flux="hllc", recon="weno3"):
-    text = KH2D.replace("cells = 64 64", f"cells = {cells} {cells}")
-    return _scheme(text.replace("t_end = 2.0", "t_end = 0.1"), flux, recon)
-
-
-def _sod(flux="hllc", recon="weno2"):
-    text = SOD.replace("cells = 400", "cells = 100").replace("t_end = 0.2", "t_end = 0.05")
-    return _scheme(text.replace("snapshot_times = 0.2", "snapshot_times = 0.02"), flux, recon)
-
-
-def _kh3d(cells):
-    text = KH3D.replace("cells = 32 32 32", f"cells = {cells} {cells} {cells}")
-    return text.replace("t_end = 1.0", "t_end = 0.05")
-
-
-# (config text, --ranks) of the whole-run comparisons
-RUNS = {
-    "kh2d-32": (_kh(32), None),
-    "kh2d-32-2x1": (_kh(32), "2x1"),
-    "kh2d-32-2x2": (_kh(32), "2x2"),
-    "kh2d-32-rusanov-weno2": (_kh(32, "rusanov", "weno2"), None),
-    "kh2d-32-hllc-none-2x2": (_kh(32, "hllc", "none"), "2x2"),
-    "sod": (_sod(), None),
-    "sod-rusanov-weno3": (_sod("rusanov", "weno3"), None),
-    "kh3d-8": (_kh3d(8), None),
-    "kh3d-8-2x1x2": (_kh3d(8), "2x1x2"),
-}
-
-
-def _run(tmp_path, name, text, ranks, capsys):
-    cfg = tmp_path / "case.cfg"
-    cfg.write_text(text)
-    out = tmp_path / name
-    args = ["run", str(cfg), "--output", str(out)] + (["--ranks", ranks] if ranks else [])
-    assert main(args) == 0
-    capsys.readouterr()
-    return out
-
-
-def _dt_series(out):
-    lines = [l for l in (out / "timing.csv").read_text().splitlines() if not l.startswith("#")]
-    return [l.split(",")[:3] for l in lines]
-
-
-@needs_kernel
-@pytest.mark.parametrize("case", RUNS)
-def test_runs_are_bitwise_equal_on_both_face_paths(case, tmp_path, monkeypatch, capsys):
-    text, ranks = RUNS[case]
-    compiled = _run(tmp_path, "compiled", text, ranks, capsys)
-    with monkeypatch.context() as m:
-        m.setattr(numerics, "face_kernel", lambda: None)
-        plain = _run(tmp_path, "numpy", text, ranks, capsys)
-    assert "face_kernel: compiled" in (compiled / "summary.txt").read_text()
-    assert "face_kernel: numpy" in (plain / "summary.txt").read_text()
-    snaps = sorted(p.name for p in compiled.glob("*.snap"))
-    assert "final.snap" in snaps
-    assert snaps == sorted(p.name for p in plain.glob("*.snap"))
-    for name in snaps:
-        a = read_snapshot(compiled / name)[0].interior
-        b = read_snapshot(plain / name)[0].interior
-        assert np.array_equal(a.view(np.int64), b.view(np.int64))
-    assert _dt_series(compiled) == _dt_series(plain)
-
-
-def test_compiled_and_numpy_sweeps_disagreeing_is_an_error(monkeypatch):
-    # a kernel that stops where the numpy sweep passes
+def test_a_sweep_stopping_on_physical_faces_is_an_error(monkeypatch):
+    # a kernel that reports an unphysical face where every face is physical
     field, cfg = make_case(
         random_prim(np.random.default_rng(2), (4, 6)), FluxKind.HLLC, ReconstructionKind.WENO3
     )
     monkeypatch.setattr(numerics, "face_kernel", lambda: (lambda *args: 1))
     with pytest.raises(
         SimulationError,
-        match=r"^compiled and numpy face sweeps disagree on axis 0: the compiled one "
-        r"stopped with status 1, the numpy one passes$",
+        match=r"^the compiled face sweep on axis 0 stopped with status 1 on physical "
+        r"face states$",
     ):
         spatial_residual(field, cfg)
 
@@ -115,7 +39,6 @@ def test_a_sweep_out_of_memory_is_a_memory_error(monkeypatch):
         spatial_residual(field, cfg)
 
 
-@needs_kernel
 def test_the_sweep_rejects_arrays_that_do_not_fit_the_grid():
     field, cfg = make_case(
         random_prim(np.random.default_rng(4), (4, 6)), FluxKind.HLLC, ReconstructionKind.WENO3
@@ -123,7 +46,8 @@ def test_the_sweep_rejects_arrays_that_do_not_fit_the_grid():
     grid = field.grid
     wrong_shape, wrong_dtype = np.zeros((4, 4, 5)), np.zeros((4, 4, 6), dtype=np.float32)
     for state, out in ((field.data, wrong_shape), (field.data[..., 1:], np.zeros((4, 4, 6))),
-                       (field.data, wrong_dtype)):
+                       (field.data, wrong_dtype),
+                       (field.data.astype(np.float32), np.zeros((4, 4, 6)))):
         with pytest.raises(ValueError, match="sweep of axis 0|must be float64"):
             numerics.euler_face_sweep(
                 cfg.model, cfg.flux, cfg.recon, state, out, 0,
@@ -153,31 +77,71 @@ def _same_bits(a, b):
 
 
 @pytest.mark.parametrize("missing", ["compiler", "source"])
-def test_no_compiler_gives_the_numpy_path_with_equal_bits(tmp_path, monkeypatch, missing):
-    reference = _residuals(monkeypatch, None)
+def test_a_missing_compiler_or_source_is_a_config_error(tmp_path, monkeypatch, missing):
     if missing == "compiler":
         monkeypatch.setattr(numerics.shutil, "which", lambda name: None)
+        message = r"^Euler runs need a C compiler to build the face sweep: found neither gcc nor cc$"
     else:
         # an installed package without its C source
         monkeypatch.setattr(numerics, "_SOURCE", tmp_path / "_faces.c")
-    kernel = numerics._load_face_kernel(tmp_path)
-    assert kernel is None
+        message = r"^Euler runs need the face sweep source, but .*_faces\.c is missing$"
+    with pytest.raises(ConfigError, match=message):
+        numerics._load_face_kernel(tmp_path)
     assert list(tmp_path.iterdir()) == []
-    assert _same_bits(_residuals(monkeypatch, kernel), reference)
 
 
-@needs_kernel
-def test_failing_compile_gives_the_numpy_path(tmp_path, monkeypatch):
+def test_a_failing_compile_is_a_config_error(tmp_path, monkeypatch):
     broken = tmp_path / "_faces.c"
     broken.write_text("int euler_sweep(void) { return }\n")
     monkeypatch.setattr(numerics, "_SOURCE", broken)
     cache = tmp_path / "cache"
-    assert numerics._load_face_kernel(cache) is None
+    # the message carries the compiler's own diagnostic
+    with pytest.raises(
+        ConfigError,
+        match=r"^Euler runs need the face sweep, but building or loading _faces\.c with "
+        r"\S+ failed: (?s:.*)error",
+    ):
+        numerics._load_face_kernel(cache)
     # no library and no half-written temporary is left behind
     assert list(cache.iterdir()) == []
 
 
-@needs_kernel
+@pytest.fixture
+def no_compiler(tmp_path, monkeypatch):
+    """No C compiler on the path and no face sweep loaded yet; the value is
+    the cache directory ``numerics.face_kernel`` builds into."""
+    cache = tmp_path / "kernel-cache"
+    monkeypatch.setattr(numerics.shutil, "which", lambda name: None)
+    monkeypatch.setattr(numerics, "_CACHE_DIR", cache)
+    numerics.face_kernel.cache_clear()
+    yield cache
+    numerics.face_kernel.cache_clear()
+
+
+@pytest.mark.parametrize("command", ["run", "uq"])
+def test_euler_without_a_compiler_exits_2_before_any_step(
+    command, no_compiler, tmp_path, monkeypatch, capsys
+):
+    steps = []
+    monkeypatch.setattr(solver, "ssp_rk_step", lambda *args: steps.append(args))
+    cfg = small_kh(tmp_path)
+    assert main([command, str(cfg), "--output", str(tmp_path / "out")]) == 2
+    assert "error: Euler runs need a C compiler" in capsys.readouterr().err
+    assert steps == []
+    assert not no_compiler.exists()
+
+
+def test_a_burgers_run_needs_no_compiler(no_compiler, tmp_path, capsys):
+    cfg = tmp_path / "burgers.cfg"
+    cfg.write_text(
+        "[grid]\ncells = 16\n\n[scheme]\nequation = burgers\nt_end = 0.05\n\n"
+        "[initial]\nu = 1 + 0.5 * sin(6.283185307179586 * x)\n"
+    )
+    assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 0
+    assert "steps:" in capsys.readouterr().out
+    assert not no_compiler.exists()
+
+
 @pytest.mark.parametrize("damage", ["empty", "header", "half", "garbled"])
 def test_a_damaged_cached_library_is_rebuilt(tmp_path, monkeypatch, damage):
     # a library that loads, in a directory of its own; it is never damaged
@@ -198,13 +162,10 @@ def test_a_damaged_cached_library_is_rebuilt(tmp_path, monkeypatch, damage):
         "garbled": blob[:half] + bytes(64) + blob[half + 64 :],
     }[damage])
     kernel = numerics._load_face_kernel(cache)
-    assert kernel is not None
     assert damaged.read_bytes() == blob
     assert _same_bits(_residuals(monkeypatch, kernel), reference)
-    assert _same_bits(_residuals(monkeypatch, None), reference)
 
 
-@needs_kernel
 def test_an_unwritable_cache_builds_in_a_private_directory(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     cache.mkdir()
@@ -219,8 +180,9 @@ def test_an_unwritable_cache_builds_in_a_private_directory(tmp_path, monkeypatch
         lambda **kw: private.append(mkdtemp(dir=tmp_path, **kw)) or private[-1],
     )
     kernel = numerics._load_face_kernel(cache)
-    assert kernel is not None
     assert list(cache.iterdir()) == []
     # the private directory is gone once the library is loaded
     assert len(private) == 1 and not numerics.Path(private[0]).exists()
-    assert _same_bits(_residuals(monkeypatch, kernel), _residuals(monkeypatch, None))
+    # the same bits as a second kernel, the package's own
+    other = numerics.face_kernel()
+    assert _same_bits(_residuals(monkeypatch, kernel), _residuals(monkeypatch, other))

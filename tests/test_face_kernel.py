@@ -1,12 +1,12 @@
 """The solver's Euler face path against a face-by-face reference, and its
 failure paths.
 
-``spatial_residual`` shares one set of WENO differences between both face
-sides and one pressure pass per side between the positivity fallback, the
-checks and the flux.  It must give the same values as evaluating every face
-on its own (``oracles.reference_euler_residual``).  Every test runs on both
-face sweeps, the compiled one and the numpy one (the ``face_path`` fixture),
-and must see the same values and the same error messages on each.
+The compiled face sweep (``_faces.c``) shares one set of WENO differences
+between both face sides and one pressure pass per side between the
+positivity fallback, the checks and the flux.  It must give the same values
+as evaluating every face on its own (``oracles.reference_euler_residual``).
+When it stops, ``spatial_residual`` names the face in the error: the first
+bad left state of the axis in grid order, else the first bad right state.
 """
 
 import numpy as np
@@ -24,22 +24,11 @@ from conslaw.grid import (
     field_from_interior,
     fill_boundary,
 )
-from conslaw.numerics import (
-    FacePair,
-    FluxKind,
-    Reconstruction,
-    ReconstructionKind,
-    hllc_flux,
-    numerical_flux,
-    reconstruct_axis,
-    rusanov_flux,
-)
+from conslaw.numerics import FluxKind, Reconstruction, ReconstructionKind, reconstruct_axis
 from conslaw.parallel import exchange_halos, local_grid, scatter_field
 from conslaw import solver
 from conslaw.solver import SchemeConfig, run_simulation, spatial_residual, wave_speed_maxima
 from oracles import rank_offsets, reference_euler_residual
-
-pytestmark = pytest.mark.usefixtures("face_path")
 
 SCHEMES = [
     (flux, recon)
@@ -261,26 +250,31 @@ def test_unphysical_ghost_names_the_face_cell_in_2d(flux, recon):
         spatial_residual(field, cfg)
 
 
-@pytest.mark.parametrize("flux", [hllc_flux, rusanov_flux])
-def test_unphysical_face_state_names_the_cell(flux):
-    model = EquationModel(kind="euler", dim=2)
-    u = primitive_to_conserved(model, random_prim(np.random.default_rng(3), (3, 4)))
-    bad = u.copy()
-    bad[3, 2, 1] = -0.5
-    with pytest.raises(UnphysicalStateError, match=r"at cell \(2, 1\)"):
-        flux(model, FacePair(u, bad), 0)
-    with pytest.raises(UnphysicalStateError, match=r"at cell \(2, 1\)"):
-        flux(model, FacePair(bad, u), 1)
+@pytest.mark.parametrize("flux,recon", SCHEMES)
+def test_the_first_bad_left_face_of_the_axis_is_named(flux, recon):
+    # y ghosts read by y faces: the left state of face (0, 4) and the right
+    # state of face (4, 1).  The kernel meets column 1 first; the error
+    # names the left side of the whole axis first.
+    field, cfg = make_case(_states((4, 6)), flux, recon)
+    g = field.grid.ghost_width
+    field.data[:, g - 1, g + 4] = [1.0, 0.0, 0.0, -1.0]
+    field.data[:, g + 4, g + 1] = [1.0, 0.0, 0.0, -1.0]
+    with pytest.raises(UnphysicalStateError, match=r"unphysical state at cell \(0, 4\)"):
+        spatial_residual(field, cfg)
 
 
-def test_degenerate_wave_fan_raises():
-    # infinite density passes the positivity check but has no sound speed
-    model = EquationModel(kind="euler", dim=1)
-    u = np.array([[np.inf, 1.0], [0.0, 0.0], [1.0, 2.0]])
-    with pytest.raises(UnphysicalStateError, match="degenerate"):
-        hllc_flux(model, FacePair(u, u.copy()), 0)
-    with pytest.raises(UnphysicalStateError, match="degenerate"):
-        numerical_flux(model, FluxKind.HLLC, FacePair(u, u.copy()), 0)
+@pytest.mark.parametrize("recon", list(ReconstructionKind))
+def test_an_unphysical_face_is_named_before_an_earlier_degenerate_line(recon):
+    # x faces: row 0 is infinitely dense gas at rest, whose HLLC wave fan is
+    # degenerate; row 2 has an unphysical x ghost, read by face (2, 0)
+    field, cfg = make_case(_states((4, 6)), FluxKind.HLLC, recon)
+    g = field.grid.ghost_width
+    field.data[0, g] = np.inf
+    field.data[1:3, g] = 0.0
+    field.data[:, g + 2, g - 1] = [1.0, 0.0, 0.0, -1.0]
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(UnphysicalStateError, match=r"unphysical state at cell \(2, 0\)"):
+            spatial_residual(field, cfg)
 
 
 @pytest.mark.parametrize("recon", [ReconstructionKind.NONE, ReconstructionKind.WENO3])
