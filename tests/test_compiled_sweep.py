@@ -1,7 +1,9 @@
-"""The compiled Euler face sweep (``_faces.c``): its failure statuses, the
-checks of its arguments, and its loader: the compiler requirement and the
-library cache.
+"""The compiled Euler face sweep (``_faces.c``) against the face-by-face
+reference on whole runs, its failure statuses, the checks of its arguments,
+and its loader: the compiler requirement and the library cache.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -9,10 +11,103 @@ import pytest
 from conslaw import numerics, solver
 from conslaw.cli import main
 from conslaw.errors import ConfigError, SimulationError
+from conslaw.iodsl.output import read_snapshot
 from conslaw.numerics import FluxKind, ReconstructionKind
+from conslaw.presets import KH2D, KH3D, SOD
 from conslaw.solver import spatial_residual
+from oracles import reference_euler_residual
 from test_cli import small_kh
 from test_face_kernel import make_case, random_prim
+
+
+def _scheme(text, flux, recon):
+    text = re.sub(r"(?m)^flux = .*$", f"flux = {flux}", text)
+    return re.sub(r"(?m)^reconstruction = .*$", f"reconstruction = {recon}", text)
+
+
+def _kh(cells, flux="hllc", recon="weno3"):
+    text = KH2D.replace("cells = 64 64", f"cells = {cells} {cells}")
+    return _scheme(text.replace("t_end = 2.0", "t_end = 0.1"), flux, recon)
+
+
+def _sod(flux="hllc", recon="weno2"):
+    text = SOD.replace("cells = 400", "cells = 100").replace("t_end = 0.2", "t_end = 0.05")
+    return _scheme(text.replace("snapshot_times = 0.2", "snapshot_times = 0.02"), flux, recon)
+
+
+def _kh3d(cells):
+    text = KH3D.replace("cells = 32 32 32", f"cells = {cells} {cells} {cells}")
+    return text.replace("t_end = 1.0", "t_end = 0.05")
+
+
+# (config text, --ranks) of the whole-run comparisons
+RUNS = {
+    "kh2d-16": (_kh(16), None),
+    "kh2d-16-2x1": (_kh(16), "2x1"),
+    "kh2d-16-2x2": (_kh(16), "2x2"),
+    "kh2d-16-rusanov-weno2": (_kh(16, "rusanov", "weno2"), None),
+    "kh2d-16-hllc-none-2x2": (_kh(16, "hllc", "none"), "2x2"),
+    "sod": (_sod(), None),
+    "sod-rusanov-weno3": (_sod("rusanov", "weno3"), None),
+    "kh3d-8": (_kh3d(8), None),
+    "kh3d-8-2x1x2": (_kh3d(8), "2x1x2"),
+}
+
+
+def _run(tmp_path, name, text, ranks, capsys):
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(text)
+    out = tmp_path / name
+    args = ["run", str(cfg), "--output", str(out)] + (["--ranks", ranks] if ranks else [])
+    assert main(args) == 0
+    capsys.readouterr()
+    return out
+
+
+def _dt_series(out):
+    lines = [l for l in (out / "timing.csv").read_text().splitlines() if not l.startswith("#")]
+    return [l.split(",")[:3] for l in lines]
+
+
+def _reference_residual(field, cfg):
+    """``oracles.reference_euler_residual`` of a field or of each subdomain
+    of a stack (a rank axis after the components)."""
+    grid = field.grid
+    args = (grid.ghost_width, grid.deltas, cfg.model.gamma, cfg.flux.value,
+            cfg.recon.kind.value, cfg.recon.epsilon)
+    if field.data.ndim == grid.dim + 1:
+        return reference_euler_residual(field.data, *args)
+    ranks = range(field.data.shape[1])
+    return np.stack([reference_euler_residual(field.data[:, r], *args) for r in ranks], axis=1)
+
+
+@pytest.mark.parametrize("case", RUNS)
+def test_runs_are_bitwise_equal_to_the_face_by_face_reference(
+    case, tmp_path, monkeypatch, capsys
+):
+    # every stage of the run computed face by face instead of by the sweep:
+    # the same snapshots, bit for bit, and the same steps
+    text, ranks = RUNS[case]
+    compiled = _run(tmp_path, "compiled", text, ranks, capsys)
+    calls = []
+
+    def reference(field, cfg):
+        calls.append(field.data.shape)
+        return _reference_residual(field, cfg)
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "spatial_residual", reference)
+        plain = _run(tmp_path, "reference", text, ranks, capsys)
+    assert calls
+    snaps = sorted(p.name for p in compiled.glob("*.snap"))
+    assert "final.snap" in snaps
+    assert snaps == sorted(p.name for p in plain.glob("*.snap"))
+    for name in snaps:
+        a = read_snapshot(compiled / name)[0].interior
+        b = read_snapshot(plain / name)[0].interior
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    assert len(_dt_series(compiled)) > 1
+    assert _dt_series(compiled) == _dt_series(plain)
 
 
 def test_a_sweep_stopping_on_physical_faces_is_an_error(monkeypatch):
@@ -27,6 +122,30 @@ def test_a_sweep_stopping_on_physical_faces_is_an_error(monkeypatch):
         r"face states$",
     ):
         spatial_residual(field, cfg)
+
+
+@pytest.mark.parametrize("stop", ["unphysical", "degenerate"])
+def test_the_sweep_returns_the_status_of_its_stop(stop):
+    field, cfg = make_case(
+        random_prim(np.random.default_rng(6), (6,)), FluxKind.HLLC, ReconstructionKind.WENO3
+    )
+    grid = field.grid
+    if stop == "unphysical":
+        # a ghost with negative total energy; status 1 is STATUS_UNPHYSICAL
+        field.data[:, 1] = [1.0, 0.0, -1.0]
+        want = 1
+    else:
+        # infinitely dense gas at rest: no sound speed, sL == sR
+        field.data[0] = np.inf
+        field.data[1] = 0.0
+        want = numerics.SWEEP_DEGENERATE
+    out = np.zeros(field.interior.shape)
+    with np.errstate(invalid="ignore"):
+        status = numerics.euler_face_sweep(
+            cfg.model, cfg.flux, cfg.recon, field.data, out, 0,
+            grid.ghost_width, grid.cells, grid.deltas[0],
+        )
+    assert status == want
 
 
 def test_a_sweep_out_of_memory_is_a_memory_error(monkeypatch):
