@@ -14,9 +14,10 @@
  * (F[i+1] - F[i]) / delta from each interior cell of `out`.  Each line of
  * cells along the sweep axis is copied to contiguous per-component arrays,
  * so that every stage is a loop over the faces of the line.  The sweep
- * returns 0, or a nonzero status for the first line that fails: 1 for an
- * unphysical face state, 2 for a degenerate HLLC wave fan; `out` is then
- * partly updated.  conslaw.solver locates the failing face itself.
+ * returns 0, or a nonzero status for the first line that fails, ranks
+ * outermost: 1 for an unphysical face state, 2 for a degenerate HLLC wave
+ * fan; `out` is then partly updated and `*stop_rank` is that line's rank.
+ * conslaw.solver locates the failing face itself.
  */
 
 #include <math.h>
@@ -274,7 +275,7 @@ static int sweep_3d(const Scheme *s, const double *line, long sc, long sk, doubl
 int euler_sweep(const double *u, const long *ustr, double *out, const long *ostr,
                 const long *shape, int dim, int axis, int ghost, int weno, int hllc,
                 double epsilon, double d0, double d1, double gamma, double gm1,
-                double floor, double delta)
+                double floor, double delta, long *stop_rank)
 {
     Scheme s = {axis, weno, hllc, epsilon, d0, d1, gamma, gm1, floor, delta};
     int (*line_sweep)(const Scheme *, const double *, long, long, double *, long, long,
@@ -302,13 +303,15 @@ int euler_sweep(const double *u, const long *ustr, double *out, const long *ostr
     }
 #undef TAKE
     int status = STATUS_OK;
-    for (long r = 0; r < R && !status; r++)
+    for (long r = 0; r < R && !status; r++) {
+        *stop_rank = r;
         for (long t1 = 0; t1 < T1 && !status; t1++)
             for (long t2 = 0; t2 < T2 && !status; t2++)
                 status = line_sweep(
                     &s, u + r * ustr[1] + t1 * ustr[3] + t2 * ustr[4], ustr[0], ustr[2],
                     out + r * ostr[1] + t1 * ostr[3] + t2 * ostr[4], ostr[0], ostr[2],
                     n, ghost, &w);
+    }
     free(buf);
     return status;
 }

@@ -76,7 +76,7 @@ def _parse_ranks(text: str, dim: int) -> tuple:
 def _sample_vector(cfg, seed_override=None):
     seed = cfg.uq.seed if seed_override is None else seed_override
     plan = SamplePlan(
-        method=cfg.uq.method, samples=max(cfg.uq.samples, 1),
+        method=cfg.uq.method, samples=cfg.uq.samples,
         seed=seed, stochastic_dim=cfg.uq.stochastic_dim,
     )
     return draw_sample(plan, 0), seed
@@ -84,8 +84,7 @@ def _sample_vector(cfg, seed_override=None):
 
 def _write_csv(path: Path, header: OutputHeader, columns: str, rows) -> None:
     with open(path, "w") as fh:
-        for line in header.lines():
-            fh.write(f"# {line}\n")
+        fh.write(header.comments())
         fh.write(columns + "\n")
         for row in rows:
             fh.write(",".join(str(v) for v in row) + "\n")
@@ -135,8 +134,7 @@ def cmd_run(args) -> int:
         f"conservation_drift: {drift:.3e}\n"
     )
     with open(outdir / "summary.txt", "w") as fh:
-        for line in header.lines():
-            fh.write(f"# {line}\n")
+        fh.write(header.comments())
         fh.write(summary)
     sys.stdout.write(summary)
     return EXIT_OK

@@ -83,16 +83,21 @@ def is_physical(model: EquationModel, u: np.ndarray) -> bool:
     return bool(np.all(physical_mask(model, u)))
 
 
-def require_mask(u: np.ndarray, mask: np.ndarray) -> None:
-    """Raise UnphysicalStateError naming the first cell where ``mask`` is false."""
-    mask = np.atleast_1d(mask)
+def first_false(mask: np.ndarray, dim: int) -> tuple:
+    """``(rank, cell)`` of the first false entry of ``mask`` in C order: its
+    last ``dim`` axes are cells, and an axis before them is a stack's rank
+    axis (rank 0 without one), so this is the first rank's first false cell."""
+    idx = tuple(int(i) for i in np.unravel_index(int(np.argmin(mask)), mask.shape))
+    return (idx[0] if len(idx) > dim else 0), idx[-dim:]
+
+
+def require_mask(u: np.ndarray, mask: np.ndarray, dim: int) -> None:
+    """Raise UnphysicalStateError naming the rank and the cell of the first
+    false entry of ``mask`` (see ``first_false``)."""
     if not mask.all():
-        flat = int(np.flatnonzero(~mask.ravel())[0])
-        idx = np.unravel_index(flat, mask.shape)
-        value = u.reshape(u.shape[0], -1)[:, flat]
-        raise UnphysicalStateError(
-            f"unphysical state at cell {tuple(int(i) for i in idx)}: u = {value}"
-        )
+        rank, cell = first_false(mask, dim)
+        value = u.reshape(u.shape[0], -1, *mask.shape[-dim:])[(slice(None), rank) + cell]
+        raise UnphysicalStateError(f"unphysical state at cell {cell}: u = {value}", rank=rank)
 
 
 def physical_flux(model: EquationModel, u: np.ndarray, axis: int) -> np.ndarray:
@@ -120,7 +125,7 @@ def max_wave_speeds(model: EquationModel, u: np.ndarray) -> list:
         return [max_wave_speed(model, u, axis) for axis in range(model.dim)]
     rho = u[0]
     p = pressure(model, u)
-    require_mask(u, positive(rho, p))
+    require_mask(u, positive(rho, p), model.dim)
     c = np.sqrt(model.gamma * p / rho)
     return [np.abs(u[1 + axis] / rho) + c for axis in range(model.dim)]
 

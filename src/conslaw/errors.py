@@ -2,7 +2,12 @@
 
 
 class ConslawError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.  ``rank`` is the
+    failing rank of a check on a stack of subdomains, else None."""
+
+    def __init__(self, *args, rank=None):
+        super().__init__(*args)
+        self.rank = rank
 
 
 class ConfigError(ConslawError):

@@ -64,6 +64,10 @@ class OutputHeader:
         out.append(f"created: {self.created}")
         return out
 
+    def comments(self) -> str:
+        """The header as ``# key: value`` comment lines, for text outputs."""
+        return "".join(f"# {line}\n" for line in self.lines())
+
 
 def write_snapshot(field: Field, header: OutputHeader, path, components=None) -> None:
     """Self-describing snapshot of the interior cells; read back bitwise."""
@@ -150,9 +154,6 @@ def write_stats(results, header: OutputHeader, directory) -> list[Path]:
     directory.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
-    def comment_lines():
-        return "".join(f"# {line}\n" for line in header.lines())
-
     def write_moments(grid, mean, variance):
         for name, values in (("mean", mean), ("variance", variance)):
             path = directory / f"{name}.snap"
@@ -167,7 +168,7 @@ def write_stats(results, header: OutputHeader, directory) -> list[Path]:
         elif isinstance(res, Histogram):
             path = directory / "histogram.csv"
             with open(path, "w") as fh:
-                fh.write(comment_lines())
+                fh.write(header.comments())
                 fh.write("probe,bin_lo,bin_hi,count\n")
                 edges = res.edges
                 for p in range(len(res.probe_cells)):
@@ -181,7 +182,7 @@ def write_stats(results, header: OutputHeader, directory) -> list[Path]:
         elif isinstance(res, StructureFunctionAccumulator):
             path = directory / "structure_function.csv"
             with open(path, "w") as fh:
-                fh.write(comment_lines())
+                fh.write(header.comments())
                 fh.write("offset,value\n")
                 for h, v in enumerate(res.values()):
                     fh.write(f"{h},{v!r}\n")

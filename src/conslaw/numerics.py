@@ -240,7 +240,7 @@ def _load_face_kernel(cache_dir: Path):
     sweep.restype = ctypes.c_int
     sweep.argtypes = (
         [ctypes.c_void_p, strides, ctypes.c_void_p, strides, strides]
-        + [ctypes.c_int] * 5 + [ctypes.c_double] * 7
+        + [ctypes.c_int] * 5 + [ctypes.c_double] * 7 + [ctypes.POINTER(ctypes.c_long)]
     )
     return sweep
 
@@ -278,9 +278,9 @@ def euler_face_sweep(
 
     ``data`` is the padded state, ``out`` the interior residual, both in
     grid layout, with or without a rank axis after the components, both
-    float64.  Returns the kernel's status: 0 when done, else one of the
-    ``SWEEP_*`` statuses of the first line that failed (``out`` is then
-    partly updated).
+    float64.  Returns ``(status, rank)``: status 0 when done, else the
+    ``SWEEP_*`` status of the first line that failed, ranks outermost, whose
+    rank is ``rank`` (0 without a rank axis); ``out`` is then partly updated.
     """
     if data.dtype != np.float64 or out.dtype != np.float64:
         raise ValueError(
@@ -308,10 +308,12 @@ def euler_face_sweep(
         data.shape[1], cells[axis], *(1 if a is None else data.shape[a] for a in trans[:2])
     )
     weights = IDEAL_WEIGHTS.get(recon.kind, (0.0, 0.0))
-    return kernel(
+    stop_rank = ctypes.c_long(0)
+    status = kernel(
         data.ctypes.data, _element_strides(data, axes),
         out.ctypes.data, _element_strides(out, axes), shape,
         dim, axis, g, recon.kind is not ReconstructionKind.NONE,
         flux is FluxKind.HLLC, recon.epsilon, *weights,
-        model.gamma, model.gamma - 1.0, POSITIVITY_FLOOR, delta,
+        model.gamma, model.gamma - 1.0, POSITIVITY_FLOOR, delta, ctypes.byref(stop_rank),
     )
+    return status, stop_rank.value

@@ -22,6 +22,7 @@ import numpy as np
 from .equations import (
     EULER,
     EquationModel,
+    first_false,
     max_wave_speeds,
     physical_mask,
     require_mask,
@@ -71,14 +72,14 @@ class SchemeConfig:
                 f"t_end must be finite and >= 0, got {self.t_end}", key="t_end"
             )
         if self.flux is FluxKind.HLLC and self.model.kind != EULER:
-            raise ConfigError("HLLC flux requires the Euler equations")
+            raise ConfigError("flux incompatible with equation: hllc needs euler", key="flux")
         if not self.bc:
             object.__setattr__(
                 self, "bc", (BoundaryKind.PERIODIC,) * self.model.dim
             )
         if len(self.bc) != self.model.dim:
             raise ConfigError(
-                f"need {self.model.dim} boundary kinds, got {len(self.bc)}"
+                f"boundary needs {self.model.dim} kinds, got {len(self.bc)}", key="boundary"
             )
 
 
@@ -129,7 +130,7 @@ def _require_physical_faces(field: Field, cfg: SchemeConfig, axis: int) -> None:
         faces = [np.where(both, side, cell) for side, cell in zip(faces, cells)]
         ok = [physical_mask(cfg.model, side) for side in faces]
     for side, mask in zip(faces, ok):
-        require_mask(side, mask)
+        require_mask(side, mask, cfg.model.dim)
 
 
 def spatial_residual(field: Field, cfg: SchemeConfig) -> np.ndarray:
@@ -148,8 +149,8 @@ def spatial_residual(field: Field, cfg: SchemeConfig) -> np.ndarray:
 
     mask = physical_mask(model, field.interior)
     if not mask.all():
-        idx = tuple(int(i) for i in np.argwhere(~np.atleast_1d(mask))[0])
-        raise SimulationError(f"unphysical state in interior cell {idx}")
+        rank, cell = first_false(mask, grid.dim)
+        raise SimulationError(f"unphysical state in interior cell {cell}", rank=rank)
 
     out = np.zeros(field.interior.shape)
     for axis in range(grid.dim):
@@ -160,7 +161,7 @@ def spatial_residual(field: Field, cfg: SchemeConfig) -> np.ndarray:
             diff /= grid.deltas[axis]
             out -= diff
             continue
-        status = euler_face_sweep(
+        status, rank = euler_face_sweep(
             model, cfg.flux, cfg.recon, field.data, out, axis, g,
             grid.cells, grid.deltas[axis],
         )
@@ -172,10 +173,10 @@ def spatial_residual(field: Field, cfg: SchemeConfig) -> np.ndarray:
         if status:
             _require_physical_faces(field, cfg, axis)
             if status == SWEEP_DEGENERATE:
-                raise UnphysicalStateError("degenerate HLLC wave fan (sL >= sR)")
+                raise UnphysicalStateError("degenerate HLLC wave fan (sL >= sR)", rank=rank)
             raise SimulationError(
                 f"the compiled face sweep on axis {axis} stopped with status "
-                f"{status} on physical face states"
+                f"{status} on physical face states", rank=rank,
             )
     return out
 
@@ -259,14 +260,14 @@ def _checked_maxima(field: Field, cfg: SchemeConfig, when: str) -> np.ndarray:
     """CFL speed maxima of a field or stack, after checking that every
     interior cell is finite; the positivity check shares the speeds'
     pressure pass."""
-    bad = ~np.isfinite(field.interior).all(axis=0)
-    if bad.any():
-        cell = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise SimulationError(f"non-finite value {when} at cell {cell}")
+    finite = np.isfinite(field.interior).all(axis=0)
+    if not finite.all():
+        rank, cell = first_false(finite, field.grid.dim)
+        raise SimulationError(f"non-finite value {when} at cell {cell}", rank=rank)
     try:
         return wave_speed_maxima(field, cfg)
     except UnphysicalStateError as exc:
-        raise SimulationError(f"unphysical state {when}: {exc}") from exc
+        raise SimulationError(f"unphysical state {when}: {exc}", rank=exc.rank) from exc
 
 
 def run_simulation(
@@ -297,34 +298,19 @@ def run_simulation(
     state and after every step.
 
     Returns the final global field and one step record per step, whose
-    ``seconds`` is the wall time of the step.  A failed check is located by
-    repeating it rank by rank: with several ranks, the first failing rank is
-    raised as a SimulationError ``rank N failed: ...``.
+    ``seconds`` is the wall time of the step.  A check runs once, on the
+    whole stack, and no check is repeated rank by rank: a failure names the
+    check a serial run fails, the first rank (in rank order) failing it and
+    that rank's first failing cell, as ``rank N failed: ...`` with several ranks.
     """
     check_scheme(init.grid, cfg)
     ranks = tuple(ranks) if ranks is not None else (1,) * init.grid.dim
     state = scatter_field(init, ranks)
-    grid, size = state.grid, state.data.shape[1]
-
-    def checked(fn, *args):
-        """``fn(state, *args)``; when it fails, ``fn`` on each rank's field
-        in turn names the first failing rank and its local cell."""
-        try:
-            return fn(state, *args)
-        except (SimulationError, UnphysicalStateError):
-            for rank in range(size):
-                try:
-                    fn(Field(grid, state.ncomp, state.data[:, rank]), *args)
-                except (SimulationError, UnphysicalStateError) as rank_exc:
-                    if size == 1:
-                        raise
-                    raise SimulationError(f"rank {rank} failed: {rank_exc}") from rank_exc
-            raise
 
     def residual(u: np.ndarray) -> np.ndarray:
         # ``u`` is the stack's interior, so the stage is already in place
         exchange_halos(state, ranks, cfg.bc)
-        return checked(spatial_residual, cfg)
+        return spatial_residual(state, cfg)
 
     def notify(step, t):
         if observers:
@@ -332,25 +318,30 @@ def run_simulation(
             for obs in observers:
                 obs(step, t, field)
 
-    maxima = checked(_checked_maxima, cfg, "in the initial field")
     start = np.empty_like(state.interior)
     records: list[TimeStepRecord] = []
     t = 0.0
     step = 0
-    notify(step, t)
-    while steps is None or step < steps:
-        tic = time.perf_counter()
-        remaining = None
-        if steps is None:
-            remaining = cfg.t_end - t
-            if remaining <= 1e-14 * cfg.t_end:
-                break
-        dt = dt_from_maxima(maxima, grid.deltas, cfg.cfl, remaining)
-        ssp_rk_step(state, dt, cfg, residual, start)
-        step += 1
-        t += dt
-        # the post-step check and the next step's CFL speeds
-        maxima = checked(_checked_maxima, cfg, f"after step {step} (t = {t:.6g})")
-        records.append(TimeStepRecord(step, t, dt, time.perf_counter() - tic))
+    try:
+        maxima = _checked_maxima(state, cfg, "in the initial field")
         notify(step, t)
+        while steps is None or step < steps:
+            tic = time.perf_counter()
+            remaining = None
+            if steps is None:
+                remaining = cfg.t_end - t
+                if remaining <= 1e-14 * cfg.t_end:
+                    break
+            dt = dt_from_maxima(maxima, state.grid.deltas, cfg.cfl, remaining)
+            ssp_rk_step(state, dt, cfg, residual, start)
+            step += 1
+            t += dt
+            # the post-step check and the next step's CFL speeds
+            maxima = _checked_maxima(state, cfg, f"after step {step} (t = {t:.6g})")
+            records.append(TimeStepRecord(step, t, dt, time.perf_counter() - tic))
+            notify(step, t)
+    except (SimulationError, UnphysicalStateError) as exc:
+        if exc.rank is None or state.data.shape[1] == 1:
+            raise
+        raise SimulationError(f"rank {exc.rank} failed: {exc}") from exc
     return stitch_fields(state, ranks, init.grid), records

@@ -344,10 +344,11 @@ def test_degenerate_wave_fan_raises_in_residual(recon, dim):
         if dim == 2:
             # the x sweep passes
             out = np.zeros(field.interior.shape)
-            assert numerics.euler_face_sweep(
+            status, _rank = numerics.euler_face_sweep(
                 cfg.model, cfg.flux, cfg.recon, field.data, out, 0,
                 field.grid.ghost_width, field.grid.cells, field.grid.deltas[0],
-            ) == 0
+            )
+            assert status == 0
         with pytest.raises(UnphysicalStateError, match="degenerate"):
             spatial_residual(field, cfg)
 
@@ -449,3 +450,115 @@ def test_unphysical_state_after_a_step_names_the_step_on_2x1_ranks(monkeypatch):
     ):
         run_simulation(field, cfg, (2, 1))
     assert len(steps) == 2
+
+
+# ---------------------------------------------------------------------------
+# Decomposed runs fail like serial runs
+# ---------------------------------------------------------------------------
+
+
+def test_a_decomposed_run_fails_the_serial_runs_check():
+    # the NaN at (2, 6) fails the finite check, which comes before the
+    # positivity check that the negative energy at (1, 1) fails, on every
+    # layout; on 2x1 ranks the NaN is rank 1's local cell (2, 2)
+    field, cfg = make_case(_states((8, 8)), FluxKind.HLLC, ReconstructionKind.WENO3)
+    g = field.grid.ghost_width
+    field.data[(0, g + 2, g + 6)] = np.nan
+    field.data[(3, g + 1, g + 1)] = -1.0
+    with pytest.raises(
+        SimulationError, match=r"^non-finite value in the initial field at cell \(2, 6\)$"
+    ):
+        run_simulation(field.copy(), cfg)
+    with pytest.raises(
+        SimulationError,
+        match=r"^rank 1 failed: non-finite value in the initial field at cell \(2, 2\)$",
+    ):
+        run_simulation(field, cfg, (2, 1))
+
+
+#: the two initial-field checks, in the order a run makes them, as the
+#: error names them
+INITIAL_CHECKS = (
+    "non-finite value in the initial field",
+    "unphysical state in the initial field: unphysical state",
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    bad=st.lists(
+        st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(-1, 3)),
+        min_size=1, max_size=3,
+    ),
+    ranks=st.sampled_from([(2, 1), (1, 2), (2, 2)]),
+)
+def test_decomposed_runs_name_the_serial_check_then_the_first_rank(bad, ranks):
+    # bad cells (y, x, c): a NaN in component c, or a negative energy for
+    # c = -1.  The check is the serial run's; the rank is the first, in rank
+    # order, with a cell failing that check, and the cell that rank's first.
+    field, cfg = make_case(_states((8, 8)), FluxKind.HLLC, ReconstructionKind.WENO3)
+    g = field.grid.ghost_width
+    for y, x, c in bad:
+        if c < 0:
+            field.data[(3, g + y, g + x)] = -1.0
+        else:
+            field.data[(c, g + y, g + x)] = np.nan
+    # a later write to a cell may replace a NaN by the negative energy
+    finite = np.isfinite(field.interior).all(axis=0)
+    check, failing = (
+        (INITIAL_CHECKS[0], ~finite) if not finite.all()
+        else (INITIAL_CHECKS[1], field.interior[3] < 0)
+    )
+    cells = {(int(y), int(x)) for y, x in np.argwhere(failing)}
+    ly, lx = 8 // ranks[1], 8 // ranks[0]
+    owned = [
+        sorted((y - y0, x - x0) for y, x in cells if y0 <= y < y0 + ly and x0 <= x < x0 + lx)
+        for x0, y0 in rank_offsets((8, 8), ranks)
+    ]
+    rank = next(r for r, local in enumerate(owned) if local)
+    with pytest.raises(SimulationError) as serial:
+        run_simulation(field.copy(), cfg)
+    assert str(serial.value).startswith(f"{check} at cell {min(cells)}")
+    with pytest.raises(SimulationError) as decomposed:
+        run_simulation(field, cfg, ranks)
+    assert str(decomposed.value).startswith(f"rank {rank} failed: {check} at cell {owned[rank][0]}")
+
+
+@pytest.mark.parametrize("ranks", [(2, 1), (2, 2)])
+def test_a_failing_decomposed_stage_computes_one_residual(monkeypatch, ranks):
+    # the stage's one residual over the stack names the rank: no rank's
+    # residual is computed again to find it
+    field, cfg = make_case(_states((4, 8)), FluxKind.HLLC, ReconstructionKind.WENO3)
+    g = field.grid.ghost_width
+    real_residual = solver.spatial_residual
+    calls = []
+
+    def corrupting_residual(stage, c):
+        calls.append(stage.data.shape)
+        if stage.data.ndim == 4:
+            stage.data[(3, 1, g + 1, g + 2)] = -1.0
+        return real_residual(stage, c)
+
+    monkeypatch.setattr(solver, "spatial_residual", corrupting_residual)
+    with pytest.raises(SimulationError, match=r"^rank 1 failed: unphysical state in interior"):
+        run_simulation(field, cfg, ranks, steps=1)
+    assert len(calls) == 1
+
+
+def test_a_degenerate_wave_fan_names_its_rank(monkeypatch):
+    # the whole interior of rank 1 becomes infinitely dense gas at rest: its
+    # faces stay physical, and those between two such cells have no wave fan
+    field, cfg = make_case(_states((4, 8)), FluxKind.HLLC, ReconstructionKind.WENO3)
+    g = field.grid.ghost_width
+    real_residual = solver.spatial_residual
+
+    def corrupting_residual(stage, c):
+        if stage.data.ndim == 4:
+            stage.data[0, 1, g:-g, g:-g] = np.inf
+            stage.data[1:3, 1, g:-g, g:-g] = 0.0
+        return real_residual(stage, c)
+
+    monkeypatch.setattr(solver, "spatial_residual", corrupting_residual)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(SimulationError, match=r"^rank 1 failed: degenerate HLLC wave fan"):
+            run_simulation(field, cfg, (2, 1), steps=1)

@@ -225,8 +225,9 @@ def test_incompatible_flux_rejected():
         "[scheme]\nequation = burgers\nflux = hllc\nt_end = 0.1\n\n"
         "[initial]\nvariables = scalar\nu = sin(2 * pi * x)\n"
     )
-    with pytest.raises(ConfigError, match="hllc needs euler"):
+    with pytest.raises(ConfigError, match="hllc needs euler") as err:
         parse_config(text)
+    assert err.value.line == 1 + text.splitlines().index("flux = hllc")
 
 
 def test_missing_stochastic_dim_rejected():
@@ -286,6 +287,14 @@ def test_t_end_that_is_not_finite_names_its_line(value):
     text = KH2D.replace("t_end = 2.0", f"t_end = {value}")
     line = 1 + text.splitlines().index(f"t_end = {value}")
     with pytest.raises(ConfigError, match="t_end must be finite") as err:
+        parse_config(text)
+    assert err.value.line == line
+
+
+def test_a_boundary_of_the_wrong_length_names_its_line():
+    text = KH2D.replace("boundary = periodic", "boundary = periodic outflow periodic")
+    line = 1 + text.splitlines().index("boundary = periodic outflow periodic")
+    with pytest.raises(ConfigError, match="boundary needs 2 kinds, got 3") as err:
         parse_config(text)
     assert err.value.line == line
 
