@@ -27,7 +27,6 @@ from .uq import (
     FieldMoments,
     Histogram,
     MlmcPlan,
-    SamplePlan,
     StructureFunctionAccumulator,
     draw_sample,
     run_mc,
@@ -61,25 +60,12 @@ def _output_dir(args, cfg) -> Path:
 
 
 def _parse_ranks(text: str, dim: int) -> tuple:
-    parts = text.lower().split("x")
+    """``--ranks`` as counts joined by ``x``; a single count splits x alone."""
     try:
-        ranks = tuple(int(p) for p in parts)
+        ranks = tuple(int(p) for p in text.lower().split("x"))
     except ValueError:
         raise ConfigError(f"cannot parse rank layout {text!r}") from None
-    if len(ranks) == 1:
-        ranks = ranks + (1,) * (dim - 1)
-    if len(ranks) != dim:
-        raise ConfigError(f"rank layout {text!r} does not match dim {dim}")
-    return ranks
-
-
-def _sample_vector(cfg, seed_override=None):
-    seed = cfg.uq.seed if seed_override is None else seed_override
-    plan = SamplePlan(
-        method=cfg.uq.method, samples=cfg.uq.samples,
-        seed=seed, stochastic_dim=cfg.uq.stochastic_dim,
-    )
-    return draw_sample(plan, 0), seed
+    return ranks + (1,) * (dim - 1) if len(ranks) == 1 else ranks
 
 
 def _write_csv(path: Path, header: OutputHeader, columns: str, rows) -> None:
@@ -95,14 +81,15 @@ def _write_csv(path: Path, header: OutputHeader, columns: str, rows) -> None:
 
 def cmd_run(args) -> int:
     cfg = _load_config(args.config)
-    vector, seed = _sample_vector(cfg, args.seed)
-    header = OutputHeader(cfg.digest, seed, sample=0)
+    plan = cfg.uq.plan(cfg.grid, args.seed)
+    header = OutputHeader(cfg.digest, plan.seed, sample=0)
     outdir = _output_dir(args, cfg)
     outdir.mkdir(parents=True, exist_ok=True)
 
     model = cfg.scheme.model
     init = eval_init(
-        cfg.initial_exprs, model, cfg.grid, vector, primitive=cfg.initial_primitive
+        cfg.initial_exprs, model, cfg.grid, draw_sample(plan, 0),
+        primitive=cfg.initial_primitive,
     )
     ranks = _parse_ranks(args.ranks, cfg.grid.dim) if args.ranks else cfg.ranks_per_axis
     names = model.component_names
@@ -118,6 +105,9 @@ def cmd_run(args) -> int:
     observers = [snapshot_observer] if pending else []
     final, records = run_simulation(init, cfg.scheme, ranks, observers)
     step_rows = [(r.step, r.t, r.dt, r.seconds) for r in records]
+    for target in pending:
+        print(f"warning: snapshot time {target:g} lies past t_end {cfg.scheme.t_end:g}, "
+              "not written", file=sys.stderr)
 
     write_snapshot(final, header, outdir / "final.snap", components=names)
     _write_csv(outdir / "timing.csv", header, "step,t,dt,seconds", step_rows)
@@ -143,66 +133,14 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _probe_cells(points, grid: GridSpec):
-    cells = []
-    for pt in points:
-        idx = []
-        for k in range(grid.dim):
-            i = int((pt[k] - grid.origin[k]) / grid.deltas[k])
-            idx.append(min(max(i, 0), grid.cells[k] - 1))
-        cells.append(tuple(idx))
-    return cells
-
-
-def _build_functionals(cfg):
-    uq = cfg.uq
-    model = cfg.scheme.model
-    out = []
-    for name in uq.functionals:
-        if name == "moments":
-            out.append(FieldMoments(cfg.grid, model.ncomp))
-        elif name == "histogram":
-            points = uq.histogram_points or ((tuple(
-                o + 0.5 * e for o, e in zip(cfg.grid.origin, cfg.grid.extent)
-            )),)
-            out.append(
-                Histogram(
-                    _probe_cells(points, cfg.grid),
-                    uq.histogram_component,
-                    uq.histogram_range[0],
-                    uq.histogram_range[1],
-                    uq.histogram_bins,
-                )
-            )
-        elif name == "structure_function":
-            out.append(
-                StructureFunctionAccumulator(
-                    uq.structure_p, uq.structure_max_offset, uq.structure_component
-                )
-            )
-    return out
-
-
-def _level_grids(grid: GridSpec, levels: int):
-    out = []
-    for l in range(levels):
-        factor = 2 ** (levels - 1 - l)
-        cells = tuple(n // factor for n in grid.cells)
-        out.append(
-            GridSpec(grid.dim, cells, grid.origin, grid.extent, grid.ghost_width)
-        )
-    return tuple(out)
-
-
 def cmd_uq(args) -> int:
     cfg = _load_config(args.config)
     if not cfg.has_uq_section:
         raise ConfigError("config has no [uq] section")
-    uq = cfg.uq
-    seed = uq.seed if args.seed is None else args.seed
     if args.workers is not None:
         check_workers(args.workers)
-    header = OutputHeader(cfg.digest, seed)
+    plan = cfg.uq.plan(cfg.grid, args.seed)
+    header = OutputHeader(cfg.digest, plan.seed)
     outdir = _output_dir(args, cfg)
     model = cfg.scheme.model
 
@@ -211,22 +149,11 @@ def cmd_uq(args) -> int:
             cfg.initial_exprs, model, grid, vector, primitive=cfg.initial_primitive
         )
 
-    if uq.levels > 1:
-        if any(f != "moments" for f in uq.functionals):
-            raise ConfigError(
-                "multilevel estimation supports only the 'moments' functional"
-            )
-        plan = MlmcPlan(
-            grids=_level_grids(cfg.grid, uq.levels),
-            samples_per_level=uq.level_samples,
-            method=uq.method,
-            seed=seed,
-            stochastic_dim=uq.stochastic_dim,
-        )
+    if isinstance(plan, MlmcPlan):
         result = run_mlmc(plan, cfg.scheme, evaluate_init)
         written = write_stats([result], header, outdir)
         sys.stdout.write(
-            f"mlmc levels={uq.levels} samples={list(uq.level_samples)} "
+            f"mlmc levels={plan.levels} samples={list(plan.samples_per_level)} "
             f"mean(rho) range [{result.mean[0].min():.6g}, {result.mean[0].max():.6g}]\n"
         )
         negative = int(np.any(result.variance < 0, axis=0).sum())
@@ -237,13 +164,8 @@ def cmd_uq(args) -> int:
                 file=sys.stderr,
             )
     else:
-        plan = SamplePlan(
-            method=uq.method, samples=uq.samples, seed=seed,
-            stochastic_dim=uq.stochastic_dim,
-        )
-        results = run_mc(
-            plan, cfg.grid, cfg.scheme, evaluate_init, _build_functionals(cfg)
-        )
+        functionals = cfg.uq.build_functionals(cfg.grid, model.ncomp)
+        results = run_mc(plan, cfg.grid, cfg.scheme, evaluate_init, functionals)
         written = write_stats(results, header, outdir)
         for res in results:
             if isinstance(res, FieldMoments):
@@ -313,8 +235,9 @@ def cmd_bench(args) -> int:
     if steps < 1:
         raise ConfigError(f"--steps must be >= 1, got {steps}")
     warmup = min(5, steps - 1)
-    vector, seed = _sample_vector(cfg, args.seed)
-    header = OutputHeader(cfg.digest, seed, sample=0)
+    plan = cfg.uq.plan(cfg.grid, args.seed)
+    vector = draw_sample(plan, 0)
+    header = OutputHeader(cfg.digest, plan.seed, sample=0)
     outdir = _output_dir(args, cfg)
     outdir.mkdir(parents=True, exist_ok=True)
 

@@ -17,6 +17,8 @@ from ..grid import BoundaryKind, GridSpec
 from ..numerics import FluxKind, Reconstruction, ReconstructionKind
 from ..parallel import local_grid
 from ..solver import SchemeConfig, check_scheme
+from ..uq import FieldMoments, Histogram, MlmcPlan, SamplePlan, level_grids
+from ..uq import StructureFunctionAccumulator
 from .expr import eval_init, max_random_index, parse_expr
 
 _SECTIONS = ("grid", "scheme", "initial", "parallel", "uq", "output")
@@ -53,7 +55,7 @@ class UqSettings:
     stochastic_dim: int = 1
     workers: int = 1  # checked, no effect (see check_workers)
     levels: int = 1
-    level_samples: tuple = ()
+    level_samples: tuple = ()  # () is ``samples`` on every level
     functionals: tuple = ("moments",)
     histogram_component: int = 0
     histogram_points: tuple = ()
@@ -62,6 +64,45 @@ class UqSettings:
     structure_p: float = 2.0
     structure_max_offset: int = 8
     structure_component: int = 0
+
+    def plan(self, grid: GridSpec, seed: int | None = None):
+        """The campaign's sample plan, with ``seed`` for the config's when
+        given: a ``SamplePlan`` of ``samples`` for one level (an ``MlmcPlan``
+        rejects a longer ``level_samples``), else an ``MlmcPlan`` on the level
+        grids of ``grid``.  ``samples``, each level's default, is checked too."""
+        single = SamplePlan(
+            self.method, self.samples, self.seed if seed is None else seed, self.stochastic_dim
+        )
+        if self.levels == 1 and len(self.level_samples) <= 1:
+            return single
+        if self.levels > 1 and any(f != "moments" for f in self.functionals):
+            raise ConfigError(
+                "multilevel estimation supports only the 'moments' functional", key="functionals"
+            )
+        grids = level_grids(grid, self.levels)
+        return MlmcPlan(
+            grids, self.level_samples or (self.samples,) * len(grids),
+            single.method, single.seed, single.stochastic_dim,
+        )
+
+    def build_functionals(self, grid: GridSpec, ncomp: int) -> list:
+        """Fresh functionals of the campaign on ``grid``, in ``functionals``
+        order.  The histogram and the structure function are built either
+        way, so their settings are checked even when they are not selected."""
+        center = tuple(o + 0.5 * e for o, e in zip(grid.origin, grid.extent))
+        points = self.histogram_points or (center,)
+        # the cell of each point, x-first, clamped to the grid
+        probes = [tuple(min(max(int((x - o) / d), 0), n - 1) for x, o, d, n in
+                        zip(pt, grid.origin, grid.deltas, grid.cells)) for pt in points]
+        built = {f.name: f for f in (
+            Histogram(probes, self.histogram_component, *self.histogram_range,
+                      self.histogram_bins),
+            StructureFunctionAccumulator(
+                self.structure_p, self.structure_max_offset, self.structure_component
+            ),
+        )}
+        return [FieldMoments(grid, ncomp) if name == "moments" else built[name]
+                for name in self.functionals]
 
 
 @dataclass
@@ -264,10 +305,10 @@ def check_workers(workers: int) -> None:
     """Check the worker count of ``[uq] workers`` or ``uq --workers``.  It
     selects nothing: every sample runs on the calling thread."""
     if workers < 1:
-        raise ConfigError("worker count must be >= 1")
+        raise ConfigError("worker count must be >= 1", key="workers")
 
 
-def _build_uq(uq: _Section, grid: GridSpec, model, present: bool) -> UqSettings:
+def _build_uq(uq: _Section, grid: GridSpec, model) -> UqSettings:
     settings = UqSettings(
         method=uq.choice("method", ("mc", "qmc"), "mc"),
         samples=uq.int("samples", 1),
@@ -275,52 +316,35 @@ def _build_uq(uq: _Section, grid: GridSpec, model, present: bool) -> UqSettings:
         stochastic_dim=uq.int("stochastic_dim", 1),
         workers=uq.int("workers", 1),
         levels=uq.int("levels", 1),
-        functionals=tuple(uq.words("functionals", ("moments",))),
+        level_samples=uq.ints("level_samples", ()),
+        # listed once each: a functional listed twice would see every sample twice
+        functionals=tuple(dict.fromkeys(uq.words("functionals", ("moments",)))),
         histogram_component=uq.int("histogram_component", 0),
         histogram_bins=uq.int("histogram_bins", 64),
         structure_p=uq.float("structure_p", 2.0),
         structure_max_offset=uq.int("structure_max_offset", 8),
         structure_component=uq.int("structure_component", 0),
     )
-    if settings.samples < 1:
-        raise ConfigError("sample count must be >= 1")
     for key in ("histogram_component", "structure_component"):
         component = getattr(settings, key)
         if not 0 <= component < model.ncomp:
             raise ConfigError(
                 f"{key} {component} is not a component of {model.kind} in "
                 f"{model.dim}D (0..{model.ncomp - 1}: {' '.join(model.component_names)})",
-                line=uq.raw(key)[1], key=key,
+                key=key,
             )
     check_workers(settings.workers)
     for f in settings.functionals:
         if f not in _FUNCTIONAL_NAMES:
             raise ConfigError(
-                f"unknown functional {f!r} (choose from {_FUNCTIONAL_NAMES})"
+                f"unknown functional {f!r} (choose from {_FUNCTIONAL_NAMES})",
+                key="functionals",
             )
-    if uq.has("level_samples"):
-        settings.level_samples = uq.ints("level_samples")
-    else:
-        settings.level_samples = (settings.samples,) * settings.levels
-    if settings.levels < 1:
-        raise ConfigError("levels must be >= 1")
-    if len(settings.level_samples) != settings.levels:
+    rng = settings.histogram_range = uq.floats("histogram_range", (0.0, 1.0))
+    if len(rng) != 2:
         raise ConfigError(
-            f"level_samples needs {settings.levels} entries, "
-            f"got {len(settings.level_samples)}"
+            f"histogram_range must be 'lo hi' with lo < hi, got {rng}", key="histogram_range"
         )
-    factor = 2 ** (settings.levels - 1)
-    for axis, n in enumerate(grid.cells):
-        if n % factor != 0:
-            raise ConfigError(
-                f"{n} cells on axis {axis} cannot be coarsened "
-                f"{settings.levels - 1} times"
-            )
-    if uq.has("histogram_range"):
-        rng = uq.floats("histogram_range")
-        if len(rng) != 2 or rng[1] <= rng[0]:
-            raise ConfigError(f"histogram_range must be 'lo hi' with lo < hi, got {rng}")
-        settings.histogram_range = (rng[0], rng[1])
     if uq.has("histogram_points"):
         value, line = uq.raw("histogram_points")
         points = []
@@ -349,8 +373,10 @@ def _build_uq(uq: _Section, grid: GridSpec, model, present: bool) -> UqSettings:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and fully validate a configuration; raises ConfigError with the
-    offending line on any problem."""
+    """Parse and fully validate a configuration.  Each setting is checked
+    once, by the object that owns it, and a ConfigError names the line that
+    sets the value at fault (none for a missing key or a check across
+    sections), so ``run``, ``uq`` and ``bench`` reject the same configs."""
     sections = _parse_sections(text)
     _check_known(sections)
 
@@ -412,13 +438,18 @@ def parse_config(text: str) -> RunConfig:
         raise _with_line(exc, parallel_s, "ranks") from None
 
     uq_s = _section(sections, "uq")
-    uq = _build_uq(uq_s, grid, model, "uq" in sections)
+    try:
+        uq = _build_uq(uq_s, grid, model)
+        uq.plan(grid)
+        uq.build_functionals(grid, model.ncomp)
+    except ConfigError as exc:
+        raise _with_line(exc, uq_s, exc.key) from None
 
     needed = 1 + max(max_random_index(e) for e in exprs)
     if needed > uq.stochastic_dim:
         raise ConfigError(
             f"initial data uses random symbol X{needed - 1} but stochastic_dim "
-            f"is {uq.stochastic_dim}"
+            f"is {uq.stochastic_dim}", line=uq_s.raw("stochastic_dim", "")[1],
         )
     _spot_check_initial(exprs, model, grid, uq.stochastic_dim, primitive)
 
@@ -427,6 +458,10 @@ def parse_config(text: str) -> RunConfig:
         directory=output_s.raw("directory", "out")[0],
         snapshot_times=output_s.floats("snapshot_times", ()),
     )
+    for t in output.snapshot_times:
+        if not t >= 0:
+            raise ConfigError(f"snapshot_times must be >= 0, got {t}",
+                              line=output_s.raw("snapshot_times")[1])
 
     return RunConfig(
         grid=grid,

@@ -10,6 +10,7 @@ output can be traced back to the exact run that produced it.
 from __future__ import annotations
 
 import datetime as _dt
+import math
 import subprocess
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import __version__ as _version
-from ..errors import SnapshotError
+from ..errors import ConfigError, SnapshotError
 from ..grid import Field, GridSpec, make_field
 
 FORMAT_MAGIC = "conslaw-snapshot"
@@ -102,7 +103,7 @@ def _parse_header(blob: bytes, path) -> tuple[dict, int]:
     magic = text_lines[0].split()
     if len(magic) != 2 or magic[0] != FORMAT_MAGIC:
         raise SnapshotError(f"{path}: not a snapshot file")
-    if int(magic[1]) != FORMAT_VERSION:
+    if magic[1] != str(FORMAT_VERSION):
         raise SnapshotError(
             f"{path}: unsupported format version {magic[1]} (expected {FORMAT_VERSION})"
         )
@@ -122,14 +123,19 @@ def read_snapshot(path) -> tuple[Field, dict]:
     for required in ("config_digest", "seed", "dim", "cells", "ncomp"):
         if required not in header:
             raise SnapshotError(f"{path}: header is missing {required!r}")
-    dim = int(header["dim"])
-    cells = tuple(int(c) for c in header["cells"].split())
-    origin = tuple(float(v) for v in header.get("origin", "0 " * dim).split())
-    extent = tuple(float(v) for v in header.get("extent", "1 " * dim).split())
-    ghost = int(header.get("ghost_width", 1))
-    ncomp = int(header["ncomp"])
-    grid = GridSpec(dim, cells, origin, extent, ghost_width=ghost)
-    expected = ncomp * int(np.prod(cells))
+    try:
+        cells = tuple(int(c) for c in header["cells"].split())
+        # defaults sized by the cells, so a huge dim cannot build a huge string
+        origin = tuple(float(v) for v in header.get("origin", "0 " * len(cells)).split())
+        extent = tuple(float(v) for v in header.get("extent", "1 " * len(cells)).split())
+        ncomp = int(header["ncomp"])
+        if ncomp < 1:
+            raise SnapshotError(f"{path}: ncomp must be >= 1, got {ncomp}")
+        grid = GridSpec(int(header["dim"]), cells, origin, extent,
+                        ghost_width=int(header.get("ghost_width", 1)))
+    except (ValueError, ConfigError) as exc:
+        raise SnapshotError(f"{path}: malformed header: {exc}") from None
+    expected = ncomp * math.prod(cells)
     raw = blob[offset:]
     found = len(raw) // 8
     if found != expected or len(raw) % 8 != 0:

@@ -29,11 +29,19 @@ QMC = "qmc"
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 
-def _check_seed(seed: int) -> None:
-    """The generator key is a uint64: reject what it cannot hold up front,
-    before any sample is solved."""
-    if not 0 <= seed < 2 ** 64:
-        raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
+def _check_draws(plan) -> None:
+    """The draw settings of either plan, checked before any sample is solved;
+    the generator key is a uint64, so it bounds the seed."""
+    if plan.method not in (MC, QMC):
+        raise ConfigError(f"unknown sampling method {plan.method!r}", key="method")
+    if plan.stochastic_dim < 1:
+        raise ConfigError(
+            f"stochastic_dim must be >= 1, got {plan.stochastic_dim}", key="stochastic_dim"
+        )
+    if plan.method == QMC and plan.stochastic_dim > len(_PRIMES):
+        raise ConfigError(f"Halton supports up to {len(_PRIMES)} dimensions", key="stochastic_dim")
+    if not 0 <= plan.seed < 2 ** 64:
+        raise ConfigError(f"seed must lie in [0, 2**64), got {plan.seed}", key="seed")
 
 
 @dataclass(frozen=True)
@@ -44,13 +52,9 @@ class SamplePlan:
     stochastic_dim: int = 1
 
     def __post_init__(self):
-        if self.method not in (MC, QMC):
-            raise ConfigError(f"unknown sampling method {self.method!r}")
         if self.samples < 1:
-            raise ConfigError(f"sample count must be >= 1, got {self.samples}")
-        if self.stochastic_dim < 1:
-            raise ConfigError(f"stochastic_dim must be >= 1, got {self.stochastic_dim}")
-        _check_seed(self.seed)
+            raise ConfigError(f"sample count must be >= 1, got {self.samples}", key="samples")
+        _check_draws(self)
 
 
 @dataclass(frozen=True)
@@ -64,13 +68,14 @@ class MlmcPlan:
     stochastic_dim: int = 1
 
     def __post_init__(self):
-        if len(self.grids) != len(self.samples_per_level):
-            raise ConfigError("need one sample count per level")
         if len(self.grids) < 1:
-            raise ConfigError("MLMC needs at least one level")
+            raise ConfigError("levels must be >= 1", key="levels")
+        if len(self.grids) != len(self.samples_per_level):
+            raise ConfigError(f"level_samples needs {len(self.grids)} entries, got "
+                              f"{len(self.samples_per_level)}", key="level_samples")
         if any(m < 1 for m in self.samples_per_level):
-            raise ConfigError("per-level sample counts must be >= 1")
-        _check_seed(self.seed)
+            raise ConfigError("per-level sample counts must be >= 1", key="level_samples")
+        _check_draws(self)
         for l in range(1, len(self.grids)):
             coarse, fine = self.grids[l - 1], self.grids[l]
             same = all(f == c for f, c in zip(fine.cells, coarse.cells))
@@ -86,6 +91,23 @@ class MlmcPlan:
         return len(self.grids)
 
 
+def level_grids(grid: GridSpec, levels: int) -> tuple:
+    """The grids of an MLMC hierarchy of ``levels`` levels whose finest is
+    ``grid``, coarsest first, every axis halving per level down (none for
+    ``levels`` < 1, which ``MlmcPlan`` rejects)."""
+    for axis, n in enumerate(grid.cells):
+        # a multiple of 2**(levels - 1), tested by shifts: no huge power of two
+        if levels > 1 and n >> (levels - 1) << (levels - 1) != n:
+            raise ConfigError(
+                f"{n} cells on axis {axis} cannot be coarsened {levels - 1} times", key="levels"
+            )
+    return tuple(
+        GridSpec(grid.dim, tuple(n >> (levels - 1 - l) for n in grid.cells), grid.origin,
+                 grid.extent, grid.ghost_width)
+        for l in range(levels)
+    )
+
+
 def radical_inverse(index: int, base: int) -> float:
     """Van der Corput radical inverse of ``index`` in the given base."""
     inv = 0.0
@@ -98,9 +120,7 @@ def radical_inverse(index: int, base: int) -> float:
 
 
 def halton_point(index: int, dim: int) -> np.ndarray:
-    """Point ``index`` (1-based) of the Halton sequence in [0,1)^dim."""
-    if dim > len(_PRIMES):
-        raise ConfigError(f"Halton supports up to {len(_PRIMES)} dimensions")
+    """Point ``index`` (1-based) of the Halton sequence in [0,1)^dim; the plans bound dim."""
     return np.array([radical_inverse(index, _PRIMES[d]) for d in range(dim)])
 
 
@@ -187,10 +207,11 @@ class Histogram:
     name = "histogram"
 
     def __init__(self, probe_cells, component: int, lo: float, hi: float, bins: int = 64):
-        if hi <= lo:
-            raise ConfigError(f"histogram range [{lo}, {hi}) is empty")
+        if not -np.inf < lo < hi < np.inf:  # an infinite bin width makes nan bins
+            raise ConfigError(f"histogram_range must be 'lo hi' with lo < hi, got {(lo, hi)}",
+                              key="histogram_range")
         if bins < 1:
-            raise ConfigError(f"histogram needs >= 1 bins, got {bins}")
+            raise ConfigError(f"histogram needs >= 1 bins, got {bins}", key="histogram_bins")
         self.probe_cells = tuple(tuple(int(i) for i in p) for p in probe_cells)
         self.component = component
         self.lo = float(lo)
@@ -229,10 +250,14 @@ class StructureFunctionAccumulator:
     name = "structure_function"
 
     def __init__(self, p: float, max_offset: int, component: int = 0):
-        if p < 1:
-            raise ConfigError(f"structure-function exponent must be >= 1, got {p}")
+        if not p >= 1:
+            raise ConfigError(
+                f"structure-function exponent must be >= 1, got {p}", key="structure_p"
+            )
         if max_offset < 0:
-            raise ConfigError(f"max offset must be >= 0, got {max_offset}")
+            raise ConfigError(
+                f"max offset must be >= 0, got {max_offset}", key="structure_max_offset"
+            )
         self.p = float(p)
         self.max_offset = int(max_offset)
         self.component = int(component)

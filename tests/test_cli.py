@@ -6,13 +6,13 @@ import pytest
 
 import conslaw.cli
 import conslaw.uq
-from conslaw.cli import _level_grids, main
+from conslaw.cli import main
 from conslaw.iodsl import eval_init
 from conslaw.iodsl.config import parse_config
 from conslaw.iodsl.output import read_snapshot
 from conslaw.presets import KH2D, PRESETS, SOD
 from conslaw.solver import TimeStepRecord
-from conslaw.uq import MlmcPlan, run_mlmc
+from conslaw.uq import MlmcPlan, level_grids as _level_grids, run_mlmc
 
 
 def small_sod(tmp_path, cells=64):
@@ -89,7 +89,7 @@ def test_run_summary_final_time_is_a_plain_number(tmp_path, capsys):
 
 
 # (line of the KH2D preset, its replacement, the message that must follow
-# "line N: ")
+# "line N: ", where N is the last line of the replacement)
 BAD_LINES = [
     ("extent = 1 1", "extent = 1 nan", r"extent must be finite and strictly positive"),
     ("extent = 1 1", "extent = 1 inf", r"extent must be finite and strictly positive"),
@@ -99,18 +99,94 @@ BAD_LINES = [
     ("cfl = 0.475", "weno_epsilon = 0", r"weno_epsilon must be finite and > 0, got 0\.0"),
     # a value that is not a number is named once
     ("cfl = 0.475", "cfl = abc", r"'cfl' must be a number, got 'abc'$"),
+    # each [uq] setting is checked once, at parse time, by the object that owns it
+    ("seed = 42", "seed = -1", r"seed must lie in \[0, 2\*\*64\), got -1$"),
+    ("samples = 8", "samples = 0", r"sample count must be >= 1, got 0$"),
+    ("stochastic_dim = 4", "stochastic_dim = 0", r"stochastic_dim must be >= 1, got 0$"),
+    ("stochastic_dim = 4", "stochastic_dim = 2",
+     r"initial data uses random symbol X3 but stochastic_dim is 2$"),
+    ("method = mc\nsamples = 8\nseed = 42\nstochastic_dim = 4",
+     "method = qmc\nsamples = 8\nseed = 42\nstochastic_dim = 17",
+     r"Halton supports up to 16 dimensions$"),
+    ("functionals = moments", "functionals = moments\nlevels = 0", r"levels must be >= 1$"),
+    ("functionals = moments", "functionals = moments\nlevels = 8",
+     r"64 cells on axis 0 cannot be coarsened 7 times$"),
+    ("functionals = moments", "levels = 2\nlevel_samples = 2 0",
+     r"per-level sample counts must be >= 1$"),
+    ("functionals = moments", "levels = 2\nlevel_samples = 4 2 1",
+     r"level_samples needs 2 entries, got 3$"),
+    ("functionals = moments", "levels = 2\nfunctionals = histogram",
+     r"multilevel estimation supports only the 'moments' functional$"),
+    # a functional's settings are checked whether or not it is selected
+    ("functionals = moments", "functionals = moments\nhistogram_bins = 0",
+     r"histogram needs >= 1 bins, got 0$"),
+    ("functionals = moments", "functionals = moments\nhistogram_range = 1 0",
+     r"histogram_range must be 'lo hi' with lo < hi, got \(1\.0, 0\.0\)$"),
+    ("functionals = moments", "functionals = histogram\nhistogram_range = -inf inf",
+     r"histogram_range must be 'lo hi' with lo < hi, got \(-inf, inf\)$"),
+    ("functionals = moments", "functionals = histogram structure_function\nstructure_p = 0.5",
+     r"structure-function exponent must be >= 1, got 0\.5$"),
+    ("functionals = moments", "functionals = moments\nstructure_max_offset = -1",
+     r"max offset must be >= 0, got -1$"),
+    ("snapshot_times = 2.0", "snapshot_times = 0.1 0.5 -1",
+     r"snapshot_times must be >= 0, got -1\.0$"),
 ]
 
 
 @pytest.mark.parametrize("old,new,message", BAD_LINES, ids=[b[1] for b in BAD_LINES])
 def test_a_bad_value_exits_2_naming_its_line(old, new, message, tmp_path, capsys):
     text = KH2D.replace(old, new)
-    line = 1 + text.splitlines().index(new)
+    line = 1 + text.splitlines().index(new.splitlines()[-1])
     cfg = tmp_path / "case.cfg"
     cfg.write_text(text)
     assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 2
     assert re.match(rf"^error: line {line}: {message}", capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("old,new,message", BAD_LINES, ids=[b[1] for b in BAD_LINES])
+def test_uq_rejects_the_same_values_naming_their_line_before_any_solve(
+    old, new, message, tmp_path, monkeypatch, capsys
+):
+    text = KH2D.replace(old, new)
+    line = 1 + text.splitlines().index(new.splitlines()[-1])
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(text)
+    solves = []
+    monkeypatch.setattr(conslaw.uq, "run_simulation", lambda *a, **k: solves.append(a))
+    assert main(["uq", str(cfg), "--output", str(tmp_path / "out")]) == 2
+    assert re.match(rf"^error: line {line}: {message}", capsys.readouterr().err)
+    assert solves == []
+
+
+# (config text, the whole error message)
+GRAMMAR_ERRORS = [
+    ("[grid\ncells = 8\n", r"line 1: malformed section header"),
+    ("[grid]\ncells 8\n", r"line 2: expected 'key = value', found 'cells 8'"),
+    ("cells = 8\n[grid]\n", r"line 1: key outside any \[section\]"),
+    ("[grid]\ncells = 8\ncells = 16\n", r"line 3: duplicate key 'cells'"),
+    ("[grid]\ndim = 1\n", r"\[grid\] is missing required key 'cells'"),
+]
+
+
+@pytest.mark.parametrize("text,message", GRAMMAR_ERRORS, ids=[m for _, m in GRAMMAR_ERRORS])
+def test_a_config_grammar_error_exits_2_with_its_message(text, message, tmp_path, capsys):
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(text)
+    assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 2
+    assert re.fullmatch(rf"error: {message}\n", capsys.readouterr().err)
+
+
+def test_run_names_each_snapshot_time_past_t_end_and_writes_the_rest(tmp_path, capsys):
+    cfg = small_sod(tmp_path)  # t_end = 0.05
+    text = cfg.read_text().replace("snapshot_times = 0.05", "snapshot_times = 0.7 0.02 0.5")
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--output", str(out)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: snapshot time {t} lies past t_end 0.05, not written" for t in ("0.5", "0.7")
+    ]
+    assert [p.name for p in out.glob("snapshot_t*.snap")] == ["snapshot_t0.02.snap"]
 
 
 def test_bad_uq_functional_setting_exits_2_before_any_sample(tmp_path, monkeypatch, capsys):
@@ -184,6 +260,32 @@ def test_run_decomposed_writes_the_serial_snapshots(tmp_path, capsys):
         assert strip_timestamps((a / name).read_bytes()) == strip_timestamps(
             (b / name).read_bytes()
         )
+    capsys.readouterr()
+
+
+def test_run_rank_flag_of_the_wrong_dimension_is_named_as_the_config_key_is(tmp_path, capsys):
+    cfg = small_kh(tmp_path)
+    assert main(["run", str(cfg), "--ranks", "2x2x2", "--output", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == "error: rank layout (2, 2, 2) does not match grid dim 2\n"
+
+
+def test_run_single_rank_count_splits_the_x_axis(tmp_path, monkeypatch, capsys):
+    cfg = small_kh(tmp_path)
+    layouts = []
+    solve = conslaw.cli.run_simulation
+
+    def recording(init, scheme, ranks, *args):
+        layouts.append(ranks)
+        return solve(init, scheme, ranks, *args)
+
+    monkeypatch.setattr(conslaw.cli, "run_simulation", recording)
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["run", str(cfg), "--ranks", "2", "--output", str(a)]) == 0
+    assert main(["run", str(cfg), "--ranks", "2x1", "--output", str(b)]) == 0
+    assert layouts == [(2, 1), (2, 1)]
+    assert strip_timestamps((a / "final.snap").read_bytes()) == strip_timestamps(
+        (b / "final.snap").read_bytes()
+    )
     capsys.readouterr()
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -358,6 +360,24 @@ def test_snapshot_missing_digest_rejected(tmp_path):
     head = "conslaw-snapshot 1\nseed: 0\ndim: 1\ncells: 4\nncomp: 1\n\n"
     path.write_bytes(head.encode() + payload)
     with pytest.raises(SnapshotError, match="config_digest"):
+        read_snapshot(path)
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("conslaw-snapshot 1", "conslaw-snapshot x", "unsupported format version x"),
+    ("dim: 1", "dim: abc", "malformed header: invalid literal"),
+    ("cells: 4", "cells: 0", "malformed header: all cell counts must be >= 1"),
+    ("cells: 4", "cells: 2 2", "malformed header: cells must have 1 entries, got 2"),
+    ("ncomp: 1", "ncomp: -1", "ncomp must be >= 1, got -1"),
+    # 2**64 cells, which wrap to 0 in int64
+    ("dim: 1\ncells: 4", "dim: 2\ncells: 4294967296 4294967296",
+     "expected 18446744073709551616 floats, found 4"),
+])
+def test_malformed_snapshot_header_rejected_naming_the_file(tmp_path, old, new, message):
+    path = tmp_path / "field.snap"
+    head = "conslaw-snapshot 1\nconfig_digest: d\nseed: 0\ndim: 1\ncells: 4\nncomp: 1\n\n"
+    path.write_bytes(head.replace(old, new).encode() + np.zeros(4, dtype="<f8").tobytes())
+    with pytest.raises(SnapshotError, match=f"^{re.escape(f'{path}: {message}')}"):
         read_snapshot(path)
 
 
