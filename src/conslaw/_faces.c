@@ -1,32 +1,44 @@
-/* One axis sweep of the Euler residual: reconstruction, the primitive pass
- * of each face side, the positivity fallback, the numerical flux and the
- * flux difference, line by line.
+/* The compiled Euler stage: the residual of every axis, the SSP-RK
+ * combination and the end-of-step pass of checks and CFL maxima.
  *
- * Every value rounds as in the face-by-face reference of tests/oracles.py,
- * up to the sign of a zero, and the reconstruction as
- * conslaw.numerics.reconstruct_axis: each operation below is performed in a
- * fixed order on fixed operands (a product of three factors is evaluated
- * left to right), and min / max return their second operand on ties.
- * Compile without -ffast-math and with -ffp-contract=off, so that no
- * multiply-add is fused; vectorized loops then round like scalar ones.
+ * An axis sweep does the reconstruction, the primitive pass of each face
+ * side, the positivity fallback, the numerical flux and the flux
+ * difference, line by line.  Every value rounds as in the face-by-face
+ * reference of tests/oracles.py, up to the sign of a zero, and the
+ * reconstruction as conslaw.numerics.reconstruct_axis: each operation below
+ * is performed in a fixed order on fixed operands (a product of three
+ * factors is evaluated left to right), and min / max return their second
+ * operand on ties.  Compile without -ffast-math and with -ffp-contract=off,
+ * so that no multiply-add is fused; vectorized loops then round like scalar
+ * ones.
  *
- * The sweep reads the padded state through strides and subtracts
+ * A sweep reads the padded state through strides and subtracts
  * (F[i+1] - F[i]) / delta from each interior cell of `out`.  Each line of
  * cells along the sweep axis is copied to contiguous per-component arrays,
- * so that every stage is a loop over the faces of the line.  The sweep
+ * so that every stage is a loop over the faces of the line.  A sweep
  * returns 0, or a nonzero status for the first line that fails, ranks
  * outermost: 1 for an unphysical face state, 2 for a degenerate HLLC wave
- * fan; `out` is then partly updated and `*stop_rank` is that line's rank.
- * conslaw.solver locates the failing face itself.
+ * fan, 4 for an unphysical interior cell (checked by the first sweep of a
+ * residual while it loads its lines); `out` is then partly updated and the
+ * line's rank is reported.  conslaw.solver locates the failing cell or face
+ * itself.
+ *
+ * Entry points: `euler_sweep` sweeps one axis on given arrays;
+ * `euler_residual`, `rk_stage` and `cell_pass` work on one run's `Stack`,
+ * whose arguments conslaw.numerics.EulerStack fills once per run.
  */
 
 #include <math.h>
 #include <stdlib.h>
+#include <string.h>
 
 #define MAXCOMP 5
 #define INLINE static inline __attribute__((always_inline))
 
-enum { STATUS_OK = 0, STATUS_UNPHYSICAL = 1, STATUS_DEGENERATE = 2, STATUS_NOMEM = 3 };
+enum {
+    STATUS_OK = 0, STATUS_UNPHYSICAL = 1, STATUS_DEGENERATE = 2, STATUS_NOMEM = 3,
+    STATUS_CELL = 4
+};
 
 typedef struct {
     int axis, weno, hllc;
@@ -114,8 +126,8 @@ INLINE void primitives(const Scheme *s, int dim, const double *const *u, const d
         fe[j] = (u[1 + dim][j] + p[j]) * v[j];
 }
 
-static void rusanov_line(const Scheme *s, int ncomp, const double *const *uL,
-                         const double *const *uR, long nf, Work *w)
+static void rusanov_line(int ncomp, const double *const *uL, const double *const *uR,
+                         long nf, Work *w)
 {
     const double *vL = w->v[0], *cL = w->c[0], *vR = w->v[1], *cR = w->c[1];
     double *restrict half_s = w->half_s;
@@ -178,15 +190,27 @@ INLINE int hllc_line(const Scheme *s, int dim, const double *const *uL,
 }
 
 /* one line: cells at line[c * sc + k * sk], k = 0..n+2g-1; interior cell i
- * of the residual at oline[c * oc + i * oi] */
+ * of the residual at oline[c * oc + i * oi].  With `check`, the line's
+ * interior cells must be physical (conslaw.equations.physical_mask). */
 INLINE int sweep_line(const Scheme *s, int dim, const double *line, long sc, long sk,
-                      double *oline, long oc, long oi, long n, int ghost, Work *w)
+                      double *oline, long oc, long oi, long n, int ghost, int check,
+                      Work *w)
 {
     int ncomp = dim + 2;
     long N = n + 2 * ghost, nf = n + 1;
     for (int c = 0; c < ncomp; c++)
         for (long k = 0; k < N; k++)
             w->cols[c * N + k] = line[c * sc + k * sk];
+    const double *cells[MAXCOMP];
+    for (int c = 0; c < ncomp; c++)
+        cells[c] = w->cols + c * N + ghost;
+    if (check) {
+        int bad = 0;
+        for (long i = 0; i < n; i++)
+            bad |= !positive(cells, i, pressure(cells, i, dim, s->gm1), s->floor);
+        if (bad)
+            return STATUS_CELL;
+    }
     /* the face states: side 0 left of each face, side 1 right of it */
     const double *u[2][MAXCOMP];
     for (int c = 0; c < ncomp; c++) {
@@ -234,7 +258,7 @@ INLINE int sweep_line(const Scheme *s, int dim, const double *line, long sc, lon
         if (status)
             return status;
     } else {
-        rusanov_line(s, ncomp, u[0], u[1], nf, w);
+        rusanov_line(ncomp, u[0], u[1], nf, w);
     }
     /* the flux difference of each interior cell */
     for (int c = 0; c < ncomp; c++) {
@@ -250,36 +274,36 @@ INLINE int sweep_line(const Scheme *s, int dim, const double *line, long sc, lon
     return STATUS_OK;
 }
 
+typedef int (*LineSweep)(const Scheme *, const double *, long, long, double *, long, long,
+                         long, int, int, Work *);
+
 static int sweep_1d(const Scheme *s, const double *line, long sc, long sk, double *oline,
-                    long oc, long oi, long n, int ghost, Work *w)
+                    long oc, long oi, long n, int ghost, int check, Work *w)
 {
-    return sweep_line(s, 1, line, sc, sk, oline, oc, oi, n, ghost, w);
+    return sweep_line(s, 1, line, sc, sk, oline, oc, oi, n, ghost, check, w);
 }
 
 static int sweep_2d(const Scheme *s, const double *line, long sc, long sk, double *oline,
-                    long oc, long oi, long n, int ghost, Work *w)
+                    long oc, long oi, long n, int ghost, int check, Work *w)
 {
-    return sweep_line(s, 2, line, sc, sk, oline, oc, oi, n, ghost, w);
+    return sweep_line(s, 2, line, sc, sk, oline, oc, oi, n, ghost, check, w);
 }
 
 static int sweep_3d(const Scheme *s, const double *line, long sc, long sk, double *oline,
-                    long oc, long oi, long n, int ghost, Work *w)
+                    long oc, long oi, long n, int ghost, int check, Work *w)
 {
-    return sweep_line(s, 3, line, sc, sk, oline, oc, oi, n, ghost, w);
+    return sweep_line(s, 3, line, sc, sk, oline, oc, oi, n, ghost, check, w);
 }
 
-/* u: padded cell 0 of the sweep axis at rank 0 and the first interior
- * transverse cell; ustr: element strides of (component, rank, sweep axis,
- * transverse 1, transverse 2).  out, ostr: the same for interior cell 0.
- * shape: (ranks, n, T1, T2), with n interior cells along the sweep. */
-int euler_sweep(const double *u, const long *ustr, double *out, const long *ostr,
-                const long *shape, int dim, int axis, int ghost, int weno, int hllc,
-                double epsilon, double d0, double d1, double gamma, double gm1,
-                double floor, double delta, long *stop_rank)
+/* One axis.  u: padded cell 0 of the sweep axis at rank 0 and the first
+ * interior transverse cell; ustr: element strides of (component, rank,
+ * sweep axis, transverse 1, transverse 2).  out, ostr: the same for interior
+ * cell 0.  shape: (ranks, n, T1, T2), with n interior cells along the sweep. */
+static int sweep(const Scheme *s, int dim, int ghost, const double *u, const long *ustr,
+                 double *out, const long *ostr, const long *shape, int check,
+                 long *stop_rank)
 {
-    Scheme s = {axis, weno, hllc, epsilon, d0, d1, gamma, gm1, floor, delta};
-    int (*line_sweep)(const Scheme *, const double *, long, long, double *, long, long,
-                      long, int, Work *) = dim == 1 ? sweep_1d : dim == 2 ? sweep_2d : sweep_3d;
+    LineSweep line_sweep = dim == 1 ? sweep_1d : dim == 2 ? sweep_2d : sweep_3d;
     long R = shape[0], n = shape[1], T1 = shape[2], T2 = shape[3];
     long ncomp = dim + 2, N = n + 2 * ghost, nf = n + 1;
     double *buf = malloc(sizeof(double) * (ncomp * N + 3 * (n + 3) + (5 * ncomp + 7) * nf));
@@ -308,10 +332,198 @@ int euler_sweep(const double *u, const long *ustr, double *out, const long *ostr
         for (long t1 = 0; t1 < T1 && !status; t1++)
             for (long t2 = 0; t2 < T2 && !status; t2++)
                 status = line_sweep(
-                    &s, u + r * ustr[1] + t1 * ustr[3] + t2 * ustr[4], ustr[0], ustr[2],
+                    s, u + r * ustr[1] + t1 * ustr[3] + t2 * ustr[4], ustr[0], ustr[2],
                     out + r * ostr[1] + t1 * ostr[3] + t2 * ostr[4], ostr[0], ostr[2],
-                    n, ghost, &w);
+                    n, ghost, check, &w);
     }
     free(buf);
     return status;
+}
+
+/* One axis sweep on given arrays (see `sweep`); *stop_rank is the rank of
+ * the line a failed sweep stopped at. */
+int euler_sweep(const double *u, const long *ustr, double *out, const long *ostr,
+                const long *shape, int dim, int axis, int ghost, int weno, int hllc,
+                double epsilon, double d0, double d1, double gamma, double gm1,
+                double floor, double delta, long *stop_rank)
+{
+    Scheme s = {axis, weno, hllc, epsilon, d0, d1, gamma, gm1, floor, delta};
+    return sweep(&s, dim, ghost, u, ustr, out, ostr, shape, 0, stop_rank);
+}
+
+/* ------------------------------------------------------------------------
+ * One run's stack
+ * ------------------------------------------------------------------------ */
+
+/* The padded state of R equal subdomains, its residual and the scheme, as
+ * conslaw.numerics.EulerStack fills them once per run.  Arrays are indexed
+ * (component, rank, z, y, x); a spatial axis past `dim` has one cell, no
+ * ghosts and stride 0. */
+typedef struct {
+    double *u;            /* the padded state at cell 0 of every axis */
+    double *res;          /* the residual, contiguous */
+    double *maxima;       /* cell_pass: the wave speed maximum of each axis */
+    long ustr[5];         /* element strides of u */
+    long ranks, cells[3]; /* interior cells along x, y and z */
+    int dim, ghost, weno, hllc;
+    double epsilon, d0, d1, gamma, gm1, floor, delta[3];
+    long stop_rank;       /* euler_residual: the rank and the axis of the */
+    int stop_axis;        /* line it stopped at */
+} Stack;
+
+/* the extent of interior array axis a = 2, 3, 4 (z, y, x) */
+INLINE long extent(const Stack *st, int a) { return st->cells[4 - a]; }
+
+/* the ghost offset of padded array axis a = 2, 3, 4 */
+INLINE long offset(const Stack *st, int a) { return 4 - a < st->dim ? st->ghost : 0; }
+
+/* the first interior cell of x line (r, z, y) of component c of the state */
+INLINE double *x_line(const Stack *st, int c, long r, long z, long y)
+{
+    return st->u + c * st->ustr[0] + r * st->ustr[1] + (z + offset(st, 2)) * st->ustr[2]
+         + (y + offset(st, 3)) * st->ustr[3] + st->ghost * st->ustr[4];
+}
+
+/* the element strides of a contiguous interior array */
+static void interior_strides(const Stack *st, long *str)
+{
+    str[4] = 1;
+    for (int a = 3; a >= 1; a--)
+        str[a] = str[a + 1] * extent(st, a + 1);
+    str[0] = str[1] * st->ranks;
+}
+
+/* The residual of the stack into st->res: zeroed, then every axis swept,
+ * the first sweep checking that every interior cell is physical.  Returns
+ * the status of the first sweep that fails, whose axis and rank are left in
+ * st->stop_axis and st->stop_rank. */
+int euler_residual(Stack *st)
+{
+    int dim = st->dim;
+    long rstr[5];
+    interior_strides(st, rstr);
+    memset(st->res, 0, sizeof(double) * rstr[0] * (dim + 2));
+    for (int axis = 0; axis < dim; axis++) {
+        int ax = 4 - axis, t[2], nt = 0;
+        for (int a = 2; a <= 4; a++)
+            if (a != ax)
+                t[nt++] = a;
+        Scheme s = {axis, st->weno, st->hllc, st->epsilon, st->d0, st->d1,
+                    st->gamma, st->gm1, st->floor, st->delta[axis]};
+        const double *u = st->u + offset(st, t[0]) * st->ustr[t[0]]
+                                + offset(st, t[1]) * st->ustr[t[1]];
+        long ustr[5] = {st->ustr[0], st->ustr[1], st->ustr[ax], st->ustr[t[0]], st->ustr[t[1]]};
+        long ostr[5] = {rstr[0], rstr[1], rstr[ax], rstr[t[0]], rstr[t[1]]};
+        long shape[4] = {st->ranks, st->cells[axis], extent(st, t[0]), extent(st, t[1])};
+        st->stop_axis = axis;
+        int status = sweep(&s, dim, st->ghost, u, ustr, st->res, ostr, shape, axis == 0,
+                           &st->stop_rank);
+        if (status)
+            return status;
+    }
+    return STATUS_OK;
+}
+
+enum { RK_FIRST = 0, RK_FIRST_SAVE = 1, RK_LATER = 2 };
+
+/* one x line of a stage: u strided by sx, k and start contiguous */
+INLINE void stage_line(double *u, long sx, const double *k, double *start, long n,
+                       double dt, double a, double b, int mode)
+{
+    if (mode == RK_LATER) {
+        for (long i = 0; i < n; i++) {
+            double q = k[i] * dt;
+            q = q + u[i * sx];
+            q = q * b;
+            u[i * sx] = start[i] * a + q;
+        }
+    } else if (mode == RK_FIRST_SAVE) {
+        for (long i = 0; i < n; i++) {
+            start[i] = u[i * sx];
+            u[i * sx] = u[i * sx] + k[i] * dt;
+        }
+    } else {
+        for (long i = 0; i < n; i++)
+            u[i * sx] = u[i * sx] + k[i] * dt;
+    }
+}
+
+/* One SSP-RK stage on the interior of the stack, given the stage's residual
+ * k; k and start are contiguous, shaped like st->res.  Every value rounds
+ * as in conslaw.solver.ssp_rk_advance: the first stage (RK_FIRST, or
+ * RK_FIRST_SAVE, which first copies u into start) is u + k dt, a later one
+ * (RK_LATER) start a + (k dt + u) b. */
+void rk_stage(const Stack *st, const double *k, double *start, double dt, double a,
+              double b, int mode)
+{
+    long rstr[5];
+    interior_strides(st, rstr);
+    long nx = st->cells[0], sx = st->ustr[4];
+    for (int c = 0; c < st->dim + 2; c++)
+        for (long r = 0; r < st->ranks; r++)
+            for (long z = 0; z < extent(st, 2); z++)
+                for (long y = 0; y < extent(st, 3); y++) {
+                    long i = c * rstr[0] + r * rstr[1] + z * rstr[2] + y * rstr[3];
+                    double *u = x_line(st, c, r, z, y);
+                    if (sx == 1)
+                        stage_line(u, 1, k + i, start + i, nx, dt, a, b, mode);
+                    else
+                        stage_line(u, sx, k + i, start + i, nx, dt, a, b, mode);
+                }
+}
+
+/* one x line of cell_pass, q[c] its first interior cell of component c */
+INLINE int cell_line(const double *const *q, long sx, long n, int dim, double gamma,
+                     double gm1, double floor, double *top)
+{
+    int bad = 0;
+    for (long i = 0; i < n; i++) {
+        long j = i * sx;
+        int finite = 1;
+        for (int c = 0; c < dim + 2; c++)
+            finite &= q[c][j] - q[c][j] == 0;
+        double rho = q[0][j], p = pressure(q, j, dim, gm1);
+        bad |= !finite | !positive(q, j, p, floor);
+        double c = sqrt(gamma * p / rho);
+        for (int k = 0; k < dim; k++) {
+            double speed = fabs(q[1 + k][j] / rho) + c;
+            top[k] = speed > top[k] ? speed : top[k];
+        }
+    }
+    return bad;
+}
+
+INLINE int cell_lines(const Stack *st, int dim, double *top)
+{
+    long sx = st->ustr[4], nx = st->cells[0];
+    int bad = 0;
+    for (long r = 0; r < st->ranks; r++)
+        for (long z = 0; z < extent(st, 2); z++)
+            for (long y = 0; y < extent(st, 3); y++) {
+                const double *q[MAXCOMP];
+                for (int c = 0; c < dim + 2; c++)
+                    q[c] = x_line(st, c, r, z, y);
+                if (sx == 1)
+                    bad |= cell_line(q, 1, nx, dim, st->gamma, st->gm1, st->floor, top);
+                else
+                    bad |= cell_line(q, sx, nx, dim, st->gamma, st->gm1, st->floor, top);
+            }
+    return bad;
+}
+
+/* The end of a step, in one pass over the interior cells of the stack:
+ * whether every cell is finite and physical (conslaw.equations
+ * .physical_mask), and into st->maxima the maximum over the cells of
+ * |m_k / rho| + c for each axis k, each value rounded as in
+ * conslaw.equations.max_wave_speeds.  A maximum is exact, so the order of
+ * the cells does not matter.  Returns 0, or 1 when a cell fails a check; the
+ * maxima are then meaningless. */
+int cell_pass(const Stack *st)
+{
+    double top[3] = {-INFINITY, -INFINITY, -INFINITY};
+    int bad = st->dim == 1 ? cell_lines(st, 1, top)
+            : st->dim == 2 ? cell_lines(st, 2, top) : cell_lines(st, 3, top);
+    for (int k = 0; k < st->dim; k++)
+        st->maxima[k] = top[k];
+    return bad;
 }

@@ -100,7 +100,7 @@ def cmd_run(args) -> int:
         while pending and t >= pending[0] - 1e-14:
             target = pending.pop(0)
             path = outdir / f"snapshot_t{target:g}.snap"
-            write_snapshot(field, header, path, components=names)
+            write_snapshot(field(), header, path, components=names)
 
     observers = [snapshot_observer] if pending else []
     final, records = run_simulation(init, cfg.scheme, ranks, observers)

@@ -291,10 +291,11 @@ def _build_initial(initial: _Section, model: EquationModel):
     return tuple(exprs), variables != "conserved"
 
 
-def _spot_check_initial(exprs, model, grid, stochastic_dim, primitive) -> None:
-    """Evaluate the initial data for a few corner random vectors."""
+def _spot_check_initial(exprs, model, grid, needed, primitive) -> None:
+    """Evaluate the initial data for a few corner random vectors, of the
+    ``needed`` symbols the expressions use."""
     for fill in (0.0, 0.5, 0.999):
-        vector = (fill,) * stochastic_dim
+        vector = (fill,) * needed
         try:
             eval_init(exprs, model, grid, vector, primitive=primitive)
         except ConslawError as exc:
@@ -451,7 +452,7 @@ def parse_config(text: str) -> RunConfig:
             f"initial data uses random symbol X{needed - 1} but stochastic_dim "
             f"is {uq.stochastic_dim}", line=uq_s.raw("stochastic_dim", "")[1],
         )
-    _spot_check_initial(exprs, model, grid, uq.stochastic_dim, primitive)
+    _spot_check_initial(exprs, model, grid, needed, primitive)
 
     output_s = _section(sections, "output")
     output = OutputSettings(

@@ -15,18 +15,27 @@ negation (a - b == -(b - a), (-a) b == -(a b), (-a) + (-b) == -(a + b)) and
 squares ignore the sign, so sharing the differences between the two sides
 gives the values of evaluating each face on its own stencil.
 
-The Euler fluxes have one implementation: ``spatial_residual`` runs each
-axis sweep as one call of the C function ``euler_sweep`` of ``_faces.c``:
-reconstruction, one primitive pass per face side, the first-order
-positivity fallback, the HLLC or Rusanov flux and the flux difference, one
-line of cells at a time.  Its reconstruction rounds like ``reconstruct_axis``
-and every value like the face-by-face reference of ``tests/oracles.py``, up
-to the sign of a zero.  ``face_kernel`` builds it on the first use with gcc
-(or cc), caches the library in ``__pycache__/faces-<hash>.so`` next to this
-file (in a private temporary directory when that is not writable) and loads
-it with ``ctypes``; Euler runs need a C compiler.  The numpy functions below
-serve the scalar models, and ``reconstruct_axis`` also locates the face that
-a failed Euler sweep reports.
+The Euler fluxes have one implementation, the C kernel ``_faces.c``.  A run
+binds its stack to it once, as an ``EulerStack``: the pointers, strides,
+shapes and scheme scalars of every call go into one ctypes structure, which
+each call passes unchanged.  Per stage, ``EulerStack.compute_residual`` is one
+call for all axes: it zeroes the residual buffer and sweeps each axis line by
+line (reconstruction, one primitive pass per face side, the first-order
+positivity fallback, the HLLC or Rusanov flux and the flux difference),
+checking while the first axis loads its lines that every interior cell is
+physical; ``EulerStack.stage`` is the SSP-RK combination.  Per step,
+``EulerStack.cell_pass`` checks that every cell is finite and physical and
+takes the per-axis CFL maxima.  The reconstruction rounds like
+``reconstruct_axis``, every face value like the face-by-face reference of
+``tests/oracles.py`` (up to the sign of a zero), the combination like
+``solver.ssp_rk_advance`` and the maxima like ``equations.max_wave_speeds``.
+``face_kernel`` builds the kernel on the first use with gcc (or cc), caches
+the library in ``__pycache__/faces-<hash>.so`` next to this file (in a
+private temporary directory when that is not writable) and loads it with
+``ctypes``; Euler runs need a C compiler.  ``euler_face_sweep`` sweeps one
+axis on given arrays.  The numpy functions below serve the scalar models,
+and ``reconstruct_axis`` also locates the face that a failed Euler sweep
+reports.
 """
 
 from __future__ import annotations
@@ -42,13 +51,13 @@ import tempfile
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .equations import EquationModel, POSITIVITY_FLOOR, max_wave_speed, physical_flux
 from .errors import ConfigError
-from .grid import slab
+from .grid import Field, slab
 
 
 class ReconstructionKind(Enum):
@@ -169,7 +178,7 @@ def rusanov_flux(model: EquationModel, faces: FacePair, axis: int) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# The compiled Euler face sweep (_faces.c)
+# The compiled Euler kernel (_faces.c)
 # ---------------------------------------------------------------------------
 
 _SOURCE = Path(__file__).with_name("_faces.c")
@@ -179,6 +188,39 @@ _SOURCE = Path(__file__).with_name("_faces.c")
 _CFLAGS = (
     "-O3", "-fno-fast-math", "-fno-math-errno", "-ffp-contract=off", "-fPIC", "-shared"
 )
+
+
+class FaceKernel(NamedTuple):
+    """The entry points of ``_faces.c``: one axis sweep on given arrays, and
+    the residual, SSP-RK stage and end-of-step cell pass of an
+    ``EulerStack``."""
+
+    sweep: Callable
+    residual: Callable
+    stage: Callable
+    cells: Callable
+
+
+#: the C names of ``FaceKernel``'s fields, in order
+_ENTRY_POINTS = ("euler_sweep", "euler_residual", "rk_stage", "cell_pass")
+
+
+class _StackArgs(ctypes.Structure):
+    """The ``Stack`` of ``_faces.c``: one run's arrays and scheme."""
+
+    _fields_ = [
+        ("u", ctypes.c_void_p),
+        ("res", ctypes.c_void_p),
+        ("maxima", ctypes.c_void_p),
+        ("ustr", ctypes.c_long * 5),
+        ("ranks", ctypes.c_long),
+        ("cells", ctypes.c_long * 3),
+        *((name, ctypes.c_int) for name in ("dim", "ghost", "weno", "hllc")),
+        *((name, ctypes.c_double) for name in ("epsilon", "d0", "d1", "gamma", "gm1", "floor")),
+        ("delta", ctypes.c_double * 3),
+        ("stop_rank", ctypes.c_long),
+        ("stop_axis", ctypes.c_int),
+    ]
 
 
 def _intact(lib: Path) -> bool:
@@ -193,9 +235,9 @@ def _intact(lib: Path) -> bool:
 
 def _load_face_kernel(cache_dir: Path):
     """Build ``_faces.c`` into ``cache_dir`` (once per source, flags and
-    machine) and load its ``euler_sweep``.  A damaged cached library is
-    rebuilt.  Raises ConfigError naming the missing compiler or source, or
-    the failed build."""
+    machine) and load its entry points as a ``FaceKernel``.  A damaged
+    cached library is rebuilt.  Raises ConfigError naming the missing
+    compiler or source, or the failed build."""
     compiler = shutil.which("gcc") or shutil.which("cc")
     if compiler is None:
         raise ConfigError(
@@ -225,7 +267,8 @@ def _load_face_kernel(cache_dir: Path):
                 fh.write(hashlib.sha256(tmp.read_bytes()).digest())
             # concurrent builders each write their own file; the rename is atomic
             os.replace(tmp, lib)
-        sweep = ctypes.CDLL(str(lib)).euler_sweep
+        loaded = ctypes.CDLL(str(lib))
+        kernel = FaceKernel(*(getattr(loaded, name) for name in _ENTRY_POINTS))
     except (OSError, AttributeError, subprocess.SubprocessError) as exc:
         detail = (getattr(exc, "stderr", None) or b"").decode(errors="replace").strip()
         raise ConfigError(
@@ -236,13 +279,19 @@ def _load_face_kernel(cache_dir: Path):
         tmp.unlink(missing_ok=True)
         if private is not None:
             shutil.rmtree(private, ignore_errors=True)
-    strides = ctypes.POINTER(ctypes.c_long)
-    sweep.restype = ctypes.c_int
-    sweep.argtypes = (
+    strides, stack = ctypes.POINTER(ctypes.c_long), ctypes.POINTER(_StackArgs)
+    kernel.sweep.argtypes = (
         [ctypes.c_void_p, strides, ctypes.c_void_p, strides, strides]
         + [ctypes.c_int] * 5 + [ctypes.c_double] * 7 + [ctypes.POINTER(ctypes.c_long)]
     )
-    return sweep
+    kernel.residual.argtypes = kernel.cells.argtypes = [stack]
+    kernel.stage.argtypes = (
+        [stack, ctypes.c_void_p, ctypes.c_void_p] + [ctypes.c_double] * 3 + [ctypes.c_int]
+    )
+    kernel.stage.restype = None
+    for entry in (kernel.sweep, kernel.residual, kernel.cells):
+        entry.restype = ctypes.c_int
+    return kernel
 
 
 #: where ``face_kernel`` keeps the built library
@@ -251,8 +300,8 @@ _CACHE_DIR = Path(__file__).parent / "__pycache__"
 
 @functools.cache
 def face_kernel():
-    """The compiled Euler face sweep, built on first use.  Raises
-    ConfigError when it cannot be built; a failure is not cached."""
+    """The compiled Euler kernel (a ``FaceKernel``), built on first use.
+    Raises ConfigError when it cannot be built; a failure is not cached."""
     return _load_face_kernel(_CACHE_DIR)
 
 
@@ -263,9 +312,9 @@ def _element_strides(arr: np.ndarray, axes) -> "ctypes.Array":
     return (ctypes.c_long * 5)(*(0 if a is None else arr.strides[a] // size for a in axes))
 
 
-#: ``euler_face_sweep``'s statuses for a degenerate HLLC wave fan and for
-#: line buffers it could not allocate (``STATUS_*`` in ``_faces.c``); 1 is
-#: an unphysical face state
+#: the sweeps' statuses for a degenerate HLLC wave fan and for line buffers
+#: they could not allocate (``STATUS_*`` in ``_faces.c``); 1 is an
+#: unphysical face state, 4 an unphysical interior cell
 SWEEP_DEGENERATE, SWEEP_NOMEM = 2, 3
 
 
@@ -286,7 +335,7 @@ def euler_face_sweep(
         raise ValueError(
             f"the state and the residual must be float64, got {data.dtype} and {out.dtype}"
         )
-    kernel = face_kernel()
+    kernel = face_kernel().sweep
     dim = model.dim
     if data.ndim == dim + 1:
         data, out = data[:, None], out[:, None]
@@ -317,3 +366,98 @@ def euler_face_sweep(
         model.gamma, model.gamma - 1.0, POSITIVITY_FLOOR, delta, ctypes.byref(stop_rank),
     )
     return status, stop_rank.value
+
+
+#: the modes of ``rk_stage`` in ``_faces.c``: the first stage of a step,
+#: the same saving the state at its start, and a later stage
+_RK_FIRST, _RK_FIRST_SAVE, _RK_LATER = 0, 1, 2
+
+
+class EulerStack(Field):
+    """A run's stack of Euler subdomains bound to the compiled kernel.
+
+    A field (or a stack with a rank axis after the components) whose
+    pointers, strides, shapes and scheme scalars go into one ctypes
+    structure when it is made, once per run; every call passes that
+    structure unchanged.  ``cfg`` is the solver's scheme it was made for
+    (its model, flux and reconstruction are read).  The state must be
+    changed in place only, never replaced.  ``residual`` is the buffer that
+    ``compute_residual`` refills and ``maxima`` the one ``cell_pass`` fills.
+    """
+
+    def __init__(self, field: Field, cfg):
+        super().__init__(field.grid, field.ncomp, field.data)
+        grid, model, recon = field.grid, cfg.model, cfg.recon
+        data = field.data if field.data.ndim > grid.dim + 1 else field.data[:, None]
+        if data.dtype != np.float64 or data.shape[:1] + data.shape[2:] != (
+            (model.ncomp,) + grid.data_shape
+        ):
+            raise ValueError(
+                f"an Euler stack needs a float64 state of {model.ncomp} components on "
+                f"{grid.data_shape}, got {field.data.dtype} {field.data.shape}"
+            )
+        self.cfg = cfg
+        self._kernel = face_kernel()
+        self.residual = np.empty(self.interior.shape)
+        self.maxima = np.empty(grid.dim)
+        pad = 3 - grid.dim
+        strides = [s // data.itemsize for s in data.strides]
+        args = _StackArgs(
+            u=data.ctypes.data, res=self.residual.ctypes.data, maxima=self.maxima.ctypes.data,
+            ustr=(ctypes.c_long * 5)(*strides[:2], *(0,) * pad, *strides[2:]),
+            ranks=data.shape[1], cells=(ctypes.c_long * 3)(*grid.cells, *(1,) * pad),
+            dim=grid.dim, ghost=grid.ghost_width,
+            weno=recon.kind is not ReconstructionKind.NONE, hllc=cfg.flux is FluxKind.HLLC,
+            epsilon=recon.epsilon, gamma=model.gamma, gm1=model.gamma - 1.0,
+            floor=POSITIVITY_FLOOR, delta=(ctypes.c_double * 3)(*grid.deltas, *(0.0,) * pad),
+        )
+        args.d0, args.d1 = IDEAL_WEIGHTS.get(recon.kind, (0.0, 0.0))
+        self._args = args
+        self._ref = ctypes.byref(args)
+        self._residual_address = args.res
+        self._start = self._start_address = None
+
+    @property
+    def stop(self) -> tuple:
+        """``(axis, rank)`` of the line at which ``compute_residual`` stopped."""
+        return self._args.stop_axis, self._args.stop_rank
+
+    def compute_residual(self) -> int:
+        """Fill ``residual``: zeroed, then every axis swept, the first sweep
+        checking that every interior cell is physical.  Returns 0, or the
+        ``SWEEP_*`` status of the first line that failed (see ``stop``);
+        ``residual`` is then partly updated."""
+        return self._kernel.residual(self._ref)
+
+    def stage(self, k: np.ndarray, start: np.ndarray, dt: float, a=None, b=None,
+              save=False) -> None:
+        """One SSP-RK stage of the interior in place, given its residual
+        ``k``: ``u + dt k`` (after copying the state into ``start`` with
+        ``save``), or with ``a`` and ``b`` ``a start + b (u + dt k)``,
+        rounded as ``solver.ssp_rk_advance``.  ``k`` and ``start`` are
+        float64 and laid out like ``residual``."""
+        mode = _RK_LATER if a is not None else _RK_FIRST_SAVE if save else _RK_FIRST
+        if start is not self._start:
+            self._start_address = self._address(start)
+            self._start = start
+        self._kernel.stage(
+            self._ref, self._address(k), self._start_address, dt, a or 0.0, b or 0.0, mode
+        )
+
+    def cell_pass(self) -> int:
+        """One pass over the interior cells: fill ``maxima`` with the
+        per-axis maximum of |m_k / rho| + c, rounded as
+        ``equations.max_wave_speeds``.  Returns 0, or 1 when a cell is not
+        finite or not physical; ``maxima`` is then meaningless."""
+        return self._kernel.cells(self._ref)
+
+    def _address(self, arr: np.ndarray) -> int:
+        if arr is self.residual:
+            return self._residual_address
+        shape = self.residual.shape
+        if arr.dtype != np.float64 or arr.shape != shape or not arr.flags.c_contiguous:
+            raise ValueError(
+                f"a stage array must be contiguous float64 of shape {shape}, "
+                f"got {arr.dtype} {arr.shape}"
+            )
+        return arr.ctypes.data

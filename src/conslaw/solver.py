@@ -1,10 +1,16 @@
 """Semi-discrete finite volume operator, CFL control and SSP Runge-Kutta.
 
 The residual of cell i is -sum_k (F_{i+1/2 e_k} - F_{i-1/2 e_k}) / delta_k,
-with each interface flux computed once and shared by both neighbours.  The
-Euler faces are computed by the compiled sweep of ``_faces.c`` alone, so an
-Euler run needs a C compiler; ``check_scheme`` builds the sweep before any
-step, and the scalar models take the numpy path of ``conslaw.numerics``.
+with each interface flux computed once and shared by both neighbours.  An
+Euler step runs in the compiled kernel of ``_faces.c`` alone, so an Euler run
+needs a C compiler; ``check_scheme`` builds the kernel before any step.  A
+run binds its stack to the kernel once (``numerics.EulerStack``); each stage
+is then one kernel call for the residual of every axis (``spatial_residual``)
+and one for the SSP-RK combination (``ssp_rk_step``), and each step ends with
+one kernel pass that checks the state and takes the CFL maxima
+(``wave_speed_maxima``).  The numpy checks run only when the kernel reports a
+failure, to name the rank and the cell or face.  The scalar models take the
+numpy path of ``conslaw.numerics`` and ``ssp_rk_advance``.
 ``run_simulation`` is the one entry point of a solve: it runs serial and
 decomposed runs through the same time loop, a serial run being the layout
 with one rank per axis (see ``conslaw.parallel``).
@@ -12,6 +18,7 @@ with one rank per axis (see ``conslaw.parallel``).
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -37,11 +44,11 @@ from .grid import BoundaryKind, Field, GridSpec, slab
 from .numerics import (
     SWEEP_DEGENERATE,
     SWEEP_NOMEM,
+    EulerStack,
     FacePair,
     FluxKind,
     Reconstruction,
     ReconstructionKind,
-    euler_face_sweep,
     face_kernel,
     reconstruct_axis,
     rusanov_flux,
@@ -133,59 +140,84 @@ def _require_physical_faces(field: Field, cfg: SchemeConfig, axis: int) -> None:
         require_mask(side, mask, cfg.model.dim)
 
 
+def _euler_stack(field: Field, cfg: SchemeConfig) -> EulerStack:
+    """``field`` itself when it is a run's stack made for ``cfg``, else the
+    field bound to the kernel for this call."""
+    if isinstance(field, EulerStack) and field.cfg is cfg:
+        return field
+    check_scheme(field.grid, cfg)
+    return EulerStack(field, cfg)
+
+
 def spatial_residual(field: Field, cfg: SchemeConfig) -> np.ndarray:
     """Time derivative of the interior cell averages (ghosts must be filled).
 
     ``field`` may be a stack of subdomains, with a rank axis after the
-    component axis; the residual then has that axis too.  For Euler each
-    axis is one call of the compiled face sweep
-    (``numerics.euler_face_sweep``); when it stops, the failing face is
-    located here and named in the error.
+    component axis; the residual then has that axis too.  For Euler it is
+    one call of the compiled kernel for all axes
+    (``numerics.EulerStack.compute_residual``), which also checks that every
+    interior cell is physical; a run's stack returns its own residual buffer,
+    refilled by every call.  When the kernel stops, the failing cell or face
+    is located here and named in the error.
     """
     grid = field.grid
     model = cfg.model
-    check_scheme(grid, cfg)
-    g = grid.ghost_width
-
-    mask = physical_mask(model, field.interior)
-    if not mask.all():
-        rank, cell = first_false(mask, grid.dim)
-        raise SimulationError(f"unphysical state in interior cell {cell}", rank=rank)
+    if model.kind == EULER:
+        stack = _euler_stack(field, cfg)
+        status = stack.compute_residual()
+        if status:
+            _residual_failure(stack, cfg, status)
+        return stack.residual
 
     out = np.zeros(field.interior.shape)
     for axis in range(grid.dim):
-        if model.kind != EULER:
-            F = rusanov_flux(model, _axis_faces(field, axis, cfg.recon), axis)
-            ax = -1 - axis
-            diff = slab(F, ax, 1, grid.cells[axis] + 1) - slab(F, ax, 0, grid.cells[axis])
-            diff /= grid.deltas[axis]
-            out -= diff
-            continue
-        status, rank = euler_face_sweep(
-            model, cfg.flux, cfg.recon, field.data, out, axis, g,
-            grid.cells, grid.deltas[axis],
-        )
-        if status == SWEEP_NOMEM:
-            raise MemoryError(
-                f"the compiled face sweep on axis {axis} could not allocate "
-                f"its line buffers"
-            )
-        if status:
-            _require_physical_faces(field, cfg, axis)
-            if status == SWEEP_DEGENERATE:
-                raise UnphysicalStateError("degenerate HLLC wave fan (sL >= sR)", rank=rank)
-            raise SimulationError(
-                f"the compiled face sweep on axis {axis} stopped with status "
-                f"{status} on physical face states", rank=rank,
-            )
+        F = rusanov_flux(model, _axis_faces(field, axis, cfg.recon), axis)
+        ax = -1 - axis
+        diff = slab(F, ax, 1, grid.cells[axis] + 1) - slab(F, ax, 0, grid.cells[axis])
+        diff /= grid.deltas[axis]
+        out -= diff
     return out
+
+
+def _residual_failure(stack: EulerStack, cfg: SchemeConfig, status: int) -> None:
+    """Raise the error of a residual that stopped with ``status``: the first
+    unphysical interior cell, else the kernel's own failure on the axis and
+    rank where it stopped."""
+    mask = physical_mask(cfg.model, stack.interior)
+    if not mask.all():
+        rank, cell = first_false(mask, stack.grid.dim)
+        raise SimulationError(f"unphysical state in interior cell {cell}", rank=rank)
+    axis, rank = stack.stop
+    if status == SWEEP_NOMEM:
+        raise MemoryError(
+            f"the compiled face sweep on axis {axis} could not allocate its line buffers"
+        )
+    _require_physical_faces(stack, cfg, axis)
+    if status == SWEEP_DEGENERATE:
+        raise UnphysicalStateError("degenerate HLLC wave fan (sL >= sR)", rank=rank)
+    raise SimulationError(
+        f"the compiled face sweep on axis {axis} stopped with status "
+        f"{status} on physical face states", rank=rank,
+    )
 
 
 def wave_speed_maxima(field: Field, cfg: SchemeConfig) -> np.ndarray:
     """Per-axis maximum wave speed over the interior cells (of every rank of
     a stack: the maximum is exact, so it equals the rank-ordered reduction
-    of per-rank maxima)."""
-    speeds = max_wave_speeds(cfg.model, field.interior)
+    of per-rank maxima).
+
+    For Euler one compiled pass (``numerics.EulerStack.cell_pass``) computes
+    them and checks that every cell is finite and physical; when it fails,
+    UnphysicalStateError names the first cell that is not.
+    """
+    model = cfg.model
+    if model.kind == EULER:
+        stack = _euler_stack(field, cfg)
+        if not stack.cell_pass():
+            return stack.maxima.copy()
+        u = field.interior
+        require_mask(u, physical_mask(model, u) & np.isfinite(u).all(axis=0), model.dim)
+    speeds = max_wave_speeds(model, field.interior)
     return np.array([float(np.max(s)) for s in speeds])
 
 
@@ -251,22 +283,39 @@ def ssp_rk_step(
     ``residual`` maps the stack's interior to its residual; ``start`` is the
     buffer for the state at the start of the step.  The arithmetic is
     elementwise, so each subdomain gets the values a run of it alone would
-    get.
+    get.  A run's Euler stack combines each stage in one compiled pass
+    (``numerics.EulerStack.stage``), rounded as ``ssp_rk_advance``, which
+    steps every other state.
     """
-    ssp_rk_advance(state.interior, dt, residual, cfg.rk_order, start)
+    if not isinstance(state, EulerStack):
+        ssp_rk_advance(state.interior, dt, residual, cfg.rk_order, start)
+        return
+    u, stages = state.interior, SSP_STAGES[cfg.rk_order]
+    state.stage(residual(u), start, dt, save=bool(stages))
+    for a, b in stages:
+        state.stage(residual(u), start, dt, a, b)
 
 
-def _checked_maxima(field: Field, cfg: SchemeConfig, when: str) -> np.ndarray:
-    """CFL speed maxima of a field or stack, after checking that every
-    interior cell is finite; the positivity check shares the speeds'
-    pressure pass."""
+def _require_finite(field: Field, when: str) -> None:
+    """Raise SimulationError naming the first rank and cell, if any, with a
+    value that is not finite."""
     finite = np.isfinite(field.interior).all(axis=0)
     if not finite.all():
         rank, cell = first_false(finite, field.grid.dim)
         raise SimulationError(f"non-finite value {when} at cell {cell}", rank=rank)
+
+
+def _checked_maxima(field: Field, cfg: SchemeConfig, when: str) -> np.ndarray:
+    """CFL speed maxima of a field or stack, after checking that every
+    interior cell is finite, then that every cell is physical.  For Euler
+    ``wave_speed_maxima`` makes both checks in its compiled pass, and the
+    numpy checks run only to name a cell it rejects."""
+    if cfg.model.kind != EULER:
+        _require_finite(field, when)
     try:
         return wave_speed_maxima(field, cfg)
     except UnphysicalStateError as exc:
+        _require_finite(field, when)
         raise SimulationError(f"unphysical state {when}: {exc}", rank=exc.rank) from exc
 
 
@@ -289,13 +338,18 @@ def run_simulation(
     the stack and one ``spatial_residual`` call for all of it.  With one rank
     per axis the halo pass makes the same ``grid.fill_axis`` calls as
     ``grid.fill_boundary``, and the result is bitwise the same for every rank
-    layout.
+    layout.  An Euler stack is a ``numerics.EulerStack``, bound to the
+    compiled kernel once: each stage is then one kernel call for the
+    residual and one for the combination (``ssp_rk_step``), and each step
+    ends with one compiled pass of checks and CFL maxima
+    (``wave_speed_maxima``).
 
     With ``steps=None`` the run stops at ``cfg.t_end``, its last step
     shortened to land on it; ``steps=n`` runs exactly n steps, and ``t_end``
     neither stops the run nor shortens a step.  Observers are called as
-    ``observer(step, t, field)`` with the global field, once with the initial
-    state and after every step.
+    ``observer(step, t, field)``, once with the initial state and after every
+    step; ``field()`` stitches the global field (once per call of the
+    observers) and is valid only during that call.
 
     Returns the final global field and one step record per step, whose
     ``seconds`` is the wall time of the step.  A check runs once, on the
@@ -306,6 +360,8 @@ def run_simulation(
     check_scheme(init.grid, cfg)
     ranks = tuple(ranks) if ranks is not None else (1,) * init.grid.dim
     state = scatter_field(init, ranks)
+    if cfg.model.kind == EULER:
+        state = EulerStack(state, cfg)
 
     def residual(u: np.ndarray) -> np.ndarray:
         # ``u`` is the stack's interior, so the stage is already in place
@@ -314,7 +370,7 @@ def run_simulation(
 
     def notify(step, t):
         if observers:
-            field = stitch_fields(state, ranks, init.grid)
+            field = functools.cache(functools.partial(stitch_fields, state, ranks, init.grid))
             for obs in observers:
                 obs(step, t, field)
 

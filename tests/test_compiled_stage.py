@@ -1,0 +1,179 @@
+"""The compiled Euler stage of a run (``numerics.EulerStack``): its end-of-step
+pass against ``equations.max_wave_speeds``, its SSP-RK combination against
+``solver.ssp_rk_advance``, the kernel calls of one step, and the global
+field that observers stitch on demand.
+"""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conslaw import numerics, solver
+from conslaw.equations import max_wave_speeds
+from conslaw.grid import Field
+from conslaw.iodsl import config, parse_config
+from conslaw.numerics import EulerStack, FluxKind, ReconstructionKind
+from conslaw.parallel import scatter_field
+from conslaw.presets import KH2D
+from conslaw.solver import SSP_STAGES, run_simulation, ssp_rk_advance, ssp_rk_step
+from test_face_kernel import make_case, random_prim
+
+#: rank layouts of 1, 2 and 4 ranks per dimension
+LAYOUTS = {
+    1: [(1,), (2,), (4,)],
+    2: [(1, 1), (2, 1), (2, 2)],
+    3: [(1, 1, 1), (1, 2, 1), (2, 1, 2)],
+}
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@st.composite
+def stacks(draw):
+    """A random physical Euler stack of 1, 2 or 4 ranks, and its scheme."""
+    dim = draw(st.integers(1, 3))
+    ranks = draw(st.sampled_from(LAYOUTS[dim]))
+    cells = tuple(r * draw(st.integers(2, {1: 12, 2: 5, 3: 3}[dim])) for r in ranks)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    prim = random_prim(rng, tuple(reversed(cells)), palette=draw(st.sampled_from([0, 3])))
+    # densities and pressures over many decades, down to near the floor
+    scale = draw(st.sampled_from([1.0, 1e-9, 1e6]))
+    prim[0] *= scale
+    prim[-1] *= scale
+    field, cfg = make_case(prim, FluxKind.HLLC, ReconstructionKind.WENO3)
+    return scatter_field(field, ranks), cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=stacks())
+def test_the_cell_pass_maxima_are_those_of_max_wave_speeds(case):
+    stack, cfg = case
+    want = [np.max(s) for s in max_wave_speeds(cfg.model, stack.interior)]
+    compiled = EulerStack(stack, cfg)
+    assert compiled.cell_pass() == 0
+    assert np.array_equal(_bits(compiled.maxima), _bits(np.array(want)))
+    assert np.array_equal(_bits(solver.wave_speed_maxima(compiled, cfg)), _bits(compiled.maxima))
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "negative energy", "zero density"])
+def test_the_cell_pass_rejects_a_cell_that_is_not_finite_or_not_physical(bad):
+    field, cfg = make_case(random_prim(np.random.default_rng(3), (4, 6)),
+                           FluxKind.HLLC, ReconstructionKind.WENO3)
+    g = field.grid.ghost_width
+    component, value = {
+        "nan": (1, np.nan), "inf": (3, np.inf), "negative energy": (3, -1.0),
+        "zero density": (0, 0.0),
+    }[bad]
+    field.data[component, g + 2, g + 5] = value
+    assert EulerStack(field, cfg).cell_pass() == 1
+
+
+def _odd_layout_stack(rng, ranks):
+    """A 2D stack of ``ranks`` ranks whose state is a view with an x stride
+    of two elements, so its interior is strided along every axis."""
+    field, cfg = make_case(random_prim(rng, (4, 6)), FluxKind.RUSANOV, ReconstructionKind.NONE)
+    stack = scatter_field(field, (ranks, 1))
+    wide = np.zeros(stack.data.shape[:-1] + (2 * stack.data.shape[-1],))
+    data = wide[..., ::2]
+    data[...] = stack.data
+    return Field(stack.grid, stack.ncomp, data), cfg
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("layout", ["field", "stack of 2", "strided x"])
+def test_the_compiled_combination_rounds_as_ssp_rk_advance(order, layout):
+    rng = np.random.default_rng(order)
+    if layout == "strided x":
+        state, cfg = _odd_layout_stack(rng, 1)
+    else:
+        state, cfg = make_case(random_prim(rng, (4, 6)), FluxKind.HLLC, ReconstructionKind.WENO3)
+        if layout == "stack of 2":
+            state = scatter_field(state, (2, 1))
+    cfg = solver.SchemeConfig(cfg.model, cfg.flux, cfg.recon, rk_order=order, bc=cfg.bc)
+    dt = 0.0123456789
+
+    def rhs(u):
+        # a right-hand side with rounding in every digit, new on every call
+        return np.sin(3.0 * u) / 7.0 - u * u
+
+    reference = state.data.copy()
+    ssp_rk_advance(Field(state.grid, state.ncomp, reference).interior, dt, rhs, order)
+    compiled = EulerStack(state, cfg)
+    initial = compiled.interior.copy()
+    start = np.empty(compiled.interior.shape)
+    ssp_rk_step(compiled, dt, cfg, rhs, start)
+    assert np.array_equal(_bits(state.data), _bits(reference))
+    if SSP_STAGES[order]:
+        # the state at the start of the step
+        assert np.array_equal(_bits(start), _bits(initial))
+
+
+def _counting_kernel(monkeypatch, counts):
+    """Count the calls of every entry point of the compiled kernel."""
+    real = numerics.face_kernel()
+
+    def counted(name, entry):
+        def call(*args):
+            counts[name] += 1
+            return entry(*args)
+        return call
+
+    kernel = numerics.FaceKernel(*(counted(n, e) for n, e in zip(real._fields, real)))
+    monkeypatch.setattr(numerics, "face_kernel", lambda: kernel)
+
+
+@pytest.mark.parametrize("ranks", [None, (2, 1)])
+def test_an_rk3_euler_step_is_one_kernel_call_per_stage_and_one_cell_pass(monkeypatch, ranks):
+    field, cfg = make_case(random_prim(np.random.default_rng(5), (4, 8)),
+                           FluxKind.HLLC, ReconstructionKind.WENO3)
+    assert cfg.rk_order == 3
+    counts = Counter()
+    _counting_kernel(monkeypatch, counts)
+    for name in ("physical_mask", "max_wave_speeds"):
+        monkeypatch.setattr(solver, name, lambda *args, name=name: counts.update([name]))
+    run_simulation(field, cfg, ranks, steps=2)
+    # the initial field's cell pass, then per step three stages and one pass
+    assert counts == {"residual": 6, "stage": 6, "cells": 3}
+
+
+def test_observers_stitch_the_global_field_only_on_demand(monkeypatch):
+    field, cfg = make_case(random_prim(np.random.default_rng(8), (4, 8)),
+                           FluxKind.HLLC, ReconstructionKind.WENO3)
+    stitches = []
+    real_stitch = solver.stitch_fields
+    monkeypatch.setattr(
+        solver, "stitch_fields", lambda *args: stitches.append(args) or real_stitch(*args)
+    )
+    seen = []
+
+    def every_second_step(step, t, global_field):
+        if step % 2 == 0:
+            # asked twice, stitched once
+            seen.append(global_field() is global_field())
+
+    final, _ = run_simulation(field, cfg, (2, 1), [every_second_step, lambda *args: None],
+                              steps=5)
+    assert seen == [True] * 3
+    # steps 0, 2 and 4, then the final field
+    assert len(stitches) == 4
+
+
+def test_the_parse_time_spot_check_evaluates_the_random_symbols_in_use(monkeypatch):
+    lengths = []
+    real_eval = config.eval_init
+
+    def recording(exprs, model, grid, random_vector=(), **kwargs):
+        lengths.append(len(random_vector))
+        return real_eval(exprs, model, grid, random_vector, **kwargs)
+
+    monkeypatch.setattr(config, "eval_init", recording)
+    text = KH2D.replace("cells = 64 64", "cells = 16 16")
+    cfg = parse_config(text.replace("stochastic_dim = 4", f"stochastic_dim = {10**6}"))
+    assert cfg.uq.stochastic_dim == 10**6
+    # the kh2d initial data uses X0 .. X3
+    assert lengths == [4, 4, 4]

@@ -115,7 +115,8 @@ def test_a_sweep_stopping_on_physical_faces_is_an_error(monkeypatch):
     field, cfg = make_case(
         random_prim(np.random.default_rng(2), (4, 6)), FluxKind.HLLC, ReconstructionKind.WENO3
     )
-    monkeypatch.setattr(numerics, "face_kernel", lambda: (lambda *args: 1))
+    kernel = numerics.face_kernel()._replace(residual=lambda *args: 1)
+    monkeypatch.setattr(numerics, "face_kernel", lambda: kernel)
     with pytest.raises(
         SimulationError,
         match=r"^the compiled face sweep on axis 0 stopped with status 1 on physical "
@@ -154,7 +155,8 @@ def test_a_sweep_out_of_memory_is_a_memory_error(monkeypatch):
     field, cfg = make_case(
         random_prim(np.random.default_rng(2), (4, 6)), FluxKind.HLLC, ReconstructionKind.WENO3
     )
-    monkeypatch.setattr(numerics, "face_kernel", lambda: (lambda *args: 3))
+    kernel = numerics.face_kernel()._replace(residual=lambda *args: 3)
+    monkeypatch.setattr(numerics, "face_kernel", lambda: kernel)
     with pytest.raises(MemoryError, match="on axis 0 could not allocate"):
         spatial_residual(field, cfg)
 
