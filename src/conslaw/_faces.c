@@ -23,14 +23,29 @@
  * line's rank is reported.  conslaw.solver locates the failing cell or face
  * itself.
  *
- * Entry points: `euler_sweep` sweeps one axis on given arrays;
- * `euler_residual`, `rk_stage` and `cell_pass` work on one run's `Stack`,
- * whose arguments conslaw.numerics.EulerStack fills once per run.
+ * A sweep of at least SHARE_MIN_FACES faces shares its lines with one helper
+ * pthread that stays in the process and spins for SPIN_NS after each job
+ * (see "The helper thread" below).  Each line is swept by one thread and
+ * writes only its own cells, and the lowest failing line decides the
+ * status, so the residual and every failure are those of the serial loop.
+ * No helper starts where the process may run on fewer than 2 CPUs; a forked
+ * child starts its own.  Link with -pthread.
+ *
+ * Entry points: `euler_residual`, `rk_stage` and `cell_pass` work on one
+ * run's `Stack`, whose arguments conslaw.numerics.EulerStack fills once per
+ * run.
  */
 
+#define _GNU_SOURCE
 #include <math.h>
+#include <pthread.h>
+#include <sched.h>
+#include <signal.h>
+#include <stdatomic.h>
 #include <stdlib.h>
 #include <string.h>
+#include <time.h>
+#include <unistd.h>
 
 #define MAXCOMP 5
 #define INLINE static inline __attribute__((always_inline))
@@ -295,60 +310,268 @@ static int sweep_3d(const Scheme *s, const double *line, long sc, long sk, doubl
     return sweep_line(s, 3, line, sc, sk, oline, oc, oi, n, ghost, check, w);
 }
 
+/* the line scratch of a Work for lines of n cells, in buf */
+static void work_init(Work *w, double *buf, long ncomp, long n, int ghost)
+{
+    long nf = n + 1;
+    double *next = buf;
+#define TAKE(ptr, count) (ptr = next, next += (count))
+    TAKE(w->cols, ncomp * (n + 2 * ghost));
+    TAKE(w->d, n + 3);
+    TAKE(w->a0, n + 3);
+    TAKE(w->a1, n + 3);
+    TAKE(w->half_s, nf);
+    TAKE(w->F, ncomp * nf);
+    for (int side = 0; side < 2; side++) {
+        TAKE(w->face[side], ncomp * nf);
+        TAKE(w->f[side], ncomp * nf);
+        TAKE(w->p[side], nf);
+        TAKE(w->v[side], nf);
+        TAKE(w->c[side], nf);
+    }
+#undef TAKE
+}
+
+/* The sharing of a sweep with the helper thread (see below).  The smallest
+ * sweep shared: shared, the residual of a 32x32 grid (sweeps of 1056 faces)
+ * ran 1.5x as fast, those of 64x64 and 128x128 grids 1.6x and 1.7x; the
+ * sweeps of a 16x16 grid (272 faces) are one chunk each. */
+#define SHARE_MIN_FACES 1024
+/* how long the helper spins after a job before it sleeps */
+#define SPIN_NS 1000000L
+/* lines per chunk: a multiple of 8, so that two threads write the same
+ * cache line of the residual only at the ends of rows; chunks of 3 or 7
+ * lines of a 64x64 grid were slower */
+#define CHUNK_LINES 16
+
+/* One axis sweep as a job: its lines are numbered ranks outermost, then
+ * transverse axis 1, then 2 (the order of the serial loop), and handed out
+ * in chunks of CHUNK_LINES consecutive lines from `next`.  `failed` is the
+ * lowest line known to fail and its status, as line * 8 + status (every
+ * STATUS_* is below 8), or lines * 8 while none has failed; no chunk
+ * starting at or after that line is taken. */
+typedef struct {
+    const Scheme *s;
+    LineSweep line_sweep;
+    Work *spare;          /* the helper's line scratch */
+    int ghost, check;
+    const double *u;
+    const long *ustr;
+    double *out;
+    const long *ostr;
+    long n, T1, T2, lines;
+    atomic_long next, failed;
+} Job;
+
+/* Sweep chunks of the job's lines until none is left below its lowest
+ * failure; a failing line ends the worker's part. */
+static void take_lines(Job *job, Work *w)
+{
+    for (;;) {
+        long first = atomic_fetch_add(&job->next, CHUNK_LINES);
+        if (first >= atomic_load(&job->failed) / 8)
+            return;
+        long last = first + CHUNK_LINES < job->lines ? first + CHUNK_LINES : job->lines;
+        for (long l = first; l < last; l++) {
+            long r = l / (job->T1 * job->T2), t1 = l / job->T2 % job->T1, t2 = l % job->T2;
+            int status = job->line_sweep(
+                job->s, job->u + r * job->ustr[1] + t1 * job->ustr[3] + t2 * job->ustr[4],
+                job->ustr[0], job->ustr[2],
+                job->out + r * job->ostr[1] + t1 * job->ostr[3] + t2 * job->ostr[4],
+                job->ostr[0], job->ostr[2], job->n, job->ghost, job->check, w);
+            if (status) {
+                long mine = l * 8 + status, seen = atomic_load(&job->failed);
+                while (mine < seen && !atomic_compare_exchange_weak(&job->failed, &seen, mine))
+                    ;
+                return;
+            }
+        }
+    }
+}
+
+/* ------------------------------------------------------------------------
+ * The helper thread
+ *
+ * A sweep of at least SHARE_MIN_FACES faces is shared with one helper
+ * pthread, which stays in the process.  Lines are independent and each line
+ * writes only its own cells, so every bit of the residual is the same
+ * whichever thread sweeps a line; the lowest failing line decides the
+ * status and the rank, as in the serial loop.  The caller posts the job and
+ * sweeps chunks itself at once; it never waits for the helper to start, only
+ * for a chunk the helper has taken, and yields while it waits.  After a job
+ * the helper spins for SPIN_NS, so that the next sweep finds it awake (a
+ * sleeping helper joined sweeps too late to help), then sleeps on a
+ * condition variable.
+ *
+ * No helper starts where sched_getaffinity allows fewer than 2 CPUs (or
+ * off Linux): it would only take turns with the caller.  A forked child
+ * has no helper; its first shared sweep sees that the helper belongs to
+ * another pid, resets the locks and the state and starts its own.  Calls
+ * from several threads at once are safe: while one sweep holds the helper
+ * (`owner`), the others run alone.
+ * ------------------------------------------------------------------------ */
+
+static struct {
+    atomic_int owner;        /* pid of the process whose sweep holds the helper, or 0 */
+    pid_t pid;               /* the process the helper runs in, 0 before the first */
+    int running;             /* whether that process has a helper */
+    Job *_Atomic posted;     /* the job to join, or NULL */
+    atomic_ulong seq;        /* counts the jobs posted */
+    atomic_int inside;       /* 1 while the helper may read the posted job */
+    atomic_int sleeping;     /* 1 while the helper waits on `wake` */
+    pthread_mutex_t lock;
+    pthread_cond_t wake;
+} helper;
+
+/* whether a job after `seen` is posted within SPIN_NS; the spin yields, so
+ * that a thread runnable on the helper's CPU goes first */
+static int posted_soon(unsigned long seen)
+{
+    struct timespec t0, t;
+    clock_gettime(CLOCK_MONOTONIC, &t0);
+    for (;;) {
+        if (atomic_load(&helper.seq) != seen)
+            return 1;
+        sched_yield();
+        clock_gettime(CLOCK_MONOTONIC, &t);
+        if ((t.tv_sec - t0.tv_sec) * 1000000000L + (t.tv_nsec - t0.tv_nsec) >= SPIN_NS)
+            return 0;
+    }
+}
+
+static void *helper_main(void *unused)
+{
+    (void)unused;
+    unsigned long seen = 0;
+    for (;;) {
+        if (!posted_soon(seen)) {
+            pthread_mutex_lock(&helper.lock);
+            atomic_store(&helper.sleeping, 1);
+            while (atomic_load(&helper.seq) == seen)
+                pthread_cond_wait(&helper.wake, &helper.lock);
+            atomic_store(&helper.sleeping, 0);
+            pthread_mutex_unlock(&helper.lock);
+        }
+        seen = atomic_load(&helper.seq);
+        /* `inside` first: a caller that has withdrawn its job and then
+         * reads inside == 0 knows that the helper will not read that job */
+        atomic_store(&helper.inside, 1);
+        Job *job = atomic_load(&helper.posted);
+        if (job)
+            take_lines(job, job->spare);
+        atomic_store(&helper.inside, 0);
+    }
+    return NULL;
+}
+
+/* The first shared sweep of a process: fresh state and locks (a forked
+ * child inherits the parent's, but not its helper), then the helper, with
+ * every signal blocked so that they go to the caller's threads.  The helper
+ * may run on every allowed CPU but the caller's: the scheduler, left to
+ * itself, woke it on the caller's CPU and kept it there, so that the two
+ * took turns.  Off Linux no helper starts. */
+static void start_helper(pid_t pid)
+{
+    helper.pid = pid;
+    helper.running = 0;
+    atomic_store(&helper.posted, NULL);
+    atomic_store(&helper.seq, 0);
+    atomic_store(&helper.inside, 0);
+    atomic_store(&helper.sleeping, 0);
+#ifdef __linux__
+    cpu_set_t others;
+    int cpu = sched_getcpu();
+    if (cpu < 0 || sched_getaffinity(0, sizeof others, &others) || CPU_COUNT(&others) < 2)
+        return;
+    CPU_CLR(cpu, &others);
+    pthread_attr_t attr;
+    if (pthread_mutex_init(&helper.lock, NULL) || pthread_cond_init(&helper.wake, NULL)
+        || pthread_attr_init(&attr))
+        return;
+    pthread_attr_setdetachstate(&attr, PTHREAD_CREATE_DETACHED);
+    pthread_attr_setaffinity_np(&attr, sizeof others, &others);
+    sigset_t all, old;
+    pthread_t thread;
+    sigfillset(&all);
+    pthread_sigmask(SIG_SETMASK, &all, &old);
+    helper.running = pthread_create(&thread, &attr, helper_main, NULL) == 0;
+    pthread_sigmask(SIG_SETMASK, &old, NULL);
+    pthread_attr_destroy(&attr);
+#endif
+}
+
+/* Post the job to the helper; returns 0 when the sweep runs alone (one
+ * CPU, no helper, or another sweep holds it). */
+static int post_job(Job *job)
+{
+    pid_t pid = getpid();
+    int holder = atomic_load(&helper.owner);
+    /* an owner that is not this process is a parent's, left by fork */
+    if (holder == pid || !atomic_compare_exchange_strong(&helper.owner, &holder, pid))
+        return 0;
+    if (helper.pid != pid)
+        start_helper(pid);
+    if (!helper.running) {
+        atomic_store(&helper.owner, 0);
+        return 0;
+    }
+    atomic_store(&helper.posted, job);
+    atomic_fetch_add(&helper.seq, 1);
+    if (atomic_load(&helper.sleeping)) {
+        pthread_mutex_lock(&helper.lock);
+        pthread_cond_signal(&helper.wake);
+        pthread_mutex_unlock(&helper.lock);
+    }
+    return 1;
+}
+
+/* Withdraw the posted job once the caller has no chunk left to take, and
+ * wait for the chunk the helper may still be sweeping. */
+static void withdraw_job(void)
+{
+    atomic_store(&helper.posted, NULL);
+    while (atomic_load(&helper.inside))
+        sched_yield();
+    atomic_store(&helper.owner, 0);
+}
+
 /* One axis.  u: padded cell 0 of the sweep axis at rank 0 and the first
  * interior transverse cell; ustr: element strides of (component, rank,
  * sweep axis, transverse 1, transverse 2).  out, ostr: the same for interior
- * cell 0.  shape: (ranks, n, T1, T2), with n interior cells along the sweep. */
+ * cell 0.  shape: (ranks, n, T1, T2), with n interior cells along the sweep.
+ * Returns the status of the first line that fails, whose rank is left in
+ * *stop_rank (the last rank when none fails). */
 static int sweep(const Scheme *s, int dim, int ghost, const double *u, const long *ustr,
                  double *out, const long *ostr, const long *shape, int check,
                  long *stop_rank)
 {
-    LineSweep line_sweep = dim == 1 ? sweep_1d : dim == 2 ? sweep_2d : sweep_3d;
-    long R = shape[0], n = shape[1], T1 = shape[2], T2 = shape[3];
-    long ncomp = dim + 2, N = n + 2 * ghost, nf = n + 1;
-    double *buf = malloc(sizeof(double) * (ncomp * N + 3 * (n + 3) + (5 * ncomp + 7) * nf));
+    long n = shape[1], ncomp = dim + 2, lines = shape[0] * shape[2] * shape[3];
+    int shareable = lines > CHUNK_LINES && lines * (n + 1) >= SHARE_MIN_FACES;
+    /* the line scratch (see work_init) of the caller, and of the helper
+     * when it may join */
+    long size = ncomp * (n + 2 * ghost) + 3 * (n + 3) + (5 * ncomp + 7) * (n + 1);
+    double *buf = malloc(sizeof(double) * size * (1 + shareable));
     if (!buf)
         return STATUS_NOMEM;
-    Work w;
-    double *next = buf;
-#define TAKE(ptr, count) (ptr = next, next += (count))
-    TAKE(w.cols, ncomp * N);
-    TAKE(w.d, n + 3);
-    TAKE(w.a0, n + 3);
-    TAKE(w.a1, n + 3);
-    TAKE(w.half_s, nf);
-    TAKE(w.F, ncomp * nf);
-    for (int side = 0; side < 2; side++) {
-        TAKE(w.face[side], ncomp * nf);
-        TAKE(w.f[side], ncomp * nf);
-        TAKE(w.p[side], nf);
-        TAKE(w.v[side], nf);
-        TAKE(w.c[side], nf);
-    }
-#undef TAKE
-    int status = STATUS_OK;
-    for (long r = 0; r < R && !status; r++) {
-        *stop_rank = r;
-        for (long t1 = 0; t1 < T1 && !status; t1++)
-            for (long t2 = 0; t2 < T2 && !status; t2++)
-                status = line_sweep(
-                    s, u + r * ustr[1] + t1 * ustr[3] + t2 * ustr[4], ustr[0], ustr[2],
-                    out + r * ostr[1] + t1 * ostr[3] + t2 * ostr[4], ostr[0], ostr[2],
-                    n, ghost, check, &w);
-    }
+    Work w[2];
+    work_init(&w[0], buf, ncomp, n, ghost);
+    if (shareable)
+        work_init(&w[1], buf + size, ncomp, n, ghost);
+    Job job = {
+        .s = s, .line_sweep = dim == 1 ? sweep_1d : dim == 2 ? sweep_2d : sweep_3d,
+        .spare = &w[1], .ghost = ghost, .check = check, .u = u, .ustr = ustr, .out = out,
+        .ostr = ostr, .n = n, .T1 = shape[2], .T2 = shape[3], .lines = lines,
+    };
+    atomic_init(&job.next, 0);
+    atomic_init(&job.failed, lines * 8);
+    int shared = shareable && post_job(&job);
+    take_lines(&job, &w[0]);
+    if (shared)
+        withdraw_job();
     free(buf);
-    return status;
-}
-
-/* One axis sweep on given arrays (see `sweep`); *stop_rank is the rank of
- * the line a failed sweep stopped at. */
-int euler_sweep(const double *u, const long *ustr, double *out, const long *ostr,
-                const long *shape, int dim, int axis, int ghost, int weno, int hllc,
-                double epsilon, double d0, double d1, double gamma, double gm1,
-                double floor, double delta, long *stop_rank)
-{
-    Scheme s = {axis, weno, hllc, epsilon, d0, d1, gamma, gm1, floor, delta};
-    return sweep(&s, dim, ghost, u, ustr, out, ostr, shape, 0, stop_rank);
+    long failed = atomic_load(&job.failed);
+    *stop_rank = (failed < lines * 8 ? failed / 8 : lines - 1) / (job.T1 * job.T2);
+    return failed < lines * 8 ? (int)(failed % 8) : STATUS_OK;
 }
 
 /* ------------------------------------------------------------------------

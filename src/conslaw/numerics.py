@@ -29,13 +29,23 @@ takes the per-axis CFL maxima.  The reconstruction rounds like
 ``reconstruct_axis``, every face value like the face-by-face reference of
 ``tests/oracles.py`` (up to the sign of a zero), the combination like
 ``solver.ssp_rk_advance`` and the maxima like ``equations.max_wave_speeds``.
+
+An axis sweep of at least ``SHARE_MIN_FACES`` faces (1024 in ``_faces.c``;
+a 32x32 sweep has 1056) shares its lines with one helper pthread that the
+kernel starts on the first such sweep and keeps, on the allowed CPUs other
+than the caller's; the helper spins for ``SPIN_NS`` (1 ms) after each job,
+then sleeps.  Each line is swept by one thread and the lowest failing line
+decides the status and the rank, so every output bit and every failure is
+that of one thread.  No helper starts where ``sched_getaffinity`` allows
+fewer than 2 CPUs, and a forked child starts its own.  Python starts no
+thread.
+
 ``face_kernel`` builds the kernel on the first use with gcc (or cc), caches
 the library in ``__pycache__/faces-<hash>.so`` next to this file (in a
 private temporary directory when that is not writable) and loads it with
-``ctypes``; Euler runs need a C compiler.  ``euler_face_sweep`` sweeps one
-axis on given arrays.  The numpy functions below serve the scalar models,
-and ``reconstruct_axis`` also locates the face that a failed Euler sweep
-reports.
+``ctypes``; Euler runs need a C compiler.  The numpy functions below serve
+the scalar models, and ``reconstruct_axis`` also locates the face that a
+failed Euler sweep reports.
 """
 
 from __future__ import annotations
@@ -186,23 +196,22 @@ _SOURCE = Path(__file__).with_name("_faces.c")
 # -O3 vectorizes the loops over the faces of a line and -fno-math-errno lets
 # sqrt vectorize; IEEE operations round the same in vector registers.
 _CFLAGS = (
-    "-O3", "-fno-fast-math", "-fno-math-errno", "-ffp-contract=off", "-fPIC", "-shared"
+    "-O3", "-fno-fast-math", "-fno-math-errno", "-ffp-contract=off", "-fPIC", "-shared",
+    "-pthread",
 )
 
 
 class FaceKernel(NamedTuple):
-    """The entry points of ``_faces.c``: one axis sweep on given arrays, and
-    the residual, SSP-RK stage and end-of-step cell pass of an
-    ``EulerStack``."""
+    """The entry points of ``_faces.c``: the residual, SSP-RK stage and
+    end-of-step cell pass of an ``EulerStack``."""
 
-    sweep: Callable
     residual: Callable
     stage: Callable
     cells: Callable
 
 
 #: the C names of ``FaceKernel``'s fields, in order
-_ENTRY_POINTS = ("euler_sweep", "euler_residual", "rk_stage", "cell_pass")
+_ENTRY_POINTS = ("euler_residual", "rk_stage", "cell_pass")
 
 
 class _StackArgs(ctypes.Structure):
@@ -279,17 +288,13 @@ def _load_face_kernel(cache_dir: Path):
         tmp.unlink(missing_ok=True)
         if private is not None:
             shutil.rmtree(private, ignore_errors=True)
-    strides, stack = ctypes.POINTER(ctypes.c_long), ctypes.POINTER(_StackArgs)
-    kernel.sweep.argtypes = (
-        [ctypes.c_void_p, strides, ctypes.c_void_p, strides, strides]
-        + [ctypes.c_int] * 5 + [ctypes.c_double] * 7 + [ctypes.POINTER(ctypes.c_long)]
-    )
+    stack = ctypes.POINTER(_StackArgs)
     kernel.residual.argtypes = kernel.cells.argtypes = [stack]
     kernel.stage.argtypes = (
         [stack, ctypes.c_void_p, ctypes.c_void_p] + [ctypes.c_double] * 3 + [ctypes.c_int]
     )
     kernel.stage.restype = None
-    for entry in (kernel.sweep, kernel.residual, kernel.cells):
+    for entry in (kernel.residual, kernel.cells):
         entry.restype = ctypes.c_int
     return kernel
 
@@ -305,67 +310,10 @@ def face_kernel():
     return _load_face_kernel(_CACHE_DIR)
 
 
-def _element_strides(arr: np.ndarray, axes) -> "ctypes.Array":
-    """Strides of ``arr`` in elements along ``axes``; None stands for a
-    missing axis of length 1."""
-    size = arr.itemsize
-    return (ctypes.c_long * 5)(*(0 if a is None else arr.strides[a] // size for a in axes))
-
-
 #: the sweeps' statuses for a degenerate HLLC wave fan and for line buffers
 #: they could not allocate (``STATUS_*`` in ``_faces.c``); 1 is an
 #: unphysical face state, 4 an unphysical interior cell
 SWEEP_DEGENERATE, SWEEP_NOMEM = 2, 3
-
-
-def euler_face_sweep(
-    model: EquationModel, flux: FluxKind, recon: Reconstruction,
-    data: np.ndarray, out: np.ndarray, axis: int, g: int, cells: tuple, delta: float,
-):
-    """Subtract the flux differences of spatial axis ``axis`` from ``out``
-    with the compiled sweep.
-
-    ``data`` is the padded state, ``out`` the interior residual, both in
-    grid layout, with or without a rank axis after the components, both
-    float64.  Returns ``(status, rank)``: status 0 when done, else the
-    ``SWEEP_*`` status of the first line that failed, ranks outermost, whose
-    rank is ``rank`` (0 without a rank axis); ``out`` is then partly updated.
-    """
-    if data.dtype != np.float64 or out.dtype != np.float64:
-        raise ValueError(
-            f"the state and the residual must be float64, got {data.dtype} and {out.dtype}"
-        )
-    kernel = face_kernel().sweep
-    dim = model.dim
-    if data.ndim == dim + 1:
-        data, out = data[:, None], out[:, None]
-    # crop the transverse axes to the interior
-    for other in range(dim):
-        if other != axis:
-            data = slab(data, -1 - other, g, g + cells[other])
-    ax = data.ndim - 1 - axis
-    interior = tuple(reversed(cells))
-    padded = interior[: ax - 2] + (cells[axis] + 2 * g,) + interior[ax - 1 :]
-    if data.shape[2:] != padded or out.shape != data.shape[:2] + interior:
-        raise ValueError(
-            f"sweep of axis {axis}: state {data.shape} and residual {out.shape} "
-            f"do not fit {cells} cells with {g} ghosts"
-        )
-    trans = [a for a in range(2, data.ndim) if a != ax] + [None, None]
-    axes = (0, 1, ax, trans[0], trans[1])
-    shape = (ctypes.c_long * 4)(
-        data.shape[1], cells[axis], *(1 if a is None else data.shape[a] for a in trans[:2])
-    )
-    weights = IDEAL_WEIGHTS.get(recon.kind, (0.0, 0.0))
-    stop_rank = ctypes.c_long(0)
-    status = kernel(
-        data.ctypes.data, _element_strides(data, axes),
-        out.ctypes.data, _element_strides(out, axes), shape,
-        dim, axis, g, recon.kind is not ReconstructionKind.NONE,
-        flux is FluxKind.HLLC, recon.epsilon, *weights,
-        model.gamma, model.gamma - 1.0, POSITIVITY_FLOOR, delta, ctypes.byref(stop_rank),
-    )
-    return status, stop_rank.value
 
 
 #: the modes of ``rk_stage`` in ``_faces.c``: the first stage of a step,

@@ -8,8 +8,12 @@ run binds its stack to the kernel once (``numerics.EulerStack``); each stage
 is then one kernel call for the residual of every axis (``spatial_residual``)
 and one for the SSP-RK combination (``ssp_rk_step``), and each step ends with
 one kernel pass that checks the state and takes the CFL maxima
-(``wave_speed_maxima``).  The numpy checks run only when the kernel reports a
-failure, to name the rank and the cell or face.  The scalar models take the
+(``wave_speed_maxima``).  The kernel shares the lines of a large sweep with
+one helper thread of its own (from 32x32 cells on; see ``conslaw.numerics``),
+on the CPUs other than the caller's and only where the process may use two;
+the output bits and every failure are those of one thread.  The numpy checks
+run only when the kernel reports a failure, to name the rank and the cell or
+face.  The scalar models take the
 numpy path of ``conslaw.numerics`` and ``ssp_rk_advance``.
 ``run_simulation`` is the one entry point of a solve: it runs serial and
 decomposed runs through the same time loop, a serial run being the layout

@@ -11,8 +11,9 @@ import pytest
 from conslaw import numerics, solver
 from conslaw.cli import main
 from conslaw.errors import ConfigError, SimulationError
+from conslaw.grid import Field
 from conslaw.iodsl.output import read_snapshot
-from conslaw.numerics import FluxKind, ReconstructionKind
+from conslaw.numerics import EulerStack, FluxKind, ReconstructionKind
 from conslaw.presets import KH2D, KH3D, SOD
 from conslaw.solver import spatial_residual
 from oracles import reference_euler_residual
@@ -130,7 +131,6 @@ def test_the_sweep_returns_the_status_of_its_stop(stop):
     field, cfg = make_case(
         random_prim(np.random.default_rng(6), (6,)), FluxKind.HLLC, ReconstructionKind.WENO3
     )
-    grid = field.grid
     if stop == "unphysical":
         # a ghost with negative total energy; status 1 is STATUS_UNPHYSICAL
         field.data[:, 1] = [1.0, 0.0, -1.0]
@@ -140,14 +140,11 @@ def test_the_sweep_returns_the_status_of_its_stop(stop):
         field.data[0] = np.inf
         field.data[1] = 0.0
         want = numerics.SWEEP_DEGENERATE
-    out = np.zeros(field.interior.shape)
+    stack = EulerStack(field, cfg)
     with np.errstate(invalid="ignore"):
-        stop = numerics.euler_face_sweep(
-            cfg.model, cfg.flux, cfg.recon, field.data, out, 0,
-            grid.ghost_width, grid.cells, grid.deltas[0],
-        )
+        assert stack.compute_residual() == want
     # a state without a rank axis is rank 0
-    assert stop == (want, 0)
+    assert stack.stop == (0, 0)
 
 
 def test_a_sweep_out_of_memory_is_a_memory_error(monkeypatch):
@@ -161,20 +158,19 @@ def test_a_sweep_out_of_memory_is_a_memory_error(monkeypatch):
         spatial_residual(field, cfg)
 
 
-def test_the_sweep_rejects_arrays_that_do_not_fit_the_grid():
+def test_a_stack_rejects_arrays_that_do_not_fit_the_grid():
     field, cfg = make_case(
         random_prim(np.random.default_rng(4), (4, 6)), FluxKind.HLLC, ReconstructionKind.WENO3
     )
-    grid = field.grid
-    wrong_shape, wrong_dtype = np.zeros((4, 4, 5)), np.zeros((4, 4, 6), dtype=np.float32)
-    for state, out in ((field.data, wrong_shape), (field.data[..., 1:], np.zeros((4, 4, 6))),
-                       (field.data, wrong_dtype),
-                       (field.data.astype(np.float32), np.zeros((4, 4, 6)))):
-        with pytest.raises(ValueError, match="sweep of axis 0|must be float64"):
-            numerics.euler_face_sweep(
-                cfg.model, cfg.flux, cfg.recon, state, out, 0,
-                grid.ghost_width, grid.cells, grid.deltas[0],
-            )
+    for state in (field.data[..., 1:], field.data[:3], field.data.astype(np.float32)):
+        with pytest.raises(ValueError, match="^an Euler stack needs a float64 state of 4 "):
+            EulerStack(Field(field.grid, field.ncomp, state), cfg)
+    stack = EulerStack(field, cfg)
+    shape = stack.residual.shape
+    for k in (np.zeros(shape[:-1] + (5,)), np.zeros(shape, dtype=np.float32),
+              np.zeros(shape[::-1]).T):
+        with pytest.raises(ValueError, match="^a stage array must be contiguous float64"):
+            stack.stage(k, np.zeros(shape), 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +210,7 @@ def test_a_missing_compiler_or_source_is_a_config_error(tmp_path, monkeypatch, m
 
 def test_a_failing_compile_is_a_config_error(tmp_path, monkeypatch):
     broken = tmp_path / "_faces.c"
-    broken.write_text("int euler_sweep(void) { return }\n")
+    broken.write_text("int euler_residual(void) { return }\n")
     monkeypatch.setattr(numerics, "_SOURCE", broken)
     cache = tmp_path / "cache"
     # the message carries the compiler's own diagnostic

@@ -24,7 +24,9 @@ from conslaw.grid import (
     field_from_interior,
     fill_boundary,
 )
-from conslaw.numerics import FluxKind, Reconstruction, ReconstructionKind, reconstruct_axis
+from conslaw.numerics import (
+    EulerStack, FluxKind, Reconstruction, ReconstructionKind, reconstruct_axis,
+)
 from conslaw.parallel import exchange_halos, local_grid, scatter_field
 from conslaw import numerics, solver
 from conslaw.solver import SchemeConfig, run_simulation, spatial_residual, wave_speed_maxima
@@ -341,14 +343,10 @@ def test_degenerate_wave_fan_raises_in_residual(recon, dim):
     field.data[(0,) + column] = np.inf
     field.data[(slice(1, 1 + dim),) + column] = 0.0
     with np.errstate(invalid="ignore"):
-        if dim == 2:
-            # the x sweep passes
-            out = np.zeros(field.interior.shape)
-            status, _rank = numerics.euler_face_sweep(
-                cfg.model, cfg.flux, cfg.recon, field.data, out, 0,
-                field.grid.ghost_width, field.grid.cells, field.grid.deltas[0],
-            )
-            assert status == 0
+        # in 2D the x sweep passes and the y sweep stops
+        stack = EulerStack(field, cfg)
+        assert stack.compute_residual() == numerics.SWEEP_DEGENERATE
+        assert stack.stop == (dim - 1, 0)
         with pytest.raises(UnphysicalStateError, match="degenerate"):
             spatial_residual(field, cfg)
 
