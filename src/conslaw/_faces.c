@@ -32,8 +32,10 @@
  * child starts its own.  Link with -pthread.
  *
  * Entry points: `euler_residual`, `rk_stage` and `cell_pass` work on one
- * run's `Stack`, whose arguments conslaw.numerics.EulerStack fills once per
- * run.
+ * run's `Stack`: its state and the buffers it owns (the residual, the state
+ * at the start of a step and the CFL maxima), which
+ * conslaw.numerics.EulerStack fills once per run.  A step reads and writes
+ * nothing else.
  */
 
 #define _GNU_SOURCE
@@ -578,13 +580,14 @@ static int sweep(const Scheme *s, int dim, int ghost, const double *u, const lon
  * One run's stack
  * ------------------------------------------------------------------------ */
 
-/* The padded state of R equal subdomains, its residual and the scheme, as
+/* The padded state of R equal subdomains, its buffers and the scheme, as
  * conslaw.numerics.EulerStack fills them once per run.  Arrays are indexed
  * (component, rank, z, y, x); a spatial axis past `dim` has one cell, no
  * ghosts and stride 0. */
 typedef struct {
     double *u;            /* the padded state at cell 0 of every axis */
     double *res;          /* the residual, contiguous */
+    double *start;        /* rk_stage: the state at the start of the step, like res */
     double *maxima;       /* cell_pass: the wave speed maximum of each axis */
     long ustr[5];         /* element strides of u */
     long ranks, cells[3]; /* interior cells along x, y and z */
@@ -649,7 +652,7 @@ int euler_residual(Stack *st)
 
 enum { RK_FIRST = 0, RK_FIRST_SAVE = 1, RK_LATER = 2 };
 
-/* one x line of a stage: u strided by sx, k and start contiguous */
+/* one x line of a stage: u strided by sx, k (the residual) and start contiguous */
 INLINE void stage_line(double *u, long sx, const double *k, double *start, long n,
                        double dt, double a, double b, int mode)
 {
@@ -671,13 +674,11 @@ INLINE void stage_line(double *u, long sx, const double *k, double *start, long 
     }
 }
 
-/* One SSP-RK stage on the interior of the stack, given the stage's residual
- * k; k and start are contiguous, shaped like st->res.  Every value rounds
- * as in conslaw.solver.ssp_rk_advance: the first stage (RK_FIRST, or
- * RK_FIRST_SAVE, which first copies u into start) is u + k dt, a later one
- * (RK_LATER) start a + (k dt + u) b. */
-void rk_stage(const Stack *st, const double *k, double *start, double dt, double a,
-              double b, int mode)
+/* One SSP-RK stage on the interior of the stack, from its residual st->res.
+ * Every value rounds as the reference SSP-RK step of tests/oracles.py:
+ * the first stage (RK_FIRST, or RK_FIRST_SAVE, which first copies u into
+ * st->start) is u + res dt, a later one (RK_LATER) start a + (res dt + u) b. */
+void rk_stage(const Stack *st, double dt, double a, double b, int mode)
 {
     long rstr[5];
     interior_strides(st, rstr);
@@ -689,9 +690,9 @@ void rk_stage(const Stack *st, const double *k, double *start, double dt, double
                     long i = c * rstr[0] + r * rstr[1] + z * rstr[2] + y * rstr[3];
                     double *u = x_line(st, c, r, z, y);
                     if (sx == 1)
-                        stage_line(u, 1, k + i, start + i, nx, dt, a, b, mode);
+                        stage_line(u, 1, st->res + i, st->start + i, nx, dt, a, b, mode);
                     else
-                        stage_line(u, sx, k + i, start + i, nx, dt, a, b, mode);
+                        stage_line(u, sx, st->res + i, st->start + i, nx, dt, a, b, mode);
                 }
 }
 

@@ -164,7 +164,7 @@ def cmd_uq(args) -> int:
                 file=sys.stderr,
             )
     else:
-        functionals = cfg.uq.build_functionals(cfg.grid, model.ncomp)
+        functionals = cfg.uq.build_functionals(cfg.grid, model.ncomp, cfg.scheme.bc)
         results = run_mc(plan, cfg.grid, cfg.scheme, evaluate_init, functionals)
         written = write_stats(results, header, outdir)
         for res in results:

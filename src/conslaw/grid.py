@@ -27,11 +27,6 @@ class BoundaryKind(Enum):
     OUTFLOW = "outflow"
 
 
-def data_axis(dim: int, axis: int) -> int:
-    """Numpy axis in ``Field.data`` holding spatial axis ``axis``."""
-    return 1 + (dim - 1 - axis)
-
-
 def slab(arr: np.ndarray, ax: int, lo: int, hi: int) -> np.ndarray:
     """View of ``arr`` restricted to ``[lo, hi)`` along numpy axis ``ax``
     (negative counts from the end)."""
@@ -185,7 +180,10 @@ def fill_axis(data: np.ndarray, grid: GridSpec, axis: int, kind: BoundaryKind) -
 
 def fill_boundary(field: Field, bc) -> Field:
     """Populate all ghost cells; sequential x, y, z passes so corners are
-    filled transitively.  Mutates ``field`` and returns it."""
+    filled transitively.  Mutates ``field`` and returns it.  Public API
+    (``conslaw.__all__``): a run fills its stack's ghosts by its halo pass
+    (``parallel.exchange_halos``), but a plain field of a user's own has
+    no halo pass, and this call fills its ghosts."""
     bc = tuple(bc)
     if len(bc) != field.grid.dim:
         raise ConfigError(f"need {field.grid.dim} boundary kinds, got {len(bc)}")

@@ -85,10 +85,11 @@ class UqSettings:
             single.method, single.seed, single.stochastic_dim,
         )
 
-    def build_functionals(self, grid: GridSpec, ncomp: int) -> list:
-        """Fresh functionals of the campaign on ``grid``, in ``functionals``
-        order.  The histogram and the structure function are built either
-        way, so their settings are checked even when they are not selected."""
+    def build_functionals(self, grid: GridSpec, ncomp: int, bc: tuple) -> list:
+        """Fresh functionals of the campaign on ``grid`` with the boundary
+        kinds ``bc``, in ``functionals`` order.  The histogram and the
+        structure function are built either way, so their settings are
+        checked even when they are not selected."""
         center = tuple(o + 0.5 * e for o, e in zip(grid.origin, grid.extent))
         points = self.histogram_points or (center,)
         # the cell of each point, x-first, clamped to the grid
@@ -97,8 +98,11 @@ class UqSettings:
         built = {f.name: f for f in (
             Histogram(probes, self.histogram_component, *self.histogram_range,
                       self.histogram_bins),
+            # an outflow axis bounds the offset only where the functional
+            # runs: the default offset is longer than a small grid
             StructureFunctionAccumulator(
-                self.structure_p, self.structure_max_offset, self.structure_component
+                self.structure_p, self.structure_max_offset, self.structure_component,
+                grid, bc if "structure_function" in self.functionals else (),
             ),
         )}
         return [FieldMoments(grid, ncomp) if name == "moments" else built[name]
@@ -442,7 +446,7 @@ def parse_config(text: str) -> RunConfig:
     try:
         uq = _build_uq(uq_s, grid, model)
         uq.plan(grid)
-        uq.build_functionals(grid, model.ncomp)
+        uq.build_functionals(grid, model.ncomp, scheme.bc)
     except ConfigError as exc:
         raise _with_line(exc, uq_s, exc.key) from None
 

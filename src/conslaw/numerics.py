@@ -15,20 +15,26 @@ negation (a - b == -(b - a), (-a) b == -(a b), (-a) + (-b) == -(a + b)) and
 squares ignore the sign, so sharing the differences between the two sides
 gives the values of evaluating each face on its own stencil.
 
-The Euler fluxes have one implementation, the C kernel ``_faces.c``.  A run
-binds its stack to it once, as an ``EulerStack``: the pointers, strides,
-shapes and scheme scalars of every call go into one ctypes structure, which
-each call passes unchanged.  Per stage, ``EulerStack.compute_residual`` is one
-call for all axes: it zeroes the residual buffer and sweeps each axis line by
-line (reconstruction, one primitive pass per face side, the first-order
-positivity fallback, the HLLC or Rusanov flux and the flux difference),
-checking while the first axis loads its lines that every interior cell is
-physical; ``EulerStack.stage`` is the SSP-RK combination.  Per step,
-``EulerStack.cell_pass`` checks that every cell is finite and physical and
-takes the per-axis CFL maxima.  The reconstruction rounds like
+A run steps one object, its ``Stack``: the state (a field, or a stack of
+subdomains with a rank axis after the components) with the buffers a step
+needs, ``residual``, ``start`` (the state at the start of the step) and
+``maxima``, all made once per run.  Both kinds answer the same three calls:
+``compute_residual``, ``stage(dt, a, b)`` (the SSP-RK combination) and
+``cell_pass`` (the end-of-step check that every cell is finite and physical,
+and the per-axis CFL maxima).  ``ScalarStack`` serves Burgers and advection
+with the numpy functions below.  ``EulerStack`` serves the Euler equations,
+whose fluxes have one implementation, the C kernel ``_faces.c``: the
+pointers, strides, shapes and scheme scalars of every call go into one ctypes
+structure, which each call passes unchanged.  Its ``compute_residual`` is
+one call for all axes: it zeroes the residual buffer and sweeps each axis
+line by line (reconstruction, one primitive pass per face side, the
+first-order positivity fallback, the HLLC or Rusanov flux and the flux
+difference), checking while the first axis loads its lines that every
+interior cell is physical.  The reconstruction rounds like
 ``reconstruct_axis``, every face value like the face-by-face reference of
-``tests/oracles.py`` (up to the sign of a zero), the combination like
-``solver.ssp_rk_advance`` and the maxima like ``equations.max_wave_speeds``.
+``tests/oracles.py`` (up to the sign of a zero), both stacks' combination
+like that file's SSP Runge-Kutta step and the maxima like
+``equations.max_wave_speeds``.
 
 An axis sweep of at least ``SHARE_MIN_FACES`` faces (1024 in ``_faces.c``;
 a 32x32 sweep has 1056) shares its lines with one helper pthread that the
@@ -43,9 +49,8 @@ thread.
 ``face_kernel`` builds the kernel on the first use with gcc (or cc), caches
 the library in ``__pycache__/faces-<hash>.so`` next to this file (in a
 private temporary directory when that is not writable) and loads it with
-``ctypes``; Euler runs need a C compiler.  The numpy functions below serve
-the scalar models, and ``reconstruct_axis`` also locates the face that a
-failed Euler sweep reports.
+``ctypes``; Euler runs need a C compiler.  ``axis_faces`` also locates the
+face that a failed Euler sweep reports.
 """
 
 from __future__ import annotations
@@ -65,7 +70,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .equations import EquationModel, POSITIVITY_FLOOR, max_wave_speed, physical_flux
+from .equations import (
+    EquationModel, POSITIVITY_FLOOR, max_wave_speed, max_wave_speeds, physical_flux,
+)
 from .errors import ConfigError
 from .grid import Field, slab
 
@@ -174,6 +181,17 @@ def reconstruct_axis(
     return FacePair(uL, uR)
 
 
+def axis_faces(field: Field, axis: int, recon: Reconstruction) -> FacePair:
+    """Face states of spatial axis ``axis`` of a field (or stack) over the
+    interior of the other axes, in grid layout."""
+    grid, g = field.grid, field.grid.ghost_width
+    sub = field.data
+    for other in range(grid.dim):
+        if other != axis:
+            sub = slab(sub, -1 - other, g, g + grid.cells[other])
+    return reconstruct_axis(sub, -1 - axis, grid.cells[axis], g, recon)
+
+
 def rusanov_flux(model: EquationModel, faces: FacePair, axis: int) -> np.ndarray:
     """Local Lax-Friedrichs flux of the scalar models: central average plus
     maximal dissipation."""
@@ -185,6 +203,72 @@ def rusanov_flux(model: EquationModel, faces: FacePair, axis: int) -> np.ndarray
         max_wave_speed(model, uR, axis),
     )
     return 0.5 * (fL + fR) - 0.5 * s * (uR - uL)
+
+
+# ---------------------------------------------------------------------------
+# A run's stack: the one object the time loop steps
+# ---------------------------------------------------------------------------
+
+
+class Stack(Field):
+    """A run's state with the buffers of its steps, made once per run.
+
+    A field, or a stack of subdomains with a rank axis after the components,
+    for the solver's scheme ``cfg``.  The time loop makes three calls:
+    ``compute_residual`` fills ``residual`` and returns 0 or a failure
+    status, ``stage(dt, a, b)`` is one SSP-RK stage of the interior in place,
+    and ``cell_pass`` checks that every interior cell is finite and physical,
+    returns 0 or 1, and fills ``maxima`` with the per-axis maximum wave
+    speed.  A first stage (``a`` is None) is ``u + dt residual``, and saves
+    the state into ``start`` first when ``cfg.rk_order`` is above 1; a later
+    one is ``a start + b (u + dt residual)``.  Every value rounds as the
+    reference SSP Runge-Kutta step of ``tests/oracles.py``.  The state must
+    be changed in place only, never replaced.
+    """
+
+    def __init__(self, field: Field, cfg):
+        super().__init__(field.grid, field.ncomp, field.data)
+        self.cfg = cfg
+        self.residual = np.empty(self.interior.shape)
+        self.start = np.empty(self.interior.shape)
+        self.maxima = np.empty(field.grid.dim)
+
+
+class ScalarStack(Stack):
+    """A run's stack of a scalar model (Burgers or advection), stepped by
+    numpy: the Rusanov flux of ``reconstruct_axis``'s face states."""
+
+    def compute_residual(self) -> int:
+        grid, out = self.grid, self.residual
+        out[...] = 0.0
+        for axis in range(grid.dim):
+            F = rusanov_flux(self.cfg.model, axis_faces(self, axis, self.cfg.recon), axis)
+            ax = -1 - axis
+            diff = slab(F, ax, 1, grid.cells[axis] + 1) - slab(F, ax, 0, grid.cells[axis])
+            diff /= grid.deltas[axis]
+            out -= diff
+        return 0
+
+    def stage(self, dt: float, a=None, b=None) -> None:
+        # ``residual`` is the scratch of the stage
+        u, k = self.interior, self.residual
+        if a is None and self.cfg.rk_order > 1:
+            self.start[...] = u
+        k *= dt
+        if a is None:
+            u += k
+            return
+        k += u
+        k *= b
+        np.multiply(self.start, a, out=u)
+        u += k
+
+    def cell_pass(self) -> int:
+        u = self.interior
+        if not np.isfinite(u).all():
+            return 1
+        self.maxima[:] = [np.max(s) for s in max_wave_speeds(self.cfg.model, u)]
+        return 0
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +304,7 @@ class _StackArgs(ctypes.Structure):
     _fields_ = [
         ("u", ctypes.c_void_p),
         ("res", ctypes.c_void_p),
+        ("start", ctypes.c_void_p),
         ("maxima", ctypes.c_void_p),
         ("ustr", ctypes.c_long * 5),
         ("ranks", ctypes.c_long),
@@ -290,9 +375,7 @@ def _load_face_kernel(cache_dir: Path):
             shutil.rmtree(private, ignore_errors=True)
     stack = ctypes.POINTER(_StackArgs)
     kernel.residual.argtypes = kernel.cells.argtypes = [stack]
-    kernel.stage.argtypes = (
-        [stack, ctypes.c_void_p, ctypes.c_void_p] + [ctypes.c_double] * 3 + [ctypes.c_int]
-    )
+    kernel.stage.argtypes = [stack] + [ctypes.c_double] * 3 + [ctypes.c_int]
     kernel.stage.restype = None
     for entry in (kernel.residual, kernel.cells):
         entry.restype = ctypes.c_int
@@ -321,20 +404,16 @@ SWEEP_DEGENERATE, SWEEP_NOMEM = 2, 3
 _RK_FIRST, _RK_FIRST_SAVE, _RK_LATER = 0, 1, 2
 
 
-class EulerStack(Field):
+class EulerStack(Stack):
     """A run's stack of Euler subdomains bound to the compiled kernel.
 
-    A field (or a stack with a rank axis after the components) whose
-    pointers, strides, shapes and scheme scalars go into one ctypes
-    structure when it is made, once per run; every call passes that
-    structure unchanged.  ``cfg`` is the solver's scheme it was made for
-    (its model, flux and reconstruction are read).  The state must be
-    changed in place only, never replaced.  ``residual`` is the buffer that
-    ``compute_residual`` refills and ``maxima`` the one ``cell_pass`` fills.
+    The pointers, strides and shapes of the state and of the buffers, and
+    the scheme scalars, go into one ctypes structure when the stack is made,
+    once per run; every call passes that structure unchanged.  ``cfg``'s
+    model, flux, reconstruction and RK order are read.
     """
 
     def __init__(self, field: Field, cfg):
-        super().__init__(field.grid, field.ncomp, field.data)
         grid, model, recon = field.grid, cfg.model, cfg.recon
         data = field.data if field.data.ndim > grid.dim + 1 else field.data[:, None]
         if data.dtype != np.float64 or data.shape[:1] + data.shape[2:] != (
@@ -344,14 +423,14 @@ class EulerStack(Field):
                 f"an Euler stack needs a float64 state of {model.ncomp} components on "
                 f"{grid.data_shape}, got {field.data.dtype} {field.data.shape}"
             )
-        self.cfg = cfg
+        super().__init__(field, cfg)
         self._kernel = face_kernel()
-        self.residual = np.empty(self.interior.shape)
-        self.maxima = np.empty(grid.dim)
+        self._first = _RK_FIRST_SAVE if cfg.rk_order > 1 else _RK_FIRST
         pad = 3 - grid.dim
         strides = [s // data.itemsize for s in data.strides]
         args = _StackArgs(
-            u=data.ctypes.data, res=self.residual.ctypes.data, maxima=self.maxima.ctypes.data,
+            u=data.ctypes.data, res=self.residual.ctypes.data, start=self.start.ctypes.data,
+            maxima=self.maxima.ctypes.data,
             ustr=(ctypes.c_long * 5)(*strides[:2], *(0,) * pad, *strides[2:]),
             ranks=data.shape[1], cells=(ctypes.c_long * 3)(*grid.cells, *(1,) * pad),
             dim=grid.dim, ghost=grid.ghost_width,
@@ -362,8 +441,6 @@ class EulerStack(Field):
         args.d0, args.d1 = IDEAL_WEIGHTS.get(recon.kind, (0.0, 0.0))
         self._args = args
         self._ref = ctypes.byref(args)
-        self._residual_address = args.res
-        self._start = self._start_address = None
 
     @property
     def stop(self) -> tuple:
@@ -371,41 +448,17 @@ class EulerStack(Field):
         return self._args.stop_axis, self._args.stop_rank
 
     def compute_residual(self) -> int:
-        """Fill ``residual``: zeroed, then every axis swept, the first sweep
-        checking that every interior cell is physical.  Returns 0, or the
-        ``SWEEP_*`` status of the first line that failed (see ``stop``);
-        ``residual`` is then partly updated."""
+        """Zero ``residual``, then sweep every axis, the first sweep checking
+        that every interior cell is physical.  Returns 0, or the ``SWEEP_*``
+        status of the first line that failed (see ``stop``); ``residual`` is
+        then partly updated."""
         return self._kernel.residual(self._ref)
 
-    def stage(self, k: np.ndarray, start: np.ndarray, dt: float, a=None, b=None,
-              save=False) -> None:
-        """One SSP-RK stage of the interior in place, given its residual
-        ``k``: ``u + dt k`` (after copying the state into ``start`` with
-        ``save``), or with ``a`` and ``b`` ``a start + b (u + dt k)``,
-        rounded as ``solver.ssp_rk_advance``.  ``k`` and ``start`` are
-        float64 and laid out like ``residual``."""
-        mode = _RK_LATER if a is not None else _RK_FIRST_SAVE if save else _RK_FIRST
-        if start is not self._start:
-            self._start_address = self._address(start)
-            self._start = start
-        self._kernel.stage(
-            self._ref, self._address(k), self._start_address, dt, a or 0.0, b or 0.0, mode
-        )
+    def stage(self, dt: float, a=None, b=None) -> None:
+        mode = self._first if a is None else _RK_LATER
+        self._kernel.stage(self._ref, dt, a or 0.0, b or 0.0, mode)
 
     def cell_pass(self) -> int:
-        """One pass over the interior cells: fill ``maxima`` with the
-        per-axis maximum of |m_k / rho| + c, rounded as
-        ``equations.max_wave_speeds``.  Returns 0, or 1 when a cell is not
-        finite or not physical; ``maxima`` is then meaningless."""
+        """The maxima are |m_k / rho| + c, rounded as
+        ``equations.max_wave_speeds``; after a failure they are meaningless."""
         return self._kernel.cells(self._ref)
-
-    def _address(self, arr: np.ndarray) -> int:
-        if arr is self.residual:
-            return self._residual_address
-        shape = self.residual.shape
-        if arr.dtype != np.float64 or arr.shape != shape or not arr.flags.c_contiguous:
-            raise ValueError(
-                f"a stage array must be contiguous float64 of shape {shape}, "
-                f"got {arr.dtype} {arr.shape}"
-            )
-        return arr.ctypes.data

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SimulationError
-from .grid import Field, GridSpec
+from .grid import BoundaryKind, Field, GridSpec, slab
 from .solver import SchemeConfig, run_simulation
 
 MC = "mc"
@@ -243,13 +243,17 @@ class Histogram:
 class StructureFunctionAccumulator:
     """Mean two-point structure function |u(x + h e_k) - u(x)|^p.
 
-    Averaged over all interior positions x (periodic wrapping) and all axes,
-    for integer offsets h = 0..max_offset, one component.
+    Averaged over the pairs of interior cells h apart along each axis, then
+    over the axes, for integer offsets h = 0..max_offset, one component.  A
+    periodic axis (the default) pairs all n cells, wrapping around; an
+    outflow axis of ``bc`` (one kind per axis of ``grid``, x first) pairs
+    only the n - h inside the domain, and needs max_offset < n.
     """
 
     name = "structure_function"
 
-    def __init__(self, p: float, max_offset: int, component: int = 0):
+    def __init__(self, p: float, max_offset: int, component: int = 0,
+                 grid: GridSpec | None = None, bc: tuple = ()):
         if not p >= 1:
             raise ConfigError(
                 f"structure-function exponent must be >= 1, got {p}", key="structure_p"
@@ -258,19 +262,34 @@ class StructureFunctionAccumulator:
             raise ConfigError(
                 f"max offset must be >= 0, got {max_offset}", key="structure_max_offset"
             )
+        for axis, kind in enumerate(bc):
+            if kind is BoundaryKind.OUTFLOW and max_offset >= grid.cells[axis]:
+                raise ConfigError(
+                    f"structure_max_offset {max_offset} leaves no pair of cells inside "
+                    f"outflow axis {axis} of {grid.cells[axis]} cells",
+                    key="structure_max_offset",
+                )
         self.p = float(p)
         self.max_offset = int(max_offset)
         self.component = int(component)
+        # numpy axis j of a field's component is spatial axis dim - 1 - j
+        self._outflow = tuple(kind is BoundaryKind.OUTFLOW for kind in reversed(bc))
         self.sums = np.zeros(self.max_offset + 1)
         self.samples = 0
 
     def update(self, field: Field) -> None:
         w = np.asarray(field.interior[self.component])
         dim = field.grid.dim
+        outflow = self._outflow or (False,) * dim
         for h in range(self.max_offset + 1):
             acc = 0.0
             for j in range(dim):
-                acc += float(np.mean(np.abs(np.roll(w, -h, axis=j) - w) ** self.p))
+                if outflow[j]:
+                    n = w.shape[j]
+                    diff = slab(w, j, h, n) - slab(w, j, 0, n - h)
+                else:
+                    diff = np.roll(w, -h, axis=j) - w
+                acc += float(np.mean(np.abs(diff) ** self.p))
             self.sums[h] += acc / dim
         self.samples += 1
 

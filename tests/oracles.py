@@ -4,8 +4,9 @@ Everything here is written from first principles against the governing
 equations, deliberately sharing no code with the package: an exact Riemann
 solver for the 1D Euler equations, naive two-pass statistics, the rank
 offsets of a decomposition, a digit-reversal sequence, WENO face values and
-weights, the sound speed and primitive variables, and a face-by-face Euler
-residual.  The WENO formulas are the ones the face-by-face residual uses,
+weights, the sound speed and primitive variables, a face-by-face Euler
+residual and the SSP Runge-Kutta step as convex combinations of Euler
+steps.  The WENO formulas are the ones the face-by-face residual uses,
 which the solver must match bit for bit, so the tests of their properties
 also hold for the solver.
 """
@@ -383,3 +384,42 @@ def reference_euler_residual(data, ghost, deltas, gamma, flux, recon, eps=1e-6):
             acc = [acc[c] - (hi[c] - lo[c]) / deltas[axis] for c in range(ncomp)]
         out[(slice(None),) + cell] = acc
     return out
+
+
+# ---------------------------------------------------------------------------
+# SSP Runge-Kutta (Gottlieb, Shu & Tadmor 2001) as convex combinations of
+# forward Euler steps
+# ---------------------------------------------------------------------------
+
+#: (a, b) of each stage after the first: u <- a u0 + b (u + dt L(u))
+_SSP_COMBINATIONS = {1: (), 2: ((0.5, 0.5),), 3: ((0.75, 0.25), (1.0 / 3.0, 2.0 / 3.0))}
+
+
+def ssp_rk_advance(u: np.ndarray, dt: float, L, order: int, start=None):
+    """SSP Runge-Kutta step written as convex combinations of Euler steps.
+
+    Updates ``u`` in place and returns it.  ``L(u)`` must return a new array,
+    which is used as scratch; ``start`` (shaped like ``u``) receives the state
+    at the start of the step and is allocated when not given.  Every value
+    rounds as in ``a * u0 + b * (u + dt * L(u))``, the rounding the solver's
+    stacks must match.  Works on any array state with an arbitrary
+    right-hand side.
+    """
+    if order not in _SSP_COMBINATIONS:
+        raise ValueError(f"unsupported rk order {order}")
+    stages = _SSP_COMBINATIONS[order]
+    if stages:
+        if start is None:
+            start = np.empty_like(u)
+        start[...] = u
+    k = L(u)
+    k *= dt
+    u += k
+    for a, b in stages:
+        k = L(u)
+        k *= dt
+        k += u
+        k *= b
+        np.multiply(start, a, out=u)
+        u += k
+    return u

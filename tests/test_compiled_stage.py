@@ -1,7 +1,8 @@
-"""The compiled Euler stage of a run (``numerics.EulerStack``): its end-of-step
-pass against ``equations.max_wave_speeds``, its SSP-RK combination against
-``solver.ssp_rk_advance``, the kernel calls of one step, and the global
-field that observers stitch on demand.
+"""The stage of a run's stack: the compiled Euler end-of-step pass against
+``equations.max_wave_speeds``, the SSP-RK combination of both stacks
+(``numerics.EulerStack`` and ``numerics.ScalarStack``) against the reference
+``ssp_rk_advance`` of ``oracles``, the kernel calls of one step, and the
+global field that observers stitch on demand.
 """
 
 from collections import Counter
@@ -15,10 +16,11 @@ from conslaw import numerics, solver
 from conslaw.equations import max_wave_speeds
 from conslaw.grid import Field
 from conslaw.iodsl import config, parse_config
-from conslaw.numerics import EulerStack, FluxKind, ReconstructionKind
+from conslaw.numerics import EulerStack, FluxKind, ReconstructionKind, ScalarStack
 from conslaw.parallel import scatter_field
 from conslaw.presets import KH2D
-from conslaw.solver import SSP_STAGES, run_simulation, ssp_rk_advance, ssp_rk_step
+from conslaw.solver import SSP_STAGES, run_simulation
+from oracles import ssp_rk_advance
 from test_face_kernel import make_case, random_prim
 
 #: rank layouts of 1, 2 and 4 ranks per dimension
@@ -84,9 +86,10 @@ def _odd_layout_stack(rng, ranks):
     return Field(stack.grid, stack.ncomp, data), cfg
 
 
+@pytest.mark.parametrize("stack_class", [EulerStack, ScalarStack])
 @pytest.mark.parametrize("order", [1, 2, 3])
 @pytest.mark.parametrize("layout", ["field", "stack of 2", "strided x"])
-def test_the_compiled_combination_rounds_as_ssp_rk_advance(order, layout):
+def test_the_compiled_combination_rounds_as_ssp_rk_advance(stack_class, order, layout):
     rng = np.random.default_rng(order)
     if layout == "strided x":
         state, cfg = _odd_layout_stack(rng, 1)
@@ -103,14 +106,16 @@ def test_the_compiled_combination_rounds_as_ssp_rk_advance(order, layout):
 
     reference = state.data.copy()
     ssp_rk_advance(Field(state.grid, state.ncomp, reference).interior, dt, rhs, order)
-    compiled = EulerStack(state, cfg)
-    initial = compiled.interior.copy()
-    start = np.empty(compiled.interior.shape)
-    ssp_rk_step(compiled, dt, cfg, rhs, start)
+    stack = stack_class(state, cfg)
+    initial = stack.interior.copy()
+    # the stages of ssp_rk_step, each after its residual call
+    for a, b in ((None, None),) + SSP_STAGES[order]:
+        stack.residual[...] = rhs(stack.interior)
+        stack.stage(dt, a, b)
     assert np.array_equal(_bits(state.data), _bits(reference))
     if SSP_STAGES[order]:
         # the state at the start of the step
-        assert np.array_equal(_bits(start), _bits(initial))
+        assert np.array_equal(_bits(stack.start), _bits(initial))
 
 
 def _counting_kernel(monkeypatch, counts):
@@ -134,8 +139,8 @@ def test_an_rk3_euler_step_is_one_kernel_call_per_stage_and_one_cell_pass(monkey
     assert cfg.rk_order == 3
     counts = Counter()
     _counting_kernel(monkeypatch, counts)
-    for name in ("physical_mask", "max_wave_speeds"):
-        monkeypatch.setattr(solver, name, lambda *args, name=name: counts.update([name]))
+    for module, name in ((solver, "physical_mask"), (numerics, "max_wave_speeds")):
+        monkeypatch.setattr(module, name, lambda *args, name=name: counts.update([name]))
     run_simulation(field, cfg, ranks, steps=2)
     # the initial field's cell pass, then per step three stages and one pass
     assert counts == {"residual": 6, "stage": 6, "cells": 3}

@@ -93,8 +93,10 @@ def test_runs_are_bitwise_equal_to_the_face_by_face_reference(
     calls = []
 
     def reference(field, cfg):
+        # the stage reads the residual from the run's stack
         calls.append(field.data.shape)
-        return _reference_residual(field, cfg)
+        field.residual[...] = _reference_residual(field, cfg)
+        return field.residual
 
     with monkeypatch.context() as m:
         m.setattr(solver, "spatial_residual", reference)
@@ -165,12 +167,6 @@ def test_a_stack_rejects_arrays_that_do_not_fit_the_grid():
     for state in (field.data[..., 1:], field.data[:3], field.data.astype(np.float32)):
         with pytest.raises(ValueError, match="^an Euler stack needs a float64 state of 4 "):
             EulerStack(Field(field.grid, field.ncomp, state), cfg)
-    stack = EulerStack(field, cfg)
-    shape = stack.residual.shape
-    for k in (np.zeros(shape[:-1] + (5,)), np.zeros(shape, dtype=np.float32),
-              np.zeros(shape[::-1]).T):
-        with pytest.raises(ValueError, match="^a stage array must be contiguous float64"):
-            stack.stage(k, np.zeros(shape), 0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from conslaw.grid import (
     BoundaryKind,
     Field,
     GridSpec,
-    data_axis,
     field_from_interior,
     fill_boundary,
 )
@@ -94,11 +93,11 @@ def fallback_faces(field, cfg):
     g = grid.ghost_width
     total = 0
     for axis in range(grid.dim):
-        ax = data_axis(grid.dim, axis)
+        ax = -1 - axis
         sub = field.data
         for other in range(grid.dim):
             if other != axis:
-                oax = data_axis(grid.dim, other)
+                oax = -1 - other
                 idx = [slice(None)] * sub.ndim
                 idx[oax] = slice(g, g + grid.cells[other])
                 sub = sub[tuple(idx)]

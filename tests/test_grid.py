@@ -6,7 +6,6 @@ from conslaw.grid import (
     BoundaryKind,
     GridSpec,
     cell_center,
-    data_axis,
     field_from_interior,
     fill_axis,
     fill_boundary,
@@ -16,12 +15,12 @@ from conslaw.grid import (
 
 
 def test_axis_to_array_axis_mapping():
-    # x is the fastest (last) numpy axis
-    assert data_axis(1, 0) == 1
-    assert data_axis(2, 0) == 2
-    assert data_axis(2, 1) == 1
-    assert data_axis(3, 0) == 3
-    assert data_axis(3, 2) == 1
+    # x is the fastest (last) numpy axis: spatial axis k is numpy axis -1 - k
+    for dim in (1, 2, 3):
+        grid = GridSpec(dim, (3, 5, 7)[:dim], (0.0,) * dim, (1.0,) * dim)
+        data = make_field(grid, 2).data
+        for k in range(dim):
+            assert data.shape[-1 - k] == grid.padded[k]
 
 
 def test_grid_shapes_and_centers():

@@ -277,6 +277,24 @@ def test_bad_uq_functional_settings_name_their_line(extra, message):
     assert err.value.line == line
 
 
+def test_a_structure_offset_past_an_outflow_axis_names_its_line():
+    # 64 cells per axis: offset 63 still pairs one cell inside y, 64 none
+    text = KH2D.replace("boundary = periodic", "boundary = periodic outflow")
+    # checked only when the structure function runs
+    assert parse_config(text.replace(
+        "functionals = moments", "functionals = moments\nstructure_max_offset = 64"
+    )).uq.structure_max_offset == 64
+    text = text.replace(
+        "functionals = moments", "functionals = structure_function\nstructure_max_offset = 64"
+    )
+    with pytest.raises(
+        ConfigError, match="structure_max_offset 64 leaves no pair of cells inside outflow axis 1"
+    ) as err:
+        parse_config(text)
+    assert err.value.line == text.splitlines().index("structure_max_offset = 64") + 1
+    parse_config(text.replace("structure_max_offset = 64", "structure_max_offset = 63"))
+
+
 def test_uq_functional_settings_at_the_domain_edge_parse():
     text, _ = _kh_uq("histogram_points = 0 0; 1 1; 0.5 0.25\nstructure_component = 3")
     cfg = parse_config(text)

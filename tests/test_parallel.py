@@ -157,11 +157,38 @@ def test_lone_rank_on_a_periodic_axis_thinner_than_the_ghosts_is_rejected():
 # ---------------------------------------------------------------------------
 
 
+def scalar_case(kind, recon, bc, n=16):
+    """A smooth, unsymmetric 2D Burgers or advection field and its RK3
+    scheme: the numpy path of ``numerics.ScalarStack``."""
+    grid = GridSpec(2, (n, n), (0.0, 0.0), (1.0, 1.0))
+    speed = (1.0, -0.6) if kind == "advection" else ()
+    model = EquationModel(kind=kind, dim=2, advection_speed=speed)
+    y, x = np.meshgrid(grid.cell_centers(1), grid.cell_centers(0), indexing="ij")
+    u = 0.5 + np.sin(2 * np.pi * x) * np.cos(4 * np.pi * y) + 0.3 * np.sin(2 * np.pi * y)
+    cfg = SchemeConfig(
+        model=model, flux=FluxKind.RUSANOV, recon=Reconstruction(recon), rk_order=3,
+        t_end=0.1, bc=(bc,) * 2,
+    )
+    return field_from_interior(grid, u[None]), cfg
+
+
+#: the models of the whole-run comparison: Euler, and each scalar model
+#: with every reconstruction
+MODELS = ["euler"] + [
+    f"{kind}-{recon.value}" for kind in ("burgers", "advection") for recon in ReconstructionKind
+]
+
+
+@pytest.mark.parametrize("model", MODELS)
 @pytest.mark.parametrize("ranks", [(2, 1), (1, 2), (2, 2)])
 @pytest.mark.parametrize("bc", [BoundaryKind.PERIODIC, BoundaryKind.OUTFLOW])
-def test_decomposed_run_bitwise_matches_serial(ranks, bc):
-    field, model = kh_like_field(16)
-    cfg = euler_scheme(model, t_end=0.05, bc=bc)
+def test_decomposed_run_bitwise_matches_serial(ranks, bc, model):
+    if model == "euler":
+        field, euler = kh_like_field(16)
+        cfg = euler_scheme(euler, t_end=0.05, bc=bc)
+    else:
+        kind, recon = model.split("-")
+        field, cfg = scalar_case(kind, ReconstructionKind(recon), bc)
     serial, serial_records = run_simulation(field.copy(), cfg)
     par, records = run_simulation(field.copy(), cfg, ranks)
     np.testing.assert_array_equal(par.interior, serial.interior)

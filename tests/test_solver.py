@@ -10,9 +10,9 @@ from conslaw.solver import (
     dt_from_maxima,
     run_simulation,
     spatial_residual,
-    ssp_rk_advance,
     stable_dt,
 )
+from oracles import ssp_rk_advance
 
 BURGERS = EquationModel(kind="burgers", dim=1)
 
@@ -78,8 +78,10 @@ def test_rk3_third_order_on_nonlinear_ode():
 
 
 def test_rk_rejects_unknown_order():
-    with pytest.raises(ConfigError):
-        ssp_rk_advance(np.array([1.0]), 0.1, lambda v: v, 4)
+    # the scheme is the one place an order is checked; a run's stack steps
+    # with the stages of a checked order
+    with pytest.raises(ConfigError, match="rk_order must be 1, 2 or 3, got 4"):
+        burgers_cfg(rk_order=4)
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,39 @@ def test_structure_function_averages_axes():
     assert s.values()[1] == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("outflow_axis", [None, 0, 1])
+def test_structure_function_pairs_only_cells_inside_an_outflow_axis(p, outflow_axis):
+    # a unit step along y at y = 4 of 8 rows, constant along x (6 columns):
+    # offset h pairs h rows across the step.  Along y, outflow averages over
+    # the 8 - h pairs inside the domain, periodic over all 8, the wrap
+    # adding h more pairs across the step; x contributes 0, and the axes
+    # are averaged.  No boundary kinds is periodic on every axis.
+    g = GridSpec(2, (6, 8), (0.0, 0.0), (1.0, 1.0))
+    vals = np.zeros((8, 6))
+    vals[4:] = 1.0
+    bc = []
+    if outflow_axis is not None:
+        bc = [BoundaryKind.PERIODIC] * 2
+        bc[outflow_axis] = BoundaryKind.OUTFLOW
+    s = StructureFunctionAccumulator(p, max_offset=4, component=0, grid=g, bc=tuple(bc))
+    s.update(field_from_interior(g, vals[None]))
+    h = np.arange(5)
+    want = h / (8 - h) / 2 if outflow_axis == 1 else 2 * h / 8 / 2
+    np.testing.assert_allclose(s.values(), want, rtol=0, atol=1e-15)
+
+
+def test_structure_function_rejects_an_offset_with_no_pair_inside_an_outflow_axis():
+    g = GridSpec(2, (6, 8), (0.0, 0.0), (1.0, 1.0))
+    bc = (BoundaryKind.OUTFLOW, BoundaryKind.PERIODIC)
+    StructureFunctionAccumulator(2.0, max_offset=5, grid=g, bc=bc)
+    with pytest.raises(ConfigError, match="structure_max_offset 6 leaves no pair") as err:
+        StructureFunctionAccumulator(2.0, max_offset=6, grid=g, bc=bc)
+    assert err.value.key == "structure_max_offset"
+    # a periodic axis wraps: any offset has pairs
+    StructureFunctionAccumulator(2.0, max_offset=9, grid=g, bc=(BoundaryKind.PERIODIC,) * 2)
+
+
 # ---------------------------------------------------------------------------
 # Campaign drivers
 # ---------------------------------------------------------------------------
