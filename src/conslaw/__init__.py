@@ -8,10 +8,10 @@ from .grid import (  # noqa: E402
     Field,
     GridSpec,
     cell_center,
-    fill_boundary,
     make_field,
     total_integral,
 )
+from .parallel import fill_boundary  # noqa: E402
 from .equations import EquationModel  # noqa: E402
 from .numerics import FluxKind, Reconstruction, ReconstructionKind  # noqa: E402
 from .solver import SchemeConfig, run_simulation, stable_dt  # noqa: E402

@@ -20,7 +20,7 @@ from .errors import ConfigError, ConslawError
 from .grid import GridSpec, total_integral
 from .iodsl import eval_init, parse_config
 from .iodsl.config import check_workers
-from .iodsl.output import OutputHeader, write_snapshot, write_stats
+from .iodsl.output import OutputHeader, write_csv, write_snapshot, write_stats
 from .presets import PRESETS
 from .solver import run_simulation
 from .uq import (
@@ -68,14 +68,6 @@ def _parse_ranks(text: str, dim: int) -> tuple:
     return ranks + (1,) * (dim - 1) if len(ranks) == 1 else ranks
 
 
-def _write_csv(path: Path, header: OutputHeader, columns: str, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(header.comments())
-        fh.write(columns + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -110,7 +102,7 @@ def cmd_run(args) -> int:
               "not written", file=sys.stderr)
 
     write_snapshot(final, header, outdir / "final.snap", components=names)
-    _write_csv(outdir / "timing.csv", header, "step,t,dt,seconds", step_rows)
+    write_csv(outdir / "timing.csv", header, "step,t,dt,seconds", step_rows)
 
     q0 = total_integral(init)
     q1 = total_integral(final)
@@ -258,11 +250,11 @@ def cmd_bench(args) -> int:
         # wall time of each step of all ranks together
         per_step = [r.seconds for r in records]
         for s, seconds in enumerate(per_step):
-            rows.append((K, args.layout, cells_per_rank, s, repr(seconds)))
+            rows.append((K, args.layout, cells_per_rank, s, seconds))
         measured = per_step[warmup:]
         means[K] = sum(measured) / len(measured)
 
-    _write_csv(
+    write_csv(
         outdir / "bench.csv", header, "ranks,layout,cells_per_rank,step,seconds", rows
     )
     base = 1 if 1 in means else ks[0]
@@ -272,9 +264,9 @@ def cmd_bench(args) -> int:
         # run (or the first one listed), relative to it; all ranks share one
         # thread, so K ranks at perfect efficiency take K times as long
         overhead = (means[K] / K) / (means[base] / base) - 1
-        overhead_rows.append((K, args.layout, repr(means[K]), repr(overhead)))
+        overhead_rows.append((K, args.layout, means[K], overhead))
         sys.stdout.write(f"ranks {K}: {means[K]:.6f} s/step, overhead {overhead:+.3f}\n")
-    _write_csv(
+    write_csv(
         outdir / "overhead.csv",
         header,
         "ranks,layout,mean_seconds,overhead_fraction",

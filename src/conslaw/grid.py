@@ -5,7 +5,8 @@ Memory layout convention (relied upon by the halo exchange and snapshot I/O):
 fastest-varying (last) numpy axis.  Spatial axis ``k`` (0 = x) therefore lives
 at numpy axis ``1 + (dim - 1 - k)``, and always at ``-1 - k``: the solver's
 stack of subdomains puts a rank axis between the components and the spatial
-axes, ``(ncomp, R, n_last, ..., n_x)``, and the fills below work on either.
+axes, ``(ncomp, R, n_last, ..., n_x)``.  Ghost cells are filled by the halo
+pass of ``conslaw.parallel`` (``fill_boundary`` for a plain field).
 """
 
 from __future__ import annotations
@@ -159,37 +160,6 @@ def field_from_interior(grid: GridSpec, interior: np.ndarray) -> Field:
     f = make_field(grid, interior.shape[0], 0.0)
     f.interior[...] = interior
     return f
-
-
-def fill_axis(data: np.ndarray, grid: GridSpec, axis: int, kind: BoundaryKind) -> None:
-    """Fill both ghost slabs of one axis in place, full extent in the others."""
-    g = grid.ghost_width
-    n = grid.cells[axis]
-    ax = -1 - axis
-    if kind is BoundaryKind.PERIODIC:
-        if n < g:
-            raise ConfigError(
-                f"periodic axis {axis} needs cells >= ghost_width ({n} < {g})"
-            )
-        slab(data, ax, 0, g)[...] = slab(data, ax, n, n + g)
-        slab(data, ax, n + g, n + 2 * g)[...] = slab(data, ax, g, 2 * g)
-    else:  # outflow: zero-order extrapolation from the nearest interior cell
-        slab(data, ax, 0, g)[...] = slab(data, ax, g, g + 1)
-        slab(data, ax, n + g, n + 2 * g)[...] = slab(data, ax, n + g - 1, n + g)
-
-
-def fill_boundary(field: Field, bc) -> Field:
-    """Populate all ghost cells; sequential x, y, z passes so corners are
-    filled transitively.  Mutates ``field`` and returns it.  Public API
-    (``conslaw.__all__``): a run fills its stack's ghosts by its halo pass
-    (``parallel.exchange_halos``), but a plain field of a user's own has
-    no halo pass, and this call fills its ghosts."""
-    bc = tuple(bc)
-    if len(bc) != field.grid.dim:
-        raise ConfigError(f"need {field.grid.dim} boundary kinds, got {len(bc)}")
-    for axis in range(field.grid.dim):
-        fill_axis(field.data, field.grid, axis, bc[axis])
-    return field
 
 
 def total_integral(field: Field) -> np.ndarray:

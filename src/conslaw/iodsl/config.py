@@ -15,7 +15,7 @@ from ..equations import ADVECTION, BURGERS, EULER, EquationModel
 from ..errors import ConfigError, ConslawError, ExprError
 from ..grid import BoundaryKind, GridSpec
 from ..numerics import FluxKind, Reconstruction, ReconstructionKind
-from ..parallel import local_grid
+from ..parallel import check_boundary, local_grid
 from ..solver import SchemeConfig, check_scheme
 from ..uq import FieldMoments, Histogram, MlmcPlan, SamplePlan, level_grids
 from ..uq import StructureFunctionAccumulator
@@ -445,7 +445,9 @@ def parse_config(text: str) -> RunConfig:
     uq_s = _section(sections, "uq")
     try:
         uq = _build_uq(uq_s, grid, model)
-        uq.plan(grid)
+        plan = uq.plan(grid)
+        for level in plan.grids if isinstance(plan, MlmcPlan) else ():
+            check_boundary(level, scheme.bc, key="levels")
         uq.build_functionals(grid, model.ncomp, scheme.bc)
     except ConfigError as exc:
         raise _with_line(exc, uq_s, exc.key) from None

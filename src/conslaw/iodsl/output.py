@@ -146,6 +146,20 @@ def read_snapshot(path) -> tuple[Field, dict]:
     return field, header
 
 
+def write_csv(path, header: OutputHeader, columns: str, rows) -> Path:
+    """A CSV file: the header as comment lines, the column names, then one
+    line per row.  A numpy scalar is written as the Python number it holds,
+    so every field parses with ``float``."""
+    path = Path(path)
+    with open(path, "w") as fh:
+        fh.write(header.comments())
+        fh.write(columns + "\n")
+        for row in rows:
+            fh.write(",".join(
+                str(v.item() if isinstance(v, np.generic) else v) for v in row) + "\n")
+    return path
+
+
 def write_stats(results, header: OutputHeader, directory) -> list[Path]:
     """Write finalized accumulators, one file per functional.
 
@@ -172,27 +186,16 @@ def write_stats(results, header: OutputHeader, directory) -> list[Path]:
         elif isinstance(res, MlmcMoments):
             write_moments(res.grid, res.mean, res.variance)
         elif isinstance(res, Histogram):
-            path = directory / "histogram.csv"
-            with open(path, "w") as fh:
-                fh.write(header.comments())
-                fh.write("probe,bin_lo,bin_hi,count\n")
-                edges = res.edges
-                for p in range(len(res.probe_cells)):
-                    fh.write(f"{p},-inf,{edges[0]!r},{res.counts[p, 0]}\n")
-                    for b in range(res.bins):
-                        fh.write(
-                            f"{p},{edges[b]!r},{edges[b + 1]!r},{res.counts[p, b + 1]}\n"
-                        )
-                    fh.write(f"{p},{edges[-1]!r},inf,{res.counts[p, -1]}\n")
-            written.append(path)
+            # bin b of a probe spans bounds[b] .. bounds[b + 1], overflow bins included
+            bounds = [-math.inf, *res.edges, math.inf]
+            written.append(write_csv(
+                directory / "histogram.csv", header, "probe,bin_lo,bin_hi,count",
+                [(p, bounds[b], bounds[b + 1], res.counts[p, b])
+                 for p in range(len(res.probe_cells)) for b in range(res.bins + 2)],
+            ))
         elif isinstance(res, StructureFunctionAccumulator):
-            path = directory / "structure_function.csv"
-            with open(path, "w") as fh:
-                fh.write(header.comments())
-                fh.write("offset,value\n")
-                for h, v in enumerate(res.values()):
-                    fh.write(f"{h},{v!r}\n")
-            written.append(path)
+            written.append(write_csv(directory / "structure_function.csv", header,
+                                     "offset,value", enumerate(res.values())))
         else:
             raise TypeError(f"cannot write functional of type {type(res).__name__}")
     return written

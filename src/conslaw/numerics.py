@@ -150,13 +150,10 @@ def reconstruct_axis(
 ) -> FacePair:
     """Face states at the n+1 interfaces of one axis of a padded array.
 
-    Interface j sits between padded cells (g-1+j, g+j), j = 0..n.
+    Interface j sits between padded cells (g-1+j, g+j), j = 0..n; the
+    stencil radius must not exceed g, which ``solver.check_scheme`` checks
+    before any stack is bound.
     """
-    if recon.radius > g:
-        raise ConfigError(
-            f"reconstruction radius {recon.radius} exceeds ghost width {g}"
-        )
-
     if recon.kind is ReconstructionKind.NONE:
         return FacePair(
             slab(data, np_ax, g - 1, g + n), slab(data, np_ax, g, g + n + 1)

@@ -7,17 +7,16 @@ numbered x fastest, so the rank axis reshapes to the rank grid and the stack
 is a view ``(ncomp, Rz, Ry, Rx, *padded)``.  Only this module knows that
 order.  ``solver.run_simulation``, the one entry point of every solve,
 scatters the initial field into a stack (a serial run is a stack of one),
-calls ``exchange_halos`` each stage and stitches the result back; all ranks
+runs its halo pass each stage and stitches the result back; all ranks
 advance in lockstep on the calling thread, since on one interpreter rank
 threads cost more than they save.
 
 Scatter and stitch are a reshape and a transpose of the interior, ``(c,
-Ry*ly, Rx*lx) <-> (c, Ry, Rx, ly, lx)`` in 2D.  A halo pass is basic slicing
-of the rank-grid view: along an axis split over r ranks, the low ghosts of
-ranks [1, r) take the last interior cells of ranks [0, r-1) and the high
-ghosts of ranks [0, r-1) the first interior cells of ranks [1, r); a
-periodic axis adds the same two assignments between the last rank and the
-first.  Physical ends, and axes with a single rank, use ``grid.fill_axis``.
+Ry*ly, Rx*lx) <-> (c, Ry, Rx, ly, lx)`` in 2D.  A halo pass is a list of
+slab copies between views of the rank-grid view (``halo_plan``), built once
+when a run binds its stack and run each stage by ``exchange_halos``.  A
+serial run's pass is the plan of the 1x...x1 layout, and so is
+``fill_boundary``, which fills the ghosts of a plain field.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError
-from .grid import BoundaryKind, Field, GridSpec, fill_axis, make_field, slab
+from .grid import BoundaryKind, Field, GridSpec, make_field, slab
 
 
 def local_grid(grid: GridSpec, ranks) -> GridSpec:
@@ -73,34 +72,66 @@ def _subdomains(interior: np.ndarray, ranks) -> np.ndarray:
     return interior.reshape(interior.shape[:1] + tuple(split)).transpose(order)
 
 
-def exchange_halos(stack: Field, ranks, bc) -> None:
-    """One ordered halo pass: fill every ghost slab of every rank of the
-    stack from neighbor interiors (or physical boundaries), in place.
+def check_boundary(grid: GridSpec, bc, key=None) -> None:
+    """The one check of boundary kinds on a grid: one per axis, and a
+    periodic axis at least ``ghost_width`` cells long (its wrap copies that
+    many interior cells).  ``key`` names the config key at fault."""
+    if len(bc) != grid.dim:
+        raise ConfigError(f"need {grid.dim} boundary kinds, got {len(bc)}")
+    for axis, (n, kind) in enumerate(zip(grid.cells, bc)):
+        if kind is BoundaryKind.PERIODIC and n < grid.ghost_width:
+            raise ConfigError(f"periodic axis {axis} needs cells >= ghost_width "
+                              f"({n} < {grid.ghost_width})", key=key)
 
-    Axes are filled one after the other (x, then y, then z).  A ghost slab
-    of one axis reads only cells interior along that axis, and it spans the
-    full padded extent of the other axes, so ghosts filled for earlier axes
-    propagate into corners exactly as in the serial ``fill_boundary``.
+
+def halo_plan(stack: Field, ranks, bc) -> list:
+    """The slab copies of one halo pass over ``stack`` on the layout
+    ``ranks``, in order: (destination, source) views of the stack's data.
+
+    Axes come one after the other (x, then y, then z).  Along an axis of r
+    ranks, the low ghosts of ranks [1, r) take the last interior cells of
+    ranks [0, r-1), and the high ghosts of ranks [0, r-1) the first interior
+    cells of ranks [1, r).  A periodic end is the same copy between rank r-1
+    and rank 0 (with r = 1, the serial wrap); an outflow end repeats the
+    nearest interior cell, on the end ranks only.  A slab spans the padded
+    extent of the other axes, so corners fill transitively, and no slab is
+    written twice.
     """
-    data, grid = stack.data, stack.grid
-    g = grid.ghost_width
-    view = _rank_grid(data, ranks)
-    for axis, (kind, r) in enumerate(zip(bc, ranks)):
-        if kind is BoundaryKind.OUTFLOW or r == 1:
-            # every rank: the faces between ranks are overwritten below
-            fill_axis(data, grid, axis, kind)
-        if r == 1:
-            continue
-        n, ax, rank_ax = grid.cells[axis], -1 - axis, grid.dim - axis
-        low, high = slab(view, ax, 0, g), slab(view, ax, n + g, n + 2 * g)
-        first, last = slab(view, ax, g, 2 * g), slab(view, ax, n, n + g)
-        # (low, high) rank slices that face each other across this axis
-        pairs = [((0, r - 1), (1, r))]
-        if kind is BoundaryKind.PERIODIC:
-            pairs.append(((r - 1, r), (0, 1)))
-        for lo, hi in pairs:
-            slab(low, rank_ax, *hi)[...] = slab(last, rank_ax, *lo)
-            slab(high, rank_ax, *lo)[...] = slab(first, rank_ax, *hi)
+    g, view, plan = stack.grid.ghost_width, _rank_grid(stack.data, ranks), []
+    for axis, (n, r, kind) in enumerate(zip(stack.grid.cells, ranks, bc)):
+        ax, rank_ax = -1 - axis, stack.grid.dim - axis
+
+        def cells(lo, hi, first, last):
+            """Cells [lo, hi) along the axis of ranks [first, last)."""
+            return slab(slab(view, ax, lo, hi), rank_ax, first, last)
+
+        periodic = kind is BoundaryKind.PERIODIC
+        pairs = [  # between neighbour ranks (none when r = 1), then the two ends
+            (cells(0, g, 1, r), cells(n, n + g, 0, r - 1)),
+            (cells(n + g, n + 2 * g, 0, r - 1), cells(g, 2 * g, 1, r)),
+            (cells(0, g, 0, 1), cells(n, n + g, r - 1, r) if periodic else cells(g, g + 1, 0, 1)),
+            (cells(n + g, n + 2 * g, r - 1, r),
+             cells(g, 2 * g, 0, 1) if periodic else cells(n + g - 1, n + g, r - 1, r)),
+        ]
+        plan += [(dst, src) for dst, src in pairs if dst.size]
+    return plan
+
+
+def exchange_halos(plan) -> None:
+    """One halo pass: the slab copies of a ``halo_plan``, in order."""
+    for dst, src in plan:
+        dst[...] = src
+
+
+def fill_boundary(field: Field, bc) -> Field:
+    """Fill the ghosts of a plain field in place, and return it: the halo
+    pass of one rank per axis.  Public API (``conslaw.__all__``) for a field
+    of a user's own; a run builds its stack's halo plan once."""
+    bc = tuple(bc)
+    check_boundary(field.grid, bc)
+    stack = Field(field.grid, field.ncomp, field.data[:, None])
+    exchange_halos(halo_plan(stack, (1,) * field.grid.dim, bc))
+    return field
 
 
 def scatter_field(field: Field, ranks) -> Field:

@@ -8,7 +8,8 @@ runs in the compiled kernel of ``_faces.c`` alone, so an Euler run needs a C
 compiler (``check_scheme`` builds the kernel before any step).  The stack
 owns the buffers of a step, the residual, the state at the start of the step
 and the CFL maxima, and the time loop talks to it alone.  ``ssp_rk_step`` is
-the one stage loop of every model: per stage one halo pass, one
+the one stage loop of every model: per stage one halo pass (the slab copies
+of the run's ``parallel.halo_plan``, built once), one
 ``spatial_residual`` (the stack's ``compute_residual``) and one
 ``stage``; each step ends with the stack's ``cell_pass``, which checks the
 state and takes the CFL maxima (``wave_speed_maxima``).  The kernel shares
@@ -52,7 +53,7 @@ from .numerics import (
     axis_faces,
     face_kernel,
 )
-from .parallel import exchange_halos, scatter_field, stitch_fields
+from .parallel import check_boundary, exchange_halos, halo_plan, scatter_field, stitch_fields
 
 
 @dataclass(frozen=True)
@@ -101,6 +102,7 @@ class TimeStepRecord:
 
 def check_scheme(grid: GridSpec, cfg: SchemeConfig) -> None:
     """Solver-assembly validation: the stencil must fit in the ghost layer,
+    a periodic axis must be at least as long (``parallel.check_boundary``),
     and Euler runs need the compiled face sweep (``numerics.face_kernel``
     raises ConfigError naming the missing compiler or the failed build)."""
     if cfg.recon.radius > grid.ghost_width:
@@ -108,6 +110,7 @@ def check_scheme(grid: GridSpec, cfg: SchemeConfig) -> None:
             f"ghost_width {grid.ghost_width} too small for reconstruction "
             f"radius {cfg.recon.radius}"
         )
+    check_boundary(grid, cfg.bc)
     if cfg.model.kind == EULER:
         face_kernel()
 
@@ -220,14 +223,14 @@ def stable_dt(field: Field, cfg: SchemeConfig, remaining: float | None = None) -
 SSP_STAGES = {1: (), 2: ((0.5, 0.5),), 3: ((0.75, 0.25), (1.0 / 3.0, 2.0 / 3.0))}
 
 
-def ssp_rk_step(state: Stack, dt: float, cfg: SchemeConfig, ranks: tuple) -> None:
+def ssp_rk_step(state: Stack, dt: float, cfg: SchemeConfig, halo: list) -> None:
     """One SSP-RK step of a run's stack, every subdomain at once, in place:
-    per stage one halo pass over the stack (``parallel.exchange_halos``),
-    one ``spatial_residual`` into the stack's residual buffer and one
+    per stage one halo pass over the stack (``exchange_halos`` of its plan
+    ``halo``), one ``spatial_residual`` into the stack's residual buffer and one
     ``state.stage``.  The arithmetic is elementwise, so each subdomain gets
     the values a run of it alone would get."""
     for a, b in ((None, None),) + SSP_STAGES[cfg.rk_order]:
-        exchange_halos(state, ranks, cfg.bc)
+        exchange_halos(halo)
         spatial_residual(state, cfg)
         state.stage(dt, a, b)
 
@@ -276,14 +279,14 @@ def run_simulation(
     as one stack whose data has the shape ``(ncomp, R, *padded)``, with the
     rank axis right after the components; the rank order is
     ``conslaw.parallel``'s.  The stack is bound once (``bind_stack``) and
-    owns every buffer of a step.  Every subdomain advances in lockstep on
-    the calling thread (``ssp_rk_step``): each stage is one
-    ``parallel.exchange_halos`` pass over the stack, one ``spatial_residual``
-    and one combination for all of it, and each step ends with one cell pass
-    of checks and CFL maxima (``wave_speed_maxima``).  With one rank per axis
-    the halo pass makes the same ``grid.fill_axis`` calls as
-    ``grid.fill_boundary``, and the result is bitwise the same for every rank
-    layout.
+    owns every buffer of a step; its halo plan (``parallel.halo_plan``) is
+    built once too.  Every subdomain advances in lockstep on the calling
+    thread (``ssp_rk_step``): each stage is one halo pass over the stack,
+    one ``spatial_residual`` and one combination for all of it, and each
+    step ends with one cell pass of checks and CFL maxima
+    (``wave_speed_maxima``).  With one rank per axis the halo pass is
+    ``parallel.fill_boundary``'s, and the result is bitwise the same for
+    every rank layout.
 
     With ``steps=None`` the run stops at ``cfg.t_end``, its last step
     shortened to land on it; ``steps=n`` runs exactly n steps, and ``t_end``
@@ -302,6 +305,7 @@ def run_simulation(
     check_scheme(init.grid, cfg)
     ranks = tuple(ranks) if ranks is not None else (1,) * init.grid.dim
     state = bind_stack(scatter_field(init, ranks), cfg)
+    halo = halo_plan(state, ranks, cfg.bc)
     records: list[TimeStepRecord] = []
     t = 0.0
     step = 0
@@ -316,7 +320,7 @@ def run_simulation(
                 if remaining <= 1e-14 * cfg.t_end:
                     break
             dt = dt_from_maxima(maxima, state.grid.deltas, cfg.cfl, remaining)
-            ssp_rk_step(state, dt, cfg, ranks)
+            ssp_rk_step(state, dt, cfg, halo)
             step += 1
             t += dt
             # the post-step check and the next step's CFL speeds

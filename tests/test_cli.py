@@ -336,6 +336,64 @@ def test_seed_outside_uint64_exits_2_before_any_solve(
     assert solves == []
 
 
+@pytest.mark.parametrize("command", ["run", "uq", "bench"])
+def test_a_periodic_axis_thinner_than_the_ghost_layer_exits_2_without_output(
+    tmp_path, capsys, command
+):
+    # WENO3 needs two ghost cells, and a periodic wrap copies that many
+    # interior cells: one cell along x is a config error, not a failed stage
+    cfg = small_kh(tmp_path)
+    cfg.write_text(cfg.read_text().replace("cells = 16 16", "cells = 1 8"))
+    out = tmp_path / "out"
+    assert main([command, str(cfg), "--output", str(out)]) == 2
+    assert "periodic axis 0 needs cells >= ghost_width (1 < 2)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_mlmc_level_thinner_than_the_ghost_layer_exits_2_naming_the_levels_line(
+    tmp_path, capsys
+):
+    # 8 cells coarsened 3 times leave one cell per axis on the coarsest level
+    cfg = small_kh(tmp_path, cells=8, extra="levels = 4\n")
+    line = cfg.read_text().splitlines().index("levels = 4") + 1
+    out = tmp_path / "out"
+    assert main(["uq", str(cfg), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"line {line}: periodic axis 0 needs cells >= ghost_width (1 < 2)" in err
+    assert not out.exists()
+
+
+def _csv_fields(path):
+    """The data fields of a CSV file, by column name."""
+    lines = [l for l in path.read_text().splitlines() if l and not l.startswith("#")]
+    columns = lines[0].split(",")
+    return [dict(zip(columns, l.split(","))) for l in lines[1:]]
+
+
+def test_every_number_of_every_csv_parses_as_a_float(tmp_path, capsys):
+    extra = (
+        "histogram_points = 0.5 0.5\nhistogram_range = 0.5 2.5\nhistogram_bins = 4\n"
+        "structure_max_offset = 4\n"
+    )
+    cfg = small_kh(tmp_path, cells=8, extra=extra)
+    cfg.write_text(cfg.read_text().replace(
+        "functionals = moments", "functionals = moments histogram structure_function"))
+    out = tmp_path / "out"
+    assert main(["uq", str(cfg), "--output", str(out)]) == 0
+    assert main(["run", str(cfg), "--output", str(out)]) == 0
+    assert main(["bench", str(cfg), "--ranks", "1,2", "--steps", "2",
+                 "--output", str(out)]) == 0
+    names = ("histogram", "structure_function", "timing", "bench", "overhead")
+    for name in names:
+        rows = _csv_fields(out / f"{name}.csv")
+        assert rows
+        for row in rows:
+            for column, value in row.items():
+                if column != "layout":
+                    float(value)
+    capsys.readouterr()
+
+
 def test_uq_outputs_identical_across_reruns_and_workers(tmp_path, capsys):
     cfg = small_kh(tmp_path)
     outs = []

@@ -21,12 +21,11 @@ from conslaw.grid import (
     Field,
     GridSpec,
     field_from_interior,
-    fill_boundary,
 )
 from conslaw.numerics import (
     EulerStack, FluxKind, Reconstruction, ReconstructionKind, reconstruct_axis,
 )
-from conslaw.parallel import exchange_halos, local_grid, scatter_field
+from conslaw.parallel import exchange_halos, fill_boundary, halo_plan, local_grid, scatter_field
 from conslaw import numerics, solver
 from conslaw.solver import SchemeConfig, run_simulation, spatial_residual, wave_speed_maxima
 from oracles import rank_offsets, reference_euler_residual
@@ -230,7 +229,7 @@ def test_cropped_region_matches_reference(flux, recon, cells, layouts, bc):
     want = reference(field, cfg)
     for ranks in layouts:
         stack = scatter_field(field, ranks)
-        exchange_halos(stack, ranks, cfg.bc)
+        exchange_halos(halo_plan(stack, ranks, cfg.bc))
         got = spatial_residual(stack, cfg)
         for rank, offset in enumerate(rank_offsets(field.grid.cells, ranks)):
             crop = tuple(
@@ -247,7 +246,7 @@ def test_fallback_in_one_rank_only_matches_serial():
     prim = np.concatenate([quiet, quiet, jet, np.repeat(quiet, 8, axis=1)], axis=1)
     field, cfg = make_case(prim, FluxKind.HLLC, ReconstructionKind.WENO3)
     stack = scatter_field(field, (2,))
-    exchange_halos(stack, (2,), cfg.bc)
+    exchange_halos(halo_plan(stack, (2,), cfg.bc))
     ranks = [Field(stack.grid, stack.ncomp, stack.data[:, r]) for r in range(2)]
     assert fallback_faces(ranks[0], cfg) > 0
     assert fallback_faces(ranks[1], cfg) == 0

@@ -7,11 +7,10 @@ from conslaw.grid import (
     GridSpec,
     cell_center,
     field_from_interior,
-    fill_axis,
-    fill_boundary,
     make_field,
     total_integral,
 )
+from conslaw.parallel import fill_boundary
 
 
 def test_axis_to_array_axis_mapping():
@@ -72,8 +71,8 @@ def test_outflow_fill_extrapolates():
 def test_periodic_fill_requires_enough_cells():
     g = GridSpec(1, (1,), (0.0,), (1.0,), ghost_width=2)
     f = make_field(g, 1, 1.0)
-    with pytest.raises(ConfigError):
-        fill_axis(f.data, g, 0, BoundaryKind.PERIODIC)
+    with pytest.raises(ConfigError, match=r"periodic axis 0 needs cells >= ghost_width \(1 < 2\)"):
+        fill_boundary(f, (BoundaryKind.PERIODIC,))
 
 
 def test_corner_ghosts_filled_transitively():

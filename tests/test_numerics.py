@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conslaw.equations import EquationModel, primitive_to_conserved
-from conslaw.grid import GridSpec, make_field, fill_boundary, BoundaryKind
+from conslaw.grid import GridSpec, make_field, BoundaryKind
+from conslaw.parallel import fill_boundary
 from conslaw.numerics import FacePair, Reconstruction, ReconstructionKind, rusanov_flux
 from oracles import (
     _ref_flux,

@@ -3,12 +3,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conslaw.equations import EquationModel, primitive_to_conserved
 from conslaw.errors import ConfigError, SimulationError
-from conslaw.grid import BoundaryKind, GridSpec, field_from_interior, fill_boundary
+from conslaw.grid import BoundaryKind, Field, GridSpec, field_from_interior
 from conslaw.numerics import FluxKind, Reconstruction, ReconstructionKind
-from conslaw.parallel import exchange_halos, local_grid, scatter_field, stitch_fields
+from conslaw.parallel import exchange_halos, halo_plan, local_grid, scatter_field, stitch_fields
 from conslaw.solver import SchemeConfig, run_simulation
 from oracles import rank_offsets
 
@@ -103,7 +105,7 @@ PERIODIC, OUTFLOW = BoundaryKind.PERIODIC, BoundaryKind.OUTFLOW
 
 EXCHANGE_CASES = [
     (ranks, bc)
-    for ranks in [(2, 1), (1, 2), (2, 2), (4, 1), (2, 2, 2)]
+    for ranks in [(1, 1), (2, 1), (1, 2), (2, 2), (4, 1), (2, 2, 2)]
     for bc in itertools.product((PERIODIC, OUTFLOW), repeat=len(ranks))
 ]
 EXCHANGE_IDS = [
@@ -121,22 +123,83 @@ def _global_padded_index(offset, local, global_grid, axis, kind):
     return (index - g) % n + g if kind is PERIODIC else index
 
 
-@pytest.mark.parametrize("ranks,bc", EXCHANGE_CASES, ids=EXCHANGE_IDS)
-def test_exchanged_ghosts_match_serial_fill(ranks, bc):
-    dim = len(ranks)
-    field, _ = kh_like_field(16 if dim == 2 else 8, dim=dim)
-    reference = fill_boundary(field.copy(), bc)
+def _padded_reference(field, bc):
+    """The global field's data with its ghosts filled by ``np.pad``, one
+    axis at a time (x, then y, then z): ``wrap`` for periodic, ``edge`` for
+    outflow.  Independent of the halo plan."""
+    g, data = field.grid.ghost_width, field.interior
+    for axis, kind in enumerate(bc):
+        width = [(0, 0)] * data.ndim
+        width[data.ndim - 1 - axis] = (g, g)
+        data = np.pad(data, width, mode="wrap" if kind is PERIODIC else "edge")
+    return data
+
+
+def _assert_ghosts_match_reference(field, ranks, bc):
+    """One halo pass over the stack of ``field`` on ``ranks``, with garbage
+    in every ghost before it, leaves every padded cell of every rank, corners
+    included, equal to the same cell of the padded global field."""
     stack = scatter_field(field, ranks)
-    exchange_halos(stack, ranks, bc)
+    interior = stack.interior.copy()
+    stack.data[...] = np.nan
+    stack.interior[...] = interior
+    exchange_halos(halo_plan(stack, ranks, bc))
+    reference = _padded_reference(field, bc)
     for rank, offset in enumerate(rank_offsets(field.grid.cells, ranks)):
-        # every padded cell, corners included, equals the same cell of the
-        # serially filled global field
         index = [
             _global_padded_index(offset, stack.grid, field.grid, axis, bc[axis])
-            for axis in reversed(range(dim))
+            for axis in reversed(range(field.grid.dim))
         ]
-        want = reference.data[np.ix_(range(field.ncomp), *index)]
+        want = reference[np.ix_(range(field.ncomp), *index)]
         np.testing.assert_array_equal(stack.data[:, rank], want)
+
+
+@pytest.mark.parametrize("ranks,bc", EXCHANGE_CASES, ids=EXCHANGE_IDS)
+def test_exchanged_ghosts_match_the_padded_global_field(ranks, bc):
+    dim = len(ranks)
+    field, _ = kh_like_field(16 if dim == 2 else 8, dim=dim)
+    _assert_ghosts_match_reference(field, ranks, bc)
+
+
+@st.composite
+def halo_cases(draw):
+    """A random field of 1 to 3 dimensions, ghost width 1 or 2, with a
+    rank layout whose ranks are at least a ghost layer thick, and boundary
+    kinds."""
+    dim = draw(st.integers(1, 3))
+    g = draw(st.sampled_from((1, 2)))
+    ranks = tuple(draw(st.lists(st.integers(1, 3), min_size=dim, max_size=dim)))
+    cells = tuple(r * draw(st.integers(g, g + 2)) for r in ranks)
+    bc = tuple(draw(st.lists(st.sampled_from((PERIODIC, OUTFLOW)), min_size=dim,
+                             max_size=dim)))
+    grid = GridSpec(dim, cells, (0.0,) * dim, (1.0,) * dim, ghost_width=g)
+    interior = np.random.default_rng(draw(st.integers(0, 99))).random(
+        (2,) + grid.interior_shape)
+    return field_from_interior(grid, interior), ranks, bc
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=halo_cases())
+def test_a_halo_pass_writes_each_ghost_once_per_axis_and_no_interior_cell(case):
+    field, ranks, bc = case
+    stack = scatter_field(field, ranks)
+    local, dim = stack.grid, field.grid.dim
+    # a stack whose every entry holds its own flat index names the cells a
+    # plan writes
+    cells = Field(local, stack.ncomp, np.arange(stack.data.size, dtype=float)
+                  .reshape(stack.data.shape))
+    writes = np.zeros(stack.data.size, dtype=int)
+    for dst, _src in halo_plan(cells, ranks, bc):
+        np.add.at(writes, dst.ravel().astype(int), 1)
+    # the number of axes along which each padded cell is a ghost
+    g = local.ghost_width
+    ghost_axes = sum(
+        np.meshgrid(*[(np.arange(n + 2 * g) < g) | (np.arange(n + 2 * g) >= n + g)
+                      for n in reversed(local.cells)], indexing="ij")
+    )
+    want = np.broadcast_to(ghost_axes, stack.data.shape)
+    np.testing.assert_array_equal(writes.reshape(stack.data.shape), want)
+    _assert_ghosts_match_reference(field, ranks, bc)
 
 
 def test_lone_rank_on_a_periodic_axis_thinner_than_the_ghosts_is_rejected():

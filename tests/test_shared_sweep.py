@@ -23,7 +23,7 @@ from conslaw import numerics
 from conslaw.errors import SimulationError, UnphysicalStateError
 from conslaw.iodsl import eval_init, parse_config
 from conslaw.numerics import SWEEP_DEGENERATE, EulerStack
-from conslaw.parallel import exchange_halos, scatter_field
+from conslaw.parallel import exchange_halos, halo_plan, scatter_field
 from conslaw.presets import KH2D, KH3D
 from conslaw.solver import run_simulation, spatial_residual
 from conslaw.uq import draw_sample
@@ -61,7 +61,7 @@ def _setup(name, ranks):
         primitive=cfg.initial_primitive,
     )
     stack = EulerStack(scatter_field(init, ranks), cfg.scheme)
-    exchange_halos(stack, ranks, cfg.scheme.bc)
+    exchange_halos(halo_plan(stack, ranks, cfg.scheme.bc))
     return stack, cfg.scheme, init
 
 

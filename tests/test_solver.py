@@ -100,7 +100,7 @@ def test_residual_telescopes_to_zero_sum():
     # periodic flux differences cancel: the residual integrates to zero
     rng = np.random.default_rng(6)
     f = _burgers_field(rng.normal(0.0, 1.0, 32))
-    from conslaw.grid import fill_boundary
+    from conslaw.parallel import fill_boundary
 
     fill_boundary(f, (BoundaryKind.PERIODIC,))
     res = spatial_residual(f, burgers_cfg(recon=ReconstructionKind.WENO3))
@@ -109,7 +109,7 @@ def test_residual_telescopes_to_zero_sum():
 
 def test_residual_zero_on_constant_field():
     f = _burgers_field(np.full(16, 0.7))
-    from conslaw.grid import fill_boundary
+    from conslaw.parallel import fill_boundary
 
     fill_boundary(f, (BoundaryKind.PERIODIC,))
     res = spatial_residual(f, burgers_cfg(recon=ReconstructionKind.WENO2))
