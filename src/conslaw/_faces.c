@@ -12,19 +12,20 @@
  * so that no multiply-add is fused; vectorized loops then round like scalar
  * ones.
  *
- * A sweep reads the padded state through strides and subtracts
- * (F[i+1] - F[i]) / delta from each interior cell of `out`.  Each line of
- * cells along the sweep axis is copied to contiguous per-component arrays,
- * so that every stage is a loop over the faces of the line.  A sweep
- * returns 0, or a nonzero status for the first line that fails, ranks
- * outermost: 1 for an unphysical face state, 2 for a degenerate HLLC wave
- * fan, 4 for an unphysical interior cell (checked by the first sweep of a
- * residual while it loads its lines); `out` is then partly updated and the
- * line's rank is reported.  conslaw.solver locates the failing cell or face
- * itself.
+ * euler_residual describes each axis sweep by one `Sweep`, built from the
+ * run's `Stack`, the one source of the scheme.  A sweep reads the padded
+ * state through strides and subtracts (F[i+1] - F[i]) / delta from each
+ * interior cell of the residual.  Each line of cells along the sweep axis is
+ * copied to contiguous per-component arrays, so that every stage is a loop
+ * over the faces of the line.  A sweep returns 0, or a nonzero status for
+ * the first line that fails, ranks outermost: 1 for an unphysical face
+ * state, 2 for a degenerate HLLC wave fan, 4 for an unphysical interior cell
+ * (checked by the first sweep of a residual while it loads its lines); the
+ * residual is then partly updated and the line's rank is left in the stack.
+ * conslaw.solver locates the failing cell or face itself.
  *
  * A sweep of at least SHARE_MIN_FACES faces shares its lines with one helper
- * pthread that stays in the process and spins for SPIN_NS after each job
+ * pthread that stays in the process and spins for SPIN_NS after each sweep
  * (see "The helper thread" below).  Each line is swept by one thread and
  * writes only its own cells, and the lowest failing line decides the
  * status, so the residual and every failure are those of the serial loop.
@@ -57,10 +58,22 @@ enum {
     STATUS_CELL = 4
 };
 
+/* The padded state of R equal subdomains, its buffers and the scheme, as
+ * conslaw.numerics.EulerStack fills them once per run.  Arrays are indexed
+ * (component, rank, z, y, x); a spatial axis past `dim` has one cell, no
+ * ghosts and stride 0. */
 typedef struct {
-    int axis, weno, hllc;
-    double epsilon, d0, d1, gamma, gm1, floor, delta;
-} Scheme;
+    double *u;            /* the padded state at cell 0 of every axis */
+    double *res;          /* the residual, contiguous */
+    double *start;        /* rk_stage: the state at the start of the step, like res */
+    double *maxima;       /* cell_pass: the wave speed maximum of each axis */
+    long ustr[5];         /* element strides of u */
+    long ranks, cells[3]; /* interior cells along x, y and z */
+    int dim, ghost, weno, hllc;
+    double epsilon, d0, d1, gamma, gm1, floor, delta[3];
+    long stop_rank;       /* euler_residual: the rank and the axis of the */
+    int stop_axis;        /* line it stopped at */
+} Stack;
 
 /* per-line scratch: n + 2g cells and n + 1 faces per component */
 typedef struct {
@@ -71,6 +84,39 @@ typedef struct {
     double *f[2];             /* physical fluxes, component-major */
     double *F;                /* numerical fluxes, component-major */
 } Work;
+
+/* The sharing of a sweep with the helper thread (see below).  The smallest
+ * sweep shared: shared, the residual of a 32x32 grid (sweeps of 1056 faces)
+ * ran 1.5x as fast, those of 64x64 and 128x128 grids 1.6x and 1.7x; the
+ * sweeps of a 16x16 grid (272 faces) are one chunk each. */
+#define SHARE_MIN_FACES 1024
+/* how long the helper spins after a sweep before it sleeps */
+#define SPIN_NS 1000000L
+/* lines per chunk: a multiple of 8, so that two threads write the same
+ * cache line of the residual only at the ends of rows; chunks of 3 or 7
+ * lines of a 64x64 grid were slower */
+#define CHUNK_LINES 16
+
+/* One axis sweep of the stack `st`.  u: padded cell 0 of the sweep axis at
+ * rank 0 and the first interior transverse cell; ustr: its element strides
+ * of (component, rank, sweep axis, transverse 1, transverse 2).  out, ostr:
+ * the same for interior cell 0 of the residual.  Its lines of n interior
+ * cells are numbered ranks outermost, then transverse axis 1 (T1 cells),
+ * then 2 (T2), the order of the serial loop, and handed out in chunks of
+ * CHUNK_LINES consecutive lines from `next`.  `failed` is the lowest line
+ * known to fail and its status, as line * 8 + status (every STATUS_* is
+ * below 8), or lines * 8 while none has failed; no chunk starting at or
+ * after that line is taken. */
+typedef struct {
+    Stack *st;
+    int axis, check;      /* check: the interior cells must be physical */
+    const double *u;
+    double *out;
+    long ustr[5], ostr[5];
+    long n, T1, T2, lines;
+    Work *spare;          /* the helper's line scratch */
+    atomic_long next, failed;
+} Sweep;
 
 /* minimum / maximum: NaN propagates from either side, ties give b */
 INLINE double np_min(double a, double b) { return (a < b || a != a) ? a : b; }
@@ -100,17 +146,17 @@ INLINE double weno_correction(double dm, double dp, double am, double ap)
 
 /* numerics.reconstruct_axis on one line of cells: the states left (fl) and
  * right (fr) of its n + 1 interior faces */
-static void weno_line(const Scheme *s, const double *restrict col, long n, int ghost,
+static void weno_line(const Stack *st, const double *restrict col, long n,
                       double *restrict d, double *restrict a0, double *restrict a1,
                       double *restrict fl, double *restrict fr)
 {
-    const double *u = col + ghost - 2; /* d[k] = u[k+1] - u[k], k = 0..n+2 */
+    const double *u = col + st->ghost - 2; /* d[k] = u[k+1] - u[k], k = 0..n+2 */
     for (long k = 0; k < n + 3; k++) {
         d[k] = u[k + 1] - u[k];
-        double q = d[k] * d[k] + s->epsilon;
+        double q = d[k] * d[k] + st->epsilon;
         q = q * q;
-        a0[k] = s->d0 / q;
-        a1[k] = s->d1 / q;
+        a0[k] = st->d0 / q;
+        a1[k] = st->d1 / q;
     }
     for (long j = 0; j < n + 1; j++) {
         fl[j] = weno_correction(d[j], d[j + 1], a0[j], a1[j + 1]) + u[j + 1];
@@ -119,19 +165,19 @@ static void weno_line(const Scheme *s, const double *restrict col, long n, int g
 }
 
 /* the velocity, sound speed and physical flux of one side */
-INLINE void primitives(const Scheme *s, int dim, const double *const *u, const double *p,
+INLINE void primitives(const Sweep *sw, int dim, const double *const *u, const double *p,
                        long nf, double *restrict v, double *restrict c, double *restrict f)
 {
-    const double *un = u[1 + s->axis];
+    const double *un = u[1 + sw->axis];
     for (long j = 0; j < nf; j++) {
         v[j] = un[j] / u[0][j];
-        c[j] = sqrt(s->gamma * p[j] / u[0][j]);
+        c[j] = sqrt(sw->st->gamma * p[j] / u[0][j]);
     }
     for (long j = 0; j < nf; j++)
         f[j] = un[j];
     for (int k = 0; k < dim; k++) {
         double *fk = f + (1 + k) * nf;
-        if (k == s->axis)
+        if (k == sw->axis)
             for (long j = 0; j < nf; j++)
                 fk[j] = u[1 + k][j] * v[j] + p[j];
         else
@@ -161,10 +207,10 @@ static void rusanov_line(int ncomp, const double *const *uL, const double *const
 
 /* the HLLC flux with Davis wave-speed estimates; returns STATUS_DEGENERATE
  * if any face of the line has sR <= sL */
-INLINE int hllc_line(const Scheme *s, int dim, const double *const *uL,
-                     const double *const *uR, long nf, Work *w)
+INLINE int hllc_line(int axis, int dim, const double *const *uL, const double *const *uR,
+                     long nf, Work *w)
 {
-    int axis = s->axis, ncomp = dim + 2, degenerate = 0;
+    int ncomp = dim + 2, degenerate = 0;
     const double *vL = w->v[0], *cL = w->c[0], *pL = w->p[0];
     const double *vR = w->v[1], *cR = w->c[1], *pR = w->p[1];
     const double *fL = w->f[0], *fR = w->f[1];
@@ -206,25 +252,29 @@ INLINE int hllc_line(const Scheme *s, int dim, const double *const *uL,
     return degenerate ? STATUS_DEGENERATE : STATUS_OK;
 }
 
-/* one line: cells at line[c * sc + k * sk], k = 0..n+2g-1; interior cell i
- * of the residual at oline[c * oc + i * oi].  With `check`, the line's
- * interior cells must be physical (conslaw.equations.physical_mask). */
-INLINE int sweep_line(const Scheme *s, int dim, const double *line, long sc, long sk,
-                      double *oline, long oc, long oi, long n, int ghost, int check,
-                      Work *w)
+/* Line l of the sweep, on a stack of `dim` dimensions: its cells at
+ * line[c * sc + k * sk], k = 0..n+2g-1, and interior cell i of its residual
+ * at oline[c * oc + i * oi].  With `check`, the line's interior cells must
+ * be physical (conslaw.equations.physical_mask). */
+INLINE int sweep_line(const Sweep *sw, int dim, long l, Work *w)
 {
-    int ncomp = dim + 2;
-    long N = n + 2 * ghost, nf = n + 1;
+    const Stack *st = sw->st;
+    int ncomp = dim + 2, ghost = st->ghost;
+    long n = sw->n, N = n + 2 * ghost, nf = n + 1;
+    long r = l / (sw->T1 * sw->T2), t1 = l / sw->T2 % sw->T1, t2 = l % sw->T2;
+    const double *line = sw->u + r * sw->ustr[1] + t1 * sw->ustr[3] + t2 * sw->ustr[4];
+    double *oline = sw->out + r * sw->ostr[1] + t1 * sw->ostr[3] + t2 * sw->ostr[4];
+    long sc = sw->ustr[0], sk = sw->ustr[2], oc = sw->ostr[0], oi = sw->ostr[2];
     for (int c = 0; c < ncomp; c++)
         for (long k = 0; k < N; k++)
             w->cols[c * N + k] = line[c * sc + k * sk];
     const double *cells[MAXCOMP];
     for (int c = 0; c < ncomp; c++)
         cells[c] = w->cols + c * N + ghost;
-    if (check) {
+    if (sw->check) {
         int bad = 0;
         for (long i = 0; i < n; i++)
-            bad |= !positive(cells, i, pressure(cells, i, dim, s->gm1), s->floor);
+            bad |= !positive(cells, i, pressure(cells, i, dim, st->gm1), st->floor);
         if (bad)
             return STATUS_CELL;
     }
@@ -232,9 +282,9 @@ INLINE int sweep_line(const Scheme *s, int dim, const double *line, long sc, lon
     const double *u[2][MAXCOMP];
     for (int c = 0; c < ncomp; c++) {
         const double *col = w->cols + c * N;
-        if (s->weno) {
-            weno_line(s, col, n, ghost, w->d, w->a0, w->a1,
-                      w->face[0] + c * nf, w->face[1] + c * nf);
+        if (st->weno) {
+            weno_line(st, col, n, w->d, w->a0, w->a1, w->face[0] + c * nf,
+                      w->face[1] + c * nf);
             u[0][c] = w->face[0] + c * nf;
             u[1][c] = w->face[1] + c * nf;
         } else {
@@ -244,7 +294,7 @@ INLINE int sweep_line(const Scheme *s, int dim, const double *line, long sc, lon
     }
     /* one primitive pass per side */
     int bad = 0;
-    double gm1 = s->gm1, floor = s->floor;
+    double gm1 = st->gm1, floor = st->floor;
     double *restrict pl = w->p[0], *restrict pr = w->p[1];
     for (long j = 0; j < nf; j++) {
         pl[j] = pressure(u[0], j, dim, gm1);
@@ -252,7 +302,7 @@ INLINE int sweep_line(const Scheme *s, int dim, const double *line, long sc, lon
         bad |= !(positive(u[0], j, pl[j], floor) & positive(u[1], j, pr[j], floor));
     }
     if (bad) {
-        if (!s->weno)
+        if (!st->weno)
             return STATUS_UNPHYSICAL;
         /* first-order fallback: both sides of such a face take their cells */
         for (long j = 0; j < nf; j++) {
@@ -269,47 +319,27 @@ INLINE int sweep_line(const Scheme *s, int dim, const double *line, long sc, lon
         }
     }
     for (int side = 0; side < 2; side++)
-        primitives(s, dim, u[side], w->p[side], nf, w->v[side], w->c[side], w->f[side]);
-    if (s->hllc) {
-        int status = hllc_line(s, dim, u[0], u[1], nf, w);
+        primitives(sw, dim, u[side], w->p[side], nf, w->v[side], w->c[side], w->f[side]);
+    if (st->hllc) {
+        int status = hllc_line(sw->axis, dim, u[0], u[1], nf, w);
         if (status)
             return status;
     } else {
         rusanov_line(ncomp, u[0], u[1], nf, w);
     }
     /* the flux difference of each interior cell */
+    double delta = st->delta[sw->axis];
     for (int c = 0; c < ncomp; c++) {
         const double *F = w->F + c * nf;
         double *o = oline + c * oc;
         if (oi == 1)
             for (long i = 0; i < n; i++)
-                o[i] = o[i] - (F[i + 1] - F[i]) / s->delta;
+                o[i] = o[i] - (F[i + 1] - F[i]) / delta;
         else
             for (long i = 0; i < n; i++)
-                o[i * oi] = o[i * oi] - (F[i + 1] - F[i]) / s->delta;
+                o[i * oi] = o[i * oi] - (F[i + 1] - F[i]) / delta;
     }
     return STATUS_OK;
-}
-
-typedef int (*LineSweep)(const Scheme *, const double *, long, long, double *, long, long,
-                         long, int, int, Work *);
-
-static int sweep_1d(const Scheme *s, const double *line, long sc, long sk, double *oline,
-                    long oc, long oi, long n, int ghost, int check, Work *w)
-{
-    return sweep_line(s, 1, line, sc, sk, oline, oc, oi, n, ghost, check, w);
-}
-
-static int sweep_2d(const Scheme *s, const double *line, long sc, long sk, double *oline,
-                    long oc, long oi, long n, int ghost, int check, Work *w)
-{
-    return sweep_line(s, 2, line, sc, sk, oline, oc, oi, n, ghost, check, w);
-}
-
-static int sweep_3d(const Scheme *s, const double *line, long sc, long sk, double *oline,
-                    long oc, long oi, long n, int ghost, int check, Work *w)
-{
-    return sweep_line(s, 3, line, sc, sk, oline, oc, oi, n, ghost, check, w);
 }
 
 /* the line scratch of a Work for lines of n cells, in buf */
@@ -334,56 +364,23 @@ static void work_init(Work *w, double *buf, long ncomp, long n, int ghost)
 #undef TAKE
 }
 
-/* The sharing of a sweep with the helper thread (see below).  The smallest
- * sweep shared: shared, the residual of a 32x32 grid (sweeps of 1056 faces)
- * ran 1.5x as fast, those of 64x64 and 128x128 grids 1.6x and 1.7x; the
- * sweeps of a 16x16 grid (272 faces) are one chunk each. */
-#define SHARE_MIN_FACES 1024
-/* how long the helper spins after a job before it sleeps */
-#define SPIN_NS 1000000L
-/* lines per chunk: a multiple of 8, so that two threads write the same
- * cache line of the residual only at the ends of rows; chunks of 3 or 7
- * lines of a 64x64 grid were slower */
-#define CHUNK_LINES 16
-
-/* One axis sweep as a job: its lines are numbered ranks outermost, then
- * transverse axis 1, then 2 (the order of the serial loop), and handed out
- * in chunks of CHUNK_LINES consecutive lines from `next`.  `failed` is the
- * lowest line known to fail and its status, as line * 8 + status (every
- * STATUS_* is below 8), or lines * 8 while none has failed; no chunk
- * starting at or after that line is taken. */
-typedef struct {
-    const Scheme *s;
-    LineSweep line_sweep;
-    Work *spare;          /* the helper's line scratch */
-    int ghost, check;
-    const double *u;
-    const long *ustr;
-    double *out;
-    const long *ostr;
-    long n, T1, T2, lines;
-    atomic_long next, failed;
-} Job;
-
-/* Sweep chunks of the job's lines until none is left below its lowest
- * failure; a failing line ends the worker's part. */
-static void take_lines(Job *job, Work *w)
+/* Sweep chunks of the sweep's lines until none is left below its lowest
+ * failure; a failing line ends the worker's part.  Each dimension has its
+ * own inlined sweep_line. */
+static void take_lines(Sweep *sw, Work *w)
 {
+    int dim = sw->st->dim;
     for (;;) {
-        long first = atomic_fetch_add(&job->next, CHUNK_LINES);
-        if (first >= atomic_load(&job->failed) / 8)
+        long first = atomic_fetch_add(&sw->next, CHUNK_LINES);
+        if (first >= atomic_load(&sw->failed) / 8)
             return;
-        long last = first + CHUNK_LINES < job->lines ? first + CHUNK_LINES : job->lines;
+        long last = first + CHUNK_LINES < sw->lines ? first + CHUNK_LINES : sw->lines;
         for (long l = first; l < last; l++) {
-            long r = l / (job->T1 * job->T2), t1 = l / job->T2 % job->T1, t2 = l % job->T2;
-            int status = job->line_sweep(
-                job->s, job->u + r * job->ustr[1] + t1 * job->ustr[3] + t2 * job->ustr[4],
-                job->ustr[0], job->ustr[2],
-                job->out + r * job->ostr[1] + t1 * job->ostr[3] + t2 * job->ostr[4],
-                job->ostr[0], job->ostr[2], job->n, job->ghost, job->check, w);
+            int status = dim == 1 ? sweep_line(sw, 1, l, w)
+                       : dim == 2 ? sweep_line(sw, 2, l, w) : sweep_line(sw, 3, l, w);
             if (status) {
-                long mine = l * 8 + status, seen = atomic_load(&job->failed);
-                while (mine < seen && !atomic_compare_exchange_weak(&job->failed, &seen, mine))
+                long mine = l * 8 + status, seen = atomic_load(&sw->failed);
+                while (mine < seen && !atomic_compare_exchange_weak(&sw->failed, &seen, mine))
                     ;
                 return;
             }
@@ -398,11 +395,11 @@ static void take_lines(Job *job, Work *w)
  * pthread, which stays in the process.  Lines are independent and each line
  * writes only its own cells, so every bit of the residual is the same
  * whichever thread sweeps a line; the lowest failing line decides the
- * status and the rank, as in the serial loop.  The caller posts the job and
- * sweeps chunks itself at once; it never waits for the helper to start, only
- * for a chunk the helper has taken, and yields while it waits.  After a job
- * the helper spins for SPIN_NS, so that the next sweep finds it awake (a
- * sleeping helper joined sweeps too late to help), then sleeps on a
+ * status and the rank, as in the serial loop.  The caller posts the Sweep
+ * and sweeps chunks itself at once; it never waits for the helper to start,
+ * only for a chunk the helper has taken, and yields while it waits.  After a
+ * sweep the helper spins for SPIN_NS, so that the next sweep finds it awake
+ * (a sleeping helper joined sweeps too late to help), then sleeps on a
  * condition variable.
  *
  * No helper starts where sched_getaffinity allows fewer than 2 CPUs (or
@@ -417,16 +414,22 @@ static struct {
     atomic_int owner;        /* pid of the process whose sweep holds the helper, or 0 */
     pid_t pid;               /* the process the helper runs in, 0 before the first */
     int running;             /* whether that process has a helper */
-    Job *_Atomic posted;     /* the job to join, or NULL */
-    atomic_ulong seq;        /* counts the jobs posted */
-    atomic_int inside;       /* 1 while the helper may read the posted job */
+    Sweep *_Atomic posted;   /* the sweep to join, or NULL */
+    atomic_ulong seq;        /* counts the sweeps posted */
+    atomic_int inside;       /* 1 while the helper may read the posted sweep */
     atomic_int sleeping;     /* 1 while the helper waits on `wake` */
     pthread_mutex_t lock;
     pthread_cond_t wake;
 } helper;
 
-/* whether a job after `seen` is posted within SPIN_NS; the spin yields, so
- * that a thread runnable on the helper's CPU goes first */
+/* a test seam between the helper's store of `inside` and its load of the
+ * posted sweep, empty in the library (tests/tsan_sweeps.c widens it) */
+#ifndef HELPER_BETWEEN
+#define HELPER_BETWEEN() ((void)0)
+#endif
+
+/* whether a sweep after `seen` is posted within SPIN_NS; the spin yields,
+ * so that a thread runnable on the helper's CPU goes first */
 static int posted_soon(unsigned long seen)
 {
     struct timespec t0, t;
@@ -455,12 +458,13 @@ static void *helper_main(void *unused)
             pthread_mutex_unlock(&helper.lock);
         }
         seen = atomic_load(&helper.seq);
-        /* `inside` first: a caller that has withdrawn its job and then
-         * reads inside == 0 knows that the helper will not read that job */
+        /* `inside` first: a caller that has withdrawn its sweep and then
+         * reads inside == 0 knows that the helper will not read that sweep */
         atomic_store(&helper.inside, 1);
-        Job *job = atomic_load(&helper.posted);
-        if (job)
-            take_lines(job, job->spare);
+        HELPER_BETWEEN();
+        Sweep *sw = atomic_load(&helper.posted);
+        if (sw)
+            take_lines(sw, sw->spare);
         atomic_store(&helper.inside, 0);
     }
     return NULL;
@@ -502,9 +506,9 @@ static void start_helper(pid_t pid)
 #endif
 }
 
-/* Post the job to the helper; returns 0 when the sweep runs alone (one
- * CPU, no helper, or another sweep holds it). */
-static int post_job(Job *job)
+/* Post the sweep to the helper; returns 0 when it runs alone (one CPU, no
+ * helper, or another sweep holds it). */
+static int post_sweep(Sweep *sw)
 {
     pid_t pid = getpid();
     int holder = atomic_load(&helper.owner);
@@ -517,7 +521,7 @@ static int post_job(Job *job)
         atomic_store(&helper.owner, 0);
         return 0;
     }
-    atomic_store(&helper.posted, job);
+    atomic_store(&helper.posted, sw);
     atomic_fetch_add(&helper.seq, 1);
     if (atomic_load(&helper.sleeping)) {
         pthread_mutex_lock(&helper.lock);
@@ -527,9 +531,9 @@ static int post_job(Job *job)
     return 1;
 }
 
-/* Withdraw the posted job once the caller has no chunk left to take, and
+/* Withdraw the posted sweep once the caller has no chunk left to take, and
  * wait for the chunk the helper may still be sweeping. */
-static void withdraw_job(void)
+static void withdraw_sweep(void)
 {
     atomic_store(&helper.posted, NULL);
     while (atomic_load(&helper.inside))
@@ -537,17 +541,12 @@ static void withdraw_job(void)
     atomic_store(&helper.owner, 0);
 }
 
-/* One axis.  u: padded cell 0 of the sweep axis at rank 0 and the first
- * interior transverse cell; ustr: element strides of (component, rank,
- * sweep axis, transverse 1, transverse 2).  out, ostr: the same for interior
- * cell 0.  shape: (ranks, n, T1, T2), with n interior cells along the sweep.
- * Returns the status of the first line that fails, whose rank is left in
- * *stop_rank (the last rank when none fails). */
-static int sweep(const Scheme *s, int dim, int ghost, const double *u, const long *ustr,
-                 double *out, const long *ostr, const long *shape, int check,
-                 long *stop_rank)
+/* Sweep every line of sw, shared with the helper when it is large enough.
+ * Returns the status of the first line that fails, and leaves its rank in
+ * st->stop_rank (the last rank when none fails). */
+static int run_sweep(Sweep *sw)
 {
-    long n = shape[1], ncomp = dim + 2, lines = shape[0] * shape[2] * shape[3];
+    long n = sw->n, ncomp = sw->st->dim + 2, ghost = sw->st->ghost, lines = sw->lines;
     int shareable = lines > CHUNK_LINES && lines * (n + 1) >= SHARE_MIN_FACES;
     /* the line scratch (see work_init) of the caller, and of the helper
      * when it may join */
@@ -559,43 +558,22 @@ static int sweep(const Scheme *s, int dim, int ghost, const double *u, const lon
     work_init(&w[0], buf, ncomp, n, ghost);
     if (shareable)
         work_init(&w[1], buf + size, ncomp, n, ghost);
-    Job job = {
-        .s = s, .line_sweep = dim == 1 ? sweep_1d : dim == 2 ? sweep_2d : sweep_3d,
-        .spare = &w[1], .ghost = ghost, .check = check, .u = u, .ustr = ustr, .out = out,
-        .ostr = ostr, .n = n, .T1 = shape[2], .T2 = shape[3], .lines = lines,
-    };
-    atomic_init(&job.next, 0);
-    atomic_init(&job.failed, lines * 8);
-    int shared = shareable && post_job(&job);
-    take_lines(&job, &w[0]);
+    sw->spare = &w[1];
+    atomic_init(&sw->next, 0);
+    atomic_init(&sw->failed, lines * 8);
+    int shared = shareable && post_sweep(sw);
+    take_lines(sw, &w[0]);
     if (shared)
-        withdraw_job();
+        withdraw_sweep();
     free(buf);
-    long failed = atomic_load(&job.failed);
-    *stop_rank = (failed < lines * 8 ? failed / 8 : lines - 1) / (job.T1 * job.T2);
+    long failed = atomic_load(&sw->failed);
+    sw->st->stop_rank = (failed < lines * 8 ? failed / 8 : lines - 1) / (sw->T1 * sw->T2);
     return failed < lines * 8 ? (int)(failed % 8) : STATUS_OK;
 }
 
 /* ------------------------------------------------------------------------
- * One run's stack
+ * The entry points on one run's stack
  * ------------------------------------------------------------------------ */
-
-/* The padded state of R equal subdomains, its buffers and the scheme, as
- * conslaw.numerics.EulerStack fills them once per run.  Arrays are indexed
- * (component, rank, z, y, x); a spatial axis past `dim` has one cell, no
- * ghosts and stride 0. */
-typedef struct {
-    double *u;            /* the padded state at cell 0 of every axis */
-    double *res;          /* the residual, contiguous */
-    double *start;        /* rk_stage: the state at the start of the step, like res */
-    double *maxima;       /* cell_pass: the wave speed maximum of each axis */
-    long ustr[5];         /* element strides of u */
-    long ranks, cells[3]; /* interior cells along x, y and z */
-    int dim, ghost, weno, hllc;
-    double epsilon, d0, d1, gamma, gm1, floor, delta[3];
-    long stop_rank;       /* euler_residual: the rank and the axis of the */
-    int stop_axis;        /* line it stopped at */
-} Stack;
 
 /* the extent of interior array axis a = 2, 3, 4 (z, y, x) */
 INLINE long extent(const Stack *st, int a) { return st->cells[4 - a]; }
@@ -625,25 +603,24 @@ static void interior_strides(const Stack *st, long *str)
  * st->stop_axis and st->stop_rank. */
 int euler_residual(Stack *st)
 {
-    int dim = st->dim;
     long rstr[5];
     interior_strides(st, rstr);
-    memset(st->res, 0, sizeof(double) * rstr[0] * (dim + 2));
-    for (int axis = 0; axis < dim; axis++) {
+    memset(st->res, 0, sizeof(double) * rstr[0] * (st->dim + 2));
+    for (int axis = 0; axis < st->dim; axis++) {
         int ax = 4 - axis, t[2], nt = 0;
         for (int a = 2; a <= 4; a++)
             if (a != ax)
                 t[nt++] = a;
-        Scheme s = {axis, st->weno, st->hllc, st->epsilon, st->d0, st->d1,
-                    st->gamma, st->gm1, st->floor, st->delta[axis]};
-        const double *u = st->u + offset(st, t[0]) * st->ustr[t[0]]
-                                + offset(st, t[1]) * st->ustr[t[1]];
-        long ustr[5] = {st->ustr[0], st->ustr[1], st->ustr[ax], st->ustr[t[0]], st->ustr[t[1]]};
-        long ostr[5] = {rstr[0], rstr[1], rstr[ax], rstr[t[0]], rstr[t[1]]};
-        long shape[4] = {st->ranks, st->cells[axis], extent(st, t[0]), extent(st, t[1])};
+        long T1 = extent(st, t[0]), T2 = extent(st, t[1]);
+        Sweep sw = {
+            .st = st, .axis = axis, .check = axis == 0, .out = st->res,
+            .u = st->u + offset(st, t[0]) * st->ustr[t[0]] + offset(st, t[1]) * st->ustr[t[1]],
+            .ustr = {st->ustr[0], st->ustr[1], st->ustr[ax], st->ustr[t[0]], st->ustr[t[1]]},
+            .ostr = {rstr[0], rstr[1], rstr[ax], rstr[t[0]], rstr[t[1]]},
+            .n = st->cells[axis], .T1 = T1, .T2 = T2, .lines = st->ranks * T1 * T2,
+        };
         st->stop_axis = axis;
-        int status = sweep(&s, dim, st->ghost, u, ustr, st->res, ostr, shape, axis == 0,
-                           &st->stop_rank);
+        int status = run_sweep(&sw);
         if (status)
             return status;
     }

@@ -21,6 +21,7 @@ from .grid import GridSpec, total_integral
 from .iodsl import eval_init, parse_config
 from .iodsl.config import check_workers
 from .iodsl.output import OutputHeader, write_csv, write_snapshot, write_stats
+from .parallel import local_grid
 from .presets import PRESETS
 from .solver import run_simulation
 from .uq import (
@@ -73,6 +74,8 @@ def _parse_ranks(text: str, dim: int) -> tuple:
 
 def cmd_run(args) -> int:
     cfg = _load_config(args.config)
+    ranks = _parse_ranks(args.ranks, cfg.grid.dim) if args.ranks else cfg.ranks_per_axis
+    local_grid(cfg.grid, ranks)
     plan = cfg.uq.plan(cfg.grid, args.seed)
     header = OutputHeader(cfg.digest, plan.seed, sample=0)
     outdir = _output_dir(args, cfg)
@@ -83,7 +86,6 @@ def cmd_run(args) -> int:
         cfg.initial_exprs, model, cfg.grid, draw_sample(plan, 0),
         primitive=cfg.initial_primitive,
     )
-    ranks = _parse_ranks(args.ranks, cfg.grid.dim) if args.ranks else cfg.ranks_per_axis
     names = model.component_names
 
     pending = sorted(cfg.output.snapshot_times)
@@ -227,6 +229,16 @@ def cmd_bench(args) -> int:
     if steps < 1:
         raise ConfigError(f"--steps must be >= 1, got {steps}")
     warmup = min(5, steps - 1)
+    # every layout and its global grid, checked before the first run
+    runs = []
+    for K in ks:
+        ranks = _layout_ranks(args.layout, K, dim)
+        cells = tuple(n * r for n, r in zip(cfg.grid.cells, ranks))
+        grid = GridSpec(
+            dim, cells, cfg.grid.origin, cfg.grid.extent, cfg.grid.ghost_width
+        )
+        local_grid(grid, ranks)
+        runs.append((K, ranks, grid))
     plan = cfg.uq.plan(cfg.grid, args.seed)
     vector = draw_sample(plan, 0)
     header = OutputHeader(cfg.digest, plan.seed, sample=0)
@@ -237,12 +249,7 @@ def cmd_bench(args) -> int:
     model = cfg.scheme.model
     rows = []
     means = {}
-    for K in ks:
-        ranks = _layout_ranks(args.layout, K, dim)
-        cells = tuple(n * r for n, r in zip(cfg.grid.cells, ranks))
-        grid = GridSpec(
-            dim, cells, cfg.grid.origin, cfg.grid.extent, cfg.grid.ghost_width
-        )
+    for K, ranks, grid in runs:
         init = eval_init(
             cfg.initial_exprs, model, grid, vector, primitive=cfg.initial_primitive
         )

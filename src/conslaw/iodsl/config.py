@@ -98,8 +98,8 @@ class UqSettings:
         built = {f.name: f for f in (
             Histogram(probes, self.histogram_component, *self.histogram_range,
                       self.histogram_bins),
-            # an outflow axis bounds the offset only where the functional
-            # runs: the default offset is longer than a small grid
+            # the grid bounds the offset only where the functional runs:
+            # the default offset is longer than a small grid
             StructureFunctionAccumulator(
                 self.structure_p, self.structure_max_offset, self.structure_component,
                 grid, bc if "structure_function" in self.functionals else (),

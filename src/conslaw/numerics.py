@@ -30,7 +30,9 @@ one call for all axes: it zeroes the residual buffer and sweeps each axis
 line by line (reconstruction, one primitive pass per face side, the
 first-order positivity fallback, the HLLC or Rusanov flux and the flux
 difference), checking while the first axis loads its lines that every
-interior cell is physical.  The reconstruction rounds like
+interior cell is physical.  The kernel describes each axis sweep by one
+``Sweep`` (the axis, its strides and line counts) and reads the scheme from
+the stack structure itself.  The reconstruction rounds like
 ``reconstruct_axis``, every face value like the face-by-face reference of
 ``tests/oracles.py`` (up to the sign of a zero), both stacks' combination
 like that file's SSP Runge-Kutta step and the maxima like

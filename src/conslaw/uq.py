@@ -247,7 +247,9 @@ class StructureFunctionAccumulator:
     over the axes, for integer offsets h = 0..max_offset, one component.  A
     periodic axis (the default) pairs all n cells, wrapping around; an
     outflow axis of ``bc`` (one kind per axis of ``grid``, x first) pairs
-    only the n - h inside the domain, and needs max_offset < n.
+    only the n - h inside the domain.  Every axis of ``bc`` needs
+    max_offset < n: on a periodic axis offset n pairs each cell with itself,
+    and a larger one repeats a smaller one.
     """
 
     name = "structure_function"
@@ -262,11 +264,12 @@ class StructureFunctionAccumulator:
             raise ConfigError(
                 f"max offset must be >= 0, got {max_offset}", key="structure_max_offset"
             )
-        for axis, kind in enumerate(bc):
-            if kind is BoundaryKind.OUTFLOW and max_offset >= grid.cells[axis]:
+        # outflow axes are named first: there the offset leaves no pair at all
+        for axis, kind in sorted(enumerate(bc), key=lambda a: a[1] is not BoundaryKind.OUTFLOW):
+            if max_offset >= grid.cells[axis]:
                 raise ConfigError(
                     f"structure_max_offset {max_offset} leaves no pair of cells inside "
-                    f"outflow axis {axis} of {grid.cells[axis]} cells",
+                    f"{kind.value} axis {axis} of {grid.cells[axis]} cells",
                     key="structure_max_offset",
                 )
         self.p = float(p)

@@ -600,10 +600,38 @@ def test_bench_rejects_fewer_than_one_step(tmp_path, capsys):
         assert "--steps must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("layout", ["3x1", "abc"])
+def test_run_bad_rank_layout_exits_2_before_it_makes_the_output_directory(
+    tmp_path, capsys, layout
+):
+    cfg = small_kh(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--ranks", layout, "--output", str(out)]) == 2
+    assert not out.exists()
+    capsys.readouterr()
+
+
+def test_bench_checks_every_layout_before_the_first_run(tmp_path, monkeypatch, capsys):
+    def run_simulation(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(conslaw.cli, "run_simulation", run_simulation)
+    cfg = small_kh(tmp_path, cells=8)
+    cfg.write_text(cfg.read_text().replace("cells = 8 8", "cells = 1 8").replace(
+        "boundary = periodic", "boundary = outflow periodic"))
+    out = tmp_path / "out"
+    # one cell per rank along x: the serial layout passes, 2 x 1 is thinner than the ghosts
+    assert main(["bench", str(cfg), "--ranks", "1,2", "--steps", "2",
+                 "--output", str(out)]) == 2
+    assert "1 cells per rank on axis 0 is fewer than the ghost width 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_3d_layout_on_2d_config_exits_2(tmp_path, capsys):
     cfg = small_kh(tmp_path, cells=8)
     assert main([
         "bench", str(cfg), "--ranks", "1,8", "--layout", "multixmultiymultiz",
         "--steps", "2", "--output", str(tmp_path / "x"),
     ]) == 2
+    assert not (tmp_path / "x").exists()
     capsys.readouterr()

@@ -209,8 +209,14 @@ def test_structure_function_rejects_an_offset_with_no_pair_inside_an_outflow_axi
     with pytest.raises(ConfigError, match="structure_max_offset 6 leaves no pair") as err:
         StructureFunctionAccumulator(2.0, max_offset=6, grid=g, bc=bc)
     assert err.value.key == "structure_max_offset"
-    # a periodic axis wraps: any offset has pairs
-    StructureFunctionAccumulator(2.0, max_offset=9, grid=g, bc=(BoundaryKind.PERIODIC,) * 2)
+    # a periodic axis takes the same bound: offset n would pair each cell with itself
+    periodic = (BoundaryKind.PERIODIC,) * 2
+    StructureFunctionAccumulator(2.0, max_offset=5, grid=g, bc=periodic)
+    with pytest.raises(
+        ConfigError, match="structure_max_offset 9 leaves no pair of cells inside periodic axis 0"
+    ) as err:
+        StructureFunctionAccumulator(2.0, max_offset=9, grid=g, bc=periodic)
+    assert err.value.key == "structure_max_offset"
 
 
 # ---------------------------------------------------------------------------
