@@ -18,35 +18,40 @@ gives the values of evaluating each face on its own stencil.
 A run steps one object, its ``Stack``: the state (a field, or a stack of
 subdomains with a rank axis after the components) with the buffers a step
 needs, ``residual``, ``start`` (the state at the start of the step) and
-``maxima``, all made once per run.  Both kinds answer the same three calls:
-``compute_residual``, ``stage(dt, a, b)`` (the SSP-RK combination) and
-``cell_pass`` (the end-of-step check that every cell is finite and physical,
-and the per-axis CFL maxima).  ``ScalarStack`` serves Burgers and advection
-with the numpy functions below.  ``EulerStack`` serves the Euler equations,
-whose fluxes have one implementation, the C kernel ``_faces.c``: the
-pointers, strides, shapes and scheme scalars of every call go into one ctypes
-structure, which each call passes unchanged.  Its ``compute_residual`` is
-one call for all axes: it zeroes the residual buffer and sweeps each axis
-line by line (reconstruction, one primitive pass per face side, the
-first-order positivity fallback, the HLLC or Rusanov flux and the flux
-difference), checking while the first axis loads its lines that every
-interior cell is physical.  The kernel describes each axis sweep by one
-``Sweep`` (the axis, its strides and line counts) and reads the scheme from
-the stack structure itself.  The reconstruction rounds like
+``maxima``, and its halo plan (``parallel.halo_plan``), all made once per
+run.  The time loop makes one call per step, ``step(dt)``: per SSP-RK stage
+the halo pass, ``compute_residual`` and ``stage(dt, a, b)`` (the
+combination), then ``cell_pass`` (the end-of-step check that every cell is
+finite and physical, and the per-axis CFL maxima).  ``ScalarStack`` serves
+Burgers and advection with the numpy functions below, stage by stage.
+``EulerStack`` serves the Euler equations, whose fluxes have one
+implementation, the C kernel ``_faces.c``, and its step is one kernel call:
+the pointers, strides, shapes, line scratch, halo copies and scheme scalars
+go into one ctypes structure, which each call passes unchanged.  The halo
+pass runs the plan's slab copies from their offsets, shapes and strides; the
+residual sweeps each axis line by line (reconstruction, one primitive pass
+per face side, the first-order positivity fallback, the HLLC or Rusanov flux
+and the flux difference), checking while the first axis loads its lines
+that every interior cell is physical.  The kernel describes each axis sweep
+by one ``Sweep`` (the axis, its strides and line counts) and reads the
+scheme from the stack structure itself.  The reconstruction rounds like
 ``reconstruct_axis``, every face value like the face-by-face reference of
 ``tests/oracles.py`` (up to the sign of a zero), both stacks' combination
 like that file's SSP Runge-Kutta step and the maxima like
-``equations.max_wave_speeds``.
+``equations.max_wave_speeds``.  The parts of a step stay callable one by
+one (``halo_pass``, ``compute_residual``, ``stage``, ``cell_pass``); a
+step that fails leaves what that sequence of calls would.
 
-An axis sweep of at least ``SHARE_MIN_FACES`` faces (1024 in ``_faces.c``;
-a 32x32 sweep has 1056) shares its lines with one helper pthread that the
-kernel starts on the first such sweep and keeps, on the allowed CPUs other
-than the caller's; the helper spins for ``SPIN_NS`` (1 ms) after each job,
-then sleeps.  Each line is swept by one thread and the lowest failing line
-decides the status and the rank, so every output bit and every failure is
-that of one thread.  No helper starts where ``sched_getaffinity`` allows
-fewer than 2 CPUs, and a forked child starts its own.  Python starts no
-thread.
+On a stack whose sweeps have at least ``SHARE_MIN_FACES`` faces (1024 in
+``_faces.c``; a 32x32 sweep has 1056) the kernel shares each call, a step
+with all its phases, with one helper pthread that it starts on the first
+such call and keeps, on the allowed CPUs other than the caller's; the helper
+spins for ``SPIN_NS`` (1 ms) after each call, then sleeps.  Each line is
+computed by one thread, each thread keeps its own maxima, and the lowest
+failing line decides the status and the rank, so every output bit and every
+failure is that of one thread.  No helper starts where
+``sched_getaffinity`` allows fewer than 2 CPUs, and a forked child starts
+its own.  Python starts no thread.
 
 ``face_kernel`` builds the kernel on the first use with gcc (or cc), caches
 the library in ``__pycache__/faces-<hash>.so`` next to this file (in a
@@ -77,6 +82,7 @@ from .equations import (
 )
 from .errors import ConfigError
 from .grid import Field, slab
+from .parallel import exchange_halos
 
 
 class ReconstructionKind(Enum):
@@ -209,28 +215,63 @@ def rusanov_flux(model: EquationModel, faces: FacePair, axis: int) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 
+#: (a, b) of each SSP-RK stage after the first: u <- a u0 + b (u + dt L(u)),
+#: where u0 is the state at the start of the step
+SSP_STAGES = {1: (), 2: ((0.5, 0.5),), 3: ((0.75, 0.25), (1.0 / 3.0, 2.0 / 3.0))}
+
+def _aligned_empty(shape) -> np.ndarray:
+    """An uninitialised float64 array that starts on a 64-byte cache line,
+    so that threads writing rows of 8 elements apart never share a line."""
+    size = int(np.prod(shape))
+    raw = np.empty(size + 8)
+    skip = (-raw.ctypes.data % 64) // raw.itemsize
+    return raw[skip : skip + size].reshape(shape)
+
+
+#: ``Stack.step``'s status when a cell fails the end-of-step pass
+#: (``STATUS_CELL_PASS`` in ``_faces.c``)
+STEP_CELLS = 8
+
+
 class Stack(Field):
     """A run's state with the buffers of its steps, made once per run.
 
     A field, or a stack of subdomains with a rank axis after the components,
-    for the solver's scheme ``cfg``.  The time loop makes three calls:
-    ``compute_residual`` fills ``residual`` and returns 0 or a failure
-    status, ``stage(dt, a, b)`` is one SSP-RK stage of the interior in place,
-    and ``cell_pass`` checks that every interior cell is finite and physical,
-    returns 0 or 1, and fills ``maxima`` with the per-axis maximum wave
-    speed.  A first stage (``a`` is None) is ``u + dt residual``, and saves
-    the state into ``start`` first when ``cfg.rk_order`` is above 1; a later
-    one is ``a start + b (u + dt residual)``.  Every value rounds as the
-    reference SSP Runge-Kutta step of ``tests/oracles.py``.  The state must
-    be changed in place only, never replaced.
+    for the solver's scheme ``cfg``, with ``halo``, the slab copies of its
+    halo pass (``parallel.halo_plan``; none for a field whose ghosts are
+    filled by its caller).  The time loop makes one call per step,
+    ``step(dt)``: per SSP-RK stage the halo pass, ``compute_residual`` (which
+    fills ``residual`` and returns 0 or a failure status) and ``stage(dt, a,
+    b)`` (the combination of the interior in place), then ``cell_pass``
+    (which checks that every interior cell is finite and physical, returns 0
+    or 1, and fills ``maxima`` with the per-axis maximum wave speed).  A
+    first stage (``a`` is None) is ``u + dt residual``, and saves the state
+    into ``start`` first when ``cfg.rk_order`` is above 1; a later one is
+    ``a start + b (u + dt residual)``.  Every value rounds as the reference
+    SSP Runge-Kutta step of ``tests/oracles.py``.  The state must be changed
+    in place only, never replaced.
     """
 
-    def __init__(self, field: Field, cfg):
+    def __init__(self, field: Field, cfg, halo=()):
         super().__init__(field.grid, field.ncomp, field.data)
         self.cfg = cfg
-        self.residual = np.empty(self.interior.shape)
-        self.start = np.empty(self.interior.shape)
+        self.halo = halo
+        self.residual = _aligned_empty(self.interior.shape)
+        self.start = _aligned_empty(self.interior.shape)
         self.maxima = np.empty(field.grid.dim)
+
+    def step(self, dt: float) -> int:
+        """One SSP-RK step, then the cell pass.  Returns 0, ``STEP_CELLS``
+        when a cell fails the cell pass, or the status of the residual that
+        fails; the state is then that of the stage before it, with its
+        ghosts filled."""
+        for a, b in ((None, None),) + SSP_STAGES[self.cfg.rk_order]:
+            exchange_halos(self.halo)
+            status = self.compute_residual()
+            if status:
+                return status
+            self.stage(dt, a, b)
+        return STEP_CELLS if self.cell_pass() else 0
 
 
 class ScalarStack(Stack):
@@ -278,42 +319,105 @@ _SOURCE = Path(__file__).with_name("_faces.c")
 # No flag may change a rounded value: no fast-math and no fused multiply-add.
 # -O3 vectorizes the loops over the faces of a line and -fno-math-errno lets
 # sqrt vectorize; IEEE operations round the same in vector registers.
+# -fno-thread-jumps keeps the HLLC loop, whose selects share one condition,
+# from being split into two branches, so that it vectorizes.  -march=native
+# uses the host's vector width (a 64x64 residual on one CPU ran 1.26x as fast
+# with AVX-512 as with SSE2), so the cache key carries the host's CPU.
 _CFLAGS = (
-    "-O3", "-fno-fast-math", "-fno-math-errno", "-ffp-contract=off", "-fPIC", "-shared",
-    "-pthread",
+    "-O3", "-march=native", "-fno-fast-math", "-fno-math-errno", "-ffp-contract=off",
+    "-fno-thread-jumps", "-fPIC", "-shared", "-pthread",
+)
+
+#: the /proc/cpuinfo fields that name what -march=native builds for (x86,
+#: then ARM); the clock and the counters that vary are left out
+_CPU_FIELDS = (
+    b"vendor_id", b"cpu family", b"model", b"stepping", b"flags",
+    b"CPU implementer", b"CPU architecture", b"CPU variant", b"CPU part", b"Features",
 )
 
 
-class FaceKernel(NamedTuple):
-    """The entry points of ``_faces.c``: the residual, SSP-RK stage and
-    end-of-step cell pass of an ``EulerStack``."""
+def _host_cpu() -> bytes:
+    """The host CPU as the library cache key needs it: its identity and
+    feature flags (of the first CPU in /proc/cpuinfo), else, off Linux, the
+    name of its processor."""
+    try:
+        with open("/proc/cpuinfo", "rb") as fh:
+            first = fh.read().split(b"\n\n")[0]
+    except OSError:
+        return platform.processor().encode()
+    return b"\n".join(
+        line for line in first.splitlines() if line.split(b":")[0].strip() in _CPU_FIELDS
+    )
 
+
+class FaceKernel(NamedTuple):
+    """The entry points of ``_faces.c`` on an ``EulerStack``: the whole
+    step, its parts (the halo pass, the residual, one SSP-RK stage and the
+    end-of-step cell pass) and the size of the line scratch."""
+
+    step: Callable
+    halo: Callable
     residual: Callable
     stage: Callable
     cells: Callable
+    scratch: Callable
 
 
 #: the C names of ``FaceKernel``'s fields, in order
-_ENTRY_POINTS = ("euler_residual", "rk_stage", "cell_pass")
+_ENTRY_POINTS = (
+    "euler_step", "halo_pass", "euler_residual", "rk_stage", "cell_pass", "line_scratch",
+)
 
 
 class _StackArgs(ctypes.Structure):
-    """The ``Stack`` of ``_faces.c``: one run's arrays and scheme."""
+    """The ``Stack`` of ``_faces.c``: one run's arrays, halo plan and scheme."""
 
     _fields_ = [
-        ("u", ctypes.c_void_p),
-        ("res", ctypes.c_void_p),
-        ("start", ctypes.c_void_p),
-        ("maxima", ctypes.c_void_p),
+        *((name, ctypes.c_void_p) for name in ("u", "res", "start", "maxima", "scratch", "halo")),
+        ("copies", ctypes.c_long),
         ("ustr", ctypes.c_long * 5),
         ("ranks", ctypes.c_long),
         ("cells", ctypes.c_long * 3),
-        *((name, ctypes.c_int) for name in ("dim", "ghost", "weno", "hllc")),
+        *((name, ctypes.c_int) for name in ("dim", "ghost", "weno", "hllc", "stages")),
         *((name, ctypes.c_double) for name in ("epsilon", "d0", "d1", "gamma", "gm1", "floor")),
-        ("delta", ctypes.c_double * 3),
+        *((name, ctypes.c_double * 3) for name in ("delta", "a", "b")),
         ("stop_rank", ctypes.c_long),
         ("stop_axis", ctypes.c_int),
+        ("stop_stage", ctypes.c_int),
     ]
+
+
+#: the axes of a slab copy in ``_faces.c`` (``HALO_AXES``)
+_HALO_AXES = 7
+
+#: the lowest and one past the highest byte address of an array (moved to
+#: ``numpy.lib.array_utils`` by numpy 2)
+_byte_bounds = getattr(np.lib, "array_utils", np).byte_bounds
+
+
+def _halo_copies(data: np.ndarray, plan) -> np.ndarray:
+    """The slab copies of a halo plan over ``data`` as the ``Copy`` rows of
+    ``_faces.c``: the element offsets of destination and source from
+    ``data``, then the shape and both element strides, each padded in front
+    to ``_HALO_AXES`` axes (a broadcast source has stride 0)."""
+    base, size = data.ctypes.data, data.itemsize
+    lo, hi = _byte_bounds(data)
+    rows = []
+    for dst, src in plan:
+        if dst.shape != src.shape or dst.dtype != data.dtype or src.dtype != data.dtype:
+            raise ValueError("a halo copy needs a source of the destination's shape and dtype")
+        for view in (dst, src):
+            first, last = _byte_bounds(view)
+            if first < lo or last > hi:
+                raise ValueError("a halo copy must lie within the stack's state")
+        pad = _HALO_AXES - dst.ndim
+        rows.append([
+            (dst.ctypes.data - base) // size, (src.ctypes.data - base) // size,
+            *(1,) * pad, *dst.shape,
+            *(0,) * pad, *(s // size for s in dst.strides),
+            *(0,) * pad, *(s // size for s in src.strides),
+        ])
+    return np.array(rows, dtype=np.int64).reshape(len(rows), 2 + 3 * _HALO_AXES)
 
 
 def _intact(lib: Path) -> bool:
@@ -327,8 +431,9 @@ def _intact(lib: Path) -> bool:
 
 
 def _load_face_kernel(cache_dir: Path):
-    """Build ``_faces.c`` into ``cache_dir`` (once per source, flags and
-    machine) and load its entry points as a ``FaceKernel``.  A damaged
+    """Build ``_faces.c`` into ``cache_dir`` (once per source, flags,
+    machine and host CPU, so that a shared checkout never loads a library
+    built for another CPU) and load its entry points as a ``FaceKernel``.  A damaged
     cached library is rebuilt.  Raises ConfigError naming the missing
     compiler or source, or the failed build."""
     compiler = shutil.which("gcc") or shutil.which("cc")
@@ -340,6 +445,7 @@ def _load_face_kernel(cache_dir: Path):
         raise ConfigError(f"Euler runs need the face sweep source, but {_SOURCE} is missing")
     key = hashlib.sha256(
         _SOURCE.read_bytes() + " ".join(_CFLAGS).encode() + platform.machine().encode()
+        + _host_cpu()
     ).hexdigest()
     private = None
     try:
@@ -373,11 +479,15 @@ def _load_face_kernel(cache_dir: Path):
         if private is not None:
             shutil.rmtree(private, ignore_errors=True)
     stack = ctypes.POINTER(_StackArgs)
-    kernel.residual.argtypes = kernel.cells.argtypes = [stack]
-    kernel.stage.argtypes = [stack] + [ctypes.c_double] * 3 + [ctypes.c_int]
-    kernel.stage.restype = None
-    for entry in (kernel.residual, kernel.cells):
-        entry.restype = ctypes.c_int
+    for entry, args, result in (
+        (kernel.step, [stack, ctypes.c_double], ctypes.c_int),
+        (kernel.halo, [stack], None),
+        (kernel.residual, [stack], ctypes.c_int),
+        (kernel.stage, [stack] + [ctypes.c_double] * 3 + [ctypes.c_int], None),
+        (kernel.cells, [stack], ctypes.c_int),
+        (kernel.scratch, [stack], ctypes.c_long),
+    ):
+        entry.argtypes, entry.restype = args, result
     return kernel
 
 
@@ -392,10 +502,9 @@ def face_kernel():
     return _load_face_kernel(_CACHE_DIR)
 
 
-#: the sweeps' statuses for a degenerate HLLC wave fan and for line buffers
-#: they could not allocate (``STATUS_*`` in ``_faces.c``); 1 is an
-#: unphysical face state, 4 an unphysical interior cell
-SWEEP_DEGENERATE, SWEEP_NOMEM = 2, 3
+#: the status of a sweep for a degenerate HLLC wave fan (``STATUS_*`` in
+#: ``_faces.c``); 1 is an unphysical face state, 4 an unphysical interior cell
+SWEEP_DEGENERATE = 2
 
 
 #: the modes of ``rk_stage`` in ``_faces.c``: the first stage of a step,
@@ -406,13 +515,15 @@ _RK_FIRST, _RK_FIRST_SAVE, _RK_LATER = 0, 1, 2
 class EulerStack(Stack):
     """A run's stack of Euler subdomains bound to the compiled kernel.
 
-    The pointers, strides and shapes of the state and of the buffers, and
-    the scheme scalars, go into one ctypes structure when the stack is made,
-    once per run; every call passes that structure unchanged.  ``cfg``'s
-    model, flux, reconstruction and RK order are read.
+    The pointers, strides and shapes of the state and of the buffers, the
+    line scratch of both kernel threads, the slab copies of the halo pass
+    and the scheme scalars go into one ctypes structure when the stack is
+    made, once per run; every call passes that structure unchanged, and a
+    step is one call.  ``cfg``'s model, flux, reconstruction and RK order
+    are read.
     """
 
-    def __init__(self, field: Field, cfg):
+    def __init__(self, field: Field, cfg, halo=()):
         grid, model, recon = field.grid, cfg.model, cfg.recon
         data = field.data if field.data.ndim > grid.dim + 1 else field.data[:, None]
         if data.dtype != np.float64 or data.shape[:1] + data.shape[2:] != (
@@ -422,33 +533,57 @@ class EulerStack(Stack):
                 f"an Euler stack needs a float64 state of {model.ncomp} components on "
                 f"{grid.data_shape}, got {field.data.dtype} {field.data.shape}"
             )
-        super().__init__(field, cfg)
+        super().__init__(field, cfg, halo)
         self._kernel = face_kernel()
         self._first = _RK_FIRST_SAVE if cfg.rk_order > 1 else _RK_FIRST
+        self._copies = _halo_copies(data, halo)
         pad = 3 - grid.dim
         strides = [s // data.itemsize for s in data.strides]
+        later = SSP_STAGES[cfg.rk_order]
         args = _StackArgs(
             u=data.ctypes.data, res=self.residual.ctypes.data, start=self.start.ctypes.data,
-            maxima=self.maxima.ctypes.data,
+            maxima=self.maxima.ctypes.data, halo=self._copies.ctypes.data,
+            copies=len(self._copies),
             ustr=(ctypes.c_long * 5)(*strides[:2], *(0,) * pad, *strides[2:]),
             ranks=data.shape[1], cells=(ctypes.c_long * 3)(*grid.cells, *(1,) * pad),
             dim=grid.dim, ghost=grid.ghost_width,
             weno=recon.kind is not ReconstructionKind.NONE, hllc=cfg.flux is FluxKind.HLLC,
+            stages=1 + len(later),
             epsilon=recon.epsilon, gamma=model.gamma, gm1=model.gamma - 1.0,
             floor=POSITIVITY_FLOOR, delta=(ctypes.c_double * 3)(*grid.deltas, *(0.0,) * pad),
+            a=(ctypes.c_double * 3)(0.0, *(a for a, _ in later)),
+            b=(ctypes.c_double * 3)(0.0, *(b for _, b in later)),
         )
         args.d0, args.d1 = IDEAL_WEIGHTS.get(recon.kind, (0.0, 0.0))
-        self._args = args
         self._ref = ctypes.byref(args)
+        # the line scratch of the caller and of the helper thread
+        self._scratch = np.empty(2 * self._kernel.scratch(self._ref))
+        args.scratch = self._scratch.ctypes.data
+        self._args = args
 
     @property
     def stop(self) -> tuple:
-        """``(axis, rank)`` of the line at which ``compute_residual`` stopped."""
+        """``(axis, rank)`` of the line at which a residual stopped."""
         return self._args.stop_axis, self._args.stop_rank
 
+    @property
+    def stop_stage(self) -> int:
+        """The stage (from 0) whose residual stopped ``step``."""
+        return self._args.stop_stage
+
+    def step(self, dt: float) -> int:
+        """The whole step in one kernel call, shared with the kernel's
+        helper thread on large stacks; see ``Stack.step``."""
+        return self._kernel.step(self._ref, dt)
+
+    def halo_pass(self) -> None:
+        """The stack's halo pass, run by the kernel: the copies of
+        ``exchange_halos(self.halo)``, in order."""
+        self._kernel.halo(self._ref)
+
     def compute_residual(self) -> int:
-        """Zero ``residual``, then sweep every axis, the first sweep checking
-        that every interior cell is physical.  Returns 0, or the ``SWEEP_*``
+        """Sweep every axis into ``residual``, the first sweep checking that
+        every interior cell is physical.  Returns 0, or the ``SWEEP_*``
         status of the first line that failed (see ``stop``); ``residual`` is
         then partly updated."""
         return self._kernel.residual(self._ref)

@@ -14,8 +14,9 @@ threads cost more than they save.
 Scatter and stitch are a reshape and a transpose of the interior, ``(c,
 Ry*ly, Rx*lx) <-> (c, Ry, Rx, ly, lx)`` in 2D.  A halo pass is a list of
 slab copies between views of the rank-grid view (``halo_plan``), built once
-when a run binds its stack and run each stage by ``exchange_halos``.  A
-serial run's pass is the plan of the 1x...x1 layout, and so is
+when a run binds its stack and run each stage by ``exchange_halos``, or, for
+an Euler stack, by the compiled kernel from the views' offsets, shapes and
+strides.  A serial run's pass is the plan of the 1x...x1 layout, and so is
 ``fill_boundary``, which fills the ghosts of a plain field.
 """
 
@@ -93,9 +94,10 @@ def halo_plan(stack: Field, ranks, bc) -> list:
     ranks [0, r-1), and the high ghosts of ranks [0, r-1) the first interior
     cells of ranks [1, r).  A periodic end is the same copy between rank r-1
     and rank 0 (with r = 1, the serial wrap); an outflow end repeats the
-    nearest interior cell, on the end ranks only.  A slab spans the padded
-    extent of the other axes, so corners fill transitively, and no slab is
-    written twice.
+    nearest interior cell, on the end ranks only (its source is that cell,
+    broadcast to the shape of the ghost slab, so every source has the shape
+    of its destination).  A slab spans the padded extent of the other axes,
+    so corners fill transitively, and no slab is written twice.
     """
     g, view, plan = stack.grid.ghost_width, _rank_grid(stack.data, ranks), []
     for axis, (n, r, kind) in enumerate(zip(stack.grid.cells, ranks, bc)):
@@ -113,7 +115,8 @@ def halo_plan(stack: Field, ranks, bc) -> list:
             (cells(n + g, n + 2 * g, r - 1, r),
              cells(g, 2 * g, 0, 1) if periodic else cells(n + g - 1, n + g, r - 1, r)),
         ]
-        plan += [(dst, src) for dst, src in pairs if dst.size]
+        # an outflow source is one cell thick, broadcast to the ghost slab
+        plan += [(dst, np.broadcast_to(src, dst.shape)) for dst, src in pairs if dst.size]
     return plan
 
 

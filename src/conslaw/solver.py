@@ -2,25 +2,25 @@
 
 The residual of cell i is -sum_k (F_{i+1/2 e_k} - F_{i-1/2 e_k}) / delta_k,
 with each interface flux computed once and shared by both neighbours.  A run
-binds its state to one ``numerics.Stack`` (``bind_stack``): a
+binds its state to one ``numerics.Stack`` (``bind_stack``), with the slab
+copies of its halo pass (``parallel.halo_plan``, built once): a
 ``ScalarStack`` for Burgers and advection, an ``EulerStack`` for Euler, which
 runs in the compiled kernel of ``_faces.c`` alone, so an Euler run needs a C
 compiler (``check_scheme`` builds the kernel before any step).  The stack
 owns the buffers of a step, the residual, the state at the start of the step
 and the CFL maxima, and the time loop talks to it alone.  ``ssp_rk_step`` is
-the one stage loop of every model: per stage one halo pass (the slab copies
-of the run's ``parallel.halo_plan``, built once), one
-``spatial_residual`` (the stack's ``compute_residual``) and one
-``stage``; each step ends with the stack's ``cell_pass``, which checks the
-state and takes the CFL maxima (``wave_speed_maxima``).  The kernel shares
-the lines of a large sweep with one helper thread of its own (from 32x32
-cells on; see ``conslaw.numerics``), on the CPUs other than the caller's and
-only where the process may use two; the output bits and every failure are
-those of one thread.  The numpy checks run only when a stack reports a
-failure, to name the rank and the cell or face.  ``run_simulation`` is the
-one entry point of a solve: it runs serial and decomposed runs through the
-same time loop, a serial run being the layout with one rank per axis (see
-``conslaw.parallel``).
+one step of every model, the stack's ``step``: per stage one halo pass, one
+residual (what ``spatial_residual`` computes) and one combination, then the
+cell pass, which checks the state and takes the CFL maxima (as
+``wave_speed_maxima`` does); for Euler that is one kernel call.  The kernel
+shares the lines of each phase of a large step with one helper thread of
+its own (from 32x32 cells on; see ``conslaw.numerics``), on the CPUs other
+than the caller's and only where the process may use two; the output bits
+and every failure are those of one thread.  The numpy checks run only when
+a stack reports a failure, to name the rank and the cell or face.
+``run_simulation`` is the one entry point of a solve: it runs serial and
+decomposed runs through the same time loop, a serial run being the layout
+with one rank per axis (see ``conslaw.parallel``).
 """
 
 from __future__ import annotations
@@ -41,9 +41,10 @@ from .errors import (
     UnphysicalStateError,
 )
 from .grid import BoundaryKind, Field, GridSpec
-from .numerics import (
+from .numerics import (  # SSP_STAGES: the coefficients of a step, re-exported
+    SSP_STAGES,
+    STEP_CELLS,
     SWEEP_DEGENERATE,
-    SWEEP_NOMEM,
     EulerStack,
     FluxKind,
     Reconstruction,
@@ -53,7 +54,7 @@ from .numerics import (
     axis_faces,
     face_kernel,
 )
-from .parallel import check_boundary, exchange_halos, halo_plan, scatter_field, stitch_fields
+from .parallel import check_boundary, halo_plan, scatter_field, stitch_fields
 
 
 @dataclass(frozen=True)
@@ -131,13 +132,14 @@ def _require_physical_faces(field: Field, cfg: SchemeConfig, axis: int) -> None:
         require_mask(side, mask, cfg.model.dim)
 
 
-def bind_stack(field: Field, cfg: SchemeConfig) -> Stack:
+def bind_stack(field: Field, cfg: SchemeConfig, halo=()) -> Stack:
     """``field`` itself when it is a run's stack made for ``cfg``, else the
-    field bound for this call to the stack of its model."""
+    field bound to the stack of its model, with the halo plan ``halo``
+    (none: a field whose ghosts its caller fills)."""
     if isinstance(field, Stack) and field.cfg is cfg:
         return field
     check_scheme(field.grid, cfg)
-    return (EulerStack if cfg.model.kind == EULER else ScalarStack)(field, cfg)
+    return (EulerStack if cfg.model.kind == EULER else ScalarStack)(field, cfg, halo)
 
 
 def spatial_residual(field: Field, cfg: SchemeConfig) -> np.ndarray:
@@ -167,10 +169,6 @@ def _residual_failure(stack: EulerStack, cfg: SchemeConfig, status: int) -> None
         rank, cell = first_false(mask, stack.grid.dim)
         raise SimulationError(f"unphysical state in interior cell {cell}", rank=rank)
     axis, rank = stack.stop
-    if status == SWEEP_NOMEM:
-        raise MemoryError(
-            f"the compiled face sweep on axis {axis} could not allocate its line buffers"
-        )
     _require_physical_faces(stack, cfg, axis)
     if status == SWEEP_DEGENERATE:
         raise UnphysicalStateError("degenerate HLLC wave fan (sL >= sR)", rank=rank)
@@ -191,9 +189,15 @@ def wave_speed_maxima(field: Field, cfg: SchemeConfig) -> np.ndarray:
     """
     stack = bind_stack(field, cfg)
     if stack.cell_pass():
-        u = stack.interior
-        require_mask(u, physical_mask(cfg.model, u) & np.isfinite(u).all(axis=0), cfg.model.dim)
+        _require_cells(stack, cfg)
     return stack.maxima.copy()
+
+
+def _require_cells(stack: Stack, cfg: SchemeConfig) -> None:
+    """Raise UnphysicalStateError naming the first cell of a stack whose
+    cell pass failed that is not finite and physical."""
+    u = stack.interior
+    require_mask(u, physical_mask(cfg.model, u) & np.isfinite(u).all(axis=0), cfg.model.dim)
 
 
 def dt_from_maxima(maxima: np.ndarray, deltas, cfl: float, remaining: float | None = None) -> float:
@@ -218,21 +222,21 @@ def stable_dt(field: Field, cfg: SchemeConfig, remaining: float | None = None) -
     )
 
 
-#: (a, b) of each stage after the first: u <- a u0 + b (u + dt L(u)), where
-#: u0 is the state at the start of the step
-SSP_STAGES = {1: (), 2: ((0.5, 0.5),), 3: ((0.75, 0.25), (1.0 / 3.0, 2.0 / 3.0))}
-
-
-def ssp_rk_step(state: Stack, dt: float, cfg: SchemeConfig, halo: list) -> None:
-    """One SSP-RK step of a run's stack, every subdomain at once, in place:
-    per stage one halo pass over the stack (``exchange_halos`` of its plan
-    ``halo``), one ``spatial_residual`` into the stack's residual buffer and one
-    ``state.stage``.  The arithmetic is elementwise, so each subdomain gets
-    the values a run of it alone would get."""
-    for a, b in ((None, None),) + SSP_STAGES[cfg.rk_order]:
-        exchange_halos(halo)
-        spatial_residual(state, cfg)
-        state.stage(dt, a, b)
+def ssp_rk_step(state: Stack, dt: float, cfg: SchemeConfig) -> int:
+    """One SSP-RK step of a run's stack, every subdomain at once, in place,
+    then its cell pass: the stack's ``step``, one kernel call for Euler (per
+    stage the halo pass, the residual and the combination; the SSP-RK
+    coefficients are ``SSP_STAGES``).  The arithmetic is elementwise, so each
+    subdomain gets the values a run of it alone would get.  Returns the
+    cell pass's 0 or 1 (the stack's ``maxima`` are the next step's CFL
+    speeds); a residual that fails raises here, as ``spatial_residual``
+    names it, from the state of the stage before it."""
+    status = state.step(dt)
+    if status == STEP_CELLS:
+        return 1
+    if status:
+        _residual_failure(state, cfg, status)
+    return 0
 
 
 def _require_finite(field: Field, when: str) -> None:
@@ -244,22 +248,24 @@ def _require_finite(field: Field, when: str) -> None:
         raise SimulationError(f"non-finite value {when} at cell {cell}", rank=rank)
 
 
-def _checked_maxima(stack: Stack, cfg: SchemeConfig, when: str) -> np.ndarray:
-    """CFL speed maxima of a run's stack, whose cell pass checks that every
-    interior cell is finite and physical.  When it fails, the numpy checks
-    name a cell: a non-finite one first, else an unphysical one."""
-    try:
-        return wave_speed_maxima(stack, cfg)
-    except UnphysicalStateError as exc:
+def _checked_maxima(stack: Stack, cfg: SchemeConfig, when: str, bad: int) -> np.ndarray:
+    """CFL speed maxima of a run's stack after a cell pass that returned
+    ``bad``.  When it failed, the numpy checks name a cell: a non-finite one
+    first, else an unphysical one."""
+    if bad:
         _require_finite(stack, when)
-        raise SimulationError(f"unphysical state {when}: {exc}", rank=exc.rank) from exc
+        try:
+            _require_cells(stack, cfg)
+        except UnphysicalStateError as exc:
+            raise SimulationError(f"unphysical state {when}: {exc}", rank=exc.rank) from exc
+    return stack.maxima
 
 
-def _notify(observers: Sequence[Callable], step: int, t: float, state: Stack, ranks,
-            grid: GridSpec) -> None:
-    """Call the observers, with the global field stitched at most once."""
+def _notify(observers: Sequence[Callable], step: int, t: float, field) -> None:
+    """Call the observers with ``field``, the run's cached stitch of the
+    global field, emptied first so that it stitches at most once per call."""
     if observers:
-        field = functools.cache(functools.partial(stitch_fields, state, ranks, grid))
+        field.cache_clear()
         for obs in observers:
             obs(step, t, field)
 
@@ -280,13 +286,13 @@ def run_simulation(
     rank axis right after the components; the rank order is
     ``conslaw.parallel``'s.  The stack is bound once (``bind_stack``) and
     owns every buffer of a step; its halo plan (``parallel.halo_plan``) is
-    built once too.  Every subdomain advances in lockstep on the calling
-    thread (``ssp_rk_step``): each stage is one halo pass over the stack,
-    one ``spatial_residual`` and one combination for all of it, and each
-    step ends with one cell pass of checks and CFL maxima
-    (``wave_speed_maxima``).  With one rank per axis the halo pass is
-    ``parallel.fill_boundary``'s, and the result is bitwise the same for
-    every rank layout.
+    built once too.  Every subdomain advances in lockstep (``ssp_rk_step``,
+    one call of the stack per step: for Euler one kernel call, which shares
+    its lines with the kernel's helper thread on large stacks): each stage is
+    one halo pass over the stack, one residual and one combination for all of
+    it, and each step ends with one cell pass of checks and CFL maxima.  With
+    one rank per axis the halo pass is ``parallel.fill_boundary``'s, and the
+    result is bitwise the same for every rank layout.
 
     With ``steps=None`` the run stops at ``cfg.t_end``, its last step
     shortened to land on it; ``steps=n`` runs exactly n steps, and ``t_end``
@@ -304,14 +310,15 @@ def run_simulation(
     # before the layout check of scatter_field, in parse_config's order
     check_scheme(init.grid, cfg)
     ranks = tuple(ranks) if ranks is not None else (1,) * init.grid.dim
-    state = bind_stack(scatter_field(init, ranks), cfg)
-    halo = halo_plan(state, ranks, cfg.bc)
+    stack = scatter_field(init, ranks)
+    state = bind_stack(stack, cfg, halo_plan(stack, ranks, cfg.bc))
+    field = functools.cache(functools.partial(stitch_fields, state, ranks, init.grid))
     records: list[TimeStepRecord] = []
     t = 0.0
     step = 0
     try:
-        maxima = _checked_maxima(state, cfg, "in the initial field")
-        _notify(observers, step, t, state, ranks, init.grid)
+        maxima = _checked_maxima(state, cfg, "in the initial field", state.cell_pass())
+        _notify(observers, step, t, field)
         while steps is None or step < steps:
             tic = time.perf_counter()
             remaining = None
@@ -320,13 +327,13 @@ def run_simulation(
                 if remaining <= 1e-14 * cfg.t_end:
                     break
             dt = dt_from_maxima(maxima, state.grid.deltas, cfg.cfl, remaining)
-            ssp_rk_step(state, dt, cfg, halo)
+            bad = ssp_rk_step(state, dt, cfg)
             step += 1
             t += dt
             # the post-step check and the next step's CFL speeds
-            maxima = _checked_maxima(state, cfg, f"after step {step} (t = {t:.6g})")
+            maxima = _checked_maxima(state, cfg, f"after step {step} (t = {t:.6g})", bad)
             records.append(TimeStepRecord(step, t, dt, time.perf_counter() - tic))
-            _notify(observers, step, t, state, ranks, init.grid)
+            _notify(observers, step, t, field)
     except (SimulationError, UnphysicalStateError) as exc:
         if exc.rank is None or state.data.shape[1] == 1:
             raise

@@ -1,7 +1,7 @@
 """The stage of a run's stack: the compiled Euler end-of-step pass against
 ``equations.max_wave_speeds``, the SSP-RK combination of both stacks
 (``numerics.EulerStack`` and ``numerics.ScalarStack``) against the reference
-``ssp_rk_advance`` of ``oracles``, the kernel calls of one step, and the
+``ssp_rk_advance`` of ``oracles``, the one kernel call of a step, and the
 global field that observers stitch on demand.
 """
 
@@ -133,17 +133,20 @@ def _counting_kernel(monkeypatch, counts):
 
 
 @pytest.mark.parametrize("ranks", [None, (2, 1)])
-def test_an_rk3_euler_step_is_one_kernel_call_per_stage_and_one_cell_pass(monkeypatch, ranks):
+def test_an_rk3_euler_step_is_one_kernel_call(monkeypatch, ranks):
     field, cfg = make_case(random_prim(np.random.default_rng(5), (4, 8)),
                            FluxKind.HLLC, ReconstructionKind.WENO3)
     assert cfg.rk_order == 3
     counts = Counter()
     _counting_kernel(monkeypatch, counts)
-    for module, name in ((solver, "physical_mask"), (numerics, "max_wave_speeds")):
+    for module, name in ((solver, "physical_mask"), (numerics, "max_wave_speeds"),
+                         (numerics, "exchange_halos")):
         monkeypatch.setattr(module, name, lambda *args, name=name: counts.update([name]))
     run_simulation(field, cfg, ranks, steps=2)
-    # the initial field's cell pass, then per step three stages and one pass
-    assert counts == {"residual": 6, "stage": 6, "cells": 3}
+    # the line scratch's size when the stack is bound, the initial field's
+    # cell pass, then one call per step: its three stages (halo pass,
+    # residual, combination) and its cell pass; no numpy check or halo pass
+    assert counts == {"cells": 1, "step": 2, "scratch": 1}
 
 
 def test_observers_stitch_the_global_field_only_on_demand(monkeypatch):

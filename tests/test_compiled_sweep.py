@@ -13,7 +13,7 @@ from conslaw.cli import main
 from conslaw.errors import ConfigError, SimulationError
 from conslaw.grid import Field
 from conslaw.iodsl.output import read_snapshot
-from conslaw.numerics import EulerStack, FluxKind, ReconstructionKind
+from conslaw.numerics import EulerStack, FluxKind, ReconstructionKind, Stack
 from conslaw.presets import KH2D, KH3D, SOD
 from conslaw.solver import spatial_residual
 from oracles import reference_euler_residual
@@ -88,18 +88,21 @@ def test_runs_are_bitwise_equal_to_the_face_by_face_reference(
 ):
     # every stage of the run computed face by face instead of by the sweep:
     # the same snapshots, bit for bit, and the same steps
+    # (the per-stage protocol of numerics.Stack.step: the numpy halo pass,
+    # the face-by-face residual and the compiled combination of each stage)
     text, ranks = RUNS[case]
     compiled = _run(tmp_path, "compiled", text, ranks, capsys)
     calls = []
 
-    def reference(field, cfg):
+    def reference(stack):
         # the stage reads the residual from the run's stack
-        calls.append(field.data.shape)
-        field.residual[...] = _reference_residual(field, cfg)
-        return field.residual
+        calls.append(stack.data.shape)
+        stack.residual[...] = _reference_residual(stack, stack.cfg)
+        return 0
 
     with monkeypatch.context() as m:
-        m.setattr(solver, "spatial_residual", reference)
+        m.setattr(EulerStack, "step", Stack.step)
+        m.setattr(EulerStack, "compute_residual", reference)
         plain = _run(tmp_path, "reference", text, ranks, capsys)
     assert calls
     snaps = sorted(p.name for p in compiled.glob("*.snap"))
@@ -147,17 +150,6 @@ def test_the_sweep_returns_the_status_of_its_stop(stop):
         assert stack.compute_residual() == want
     # a state without a rank axis is rank 0
     assert stack.stop == (0, 0)
-
-
-def test_a_sweep_out_of_memory_is_a_memory_error(monkeypatch):
-    # a kernel that cannot allocate its line buffers (STATUS_NOMEM in _faces.c)
-    field, cfg = make_case(
-        random_prim(np.random.default_rng(2), (4, 6)), FluxKind.HLLC, ReconstructionKind.WENO3
-    )
-    kernel = numerics.face_kernel()._replace(residual=lambda *args: 3)
-    monkeypatch.setattr(numerics, "face_kernel", lambda: kernel)
-    with pytest.raises(MemoryError, match="on axis 0 could not allocate"):
-        spatial_residual(field, cfg)
 
 
 def test_a_stack_rejects_arrays_that_do_not_fit_the_grid():
@@ -256,13 +248,21 @@ def test_a_burgers_run_needs_no_compiler(no_compiler, tmp_path, capsys):
     assert not no_compiler.exists()
 
 
-@pytest.mark.parametrize("damage", ["empty", "header", "half", "garbled"])
-def test_a_damaged_cached_library_is_rebuilt(tmp_path, monkeypatch, damage):
-    # a library that loads, in a directory of its own; it is never damaged
-    # in place, since this process keeps it mapped
-    good_dir = tmp_path / "good"
-    reference = _residuals(monkeypatch, numerics._load_face_kernel(good_dir))
+@pytest.fixture(scope="module")
+def good_library(tmp_path_factory):
+    """A kernel built and loaded from a directory of its own, once for the
+    damage cases (a build takes seconds), and its library file; it is never
+    damaged in place, since this process keeps it mapped."""
+    good_dir = tmp_path_factory.mktemp("good")
+    kernel = numerics._load_face_kernel(good_dir)
     (good,) = good_dir.glob("faces-*.so")
+    return kernel, good
+
+
+@pytest.mark.parametrize("damage", ["empty", "header", "half", "garbled"])
+def test_a_damaged_cached_library_is_rebuilt(tmp_path, monkeypatch, damage, good_library):
+    good_kernel, good = good_library
+    reference = _residuals(monkeypatch, good_kernel)
     blob = good.read_bytes()
     # the same cache entry, damaged, where no process has loaded it from
     cache = tmp_path / "cache"

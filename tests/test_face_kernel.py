@@ -362,22 +362,36 @@ def test_interior_check_names_the_cell_serial():
         spatial_residual(field, cfg)
 
 
+def _corrupt_before_step_1(monkeypatch, corrupt):
+    """Make ``solver.ssp_rk_step`` call ``corrupt(state)`` before the first
+    step, after the initial field's checks; returns the list of the states
+    it stepped."""
+    real_step = solver.ssp_rk_step
+    steps = []
+
+    def corrupting_step(state, *args):
+        if not steps:
+            corrupt(state)
+        steps.append(state)
+        return real_step(state, *args)
+
+    monkeypatch.setattr(solver, "ssp_rk_step", corrupting_step)
+    return steps
+
+
 def test_interior_check_names_the_cell_on_2x1_ranks(monkeypatch):
     field, cfg = make_case(_states((4, 8)), FluxKind.HLLC, ReconstructionKind.WENO3)
     g = field.grid.ghost_width
     assert rank_offsets(field.grid.cells, (2, 1)) == [(0, 0), (4, 0)]
     assert local_grid(field.grid, (2, 1)).cells == (4, 4)
-    real_residual = solver.spatial_residual
 
-    def corrupting_residual(stage, c):
+    def corrupt(stack):
         # rank 1 owns x in [4, 8): global cell (1, 6) is (1, 2) in its
         # local numbering; rank 0's stages stay physical.  The stack of both
         # ranks has a rank axis after the components.
-        if stage.data.ndim == 4:
-            stage.data[(3, 1, g + 1, g + 2)] = -1.0
-        return real_residual(stage, c)
+        stack.data[(3, 1, g + 1, g + 2)] = -1.0
 
-    monkeypatch.setattr(solver, "spatial_residual", corrupting_residual)
+    _corrupt_before_step_1(monkeypatch, corrupt)
     with pytest.raises(
         SimulationError, match=r"^rank 1 failed: unphysical state in interior cell \(1, 2\)"
     ):
@@ -418,11 +432,14 @@ def _corrupt_after_step_2(monkeypatch, rank, index):
     steps = []
 
     def corrupting_step(state, *args):
-        real_step(state, *args)
+        bad = real_step(state, *args)
         steps.append(args[0])
         if len(steps) == 2:
-            # the state is the stack of ranks: component axis, then rank axis
+            # the state is the stack of ranks: component axis, then rank
+            # axis; the step's own cell pass is the one that sees it
             state.interior[(index[0], rank) + index[1:]] = -1.0
+            bad = state.cell_pass()
+        return bad
 
     monkeypatch.setattr(solver, "ssp_rk_step", corrupting_step)
     return steps
@@ -522,23 +539,25 @@ def test_decomposed_runs_name_the_serial_check_then_the_first_rank(bad, ranks):
 
 @pytest.mark.parametrize("ranks", [(2, 1), (2, 2)])
 def test_a_failing_decomposed_stage_computes_one_residual(monkeypatch, ranks):
-    # the stage's one residual over the stack names the rank: no rank's
+    # the step's one residual over the stack names the rank: no rank's
     # residual is computed again to find it
     field, cfg = make_case(_states((4, 8)), FluxKind.HLLC, ReconstructionKind.WENO3)
     g = field.grid.ghost_width
-    real_residual = solver.spatial_residual
+    real = numerics.face_kernel()
     calls = []
+    kernel = real._replace(
+        step=lambda *args: calls.append("step") or real.step(*args),
+        residual=lambda *args: calls.append("residual") or real.residual(*args),
+    )
+    monkeypatch.setattr(numerics, "face_kernel", lambda: kernel)
 
-    def corrupting_residual(stage, c):
-        calls.append(stage.data.shape)
-        if stage.data.ndim == 4:
-            stage.data[(3, 1, g + 1, g + 2)] = -1.0
-        return real_residual(stage, c)
+    def corrupt(stack):
+        stack.data[(3, 1, g + 1, g + 2)] = -1.0
 
-    monkeypatch.setattr(solver, "spatial_residual", corrupting_residual)
+    _corrupt_before_step_1(monkeypatch, corrupt)
     with pytest.raises(SimulationError, match=r"^rank 1 failed: unphysical state in interior"):
         run_simulation(field, cfg, ranks, steps=1)
-    assert len(calls) == 1
+    assert calls == ["step"]
 
 
 def test_a_degenerate_wave_fan_names_its_rank(monkeypatch):
@@ -546,15 +565,12 @@ def test_a_degenerate_wave_fan_names_its_rank(monkeypatch):
     # faces stay physical, and those between two such cells have no wave fan
     field, cfg = make_case(_states((4, 8)), FluxKind.HLLC, ReconstructionKind.WENO3)
     g = field.grid.ghost_width
-    real_residual = solver.spatial_residual
 
-    def corrupting_residual(stage, c):
-        if stage.data.ndim == 4:
-            stage.data[0, 1, g:-g, g:-g] = np.inf
-            stage.data[1:3, 1, g:-g, g:-g] = 0.0
-        return real_residual(stage, c)
+    def corrupt(stack):
+        stack.data[0, 1, g:-g, g:-g] = np.inf
+        stack.data[1:3, 1, g:-g, g:-g] = 0.0
 
-    monkeypatch.setattr(solver, "spatial_residual", corrupting_residual)
+    _corrupt_before_step_1(monkeypatch, corrupt)
     with np.errstate(invalid="ignore"):
         with pytest.raises(SimulationError, match=r"^rank 1 failed: degenerate HLLC wave fan"):
             run_simulation(field, cfg, (2, 1), steps=1)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conslaw.equations import EquationModel, primitive_to_conserved
 from conslaw.errors import ConfigError, SimulationError
 from conslaw.grid import BoundaryKind, Field, GridSpec, field_from_interior
-from conslaw.numerics import FluxKind, Reconstruction, ReconstructionKind
+from conslaw.numerics import EulerStack, FluxKind, Reconstruction, ReconstructionKind
 from conslaw.parallel import exchange_halos, halo_plan, local_grid, scatter_field, stitch_fields
 from conslaw.solver import SchemeConfig, run_simulation
 from oracles import rank_offsets
@@ -200,6 +200,25 @@ def test_a_halo_pass_writes_each_ghost_once_per_axis_and_no_interior_cell(case):
     want = np.broadcast_to(ghost_axes, stack.data.shape)
     np.testing.assert_array_equal(writes.reshape(stack.data.shape), want)
     _assert_ghosts_match_reference(field, ranks, bc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=halo_cases())
+def test_the_compiled_halo_pass_of_an_euler_stack_is_the_numpy_pass(case):
+    # the kernel runs the same plan, from the views' offsets, shapes and
+    # strides: every ghost as exchange_halos writes it, no interior cell
+    field, ranks, bc = case
+    dim = field.grid.dim
+    interior = np.concatenate([field.interior] * 3)[: dim + 2]
+    stack = scatter_field(field_from_interior(field.grid, interior), ranks)
+    cells = stack.interior.copy()
+    stack.data[...] = np.nan
+    stack.interior[...] = cells
+    want = Field(stack.grid, stack.ncomp, stack.data.copy())
+    exchange_halos(halo_plan(want, ranks, bc))
+    cfg = SchemeConfig(EquationModel(kind="euler", dim=dim), bc=bc)
+    EulerStack(stack, cfg, halo_plan(stack, ranks, bc)).halo_pass()
+    np.testing.assert_array_equal(stack.data.view(np.int64), want.data.view(np.int64))
 
 
 def test_lone_rank_on_a_periodic_axis_thinner_than_the_ghosts_is_rejected():

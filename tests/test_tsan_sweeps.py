@@ -1,8 +1,9 @@
-"""The shared sweeps of ``_faces.c`` under ThreadSanitizer.
+"""The shared jobs of ``_faces.c`` under ThreadSanitizer.
 
 ``tsan_sweeps.c`` includes the kernel, is built with ``-fsanitize=thread``
-and runs a few thousand sweeps that the caller shares with the helper
-thread (see its header for what it catches and what it does not).  The test
+and runs a few thousand residuals and whole steps that the caller shares
+with the helper thread (see its header for what it catches and what it does
+not).  The test
 skips where no ThreadSanitizer build runs, or where no helper thread starts.
 """
 
@@ -39,4 +40,4 @@ def test_shared_sweeps_have_no_data_race(tmp_path):
         pytest.skip("fewer than 2 CPUs: no helper thread, nothing shared")
     assert "ThreadSanitizer" not in run.stderr, run.stderr
     assert run.returncode == 0, run.stdout + run.stderr
-    assert run.stdout.count("every call agreed") == 3
+    assert run.stdout.count("every call agreed") == 6
