@@ -46,8 +46,10 @@
  * Entry points, on one run's `Stack` (its state, the buffers and the line
  * scratch it owns, and its halo plan, which conslaw.numerics.EulerStack
  * fills once per run; a call reads and writes nothing else): `euler_step`,
- * and its parts `halo_pass`, `euler_residual`, `rk_stage` and `cell_pass`;
- * `line_scratch` gives the size of the scratch.
+ * the whole step; `euler_residual`, the residual alone, whose bits the
+ * face-by-face tests compare; `cell_pass`, of a run's initial state; and
+ * `line_scratch`, the size of the scratch.  tests/oracles.py builds the
+ * reference of a step from its parts, one call each.
  */
 
 #define _GNU_SOURCE
@@ -570,6 +572,10 @@ static void interior_strides(const Stack *st, long *str)
 /* the x lines of one component of the interior: ranks, z, then y */
 INLINE long x_lines(const Stack *st) { return st->ranks * extent(st, 2) * extent(st, 3); }
 
+/* The combination of a stage, rounded as the reference SSP-RK step of
+ * tests/oracles.py: the first stage of a step (RK_FIRST, or RK_FIRST_SAVE
+ * when the step has several, which first copies u into st->start) is
+ * u + res dt, stage s > 0 (RK_LATER) start a[s] + (res dt + u) b[s]. */
 enum { RK_FIRST = 0, RK_FIRST_SAVE = 1, RK_LATER = 2 };
 
 /* one x line of a stage: u strided by sx, k (the residual) and start contiguous */
@@ -594,11 +600,12 @@ INLINE void stage_line(double *u, long sx, const double *k, double *start, long 
     }
 }
 
-/* lines [first, last) of a stage, numbered rank, z, y, then component, so
+/* lines [first, last) of stage s, numbered rank, z, y, then component, so
  * that a unit covers whole rows, as those of the x sweep and the cell pass */
-static void stage_lines(const Stack *st, long first, long last, double dt, double a, double b,
-                        int mode)
+static void stage_lines(const Stack *st, long first, long last, double dt, int s)
 {
+    double a = st->a[s], b = st->b[s];
+    int mode = s ? RK_LATER : st->stages > 1 ? RK_FIRST_SAVE : RK_FIRST;
     long rstr[5], Y = extent(st, 3), Z = extent(st, 2), C = st->dim + 2;
     interior_strides(st, rstr);
     long nx = st->cells[0], sx = st->ustr[4];
@@ -709,8 +716,8 @@ typedef struct {
     Stack *st;
     Sweep sweep[3];
     /* the open phase, set by the caller while no unit is taken */
-    int kind, axis, mode;
-    double dt, a, b;
+    int kind, axis, stage;
+    double dt;
     /* the units of the open phase (none before the first), and those taken
      * from the back and from the front, UNITS_BITS each; or JOB_OVER.  One
      * word, so that a take never pairs one phase's count with another's
@@ -779,7 +786,7 @@ static void do_unit(Job *job, int thread, long unit)
     } else if (job->kind == PHASE_STAGE) {
         long lines = (dim + 2) * x_lines(st);
         stage_lines(st, first, first + CHUNK_LINES < lines ? first + CHUNK_LINES : lines,
-                    job->dt, job->a, job->b, job->mode);
+                    job->dt, job->stage);
     } else {
         long lines = x_lines(st), last = first + CHUNK_LINES < lines ? first + CHUNK_LINES : lines;
         double *top = job->top[thread];
@@ -1064,10 +1071,11 @@ static int residual(Job *job)
     return STATUS_OK;
 }
 
-static void stage(Job *job, double dt, double a, double b, int mode)
+/* the combination of stage s on the interior of the stack */
+static void stage(Job *job, double dt, int s)
 {
     job->kind = PHASE_STAGE;
-    job->dt = dt, job->a = a, job->b = b, job->mode = mode;
+    job->dt = dt, job->stage = s;
     run_phase(job, chunks((job->st->dim + 2) * x_lines(job->st)));
 }
 
@@ -1088,7 +1096,7 @@ static int cells(Job *job)
 }
 
 /* The halo pass: the slab copies of st->halo, in order. */
-void halo_pass(const Stack *st)
+static void halo_pass(const Stack *st)
 {
     for (long i = 0; i < st->copies; i++) {
         const Copy *cp = &st->halo[i];
@@ -1128,18 +1136,6 @@ int euler_residual(Stack *st)
     return status;
 }
 
-/* One SSP-RK stage on the interior of the stack, from its residual st->res.
- * Every value rounds as the reference SSP-RK step of tests/oracles.py:
- * the first stage (RK_FIRST, or RK_FIRST_SAVE, which first copies u into
- * st->start) is u + res dt, a later one (RK_LATER) start a + (res dt + u) b. */
-void rk_stage(Stack *st, double dt, double a, double b, int mode)
-{
-    Job job;
-    begin_job(&job, st, 0);
-    stage(&job, dt, a, b, mode);
-    end_job(&job, 0);
-}
-
 /* The end of a step, in one pass over the interior cells of the stack:
  * whether every cell is finite and physical (conslaw.equations
  * .physical_mask), and into st->maxima the maximum over the cells of
@@ -1171,8 +1167,7 @@ int euler_step(Stack *st, double dt)
         st->stop_stage = s;
         status = residual(&job);
         if (!status)
-            stage(&job, dt, st->a[s], st->b[s],
-                  s ? RK_LATER : st->stages > 1 ? RK_FIRST_SAVE : RK_FIRST);
+            stage(&job, dt, s);
     }
     if (!status && cells(&job))
         status = STATUS_CELL_PASS;

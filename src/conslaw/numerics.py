@@ -20,10 +20,10 @@ subdomains with a rank axis after the components) with the buffers a step
 needs, ``residual``, ``start`` (the state at the start of the step) and
 ``maxima``, and its halo plan (``parallel.halo_plan``), all made once per
 run.  The time loop makes one call per step, ``step(dt)``: per SSP-RK stage
-the halo pass, ``compute_residual`` and ``stage(dt, a, b)`` (the
-combination), then ``cell_pass`` (the end-of-step check that every cell is
-finite and physical, and the per-axis CFL maxima).  ``ScalarStack`` serves
-Burgers and advection with the numpy functions below, stage by stage.
+the halo pass, the residual and the combination, then the cell pass (the
+end-of-step check that every cell is finite and physical, and the per-axis
+CFL maxima).  ``ScalarStack`` serves Burgers and advection with the numpy
+functions below, and its step makes those parts one call each.
 ``EulerStack`` serves the Euler equations, whose fluxes have one
 implementation, the C kernel ``_faces.c``, and its step is one kernel call:
 the pointers, strides, shapes, line scratch, halo copies and scheme scalars
@@ -38,9 +38,10 @@ scheme from the stack structure itself.  The reconstruction rounds like
 ``reconstruct_axis``, every face value like the face-by-face reference of
 ``tests/oracles.py`` (up to the sign of a zero), both stacks' combination
 like that file's SSP Runge-Kutta step and the maxima like
-``equations.max_wave_speeds``.  The parts of a step stay callable one by
-one (``halo_pass``, ``compute_residual``, ``stage``, ``cell_pass``); a
-step that fails leaves what that sequence of calls would.
+``equations.max_wave_speeds``.  A step that fails leaves what its parts made
+one call each would leave (``tests/oracles.py`` builds that reference);
+only ``compute_residual``, whose bits the face-by-face tests compare, and
+``cell_pass`` (of a run's initial state) are callable on their own.
 
 On a stack whose sweeps have at least ``SHARE_MIN_FACES`` faces (1024 in
 ``_faces.c``; a 32x32 sweep has 1056) the kernel shares each call, a step
@@ -239,17 +240,17 @@ class Stack(Field):
     A field, or a stack of subdomains with a rank axis after the components,
     for the solver's scheme ``cfg``, with ``halo``, the slab copies of its
     halo pass (``parallel.halo_plan``; none for a field whose ghosts are
-    filled by its caller).  The time loop makes one call per step,
-    ``step(dt)``: per SSP-RK stage the halo pass, ``compute_residual`` (which
-    fills ``residual`` and returns 0 or a failure status) and ``stage(dt, a,
-    b)`` (the combination of the interior in place), then ``cell_pass``
-    (which checks that every interior cell is finite and physical, returns 0
-    or 1, and fills ``maxima`` with the per-axis maximum wave speed).  A
-    first stage (``a`` is None) is ``u + dt residual``, and saves the state
-    into ``start`` first when ``cfg.rk_order`` is above 1; a later one is
-    ``a start + b (u + dt residual)``.  Every value rounds as the reference
-    SSP Runge-Kutta step of ``tests/oracles.py``.  The state must be changed
-    in place only, never replaced.
+    filled by its caller), ``residual``, ``start`` (the state at the start of
+    a step) and ``maxima``.  The time loop makes one call per step,
+    ``step(dt)``, which returns 0, ``STEP_CELLS`` when a cell fails the
+    end-of-step cell pass, or the status of the residual that fails; the
+    state is then that of the stage before it, with its ghosts filled.
+    ``compute_residual`` fills ``residual`` and returns 0 or a failure
+    status; ``cell_pass`` checks that every interior cell is finite and
+    physical, returns 0 or 1, and fills ``maxima`` with the per-axis maximum
+    wave speed.  Every value of a step rounds as the reference SSP
+    Runge-Kutta step of ``tests/oracles.py``.  The state must be changed in
+    place only, never replaced.
     """
 
     def __init__(self, field: Field, cfg, halo=()):
@@ -260,11 +261,15 @@ class Stack(Field):
         self.start = _aligned_empty(self.interior.shape)
         self.maxima = np.empty(field.grid.dim)
 
+
+class ScalarStack(Stack):
+    """A run's stack of a scalar model (Burgers or advection), stepped by
+    numpy: the Rusanov flux of ``reconstruct_axis``'s face states.  Its step
+    makes each part of a stage one call: ``exchange_halos``,
+    ``compute_residual`` and ``stage``."""
+
     def step(self, dt: float) -> int:
-        """One SSP-RK step, then the cell pass.  Returns 0, ``STEP_CELLS``
-        when a cell fails the cell pass, or the status of the residual that
-        fails; the state is then that of the stage before it, with its
-        ghosts filled."""
+        """One SSP-RK step, then the cell pass (see ``Stack``)."""
         for a, b in ((None, None),) + SSP_STAGES[self.cfg.rk_order]:
             exchange_halos(self.halo)
             status = self.compute_residual()
@@ -272,11 +277,6 @@ class Stack(Field):
                 return status
             self.stage(dt, a, b)
         return STEP_CELLS if self.cell_pass() else 0
-
-
-class ScalarStack(Stack):
-    """A run's stack of a scalar model (Burgers or advection), stepped by
-    numpy: the Rusanov flux of ``reconstruct_axis``'s face states."""
 
     def compute_residual(self) -> int:
         grid, out = self.grid, self.residual
@@ -290,7 +290,10 @@ class ScalarStack(Stack):
         return 0
 
     def stage(self, dt: float, a=None, b=None) -> None:
-        # ``residual`` is the scratch of the stage
+        """The combination of the interior in place, from ``residual`` (its
+        scratch): a first stage (``a`` is None) is ``u + dt residual``, and
+        saves the state into ``start`` first when ``cfg.rk_order`` is above
+        1; a later one is ``a start + b (u + dt residual)``."""
         u, k = self.interior, self.residual
         if a is None and self.cfg.rk_order > 1:
             self.start[...] = u
@@ -352,21 +355,17 @@ def _host_cpu() -> bytes:
 
 class FaceKernel(NamedTuple):
     """The entry points of ``_faces.c`` on an ``EulerStack``: the whole
-    step, its parts (the halo pass, the residual, one SSP-RK stage and the
-    end-of-step cell pass) and the size of the line scratch."""
+    step, the residual alone, the cell pass and the size of the line
+    scratch."""
 
     step: Callable
-    halo: Callable
     residual: Callable
-    stage: Callable
     cells: Callable
     scratch: Callable
 
 
 #: the C names of ``FaceKernel``'s fields, in order
-_ENTRY_POINTS = (
-    "euler_step", "halo_pass", "euler_residual", "rk_stage", "cell_pass", "line_scratch",
-)
+_ENTRY_POINTS = ("euler_step", "euler_residual", "cell_pass", "line_scratch")
 
 
 class _StackArgs(ctypes.Structure):
@@ -481,9 +480,7 @@ def _load_face_kernel(cache_dir: Path):
     stack = ctypes.POINTER(_StackArgs)
     for entry, args, result in (
         (kernel.step, [stack, ctypes.c_double], ctypes.c_int),
-        (kernel.halo, [stack], None),
         (kernel.residual, [stack], ctypes.c_int),
-        (kernel.stage, [stack] + [ctypes.c_double] * 3 + [ctypes.c_int], None),
         (kernel.cells, [stack], ctypes.c_int),
         (kernel.scratch, [stack], ctypes.c_long),
     ):
@@ -505,11 +502,6 @@ def face_kernel():
 #: the status of a sweep for a degenerate HLLC wave fan (``STATUS_*`` in
 #: ``_faces.c``); 1 is an unphysical face state, 4 an unphysical interior cell
 SWEEP_DEGENERATE = 2
-
-
-#: the modes of ``rk_stage`` in ``_faces.c``: the first stage of a step,
-#: the same saving the state at its start, and a later stage
-_RK_FIRST, _RK_FIRST_SAVE, _RK_LATER = 0, 1, 2
 
 
 class EulerStack(Stack):
@@ -535,7 +527,6 @@ class EulerStack(Stack):
             )
         super().__init__(field, cfg, halo)
         self._kernel = face_kernel()
-        self._first = _RK_FIRST_SAVE if cfg.rk_order > 1 else _RK_FIRST
         self._copies = _halo_copies(data, halo)
         pad = 3 - grid.dim
         strides = [s // data.itemsize for s in data.strides]
@@ -573,13 +564,8 @@ class EulerStack(Stack):
 
     def step(self, dt: float) -> int:
         """The whole step in one kernel call, shared with the kernel's
-        helper thread on large stacks; see ``Stack.step``."""
+        helper thread on large stacks; see ``Stack``."""
         return self._kernel.step(self._ref, dt)
-
-    def halo_pass(self) -> None:
-        """The stack's halo pass, run by the kernel: the copies of
-        ``exchange_halos(self.halo)``, in order."""
-        self._kernel.halo(self._ref)
 
     def compute_residual(self) -> int:
         """Sweep every axis into ``residual``, the first sweep checking that
@@ -587,10 +573,6 @@ class EulerStack(Stack):
         status of the first line that failed (see ``stop``); ``residual`` is
         then partly updated."""
         return self._kernel.residual(self._ref)
-
-    def stage(self, dt: float, a=None, b=None) -> None:
-        mode = self._first if a is None else _RK_LATER
-        self._kernel.stage(self._ref, dt, a or 0.0, b or 0.0, mode)
 
     def cell_pass(self) -> int:
         """The maxima are |m_k / rho| + c, rounded as

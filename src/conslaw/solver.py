@@ -12,7 +12,8 @@ and the CFL maxima, and the time loop talks to it alone.  ``ssp_rk_step`` is
 one step of every model, the stack's ``step``: per stage one halo pass, one
 residual (what ``spatial_residual`` computes) and one combination, then the
 cell pass, which checks the state and takes the CFL maxima (as
-``wave_speed_maxima`` does); for Euler that is one kernel call.  The kernel
+``wave_speed_maxima`` does); for Euler that is one kernel call, whose
+per-stage reference is built in ``tests/oracles.py``.  The kernel
 shares the lines of each phase of a large step with one helper thread of
 its own (from 32x32 cells on; see ``conslaw.numerics``), on the CPUs other
 than the caller's and only where the process may use two; the output bits

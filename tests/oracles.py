@@ -5,10 +5,11 @@ equations, deliberately sharing no code with the package: an exact Riemann
 solver for the 1D Euler equations, naive two-pass statistics, the rank
 offsets of a decomposition, a digit-reversal sequence, WENO face values and
 weights, the sound speed and primitive variables, a face-by-face Euler
-residual and the SSP Runge-Kutta step as convex combinations of Euler
-steps.  The WENO formulas are the ones the face-by-face residual uses,
-which the solver must match bit for bit, so the tests of their properties
-also hold for the solver.
+residual, the SSP Runge-Kutta step as convex combinations of Euler steps,
+and the step of a run's stack made stage by stage from them.  The WENO
+formulas are the ones the face-by-face residual uses, which the solver must
+match bit for bit, so the tests of their properties also hold for the
+solver.
 """
 
 from __future__ import annotations
@@ -423,3 +424,45 @@ def ssp_rk_advance(u: np.ndarray, dt: float, L, order: int, start=None):
         np.multiply(start, a, out=u)
         u += k
     return u
+
+
+class _Stopped(Exception):
+    """A residual of ``per_stage_step`` returned a nonzero status."""
+
+
+def per_stage_step(stack, dt: float, residual=None):
+    """One SSP-RK step of a run's stack with every part of each stage a call
+    of its own: the reference of the solver's one-call step.
+
+    ``stack`` is a run's stack (``conslaw.numerics.Stack``): its halo plan
+    ``halo``, state ``interior``, buffers ``residual`` and ``start`` and
+    scheme ``cfg`` are read.  Each stage runs the halo pass in numpy (every
+    (destination, source) copy of the plan, in order), then
+    ``residual(stack)``, which fills ``stack.residual`` and returns 0 or a
+    failure status (the stack's own ``compute_residual`` by default), then
+    the combination, rounded as ``ssp_rk_advance``; the state at the start
+    of the step goes to ``stack.start``.  The end-of-step cell pass is left
+    to the caller.
+
+    Returns ``(0, None)``, or the status of the residual that stopped the
+    step and its stage (from 0); the state is then that of the stage before
+    it, with its ghosts filled.
+    """
+    residual = residual or type(stack).compute_residual
+    stage = -1
+
+    def L(u):
+        nonlocal stage
+        stage += 1
+        for dst, src in stack.halo:
+            dst[...] = src
+        status = residual(stack)
+        if status:
+            raise _Stopped(status)
+        return stack.residual.copy()
+
+    try:
+        ssp_rk_advance(stack.interior, dt, L, stack.cfg.rk_order, stack.start)
+    except _Stopped as stop:
+        return stop.args[0], stage
+    return 0, None

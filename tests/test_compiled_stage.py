@@ -1,8 +1,9 @@
-"""The stage of a run's stack: the compiled Euler end-of-step pass against
-``equations.max_wave_speeds``, the SSP-RK combination of both stacks
-(``numerics.EulerStack`` and ``numerics.ScalarStack``) against the reference
-``ssp_rk_advance`` of ``oracles``, the one kernel call of a step, and the
-global field that observers stitch on demand.
+"""The step of a run's stack: the compiled Euler end-of-step pass against
+``equations.max_wave_speeds``, the step of both stacks
+(``numerics.EulerStack`` and ``numerics.ScalarStack``) against the
+per-stage reference ``oracles.per_stage_step``, whose combination rounds as
+``ssp_rk_advance``, the one kernel call of a step, and the global field that
+observers stitch on demand.
 """
 
 from collections import Counter
@@ -13,15 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conslaw import numerics, solver
-from conslaw.equations import max_wave_speeds
+from conslaw.equations import EquationModel, max_wave_speeds
 from conslaw.grid import Field
 from conslaw.iodsl import config, parse_config
 from conslaw.numerics import EulerStack, FluxKind, ReconstructionKind, ScalarStack
-from conslaw.parallel import scatter_field
+from conslaw.parallel import halo_plan, scatter_field
 from conslaw.presets import KH2D
-from conslaw.solver import SSP_STAGES, run_simulation
-from oracles import ssp_rk_advance
-from test_face_kernel import make_case, random_prim
+from conslaw.solver import run_simulation
+from test_face_kernel import make_case, random_prim, reference_step
 
 #: rank layouts of 1, 2 and 4 ranks per dimension
 LAYOUTS = {
@@ -86,34 +86,44 @@ def _odd_layout_stack(rng, ranks):
     return Field(stack.grid, stack.ncomp, data), cfg
 
 
+def _bound(stack_class, state, cfg, ranks):
+    """``state`` (a field, or a stack on the layout ``ranks``) bound to
+    ``stack_class`` with its halo plan."""
+    data = state.data if state.data.ndim > state.grid.dim + 1 else state.data[:, None]
+    plan = halo_plan(Field(state.grid, state.ncomp, data), ranks, cfg.bc)
+    return stack_class(state, cfg, plan)
+
+
 @pytest.mark.parametrize("stack_class", [EulerStack, ScalarStack])
 @pytest.mark.parametrize("order", [1, 2, 3])
 @pytest.mark.parametrize("layout", ["field", "stack of 2", "strided x"])
-def test_the_compiled_combination_rounds_as_ssp_rk_advance(stack_class, order, layout):
+def test_a_step_rounds_as_the_per_stage_reference(stack_class, order, layout):
     rng = np.random.default_rng(order)
+    ranks = (1, 1) if layout == "field" else (2, 1)
     if layout == "strided x":
-        state, cfg = _odd_layout_stack(rng, 1)
+        state, cfg = _odd_layout_stack(rng, 2)
     else:
         state, cfg = make_case(random_prim(rng, (4, 6)), FluxKind.HLLC, ReconstructionKind.WENO3)
         if layout == "stack of 2":
-            state = scatter_field(state, (2, 1))
+            state = scatter_field(state, ranks)
+    if stack_class is ScalarStack:
+        # Burgers on the density, with the Rusanov flux
+        state = Field(state.grid, 1, state.data[:1])
+        cfg = solver.SchemeConfig(EquationModel(kind="burgers", dim=2), recon=cfg.recon, bc=cfg.bc)
     cfg = solver.SchemeConfig(cfg.model, cfg.flux, cfg.recon, rk_order=order, bc=cfg.bc)
-    dt = 0.0123456789
-
-    def rhs(u):
-        # a right-hand side with rounding in every digit, new on every call
-        return np.sin(3.0 * u) / 7.0 - u * u
-
-    reference = state.data.copy()
-    ssp_rk_advance(Field(state.grid, state.ncomp, reference).interior, dt, rhs, order)
-    stack = stack_class(state, cfg)
+    reference = _bound(stack_class, Field(state.grid, state.ncomp, state.data.copy()), cfg,
+                       ranks)
+    stack = _bound(stack_class, state, cfg, ranks)
     initial = stack.interior.copy()
-    # the stages of ssp_rk_step, each after its residual call
-    for a, b in ((None, None),) + SSP_STAGES[order]:
-        stack.residual[...] = rhs(stack.interior)
-        stack.stage(dt, a, b)
-    assert np.array_equal(_bits(state.data), _bits(reference))
-    if SSP_STAGES[order]:
+    assert stack.cell_pass() == 0
+    # a dt with rounding in every digit
+    dt = 0.7654321 * solver.dt_from_maxima(stack.maxima, stack.grid.deltas, cfg.cfl)
+    assert stack.step(dt) == 0
+    assert reference_step(reference, dt) == (0, None)
+    assert not np.array_equal(stack.interior, initial)
+    assert np.array_equal(_bits(stack.data), _bits(reference.data))
+    assert np.array_equal(_bits(stack.maxima), _bits(reference.maxima))
+    if order > 1:
         # the state at the start of the step
         assert np.array_equal(_bits(stack.start), _bits(initial))
 

@@ -13,12 +13,12 @@ from conslaw.cli import main
 from conslaw.errors import ConfigError, SimulationError
 from conslaw.grid import Field
 from conslaw.iodsl.output import read_snapshot
-from conslaw.numerics import EulerStack, FluxKind, ReconstructionKind, Stack
+from conslaw.numerics import EulerStack, FluxKind, ReconstructionKind
 from conslaw.presets import KH2D, KH3D, SOD
 from conslaw.solver import spatial_residual
 from oracles import reference_euler_residual
 from test_cli import small_kh
-from test_face_kernel import make_case, random_prim
+from test_face_kernel import make_case, random_prim, reference_step
 
 
 def _scheme(text, flux, recon):
@@ -86,23 +86,22 @@ def _reference_residual(field, cfg):
 def test_runs_are_bitwise_equal_to_the_face_by_face_reference(
     case, tmp_path, monkeypatch, capsys
 ):
-    # every stage of the run computed face by face instead of by the sweep:
-    # the same snapshots, bit for bit, and the same steps
-    # (the per-stage protocol of numerics.Stack.step: the numpy halo pass,
-    # the face-by-face residual and the compiled combination of each stage)
+    # every step of the run made stage by stage by oracles.per_stage_step
+    # (the numpy halo pass, the face-by-face residual and the combination
+    # rounded as ssp_rk_advance) instead of by the kernel: the same
+    # snapshots, bit for bit, and the same steps
     text, ranks = RUNS[case]
     compiled = _run(tmp_path, "compiled", text, ranks, capsys)
     calls = []
 
     def reference(stack):
-        # the stage reads the residual from the run's stack
+        # the combination reads the residual from the run's stack
         calls.append(stack.data.shape)
         stack.residual[...] = _reference_residual(stack, stack.cfg)
         return 0
 
     with monkeypatch.context() as m:
-        m.setattr(EulerStack, "step", Stack.step)
-        m.setattr(EulerStack, "compute_residual", reference)
+        m.setattr(EulerStack, "step", lambda stack, dt: reference_step(stack, dt, reference)[0])
         plain = _run(tmp_path, "reference", text, ranks, capsys)
     assert calls
     snaps = sorted(p.name for p in compiled.glob("*.snap"))

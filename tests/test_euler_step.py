@@ -3,9 +3,9 @@
 Its exact shortcuts (WENO3's second weight doubled from the first, WENO2's
 taken from it, and a product for a division by a power of two) and its
 branch-free HLLC flux against the face-by-face reference of ``oracles``; its
-compiled halo pass against ``parallel.exchange_halos``; and its failures
-against the per-stage protocol of ``numerics.Stack.step``, which makes the
-halo pass, the residual and the combination of each stage separate calls.
+halo pass against ``parallel.exchange_halos``; and its failures against
+``oracles.per_stage_step``, which makes the halo pass, the residual and the
+combination of each stage separate calls.
 """
 
 import numpy as np
@@ -16,11 +16,11 @@ from conslaw.equations import EquationModel, primitive_to_conserved
 from conslaw.errors import SimulationError, UnphysicalStateError
 from conslaw.grid import BoundaryKind, Field, GridSpec, field_from_interior
 from conslaw.numerics import (
-    SWEEP_DEGENERATE, STEP_CELLS, EulerStack, FluxKind, ReconstructionKind, Stack,
+    SWEEP_DEGENERATE, STEP_CELLS, EulerStack, FluxKind, ReconstructionKind,
 )
 from conslaw.parallel import exchange_halos, fill_boundary, halo_plan, scatter_field
 from conslaw.solver import run_simulation, spatial_residual
-from test_face_kernel import make_case, random_prim, reference
+from test_face_kernel import make_case, random_prim, reference, reference_step
 from test_parallel import euler_scheme
 from test_shared_sweep import DENSE, _setup
 
@@ -116,7 +116,7 @@ def test_hllc_faces_of_every_branch_match_the_reference(dim):
 
 
 # ---------------------------------------------------------------------------
-# The compiled halo pass
+# The halo pass of a step
 # ---------------------------------------------------------------------------
 
 PERIODIC, OUTFLOW = BoundaryKind.PERIODIC, BoundaryKind.OUTFLOW
@@ -125,35 +125,43 @@ PERIODIC, OUTFLOW = BoundaryKind.PERIODIC, BoundaryKind.OUTFLOW
 HALO_LAYOUTS = [(1,), (2,), (1, 1), (2, 1), (1, 2), (2, 2), (1, 1, 1), (2, 1, 2)]
 
 
-def _euler_stack_with_nan_ghosts(ranks, bc, g=2):
+def _euler_stack_with_nan_ghosts(ranks, bc, g=2, physical=False):
     """A random Euler-shaped stack on ``ranks`` (4 cells per rank and axis)
-    whose ghosts hold NaN, its scheme and halo plan."""
+    whose ghosts hold NaN, its RK1 scheme and halo plan.  Its values are
+    drawn from [0, 1) (no negative zero), which leaves most cells
+    unphysical; ``physical`` raises densities and energies so that none is."""
     dim = len(ranks)
     cells = tuple(4 * r for r in ranks)
     grid = GridSpec(dim, cells, (0.0,) * dim, (1.0,) * dim, ghost_width=g)
     rng = np.random.default_rng(sum(ranks) + 10 * dim)
-    field = field_from_interior(grid, rng.random((dim + 2,) + grid.interior_shape))
-    stack = scatter_field(field, ranks)
+    interior = rng.random((dim + 2,) + grid.interior_shape)
+    if physical:
+        interior[0] += 1.0
+        interior[-1] += 10.0
+    stack = scatter_field(field_from_interior(grid, interior), ranks)
     interior = stack.interior.copy()
     stack.data[...] = np.nan
     stack.interior[...] = interior
     cfg = euler_scheme(EquationModel(kind="euler", dim=dim))
-    cfg = solver.SchemeConfig(cfg.model, cfg.flux, cfg.recon, bc=bc)
+    cfg = solver.SchemeConfig(cfg.model, cfg.flux, cfg.recon, rk_order=1, bc=bc)
     return stack, cfg, halo_plan(stack, ranks, bc)
 
 
+@pytest.mark.parametrize("physical", [True, False], ids=["step", "failing-residual"])
 @pytest.mark.parametrize("kind", [PERIODIC, OUTFLOW], ids=["periodic", "outflow"])
 @pytest.mark.parametrize("ranks", HALO_LAYOUTS, ids=lambda r: "x".join(map(str, r)))
-def test_the_compiled_halo_pass_equals_exchange_halos(ranks, kind):
+def test_the_halo_pass_of_a_step_equals_exchange_halos(ranks, kind, physical):
     bc = (kind,) * len(ranks)
-    stack, cfg, plan = _euler_stack_with_nan_ghosts(ranks, bc)
+    stack, cfg, plan = _euler_stack_with_nan_ghosts(ranks, bc, physical=physical)
     want = stack.data.copy()
     exchange_halos(halo_plan(Field(stack.grid, stack.ncomp, want), ranks, bc))
     assert not np.isnan(want).any()
-    compiled = EulerStack(stack, cfg, plan)
-    interior = compiled.interior.copy()
-    compiled.halo_pass()
-    assert np.array_equal(_bits(compiled.interior), _bits(interior))
+    # an RK1 step of dt = 0: its one halo pass, then a residual that fails on
+    # an unphysical cell (status 4) and leaves the state as it was, or an
+    # update u + 0 k that keeps every interior value (u + 0 k would turn a
+    # -0.0 into +0.0, but none is drawn)
+    with np.errstate(all="ignore"):
+        assert EulerStack(stack, cfg, plan).step(0.0) == (0 if physical else 4)
     assert np.array_equal(_bits(stack.data), _bits(want))
 
 
@@ -165,7 +173,7 @@ def test_a_halo_plan_of_another_array_is_refused():
 
 
 # ---------------------------------------------------------------------------
-# Failures: the state, status and error of the per-stage protocol
+# Failures: the state, status and error of the per-stage reference
 # ---------------------------------------------------------------------------
 
 
@@ -209,22 +217,31 @@ FAILURES = {
 
 @pytest.mark.parametrize("ranks", [(1,), (2,)], ids=["serial", "2-ranks"])
 @pytest.mark.parametrize("failure", FAILURES)
-def test_a_failing_step_leaves_the_state_and_error_of_the_per_stage_protocol(
+def test_a_failing_step_leaves_the_state_and_error_of_the_per_stage_reference(
     failure, ranks, monkeypatch
 ):
     seed, k, status, stage = FAILURES[failure]
     field, cfg = make_case(_random_line(seed), FluxKind.HLLC, ReconstructionKind.WENO3)
+    stages = []
+
+    def per_stage(stack, dt):
+        # the reference's status, recording the stage it stopped at
+        result = reference_step(stack, dt)
+        stages.append(result[1])
+        return result[0]
+
     with np.errstate(all="ignore"):
         compiled = _bound(field, cfg, ranks)
         got = _step_until_failure(compiled, cfg, EulerStack.step)
-        want = _step_until_failure(_bound(field, cfg, ranks), cfg, Stack.step)
+        want = _step_until_failure(_bound(field, cfg, ranks), cfg, per_stage)
     assert got[:2] == want[:2] == (k, status)
+    assert stages[-1] == stage
     if stage is not None:
         assert compiled.stop_stage == stage
     # the state of the stage before the failing one, ghosts filled
     assert np.array_equal(_bits(got[2]), _bits(want[2]))
     error = _run_error(field, cfg, ranks)
-    monkeypatch.setattr(EulerStack, "step", Stack.step)
+    monkeypatch.setattr(EulerStack, "step", lambda stack, dt: reference_step(stack, dt)[0])
     assert error == _run_error(field, cfg, ranks)
     if failure == "cell-pass":
         assert f"after step {k} " in error[1]
@@ -253,7 +270,8 @@ def test_a_degenerate_wave_fan_on_a_shared_64x64_step(ranks, where):
     axis = 0 if where == "rows" else 1
     with np.errstate(all="ignore"):
         for _ in range(20):
-            assert compiled.step(1e-4) == Stack.step(per_stage, 1e-4) == SWEEP_DEGENERATE
+            assert compiled.step(1e-4) == SWEEP_DEGENERATE
+            assert reference_step(per_stage, 1e-4) == (SWEEP_DEGENERATE, 0)
             assert compiled.stop == per_stage.stop == (axis, stack.data.shape[1] - 1)
             assert compiled.stop_stage == 0
             assert np.array_equal(_bits(compiled.data), _bits(per_stage.data))

@@ -28,7 +28,7 @@ from conslaw.numerics import (
 from conslaw.parallel import exchange_halos, fill_boundary, halo_plan, local_grid, scatter_field
 from conslaw import numerics, solver
 from conslaw.solver import SchemeConfig, run_simulation, spatial_residual, wave_speed_maxima
-from oracles import rank_offsets, reference_euler_residual
+from oracles import per_stage_step, rank_offsets, reference_euler_residual
 
 SCHEMES = [
     (flux, recon)
@@ -71,6 +71,16 @@ def reference(field, cfg):
         cfg.recon.kind.value,
         cfg.recon.epsilon,
     )
+
+
+def reference_step(stack, dt, residual=None):
+    """``oracles.per_stage_step`` (its residual ``residual``, by default the
+    stack's own), then the stack's cell pass: the status ``step`` returns,
+    and the stage of a residual that stopped the step (else None)."""
+    status, stage = per_stage_step(stack, dt, residual)
+    if not status and stack.cell_pass():
+        status = numerics.STEP_CELLS
+    return status, stage
 
 
 def random_prim(rng, shape, palette=0):

@@ -206,7 +206,10 @@ def test_a_halo_pass_writes_each_ghost_once_per_axis_and_no_interior_cell(case):
 @given(case=halo_cases())
 def test_the_compiled_halo_pass_of_an_euler_stack_is_the_numpy_pass(case):
     # the kernel runs the same plan, from the views' offsets, shapes and
-    # strides: every ghost as exchange_halos writes it, no interior cell
+    # strides: every ghost as exchange_halos writes it, no interior cell.
+    # It runs first in an RK1 step of dt = 0, whose residual either fails
+    # and leaves the state, or adds 0 k to every interior value, which keeps
+    # it (the values are drawn from [0, 1): no -0.0 turns into +0.0)
     field, ranks, bc = case
     dim = field.grid.dim
     interior = np.concatenate([field.interior] * 3)[: dim + 2]
@@ -216,8 +219,9 @@ def test_the_compiled_halo_pass_of_an_euler_stack_is_the_numpy_pass(case):
     stack.interior[...] = cells
     want = Field(stack.grid, stack.ncomp, stack.data.copy())
     exchange_halos(halo_plan(want, ranks, bc))
-    cfg = SchemeConfig(EquationModel(kind="euler", dim=dim), bc=bc)
-    EulerStack(stack, cfg, halo_plan(stack, ranks, bc)).halo_pass()
+    cfg = SchemeConfig(EquationModel(kind="euler", dim=dim), rk_order=1, bc=bc)
+    with np.errstate(all="ignore"):
+        EulerStack(stack, cfg, halo_plan(stack, ranks, bc)).step(0.0)
     np.testing.assert_array_equal(stack.data.view(np.int64), want.data.view(np.int64))
 
 

@@ -1,10 +1,13 @@
-/* A ThreadSanitizer driver of the jobs that _faces.c shares with its
- * helper thread.
+/* A driver of the jobs that _faces.c shares with its helper thread, built
+ * twice: under ThreadSanitizer, and with the library's own flags.
  *
- * Build and run (test_tsan_sweeps.py does this):
+ * Build and run (test_tsan_sweeps.py does both):
  *
  *     gcc -fsanitize=thread -O1 -g -pthread tests/tsan_sweeps.c -lm -o tsan_sweeps
  *     ./tsan_sweeps [calls]
+ *     gcc -O3 -march=native -fno-fast-math -fno-math-errno -ffp-contract=off \
+ *         -fno-thread-jumps -pthread tests/tsan_sweeps.c -lm -o opt_sweeps
+ *     ./opt_sweeps [calls]
  *
  * It calls euler_residual and euler_step on 2D WENO3/HLLC stacks whose
  * sweeps have at least SHARE_MIN_FACES faces, so that every call is offered
@@ -31,7 +34,11 @@
  * flagged in a run of 20 000 residuals at 32x32 and 5 000 at 64x64; with
  * it, it fails the first 32x32 case.  What it does not catch: an ordering
  * bug elsewhere among the atomics that leaves no plain access
- * unsynchronised.
+ * unsynchronised.  The optimized build checks the same bits at full speed,
+ * with the timing windows of a run, which the sanitizer's slowdown can
+ * hide: with a phase's unit count kept apart from `next`, a helper that
+ * pairs a new phase's `next` with the old count runs one unit twice and
+ * skips another, and calls differ in the first case of every run.
  *
  * Exit status: 0 when every call agreed, 1 when one did not, and 77 when no
  * helper thread started (fewer than 2 CPUs), so that nothing was shared.
