@@ -19,29 +19,29 @@
  *
  * Each axis sweep is described by one `Sweep`.  A sweep reads the padded
  * state through strides and subtracts (F[i+1] - F[i]) / delta from each
- * interior cell of the residual (the first sweep of a residual writes
- * 0 - (F[i+1] - F[i]) / delta, so the residual needs no zeroing).  Lines
- * along x are read in place.  Lines along y or z are copied BLOCK_LINES
- * adjacent lines at a time, row by row, and swept as the lanes of one line,
- * so that every stage is a loop over the faces of the lines (a block that
- * fails, or one of fewer lines, is swept line by line).  A sweep
- * returns 0, or a nonzero status for the first line that fails, ranks
- * outermost: 1 for an unphysical face state, 2 for a degenerate HLLC wave
- * fan, 4 for an unphysical interior cell (checked by the first sweep of a
- * residual while it loads its lines); the residual is then partly updated
- * and the stage, axis and rank of the line are left in the stack.
- * conslaw.solver locates the failing cell or face itself.
+ * interior cell of the residual (the first sweep of a residual, along x,
+ * writes 0 - (F[i+1] - F[i]) / delta, so the residual needs no zeroing).
+ * The state is contiguous along x, and lines along x are read in place.
+ * Lines along y or z are copied BLOCK_LINES adjacent lines at a time, row by
+ * row, and swept as the lanes of one line, so that every stage is a loop
+ * over the faces of the lines (a block that fails, or one of fewer lines, is
+ * swept line by line).  A sweep returns 0, or a nonzero status for the first
+ * line that fails, ranks outermost: 1 for an unphysical face state, 2 for a
+ * degenerate HLLC wave fan, 4 for an unphysical interior cell (checked by
+ * the first sweep of a residual while it loads its lines); the residual is
+ * then partly updated and the stage, axis and rank of the line are left in
+ * the stack.  conslaw.solver locates the failing cell or face itself.
  *
- * A call is a `Job` of phases (a sweep, a combination, a cell pass), each cut
- * into chunks of CHUNK_LINES lines.  On a stack of at least SHARE_MIN_FACES
- * faces per sweep the job is posted once to one helper pthread, which stays
- * in the process and takes chunks of every phase beside the caller (see
- * "The helper thread" below).  Each line is computed by one thread and
- * writes only its own cells, each thread keeps its own maxima (combined by
- * max, which is exact), and the lowest failing line decides the status, so
- * every bit and every failure is that of one thread.  No helper starts
- * where the process may run on fewer than 2 CPUs; a forked child starts its
- * own.  Link with -pthread.
+ * A call is a `Job` of phases (a sweep, a combination, a cell pass), each
+ * cut into chunks of CHUNK_LINES lines.  On a stack of at least
+ * SHARE_MIN_FACES faces per sweep, whichever entry point is called, the job
+ * is posted once to one helper pthread, which stays in the process and takes
+ * chunks of every phase beside the caller (see "The helper thread" below).
+ * Each line is computed by one thread and writes only its own cells, each
+ * thread keeps its own maxima (combined by max, which is exact), and the
+ * lowest failing line decides the status, so every bit and every failure is
+ * that of one thread.  No helper starts where the process may run on fewer
+ * than 2 CPUs; a forked child starts its own.  Link with -pthread.
  *
  * Entry points, on one run's `Stack` (its state, the buffers and the line
  * scratch it owns, and its halo plan, which conslaw.numerics.EulerStack
@@ -81,8 +81,8 @@ typedef struct {
 
 /* The padded state of R equal subdomains, its buffers, its halo plan and the
  * scheme, as conslaw.numerics.EulerStack fills them once per run.  Arrays
- * are indexed (component, rank, z, y, x); a spatial axis past `dim` has one
- * cell, no ghosts and stride 0. */
+ * are indexed (component, rank, z, y, x), contiguous along x; a spatial axis
+ * past `dim` has one cell, no ghosts and stride 0. */
 typedef struct {
     double *u;            /* the padded state at cell 0 of every axis */
     double *res;          /* the residual, contiguous */
@@ -91,7 +91,7 @@ typedef struct {
     double *scratch;      /* the line scratch of each thread, line_scratch() apart */
     const Copy *halo;     /* the slab copies of one halo pass, in order */
     long copies;
-    long ustr[5];         /* element strides of u */
+    long ustr[5];         /* element strides of u; ustr[4] (x) is 1 */
     long ranks, cells[3]; /* interior cells along x, y and z */
     int dim, ghost, weno, hllc, stages;
     double epsilon, d0, d1, gamma, gm1, floor, delta[3];
@@ -102,7 +102,8 @@ typedef struct {
 
 /* per-line scratch: BLOCK_LINES gathered lines of n + 2g cells, and the
  * n + 1 faces per component of the line being swept, or of BLOCK_LINES lines
- * swept as the lanes of one */
+ * swept as the lanes of one (the cell pass keeps the dim * nx speeds of an
+ * x line in the same scratch) */
 typedef struct {
     double *cols;             /* gathered lines, line-major, then component-major */
     double *diff;             /* their flux differences, n per component */
@@ -137,7 +138,7 @@ typedef struct {
  * then 2 (T2), the order of the serial loop; adjacent lines along T2 are
  * adjacent in memory along x, or along y for the x sweep. */
 typedef struct {
-    int axis, first;      /* first: the first sweep of a residual, which */
+    int axis, first;      /* first: the x sweep, the first of a residual, which */
     const double *u;      /* checks the interior cells and writes the residual */
     double *out;
     long ustr[5], ostr[5];
@@ -372,8 +373,8 @@ INLINE int hllc_line(int axis, int dim, const double *const *uL, const double *c
  * contiguous; or S such lines as the lanes of one, cell k of lane b at
  * col[c][k S + b].  Every loop runs over the S lanes of each face or cell,
  * and each lane rounds as its line alone.  The flux differences go to diff,
- * or with diff NULL (S = 1, a line of the first sweep read in place) into
- * the contiguous residual line oline[c * ostr[0] + i].  The first sweep of
+ * or with diff NULL (S = 1, an x line read in place) into the contiguous
+ * residual line oline[c * ostr[0] + i].  The first sweep of
  * a residual checks that the line's interior cells are physical
  * (conslaw.equations.physical_mask). */
 INLINE int sweep_line(const Sweep *sw, const Stack *st, int dim, long S,
@@ -435,8 +436,8 @@ INLINE int sweep_line(const Sweep *sw, const Stack *st, int dim, long S,
         rusanov_line(ncomp, u[0], u[1], nf, w);
     }
     /* the flux difference of each interior cell: into diff, which
-     * sweep_block subtracts from the residual, or, for a line of the first
-     * sweep read in place, into the contiguous residual line */
+     * sweep_block subtracts from the residual, or, for an x line read in
+     * place, into the contiguous residual line */
     double delta = sw->delta, scale = sw->scale;
     for (int c = 0; c < ncomp; c++) {
         const double *F = w->F + c * nf;
@@ -475,15 +476,14 @@ static long work_init(Work *w, double *buf, long ncomp, long n, int ghost)
 }
 
 /* Sweep `block` adjacent lines from `line` (their first padded cell of
- * component 0; the lines of the first sweep along a contiguous x are one
- * block each, read in place), as the lanes of one when there are several:
- * each component's rows are copied as they lie, and the flux differences
- * subtracted from the residual `oline` row by row once every lane has
- * passed.  Returns the status. */
+ * component 0; the lines of the x sweep are one block each, read in place),
+ * as the lanes of one when there are several: each component's rows are
+ * copied as they lie, and the flux differences subtracted from the residual
+ * `oline` row by row once every lane has passed.  Returns the status. */
 INLINE int sweep_block(const Sweep *sw, const Stack *st, int dim, const double *line,
                        double *oline, long block, long n, Work *w)
 {
-    int ncomp = dim + 2, in_place = sw->ustr[2] == 1 && sw->first;
+    int ncomp = dim + 2, in_place = sw->first;
     long N = n + 2 * st->ghost, sc = sw->ustr[0], sk = sw->ustr[2], s2 = sw->ustr[4];
     long ob = sw->ostr[4];
     const double *col[MAXCOMP];
@@ -504,7 +504,7 @@ INLINE int sweep_block(const Sweep *sw, const Stack *st, int dim, const double *
             double *o = oline + c * sw->ostr[0] + i * sw->ostr[2];
             const double *d = w->diff + (c * n + i) * block;
             for (long b = 0; b < block; b++)
-                o[b * ob] = (sw->first ? 0.0 : o[b * ob]) - d[b];
+                o[b * ob] = o[b * ob] - d[b];
         }
     return STATUS_OK;
 }
@@ -526,8 +526,7 @@ INLINE int sweep_lines(const Sweep *sw, const Stack *st, int dim, long first, lo
                            + lo * sw->ustr[2];
         double *oline = sw->out + r * sw->ostr[1] + t1 * sw->ostr[3] + t2 * ob
                       + lo * sw->ostr[2];
-        long block = sw->ustr[2] == 1 && sw->first ? 1
-                   : sw->T2 - t2 < last - l ? sw->T2 - t2 : last - l;
+        long block = sw->first ? 1 : sw->T2 - t2 < last - l ? sw->T2 - t2 : last - l;
         block = block < BLOCK_LINES ? block : BLOCK_LINES;
         int status = sweep_block(sw, st, dim, line, oline, block, n, w);
         if (status && block > 1)
@@ -557,7 +556,7 @@ INLINE long offset(const Stack *st, int a) { return 4 - a < st->dim ? st->ghost 
 INLINE double *x_line(const Stack *st, int c, long r, long z, long y)
 {
     return st->u + c * st->ustr[0] + r * st->ustr[1] + (z + offset(st, 2)) * st->ustr[2]
-         + (y + offset(st, 3)) * st->ustr[3] + st->ghost * st->ustr[4];
+         + (y + offset(st, 3)) * st->ustr[3] + st->ghost;
 }
 
 /* the element strides of a contiguous interior array */
@@ -578,25 +577,25 @@ INLINE long x_lines(const Stack *st) { return st->ranks * extent(st, 2) * extent
  * u + res dt, stage s > 0 (RK_LATER) start a[s] + (res dt + u) b[s]. */
 enum { RK_FIRST = 0, RK_FIRST_SAVE = 1, RK_LATER = 2 };
 
-/* one x line of a stage: u strided by sx, k (the residual) and start contiguous */
-INLINE void stage_line(double *u, long sx, const double *k, double *start, long n,
-                       double dt, double a, double b, int mode)
+/* one x line of a stage: u, k (the residual) and start */
+INLINE void stage_line(double *u, const double *k, double *start, long n, double dt,
+                       double a, double b, int mode)
 {
     if (mode == RK_LATER) {
         for (long i = 0; i < n; i++) {
             double q = k[i] * dt;
-            q = q + u[i * sx];
+            q = q + u[i];
             q = q * b;
-            u[i * sx] = start[i] * a + q;
+            u[i] = start[i] * a + q;
         }
     } else if (mode == RK_FIRST_SAVE) {
         for (long i = 0; i < n; i++) {
-            start[i] = u[i * sx];
-            u[i * sx] = u[i * sx] + k[i] * dt;
+            start[i] = u[i];
+            u[i] = u[i] + k[i] * dt;
         }
     } else {
         for (long i = 0; i < n; i++)
-            u[i * sx] = u[i * sx] + k[i] * dt;
+            u[i] = u[i] + k[i] * dt;
     }
 }
 
@@ -608,21 +607,17 @@ static void stage_lines(const Stack *st, long first, long last, double dt, int s
     int mode = s ? RK_LATER : st->stages > 1 ? RK_FIRST_SAVE : RK_FIRST;
     long rstr[5], Y = extent(st, 3), Z = extent(st, 2), C = st->dim + 2;
     interior_strides(st, rstr);
-    long nx = st->cells[0], sx = st->ustr[4];
     for (long l = first; l < last; l++) {
         int c = l % C;
         long row = l / C, r = row / (Z * Y), z = row / Y % Z, y = row % Y;
         long i = c * rstr[0] + r * rstr[1] + z * rstr[2] + y * rstr[3];
-        double *u = x_line(st, c, r, z, y);
-        if (sx == 1)
-            stage_line(u, 1, st->res + i, st->start + i, nx, dt, a, b, mode);
-        else
-            stage_line(u, sx, st->res + i, st->start + i, nx, dt, a, b, mode);
+        stage_line(x_line(st, c, r, z, y), st->res + i, st->start + i, st->cells[0], dt, a,
+                   b, mode);
     }
 }
 
-/* one x line of cell_pass, q[c] its first interior cell of component c
- * (contiguous), with the scratch speed of dim * n doubles: whether a cell is
+/* one x line of cell_pass, q[c] its first interior cell of component c,
+ * with the scratch speed of dim * n doubles: whether a cell is
  * not finite or not physical, and the maxima raised into top.  The speeds
  * are stored by one loop, which vectorizes, and reduced by a second. */
 INLINE int cell_line(int dim, const double *const *q, long n, double gamma, double gm1,
@@ -658,24 +653,17 @@ INLINE int cell_line(int dim, const double *const *q, long n, double gamma, doub
 }
 
 /* x lines [first, last) of the cell pass, numbered rank, z, then y, with
- * the scratch w: a strided x axis is gathered into it first */
+ * the scratch w */
 INLINE int cell_lines(const Stack *st, int dim, long first, long last, double *w, double *top)
 {
-    long sx = st->ustr[4], nx = st->cells[0], Y = extent(st, 3), Z = extent(st, 2);
+    long Y = extent(st, 3), Z = extent(st, 2);
     int bad = 0;
     for (long l = first; l < last; l++) {
         long r = l / (Z * Y), z = l / Y % Z, y = l % Y;
         const double *q[MAXCOMP];
-        for (int c = 0; c < dim + 2; c++) {
+        for (int c = 0; c < dim + 2; c++)
             q[c] = x_line(st, c, r, z, y);
-            if (sx != 1) {
-                double *to = w + (dim + c) * nx;
-                for (long i = 0; i < nx; i++)
-                    to[i] = q[c][i * sx];
-                q[c] = to;
-            }
-        }
-        bad |= cell_line(dim, q, nx, st->gamma, st->gm1, st->floor, w, top);
+        bad |= cell_line(dim, q, st->cells[0], st->gamma, st->gm1, st->floor, w, top);
     }
     return bad;
 }
@@ -743,18 +731,15 @@ INLINE void cpu_relax(void)
 /* the units of CHUNK_LINES lines that cover `lines` lines */
 INLINE long chunks(long lines) { return (lines + CHUNK_LINES - 1) / CHUNK_LINES; }
 
-/* line_scratch(): the doubles of one thread's scratch */
+/* line_scratch(): the doubles of one thread's scratch, the Work of the
+ * longest line (which holds the cell pass's dim * nx speeds of an x line) */
 long line_scratch(const Stack *st)
 {
     long n = st->cells[0];
     for (int k = 1; k < st->dim; k++)
         n = st->cells[k] > n ? st->cells[k] : n;
     Work w;
-    /* the cell pass: the speeds of an x line, and the line gathered when
-     * its x axis is strided */
-    long size = work_init(&w, NULL, st->dim + 2, n, st->ghost);
-    long cells = (2 * st->dim + 2) * st->cells[0];
-    return size > cells ? size : cells;
+    return work_init(&w, NULL, st->dim + 2, n, st->ghost);
 }
 
 /* Unit `unit` of the open phase, by thread `thread` (0 the caller, 1 the
@@ -996,9 +981,10 @@ static void withdraw_job(void)
  * The entry points on one run's stack
  * ------------------------------------------------------------------------ */
 
-/* A job on st, with a Sweep per axis, posted to the helper when `share`
- * and the sweeps are large enough; returns whether it was posted. */
-static int begin_job(Job *job, Stack *st, int share)
+/* A job on st, with a Sweep per axis, posted to the helper when the sweeps
+ * have at least SHARE_MIN_FACES faces; returns whether it was posted.  Every
+ * entry point shares by this one rule. */
+static int begin_job(Job *job, Stack *st)
 {
     long rstr[5];
     interior_strides(st, rstr);
@@ -1028,7 +1014,7 @@ static int begin_job(Job *job, Stack *st, int share)
         long mine = sw->lines * (sw->n + 1);
         faces = mine > faces ? mine : faces;
     }
-    if (!share || faces < SHARE_MIN_FACES || !post_job(job))
+    if (faces < SHARE_MIN_FACES || !post_job(job))
         return 0;
     /* Shared, one rank's lines along its outermost axis are swept in two
      * halves, so that the first half of the units of every phase covers the
@@ -1130,7 +1116,7 @@ static void halo_pass(const Stack *st)
 int euler_residual(Stack *st)
 {
     Job job;
-    int posted = begin_job(&job, st, 1);
+    int posted = begin_job(&job, st);
     int status = residual(&job);
     end_job(&job, posted);
     return status;
@@ -1140,15 +1126,15 @@ int euler_residual(Stack *st)
  * whether every cell is finite and physical (conslaw.equations
  * .physical_mask), and into st->maxima the maximum over the cells of
  * |m_k / rho| + c for each axis k, each value rounded as in
- * conslaw.equations.max_wave_speeds.  A maximum is exact, so the order of
- * the cells does not matter.  Returns 0, or 1 when a cell fails a check; the
- * maxima are then meaningless. */
+ * conslaw.equations.max_wave_speeds.  A maximum is exact and the failure an
+ * OR, so neither the order of the cells nor the sharing matters.  Returns
+ * 0, or 1 when a cell fails a check; the maxima are then meaningless. */
 int cell_pass(Stack *st)
 {
     Job job;
-    begin_job(&job, st, 0);
+    int posted = begin_job(&job, st);
     int bad = cells(&job);
-    end_job(&job, 0);
+    end_job(&job, posted);
     return bad;
 }
 
@@ -1161,7 +1147,7 @@ int cell_pass(Stack *st)
 int euler_step(Stack *st, double dt)
 {
     Job job;
-    int posted = begin_job(&job, st, 1), status = STATUS_OK;
+    int posted = begin_job(&job, st), status = STATUS_OK;
     for (int s = 0; s < st->stages && !status; s++) {
         halo_pass(st);
         st->stop_stage = s;

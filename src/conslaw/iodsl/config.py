@@ -126,7 +126,6 @@ class RunConfig:
     has_uq_section: bool
     output: OutputSettings
     digest: str
-    text: str
 
 
 def canonical_digest(text: str) -> str:
@@ -292,6 +291,12 @@ def _build_initial(initial: _Section, model: EquationModel):
             exprs.append(parse_expr(value))
         except ExprError as exc:
             raise ConfigError(f"in expression for {key!r}: {exc}", line=line, key=key)
+    for key, (_value, line) in initial.entries.items():
+        if key != "variables" and key not in keys:
+            raise ConfigError(
+                f"{key!r} in [initial] is not read: {variables} {model.kind} data in "
+                f"{model.dim}D uses {' '.join(keys)}", line=line, key=key,
+            )
     return tuple(exprs), variables != "conserved"
 
 
@@ -480,5 +485,4 @@ def parse_config(text: str) -> RunConfig:
         has_uq_section="uq" in sections,
         output=output,
         digest=canonical_digest(text),
-        text=text,
     )

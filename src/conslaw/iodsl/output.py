@@ -19,7 +19,8 @@ import numpy as np
 
 from .. import __version__ as _version
 from ..errors import ConfigError, SnapshotError
-from ..grid import Field, GridSpec, make_field
+from ..grid import Field, GridSpec, field_from_interior, make_field
+from ..uq import FieldMoments, Histogram, MlmcMoments, StructureFunctionAccumulator
 
 FORMAT_MAGIC = "conslaw-snapshot"
 FORMAT_VERSION = 1
@@ -167,9 +168,6 @@ def write_stats(results, header: OutputHeader, directory) -> list[Path]:
     snapshot-format field files; histograms and structure functions become
     CSV with the header carried in comment lines.
     """
-    from ..uq import FieldMoments, Histogram, MlmcMoments, StructureFunctionAccumulator
-    from ..grid import field_from_interior
-
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []

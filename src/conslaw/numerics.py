@@ -25,34 +25,36 @@ end-of-step check that every cell is finite and physical, and the per-axis
 CFL maxima).  ``ScalarStack`` serves Burgers and advection with the numpy
 functions below, and its step makes those parts one call each.
 ``EulerStack`` serves the Euler equations, whose fluxes have one
-implementation, the C kernel ``_faces.c``, and its step is one kernel call:
-the pointers, strides, shapes, line scratch, halo copies and scheme scalars
-go into one ctypes structure, which each call passes unchanged.  The halo
-pass runs the plan's slab copies from their offsets, shapes and strides; the
-residual sweeps each axis line by line (reconstruction, one primitive pass
-per face side, the first-order positivity fallback, the HLLC or Rusanov flux
-and the flux difference), checking while the first axis loads its lines
-that every interior cell is physical.  The kernel describes each axis sweep
-by one ``Sweep`` (the axis, its strides and line counts) and reads the
-scheme from the stack structure itself.  The reconstruction rounds like
+implementation, the C kernel ``_faces.c``, and its step is one kernel call;
+its state must be contiguous along x.  The pointers, strides, shapes, line
+scratch, halo copies and scheme scalars go into one ctypes structure, which
+each call passes unchanged, and ``_ENTRY_POINTS`` names each entry point
+once: its C name, argument types and result type.  The halo pass runs the
+plan's slab copies from their offsets, shapes and strides; the residual
+sweeps each axis line by line (reconstruction, one primitive pass per face
+side, the first-order positivity fallback, the HLLC or Rusanov flux and the
+flux difference), checking while the first axis loads its lines that every
+interior cell is physical.  The kernel describes each axis sweep by one
+``Sweep`` (the axis, its strides and line counts) and reads the scheme from
+the stack structure itself.  The reconstruction rounds like
 ``reconstruct_axis``, every face value like the face-by-face reference of
 ``tests/oracles.py`` (up to the sign of a zero), both stacks' combination
 like that file's SSP Runge-Kutta step and the maxima like
 ``equations.max_wave_speeds``.  A step that fails leaves what its parts made
-one call each would leave (``tests/oracles.py`` builds that reference);
-only ``compute_residual``, whose bits the face-by-face tests compare, and
+one call each would leave (``tests/oracles.py`` builds that reference); only
+``compute_residual``, whose bits the face-by-face tests compare, and
 ``cell_pass`` (of a run's initial state) are callable on their own.
 
 On a stack whose sweeps have at least ``SHARE_MIN_FACES`` faces (1024 in
 ``_faces.c``; a 32x32 sweep has 1056) the kernel shares each call, a step
-with all its phases, with one helper pthread that it starts on the first
-such call and keeps, on the allowed CPUs other than the caller's; the helper
-spins for ``SPIN_NS`` (1 ms) after each call, then sleeps.  Each line is
-computed by one thread, each thread keeps its own maxima, and the lowest
-failing line decides the status and the rank, so every output bit and every
-failure is that of one thread.  No helper starts where
-``sched_getaffinity`` allows fewer than 2 CPUs, and a forked child starts
-its own.  Python starts no thread.
+with all its phases, a residual or a cell pass alike, with one helper
+pthread that it starts on the first such call and keeps, on the allowed CPUs
+other than the caller's; the helper spins for ``SPIN_NS`` (1 ms) after each
+call, then sleeps.  Each line is computed by one thread, each thread keeps
+its own maxima, and the lowest failing line decides the status and the rank,
+so every output bit and every failure is that of one thread.  No helper
+starts where ``sched_getaffinity`` allows fewer than 2 CPUs, and a forked
+child starts its own.  Python starts no thread.
 
 ``face_kernel`` builds the kernel on the first use with gcc (or cc), caches
 the library in ``__pycache__/faces-<hash>.so`` next to this file (in a
@@ -71,10 +73,11 @@ import platform
 import shutil
 import subprocess
 import tempfile
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -353,21 +356,6 @@ def _host_cpu() -> bytes:
     )
 
 
-class FaceKernel(NamedTuple):
-    """The entry points of ``_faces.c`` on an ``EulerStack``: the whole
-    step, the residual alone, the cell pass and the size of the line
-    scratch."""
-
-    step: Callable
-    residual: Callable
-    cells: Callable
-    scratch: Callable
-
-
-#: the C names of ``FaceKernel``'s fields, in order
-_ENTRY_POINTS = ("euler_step", "euler_residual", "cell_pass", "line_scratch")
-
-
 class _StackArgs(ctypes.Structure):
     """The ``Stack`` of ``_faces.c``: one run's arrays, halo plan and scheme."""
 
@@ -384,6 +372,21 @@ class _StackArgs(ctypes.Structure):
         ("stop_axis", ctypes.c_int),
         ("stop_stage", ctypes.c_int),
     ]
+
+
+_STACK = ctypes.POINTER(_StackArgs)
+
+#: the entry points of ``_faces.c`` on an ``EulerStack``, by ``FaceKernel``
+#: field: the C name, the argument types and the result type
+_ENTRY_POINTS = {
+    "step": ("euler_step", (_STACK, ctypes.c_double), ctypes.c_int),  # the whole step
+    "residual": ("euler_residual", (_STACK,), ctypes.c_int),  # the residual alone
+    "cells": ("cell_pass", (_STACK,), ctypes.c_int),  # the cell pass
+    "scratch": ("line_scratch", (_STACK,), ctypes.c_long),  # the size of the line scratch
+}
+
+#: the loaded entry points, one field per row of ``_ENTRY_POINTS``
+FaceKernel = namedtuple("FaceKernel", _ENTRY_POINTS)
 
 
 #: the axes of a slab copy in ``_faces.c`` (``HALO_AXES``)
@@ -466,7 +469,7 @@ def _load_face_kernel(cache_dir: Path):
             # concurrent builders each write their own file; the rename is atomic
             os.replace(tmp, lib)
         loaded = ctypes.CDLL(str(lib))
-        kernel = FaceKernel(*(getattr(loaded, name) for name in _ENTRY_POINTS))
+        kernel = FaceKernel(*(getattr(loaded, name) for name, _, _ in _ENTRY_POINTS.values()))
     except (OSError, AttributeError, subprocess.SubprocessError) as exc:
         detail = (getattr(exc, "stderr", None) or b"").decode(errors="replace").strip()
         raise ConfigError(
@@ -477,13 +480,7 @@ def _load_face_kernel(cache_dir: Path):
         tmp.unlink(missing_ok=True)
         if private is not None:
             shutil.rmtree(private, ignore_errors=True)
-    stack = ctypes.POINTER(_StackArgs)
-    for entry, args, result in (
-        (kernel.step, [stack, ctypes.c_double], ctypes.c_int),
-        (kernel.residual, [stack], ctypes.c_int),
-        (kernel.cells, [stack], ctypes.c_int),
-        (kernel.scratch, [stack], ctypes.c_long),
-    ):
+    for entry, (_name, args, result) in zip(kernel, _ENTRY_POINTS.values()):
         entry.argtypes, entry.restype = args, result
     return kernel
 
@@ -507,23 +504,26 @@ SWEEP_DEGENERATE = 2
 class EulerStack(Stack):
     """A run's stack of Euler subdomains bound to the compiled kernel.
 
-    The pointers, strides and shapes of the state and of the buffers, the
-    line scratch of both kernel threads, the slab copies of the halo pass
-    and the scheme scalars go into one ctypes structure when the stack is
-    made, once per run; every call passes that structure unchanged, and a
-    step is one call.  ``cfg``'s model, flux, reconstruction and RK order
-    are read.
+    The state must be float64 and contiguous along x, as ``scatter_field``
+    and ``read_snapshot`` make it (``ScalarStack`` takes any layout).  The
+    pointers, strides and shapes of the state and of the buffers, the line
+    scratch of both kernel threads, the slab copies of the halo pass and the
+    scheme scalars go into one ctypes structure when the stack is made, once
+    per run; every call passes that structure unchanged, and a step is one
+    call.  ``cfg``'s model, flux, reconstruction and RK order are read.
     """
 
     def __init__(self, field: Field, cfg, halo=()):
         grid, model, recon = field.grid, cfg.model, cfg.recon
         data = field.data if field.data.ndim > grid.dim + 1 else field.data[:, None]
-        if data.dtype != np.float64 or data.shape[:1] + data.shape[2:] != (
-            (model.ncomp,) + grid.data_shape
+        want = (model.ncomp,) + grid.data_shape
+        if data.dtype != np.float64 or data.shape[:1] + data.shape[2:] != want or (
+            data.strides[-1] != data.itemsize
         ):
             raise ValueError(
                 f"an Euler stack needs a float64 state of {model.ncomp} components on "
-                f"{grid.data_shape}, got {field.data.dtype} {field.data.shape}"
+                f"{grid.data_shape}, contiguous along x, got {field.data.dtype} "
+                f"{field.data.shape} with strides {field.data.strides}"
             )
         super().__init__(field, cfg, halo)
         self._kernel = face_kernel()

@@ -42,8 +42,7 @@ from .errors import (
     UnphysicalStateError,
 )
 from .grid import BoundaryKind, Field, GridSpec
-from .numerics import (  # SSP_STAGES: the coefficients of a step, re-exported
-    SSP_STAGES,
+from .numerics import (
     STEP_CELLS,
     SWEEP_DEGENERATE,
     EulerStack,
@@ -227,11 +226,12 @@ def ssp_rk_step(state: Stack, dt: float, cfg: SchemeConfig) -> int:
     """One SSP-RK step of a run's stack, every subdomain at once, in place,
     then its cell pass: the stack's ``step``, one kernel call for Euler (per
     stage the halo pass, the residual and the combination; the SSP-RK
-    coefficients are ``SSP_STAGES``).  The arithmetic is elementwise, so each
-    subdomain gets the values a run of it alone would get.  Returns the
-    cell pass's 0 or 1 (the stack's ``maxima`` are the next step's CFL
-    speeds); a residual that fails raises here, as ``spatial_residual``
-    names it, from the state of the stage before it."""
+    coefficients are ``numerics.SSP_STAGES``).  The arithmetic is
+    elementwise, so each subdomain gets the values a run of it alone would
+    get.  Returns the cell pass's 0 or 1 (the stack's ``maxima`` are the
+    next step's CFL speeds); a residual that fails raises here, as
+    ``spatial_residual`` names it, from the state of the stage before it
+    (``run_simulation`` adds the step and the stage)."""
     status = state.step(dt)
     if status == STEP_CELLS:
         return 1
@@ -306,7 +306,9 @@ def run_simulation(
     ``seconds`` is the wall time of the step.  A check runs once, on the
     whole stack, and no check is repeated rank by rank: a failure names the
     check a serial run fails, the first rank (in rank order) failing it and
-    that rank's first failing cell, as ``rank N failed: ...`` with several ranks.
+    that rank's first failing cell, as ``rank N failed: ...`` with several ranks,
+    and its step: ``after step N (t = T)`` for the cell pass, ``in step N
+    (t = T), stage S`` for a residual (T the step's start, S from 1).
     """
     # before the layout check of scatter_field, in parse_config's order
     check_scheme(init.grid, cfg)
@@ -328,7 +330,11 @@ def run_simulation(
                 if remaining <= 1e-14 * cfg.t_end:
                     break
             dt = dt_from_maxima(maxima, state.grid.deltas, cfg.cfl, remaining)
-            bad = ssp_rk_step(state, dt, cfg)
+            try:
+                bad = ssp_rk_step(state, dt, cfg)
+            except (SimulationError, UnphysicalStateError) as exc:
+                where = f"in step {step + 1} (t = {t:.6g}), stage {state.stop_stage + 1}"
+                raise type(exc)(f"{exc} {where}", rank=exc.rank) from exc
             step += 1
             t += dt
             # the post-step check and the next step's CFL speeds

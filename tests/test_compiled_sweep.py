@@ -155,7 +155,10 @@ def test_a_stack_rejects_arrays_that_do_not_fit_the_grid():
     field, cfg = make_case(
         random_prim(np.random.default_rng(4), (4, 6)), FluxKind.HLLC, ReconstructionKind.WENO3
     )
-    for state in (field.data[..., 1:], field.data[:3], field.data.astype(np.float32)):
+    # the state as a view with an x stride of two elements
+    strided = np.zeros(field.data.shape[:-1] + (2 * field.data.shape[-1],))[..., ::2]
+    strided[...] = field.data
+    for state in (field.data[..., 1:], field.data[:3], field.data.astype(np.float32), strided):
         with pytest.raises(ValueError, match="^an Euler stack needs a float64 state of 4 "):
             EulerStack(Field(field.grid, field.ncomp, state), cfg)
 
@@ -247,19 +250,51 @@ def test_a_burgers_run_needs_no_compiler(no_compiler, tmp_path, capsys):
     assert not no_compiler.exists()
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture(scope="session")
 def good_library(tmp_path_factory):
-    """A kernel built and loaded from a directory of its own, once for the
-    damage cases (a build takes seconds), and its library file; it is never
-    damaged in place, since this process keeps it mapped."""
+    """A kernel built and loaded from a directory of its own, once per
+    session for the rebuild cases (a build takes seconds), and its library
+    file; it is never damaged in place, since this process keeps it mapped."""
     good_dir = tmp_path_factory.mktemp("good")
     kernel = numerics._load_face_kernel(good_dir)
     (good,) = good_dir.glob("faces-*.so")
     return kernel, good
 
 
+@pytest.fixture
+def stub_compiler(tmp_path, monkeypatch, good_library):
+    """The only C compiler on the path: a script that writes the session's
+    build of ``good_library`` to its ``-o`` path, as gcc writes it for the
+    same source and flags, and logs each call.  The value is the log.  The
+    package's own kernel is loaded first, by the real compiler if it is not
+    cached."""
+    numerics.face_kernel()
+    _kernel, good = good_library
+    built = tmp_path / "built.so"
+    # the library as the compiler wrote it, before the loader appended its sha256
+    built.write_bytes(good.read_bytes()[:-32])
+    log = tmp_path / "compiler.log"
+    stub = tmp_path / "cc"
+    stub.write_text(
+        f'#!/bin/sh\necho "$@" >> "{log}"\n'
+        f'while [ "$1" != -o ]; do shift; done\ncp "{built}" "$2"\n'
+    )
+    stub.chmod(0o755)
+    monkeypatch.setattr(numerics.shutil, "which", lambda name: str(stub))
+    return log
+
+
+def _builds(log):
+    """The compiler calls in the stub's log, each naming the source."""
+    calls = log.read_text().splitlines() if log.exists() else []
+    assert all(str(numerics._SOURCE) in call for call in calls)
+    return len(calls)
+
+
 @pytest.mark.parametrize("damage", ["empty", "header", "half", "garbled"])
-def test_a_damaged_cached_library_is_rebuilt(tmp_path, monkeypatch, damage, good_library):
+def test_a_damaged_cached_library_is_rebuilt(
+    tmp_path, monkeypatch, damage, good_library, stub_compiler
+):
     good_kernel, good = good_library
     reference = _residuals(monkeypatch, good_kernel)
     blob = good.read_bytes()
@@ -275,11 +310,12 @@ def test_a_damaged_cached_library_is_rebuilt(tmp_path, monkeypatch, damage, good
         "garbled": blob[:half] + bytes(64) + blob[half + 64 :],
     }[damage])
     kernel = numerics._load_face_kernel(cache)
+    assert _builds(stub_compiler) == 1
     assert damaged.read_bytes() == blob
     assert _same_bits(_residuals(monkeypatch, kernel), reference)
 
 
-def test_an_unwritable_cache_builds_in_a_private_directory(tmp_path, monkeypatch):
+def test_an_unwritable_cache_builds_in_a_private_directory(tmp_path, monkeypatch, stub_compiler):
     cache = tmp_path / "cache"
     cache.mkdir()
     access = numerics.os.access
@@ -293,6 +329,7 @@ def test_an_unwritable_cache_builds_in_a_private_directory(tmp_path, monkeypatch
         lambda **kw: private.append(mkdtemp(dir=tmp_path, **kw)) or private[-1],
     )
     kernel = numerics._load_face_kernel(cache)
+    assert _builds(stub_compiler) == 1
     assert list(cache.iterdir()) == []
     # the private directory is gone once the library is loaded
     assert len(private) == 1 and not numerics.Path(private[0]).exists()

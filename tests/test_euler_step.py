@@ -8,6 +8,8 @@ halo pass against ``parallel.exchange_halos``; and its failures against
 combination of each stage separate calls.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,15 @@ def _run_error(field, cfg, ranks=None):
     return type(err.value), str(err.value), err.value.rank
 
 
+def _reference_euler_step(stack, dt):
+    """``reference_step`` in place of ``EulerStack.step``: its status, with
+    the stage of a residual that stopped it where the kernel leaves it."""
+    status, stage = reference_step(stack, dt)
+    if stage is not None:
+        stack._args.stop_stage = stage
+    return status
+
+
 #: (seed of _random_line, step, status, stage) of natural failures: the
 #: residual of the second stage, and the cell pass
 FAILURES = {
@@ -240,11 +251,16 @@ def test_a_failing_step_leaves_the_state_and_error_of_the_per_stage_reference(
         assert compiled.stop_stage == stage
     # the state of the stage before the failing one, ghosts filled
     assert np.array_equal(_bits(got[2]), _bits(want[2]))
-    error = _run_error(field, cfg, ranks)
-    monkeypatch.setattr(EulerStack, "step", lambda stack, dt: reference_step(stack, dt)[0])
+    error, serial = _run_error(field, cfg, ranks), _run_error(field, cfg)
+    monkeypatch.setattr(EulerStack, "step", _reference_euler_step)
     assert error == _run_error(field, cfg, ranks)
     if failure == "cell-pass":
         assert f"after step {k} " in error[1]
+    else:
+        # the step, its start time and the stage, as the serial run names them
+        named = re.search(r" in step \d+ \(t = [^)]*\), stage \d+$", serial[1]).group()
+        assert named.startswith(f" in step {k} (t = ") and named.endswith(f", stage {stage + 1}")
+        assert error[1].endswith(named)
 
 
 @pytest.mark.parametrize("where", ["rows", "column"])

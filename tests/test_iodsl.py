@@ -211,6 +211,33 @@ def test_unknown_key_is_rejected_with_line_number():
     assert "recontruction" in bad.splitlines()[err.value.line - 1]
 
 
+BURGERS = (
+    "[grid]\ncells = 16\n\n[scheme]\nequation = burgers\nt_end = 0.1\n\n"
+    "[initial]\nu = sin(2 * pi * x)\n"
+)
+
+
+@pytest.mark.parametrize("text, extra, uses", [
+    (KH2D, "vz = 0", "rho vx vy p"),
+    (SOD, "vy = 0", "rho vx p"),
+    (SOD, "E = 2.5", "rho vx p"),
+    (SOD, "mx = 0", "rho vx p"),
+    (SOD, "u = 1", "rho vx p"),
+    (SOD.replace("variables = primitive", "variables = conserved").replace("vx = 0", "mx = 0")
+     .replace("p = x < 0.5 ? 1.0 : 0.1", "E = 2.5"), "vx = 0", "rho mx E"),
+    (BURGERS, "rho = 1", "u"),
+], ids=["vz-in-2d", "vy-in-1d", "E-beside-primitive", "mx-beside-primitive", "u-in-euler",
+        "vx-beside-conserved", "rho-in-burgers"])
+def test_an_initial_key_that_the_data_does_not_read_names_its_line(text, extra, uses):
+    bad = text.replace("[initial]\n", f"[initial]\n{extra}\n")
+    key = extra.split()[0]
+    message = rf"^line \d+: '{key}' in \[initial\] is not read: .* uses {uses}$"
+    with pytest.raises(ConfigError, match=message) as err:
+        parse_config(bad)
+    assert err.value.key == key
+    assert bad.splitlines()[err.value.line - 1] == extra
+
+
 def test_unknown_section_rejected():
     with pytest.raises(ConfigError, match="unknown section"):
         parse_config(SOD + "\n[extras]\nfoo = 1\n")

@@ -68,11 +68,13 @@ def _setup(name, ranks):
 
 
 def _results(name, ranks):
-    """The first residual and the field after STEPS steps of a case on ``ranks``."""
+    """The first residual, the cell pass's maxima and the field after STEPS
+    steps of a case on ``ranks``."""
     stack, cfg, init = _setup(name, ranks)
     residual = spatial_residual(stack, cfg).copy()
+    assert stack.cell_pass() == 0
     final, _ = run_simulation(init, cfg, ranks, steps=STEPS)
-    return residual, final.data
+    return residual, stack.maxima.copy(), final.data
 
 
 def _digest(arr):
@@ -113,12 +115,13 @@ def test_shared_sweeps_are_bitwise_equal_to_the_reference_and_to_one_cpu(tmp_pat
         (name, ranks): _results(name, ranks)
         for name, (_, layouts) in CASES.items() for ranks in layouts
     }
-    for (name, ranks), (residual, final) in here.items():
+    for (name, ranks), (residual, maxima, final) in here.items():
         stack, cfg, _ = _setup(name, ranks)
         want = _reference_residual(stack, cfg)
         assert np.array_equal(residual.view(np.int64), want.view(np.int64)), (name, ranks)
-        # a decomposed run ends bitwise where the serial run does
-        serial = here[(name, CASES[name][1][0])][1]
+        # a decomposed run has the serial run's maxima and ends bitwise where it does
+        _, serial_maxima, serial = here[(name, CASES[name][1][0])]
+        assert np.array_equal(maxima.view(np.int64), serial_maxima.view(np.int64)), (name, ranks)
         assert np.array_equal(final.view(np.int64), serial.view(np.int64)), (name, ranks)
     # the same, computed where the process may run on one CPU only
     pinned = _python(tmp_path, """
@@ -241,6 +244,16 @@ def test_the_lowest_failing_line_decides_the_stop_and_the_error(failure, ranks):
             with pytest.raises((SimulationError, UnphysicalStateError), match=message) as err:
                 spatial_residual(stack, cfg)
         assert err.value.rank == rank
+
+
+@pytest.mark.parametrize("row", [0, 31, 63])
+def test_a_shared_cell_pass_fails_whichever_thread_meets_the_bad_cell(row):
+    warm, _, _ = _setup("kh2d-64", (1, 1))
+    stack, _, _ = _setup("kh2d-64", (1, 1))
+    stack.interior[3, 0, row, 5] = -1.0
+    # a helper that has just swept spins, so it takes lines of the pass at once
+    warm.compute_residual()
+    assert stack.cell_pass() == 1
 
 
 # ---------------------------------------------------------------------------
