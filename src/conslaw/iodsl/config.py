@@ -9,7 +9,7 @@ under comments, whitespace and reordering, and changes with any value.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..equations import ADVECTION, BURGERS, EULER, EquationModel
 from ..errors import ConfigError, ConslawError, ExprError
@@ -67,23 +67,24 @@ class UqSettings:
 
     def plan(self, grid: GridSpec, seed: int | None = None):
         """The campaign's sample plan, with ``seed`` for the config's when
-        given: a ``SamplePlan`` of ``samples`` for one level (an ``MlmcPlan``
-        rejects a longer ``level_samples``), else an ``MlmcPlan`` on the level
-        grids of ``grid``.  ``samples``, each level's default, is checked too."""
+        given.  Level l runs ``level_samples[l]`` samples when that is set,
+        else ``samples``, whatever the number of levels.  The counts are
+        checked as those of an ``MlmcPlan`` on the level grids of ``grid``,
+        which is the plan of two or more levels; one level is a
+        ``SamplePlan`` of its count.  ``samples``, each level's default, is
+        checked too."""
         single = SamplePlan(
             self.method, self.samples, self.seed if seed is None else seed, self.stochastic_dim
         )
-        if self.levels == 1 and len(self.level_samples) <= 1:
-            return single
         if self.levels > 1 and any(f != "moments" for f in self.functionals):
             raise ConfigError(
                 "multilevel estimation supports only the 'moments' functional", key="functionals"
             )
-        grids = level_grids(grid, self.levels)
-        return MlmcPlan(
-            grids, self.level_samples or (self.samples,) * len(grids),
+        multi = MlmcPlan(
+            level_grids(grid, self.levels), self.level_samples or (self.samples,) * self.levels,
             single.method, single.seed, single.stochastic_dim,
         )
+        return multi if multi.levels > 1 else replace(single, samples=multi.samples_per_level[0])
 
     def build_functionals(self, grid: GridSpec, ncomp: int, bc: tuple) -> list:
         """Fresh functionals of the campaign on ``grid`` with the boundary
@@ -258,30 +259,24 @@ def _section(sections, name) -> _Section:
 
 def _build_model(scheme: _Section, dim: int) -> EquationModel:
     kind = scheme.choice("equation", (EULER, BURGERS, ADVECTION), EULER)
+    for key, owner in (("gamma", EULER), ("advection_speed", ADVECTION)):
+        if kind != owner and scheme.has(key):
+            raise ConfigError(f"{key} only applies to the {owner} equation",
+                              line=scheme.raw(key)[1], key=key)
     gamma = scheme.float("gamma", 1.4)
     speed = scheme.floats("advection_speed", (1.0,) * dim)
-    if kind != ADVECTION and scheme.has("advection_speed"):
-        _value, line = scheme.raw("advection_speed")
-        raise ConfigError(
-            "advection_speed only applies to the advection equation", line=line
-        )
     return EquationModel(
         kind, dim, gamma=gamma, advection_speed=speed if kind == ADVECTION else ()
     )
 
 
 def _build_initial(initial: _Section, model: EquationModel):
-    variables = initial.choice("variables", ("primitive", "conserved", "scalar"),
-                               "primitive" if model.kind == EULER else "scalar")
-    if model.kind == EULER:
-        if variables == "scalar":
-            raise ConfigError("Euler initial data cannot use scalar variables")
-        if variables == "primitive":
-            keys = ("rho",) + tuple(f"v{'xyz'[k]}" for k in range(model.dim)) + ("p",)
-        else:
-            keys = model.component_names
+    choices = ("primitive", "conserved") if model.kind == EULER else ("scalar",)
+    variables = initial.choice("variables", choices, choices[0])
+    if variables == "primitive":
+        keys = ("rho",) + tuple(f"v{'xyz'[k]}" for k in range(model.dim)) + ("p",)
     else:
-        keys = ("u",)
+        keys = model.component_names
     exprs = []
     for key in keys:
         value, line = initial.raw(key, default=None) if initial.has(key) else (None, None)

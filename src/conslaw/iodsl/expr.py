@@ -20,7 +20,7 @@ import numpy as np
 
 from ..equations import EULER, EquationModel, primitive_to_conserved, is_physical
 from ..errors import ExprError, UnphysicalStateError
-from ..grid import Field, GridSpec, make_field
+from ..grid import Field, GridSpec, field_from_interior
 
 
 # --- abstract syntax -------------------------------------------------------
@@ -380,6 +380,4 @@ def eval_init(
         values = primitive_to_conserved(model, values)
     if not is_physical(model, values):
         raise UnphysicalStateError("initial data is unphysical")
-    field = make_field(grid, model.ncomp, 0.0)
-    field.interior[...] = values
-    return field
+    return field_from_interior(grid, values)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .. import __version__ as _version
 from ..errors import ConfigError, SnapshotError
-from ..grid import Field, GridSpec, field_from_interior, make_field
+from ..grid import Field, GridSpec, field_from_interior
 from ..uq import FieldMoments, Histogram, MlmcMoments, StructureFunctionAccumulator
 
 FORMAT_MAGIC = "conslaw-snapshot"
@@ -142,9 +142,7 @@ def read_snapshot(path) -> tuple[Field, dict]:
     if found != expected or len(raw) % 8 != 0:
         raise SnapshotError(f"{path}: expected {expected} floats, found {found}")
     values = np.frombuffer(raw, dtype="<f8").reshape((ncomp,) + grid.interior_shape)
-    field = make_field(grid, ncomp, 0.0)
-    field.interior[...] = values
-    return field, header
+    return field_from_interior(grid, values), header
 
 
 def write_csv(path, header: OutputHeader, columns: str, rows) -> Path:

@@ -65,6 +65,7 @@ face that a failed Euler sweep reports.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import hashlib
@@ -272,12 +273,11 @@ class ScalarStack(Stack):
     ``compute_residual`` and ``stage``."""
 
     def step(self, dt: float) -> int:
-        """One SSP-RK step, then the cell pass (see ``Stack``)."""
+        """One SSP-RK step, then the cell pass (see ``Stack``); a scalar
+        residual never fails."""
         for a, b in ((None, None),) + SSP_STAGES[self.cfg.rk_order]:
             exchange_halos(self.halo)
-            status = self.compute_residual()
-            if status:
-                return status
+            self.compute_residual()
             self.stage(dt, a, b)
         return STEP_CELLS if self.cell_pass() else 0
 
@@ -433,11 +433,13 @@ def _intact(lib: Path) -> bool:
 
 
 def _load_face_kernel(cache_dir: Path):
-    """Build ``_faces.c`` into ``cache_dir`` (once per source, flags,
-    machine and host CPU, so that a shared checkout never loads a library
-    built for another CPU) and load its entry points as a ``FaceKernel``.  A damaged
-    cached library is rebuilt.  Raises ConfigError naming the missing
-    compiler or source, or the failed build."""
+    """Build ``_faces.c`` into ``cache_dir`` and load its entry points as a
+    ``FaceKernel``.  A library is named by the hash of its source, then the
+    hash of its flags, machine and host CPU, so that a shared checkout never
+    loads a library built for another CPU.  A damaged cached library is
+    rebuilt; a build deletes the libraries of every other source and keeps
+    those of its own source for other CPUs or flags.  Raises ConfigError
+    naming the missing compiler or source, or the failed build."""
     compiler = shutil.which("gcc") or shutil.which("cc")
     if compiler is None:
         raise ConfigError(
@@ -445,10 +447,10 @@ def _load_face_kernel(cache_dir: Path):
         )
     if not _SOURCE.is_file():
         raise ConfigError(f"Euler runs need the face sweep source, but {_SOURCE} is missing")
-    key = hashlib.sha256(
-        _SOURCE.read_bytes() + " ".join(_CFLAGS).encode() + platform.machine().encode()
-        + _host_cpu()
-    ).hexdigest()
+    source = hashlib.sha256(_SOURCE.read_bytes()).hexdigest()[:16]
+    build = hashlib.sha256(
+        " ".join(_CFLAGS).encode() + platform.machine().encode() + _host_cpu()
+    ).hexdigest()[:16]
     private = None
     try:
         cache_dir.mkdir(exist_ok=True)
@@ -456,7 +458,7 @@ def _load_face_kernel(cache_dir: Path):
         pass
     if not os.access(cache_dir, os.W_OK):
         cache_dir = private = Path(tempfile.mkdtemp(prefix="conslaw-faces-"))
-    lib = cache_dir / f"faces-{key[:32]}.so"
+    lib = cache_dir / f"faces-{source}-{build}.so"
     tmp = cache_dir / f"{lib.name}.{os.getpid()}.tmp"
     try:
         if not _intact(lib):
@@ -468,6 +470,12 @@ def _load_face_kernel(cache_dir: Path):
                 fh.write(hashlib.sha256(tmp.read_bytes()).digest())
             # concurrent builders each write their own file; the rename is atomic
             os.replace(tmp, lib)
+            # the pattern leaves a concurrent builder's *.tmp file alone; a
+            # library that cannot be deleted only costs disk space
+            for other in cache_dir.glob("faces-*.so"):
+                if not other.name.startswith(f"faces-{source}-"):
+                    with contextlib.suppress(OSError):
+                        other.unlink()
         loaded = ctypes.CDLL(str(lib))
         kernel = FaceKernel(*(getattr(loaded, name) for name, _, _ in _ENTRY_POINTS.values()))
     except (OSError, AttributeError, subprocess.SubprocessError) as exc:

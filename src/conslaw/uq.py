@@ -1,9 +1,10 @@
 """Sampling-based uncertainty quantification over solver runs.
 
 Single-level estimates average a statistical functional G over M independent
-samples; multilevel estimates telescope differences of G across a hierarchy
-of nested grids, with both runs of each correction pair driven by the same
-random vector.
+samples.  A multilevel estimate is the single-level estimate on the coarsest
+grid of a hierarchy of nested grids plus, per finer level, the
+fine-minus-coarse difference of G, both runs of each correction pair driven
+by the same random vector.
 
 Random numbers come from a counter-based generator keyed by (seed, level,
 sample index), so any sample is reproducible in isolation.  Every estimator
@@ -360,45 +361,31 @@ def prolong(values: np.ndarray, factor_per_axis) -> np.ndarray:
 
 
 def run_mlmc(plan: MlmcPlan, cfg: SchemeConfig, evaluate_init) -> MlmcMoments:
-    """Multilevel estimate of the field mean and variance.
+    """Multilevel estimate of the field mean and variance: the single-level
+    estimate on the coarsest grid plus a telescoping sum of corrections.
 
-    Sample k of level l runs the same random vector on the level-l and
-    level-(l-1) grids, with the scheme ``cfg`` on every level; the level-0
-    correction uses the coarse run alone.  With one level this reduces
-    bitwise to the single-level estimator.
+    Level 0 gives the mean and the second moment of its samples, prolonged to
+    the finest grid.  Each level l >= 1 then adds the fine-minus-coarse
+    difference of its two runs, sample k of both driven by the same random
+    vector, the level-l grid first, with the scheme ``cfg`` on every level.
+    The variance is ``second - mean**2`` after the last correction; a single
+    level keeps its plain sample variance, bitwise that of ``run_mc``.
     """
     finest = plan.grids[-1]
 
     def moments(level, grid):
+        """The moments of a level's samples on ``grid``, and its mean and
+        second moment on the finest grid."""
         functionals = [FieldMoments(grid, cfg.model.ncomp)]
-        return _run_level(plan, level, grid, cfg, evaluate_init, functionals)[0].acc
+        acc = _run_level(plan, level, grid, cfg, evaluate_init, functionals)[0].acc
+        factors = tuple(nf // n for nf, n in zip(finest.cells, grid.cells))
+        return acc, prolong(acc.mean, factors), prolong(acc.second_moment(), factors)
 
-    def on_finest(values, grid):
-        return prolong(values, tuple(nf // n for nf, n in zip(finest.cells, grid.cells)))
-
-    mean_total = None
-    second_total = None
-    for level in range(plan.levels):
-        grid_f = plan.grids[level]
-        acc_f = moments(level, grid_f)
-        if level == 0:
-            acc_level0 = acc_f
-        mean_l = on_finest(acc_f.mean, grid_f)
-        second_l = on_finest(acc_f.second_moment(), grid_f)
-        if level > 0:
-            grid_c = plan.grids[level - 1]
-            acc_c = moments(level, grid_c)
-            mean_l = mean_l - on_finest(acc_c.mean, grid_c)
-            second_l = second_l - on_finest(acc_c.second_moment(), grid_c)
-        if mean_total is None:
-            mean_total = mean_l
-            second_total = second_l
-        else:
-            mean_total = mean_total + mean_l
-            second_total = second_total + second_l
-    if plan.levels == 1:
-        # telescoping degenerates to plain single-level sampling
-        variance = acc_level0.variance(ddof=1)
-    else:
-        variance = second_total - mean_total ** 2
-    return MlmcMoments(finest, mean_total, second_total, variance)
+    level0, mean, second = moments(0, plan.grids[0])
+    for level in range(1, plan.levels):
+        _, mean_f, second_f = moments(level, plan.grids[level])
+        _, mean_c, second_c = moments(level, plan.grids[level - 1])
+        mean = mean + (mean_f - mean_c)
+        second = second + (second_f - second_c)
+    variance = level0.variance(ddof=1) if plan.levels == 1 else second - mean ** 2
+    return MlmcMoments(finest, mean, second, variance)

@@ -444,6 +444,45 @@ def test_uq_extra_functionals(tmp_path, capsys):
     capsys.readouterr()
 
 
+BURGERS_UQ = (
+    "[grid]\ncells = 16\n\n[scheme]\nequation = burgers\nt_end = 0.02\n\n"
+    "[initial]\nu = 1 + 0.5 * sin(2 * pi * (x + X0))\n\n[uq]\nsamples = 5\nlevels = 1\n"
+)
+
+
+def test_one_level_runs_its_level_samples(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "burgers.cfg"
+    run_simulation = conslaw.uq.run_simulation
+    solves = []
+    monkeypatch.setattr(conslaw.uq, "run_simulation",
+                        lambda *a, **k: solves.append(a) or run_simulation(*a, **k))
+    cfg.write_text(BURGERS_UQ + "level_samples = 3\n")
+    assert main(["uq", str(cfg), "--output", str(tmp_path / "out")]) == 0
+    assert len(solves) == 3
+    assert "moments over 3 samples" in capsys.readouterr().out
+    for value, message in (("0", "per-level sample counts must be >= 1"),
+                           ("3 2", "level_samples needs 1 entries, got 2")):
+        cfg.write_text(BURGERS_UQ + f"level_samples = {value}\n")
+        assert main(["uq", str(cfg), "--output", str(tmp_path / "out")]) == 2
+        # line 14 sets level_samples
+        assert capsys.readouterr().err == f"error: line 14: {message}\n"
+    assert len(solves) == 3
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow of u * u
+@pytest.mark.parametrize("command, message", [
+    ("run", r"non-finite value after step 1 \(t = \S+\) at cell \(0,\)"),
+    ("uq", r"sample 0 failed: non-finite value after step 1 \(t = \S+\) at cell \(0,\)"),
+])
+def test_a_run_that_fails_mid_flight_exits_1(tmp_path, capsys, command, message):
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(BURGERS_UQ.replace("1 + 0.5 * sin(2 * pi * (x + X0))", "x < 0.5 ? 1e200 : 0"))
+    out = tmp_path / "out"
+    assert main([command, str(cfg), "--output", str(out)]) == 1
+    assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
+    assert not (out / "final.snap").exists() and not (out / "mean.snap").exists()
+
+
 def test_uq_multilevel(tmp_path, capsys):
     extra = "levels = 2\nlevel_samples = 4 2\n"
     cfg = small_kh(tmp_path, extra=extra)

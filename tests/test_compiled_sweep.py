@@ -336,3 +336,27 @@ def test_an_unwritable_cache_builds_in_a_private_directory(tmp_path, monkeypatch
     # the same bits as a second kernel, the package's own
     other = numerics.face_kernel()
     assert _same_bits(_residuals(monkeypatch, kernel), _residuals(monkeypatch, other))
+
+
+def test_a_build_deletes_the_libraries_of_other_sources_only(tmp_path, good_library,
+                                                             stub_compiler):
+    _kernel, good = good_library
+    _, source, build = good.stem.split("-")
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    other_source = cache / f"faces-{'0' * 16}-{build}.so"
+    unsplit = cache / f"faces-{'1' * 32}.so"  # a name without the source part
+    other_cpu = cache / f"faces-{source}-{'2' * 16}.so"
+    in_flight = cache / f"faces-{'3' * 16}-{build}.so.123.tmp"
+    for planted in (other_source, unsplit, other_cpu, in_flight):
+        planted.write_bytes(b"planted")
+    numerics._load_face_kernel(cache)
+    assert _builds(stub_compiler) == 1
+    assert sorted(p.name for p in cache.iterdir()) == sorted(
+        [good.name, other_cpu.name, in_flight.name]
+    )
+    # a cache hit deletes nothing
+    other_source.write_bytes(b"planted")
+    numerics._load_face_kernel(cache)
+    assert _builds(stub_compiler) == 1
+    assert other_source.exists()

@@ -238,6 +238,31 @@ def test_an_initial_key_that_the_data_does_not_read_names_its_line(text, extra, 
     assert bad.splitlines()[err.value.line - 1] == extra
 
 
+ADVECTION = BURGERS.replace("burgers", "advection")
+
+
+@pytest.mark.parametrize("text, old, new, message", [
+    (BURGERS, "[initial]\n", "[initial]\nvariables = conserved\n",
+     r"'variables' must be one of \['scalar'\], got 'conserved'"),
+    (ADVECTION, "[initial]\n", "[initial]\nvariables = primitive\n",
+     r"'variables' must be one of \['scalar'\], got 'primitive'"),
+    (SOD, "variables = primitive", "variables = scalar",
+     r"'variables' must be one of \['conserved', 'primitive'\], got 'scalar'"),
+    (BURGERS, "t_end = 0.1", "t_end = 0.1\ngamma = nan",
+     r"gamma only applies to the euler equation"),
+    (ADVECTION, "t_end = 0.1", "t_end = 0.1\ngamma = 1.4",
+     r"gamma only applies to the euler equation"),
+], ids=["conserved-burgers", "primitive-advection", "scalar-euler", "gamma-nan-burgers",
+        "gamma-advection"])
+def test_a_setting_of_another_model_names_its_line(text, old, new, message):
+    bad = text.replace(old, new)
+    with pytest.raises(ConfigError, match=rf"^line \d+: {message}$") as err:
+        parse_config(bad)
+    key = new.splitlines()[-1].split()[0]
+    assert err.value.key == key
+    assert bad.splitlines()[err.value.line - 1] == new.splitlines()[-1]
+
+
 def test_unknown_section_rejected():
     with pytest.raises(ConfigError, match="unknown section"):
         parse_config(SOD + "\n[extras]\nfoo = 1\n")

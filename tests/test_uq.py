@@ -7,7 +7,7 @@ from conslaw.equations import EquationModel, primitive_to_conserved
 from conslaw.errors import ConfigError, SimulationError
 from conslaw.grid import BoundaryKind, GridSpec, field_from_interior
 from conslaw.numerics import FluxKind, Reconstruction, ReconstructionKind
-from conslaw.solver import SchemeConfig
+from conslaw.solver import SchemeConfig, run_simulation
 from conslaw.uq import (
     FieldMoments,
     Histogram,
@@ -406,6 +406,52 @@ def test_mlmc_two_levels_produces_finite_fields():
     assert res.mean.shape == (3, 8)
     assert np.isfinite(res.mean).all()
     assert np.isfinite(res.variance).all()
+
+
+def test_mlmc_of_three_levels_is_level_0_plus_each_correction_bitwise():
+    grids = tuple(GridSpec(1, (n,), (0.0,), (1.0,)) for n in (4, 8, 16))
+    cfg = SchemeConfig(
+        model=EquationModel(kind="burgers", dim=1),
+        flux=FluxKind.RUSANOV,
+        recon=Reconstruction(ReconstructionKind.WENO2),
+        rk_order=2,
+        t_end=0.05,
+        bc=(BoundaryKind.PERIODIC,),
+    )
+
+    def evaluate_init(g, vector):
+        x = g.cell_centers(0)
+        u = 1.0 + 0.5 * vector[0] * np.sin(2 * np.pi * (x + vector[1]))
+        return field_from_interior(g, u[None])
+
+    plan = MlmcPlan(grids=grids, samples_per_level=(6, 4, 3), method="mc",
+                    seed=19, stochastic_dim=2)
+    got = run_mlmc(plan, cfg, evaluate_init)
+
+    def on_finest(level, grid):
+        """The mean and second moment of a level's samples on ``grid``,
+        repeated onto the 16 cells of the finest grid."""
+        moments = FieldMoments(grid, 1)
+        for k in range(plan.samples_per_level[level]):
+            final, _ = run_simulation(evaluate_init(grid, draw_sample(plan, k, level)), cfg)
+            moments.update(final)
+        repeat = 16 // grid.cells[0]
+        return (np.repeat(moments.acc.mean, repeat, axis=1),
+                np.repeat(moments.acc.second_moment(), repeat, axis=1))
+
+    level0 = on_finest(0, grids[0])
+    mean, second = level0
+    for level in (1, 2):
+        (mean_f, second_f), (mean_c, second_c) = (
+            on_finest(level, grids[level]), on_finest(level, grids[level - 1])
+        )
+        mean = mean + (mean_f - mean_c)
+        second = second + (second_f - second_c)
+    # the corrections do not vanish: each level changes the estimate
+    assert not np.array_equal(mean, level0[0])
+    assert np.array_equal(got.mean, mean)
+    assert np.array_equal(got.second_moment, second)
+    assert np.array_equal(got.variance, second - mean ** 2)
 
 
 def test_mlmc_plan_requires_nested_grids():
