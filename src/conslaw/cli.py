@@ -2,8 +2,8 @@
 
 Subcommands: ``run`` (deterministic simulation), ``uq`` (sampling campaign),
 ``bench`` (weak-scaling benchmark), ``preset`` (emit a shipped experiment
-config).  Exit codes: 0 success, 1 runtime/numerical failure, 2 usage or
-configuration error.
+config).  Exit codes: 0 success, 1 runtime/numerical failure (a file that
+cannot be written included), 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .solver import run_simulation
 from .uq import (
     FieldMoments,
     Histogram,
-    MlmcPlan,
     StructureFunctionAccumulator,
     draw_sample,
     run_mc,
@@ -79,7 +78,6 @@ def cmd_run(args) -> int:
     plan = cfg.uq.plan(cfg.grid, args.seed)
     header = OutputHeader(cfg.digest, plan.seed, sample=0)
     outdir = _output_dir(args, cfg)
-    outdir.mkdir(parents=True, exist_ok=True)
 
     model = cfg.scheme.model
     init = eval_init(
@@ -143,11 +141,11 @@ def cmd_uq(args) -> int:
             cfg.initial_exprs, model, grid, vector, primitive=cfg.initial_primitive
         )
 
-    if isinstance(plan, MlmcPlan):
+    if plan.levels > 1:
         result = run_mlmc(plan, cfg.scheme, evaluate_init)
         written = write_stats([result], header, outdir)
         sys.stdout.write(
-            f"mlmc levels={plan.levels} samples={list(plan.samples_per_level)} "
+            f"mlmc levels={plan.levels} samples={[plan.count(l) for l in range(plan.levels)]} "
             f"mean(rho) range [{result.mean[0].min():.6g}, {result.mean[0].max():.6g}]\n"
         )
         negative = int(np.any(result.variance < 0, axis=0).sum())
@@ -159,12 +157,12 @@ def cmd_uq(args) -> int:
             )
     else:
         functionals = cfg.uq.build_functionals(cfg.grid, model.ncomp, cfg.scheme.bc)
-        results = run_mc(plan, cfg.grid, cfg.scheme, evaluate_init, functionals)
+        results = run_mc(plan, cfg.scheme, evaluate_init, functionals)
         written = write_stats(results, header, outdir)
         for res in results:
             if isinstance(res, FieldMoments):
                 sys.stdout.write(
-                    f"moments over {plan.samples} samples: mean(c0) in "
+                    f"moments over {plan.count(0)} samples: mean(c0) in "
                     f"[{res.acc.mean[0].min():.6g}, {res.acc.mean[0].max():.6g}], "
                     f"max variance {res.acc.variance().max():.6g}\n"
                 )
@@ -243,7 +241,6 @@ def cmd_bench(args) -> int:
     vector = draw_sample(plan, 0)
     header = OutputHeader(cfg.digest, plan.seed, sample=0)
     outdir = _output_dir(args, cfg)
-    outdir.mkdir(parents=True, exist_ok=True)
 
     cells_per_rank = math.prod(cfg.grid.cells)
     model = cfg.scheme.model
@@ -353,7 +350,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ConslawError as exc:
+    except (ConslawError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -9,7 +9,7 @@ under comments, whitespace and reordering, and changes with any value.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..equations import ADVECTION, BURGERS, EULER, EquationModel
 from ..errors import ConfigError, ConslawError, ExprError
@@ -17,7 +17,7 @@ from ..grid import BoundaryKind, GridSpec
 from ..numerics import FluxKind, Reconstruction, ReconstructionKind
 from ..parallel import check_boundary, local_grid
 from ..solver import SchemeConfig, check_scheme
-from ..uq import FieldMoments, Histogram, MlmcPlan, SamplePlan, level_grids
+from ..uq import FieldMoments, Histogram, SamplePlan, level_grids
 from ..uq import StructureFunctionAccumulator
 from .expr import eval_init, max_random_index, parse_expr
 
@@ -65,26 +65,19 @@ class UqSettings:
     structure_max_offset: int = 8
     structure_component: int = 0
 
-    def plan(self, grid: GridSpec, seed: int | None = None):
-        """The campaign's sample plan, with ``seed`` for the config's when
-        given.  Level l runs ``level_samples[l]`` samples when that is set,
-        else ``samples``, whatever the number of levels.  The counts are
-        checked as those of an ``MlmcPlan`` on the level grids of ``grid``,
-        which is the plan of two or more levels; one level is a
-        ``SamplePlan`` of its count.  ``samples``, each level's default, is
-        checked too."""
-        single = SamplePlan(
-            self.method, self.samples, self.seed if seed is None else seed, self.stochastic_dim
-        )
+    def plan(self, grid: GridSpec, seed: int | None = None) -> SamplePlan:
+        """The campaign's sample plan on the ``levels`` level grids whose
+        finest is ``grid``, with ``seed`` for the config's when given.  Level
+        l runs ``level_samples[l]`` samples when that is set, else
+        ``samples``, whatever the number of levels."""
         if self.levels > 1 and any(f != "moments" for f in self.functionals):
             raise ConfigError(
                 "multilevel estimation supports only the 'moments' functional", key="functionals"
             )
-        multi = MlmcPlan(
-            level_grids(grid, self.levels), self.level_samples or (self.samples,) * self.levels,
-            single.method, single.seed, single.stochastic_dim,
+        return SamplePlan(
+            self.method, self.samples, self.seed if seed is None else seed, self.stochastic_dim,
+            level_grids(grid, self.levels), self.level_samples,
         )
-        return multi if multi.levels > 1 else replace(single, samples=multi.samples_per_level[0])
 
     def build_functionals(self, grid: GridSpec, ncomp: int, bc: tuple) -> list:
         """Fresh functionals of the campaign on ``grid`` with the boundary
@@ -445,8 +438,7 @@ def parse_config(text: str) -> RunConfig:
     uq_s = _section(sections, "uq")
     try:
         uq = _build_uq(uq_s, grid, model)
-        plan = uq.plan(grid)
-        for level in plan.grids if isinstance(plan, MlmcPlan) else ():
+        for level in uq.plan(grid).grids:
             check_boundary(level, scheme.bc, key="levels")
         uq.build_functionals(grid, model.ncomp, scheme.bc)
     except ConfigError as exc:

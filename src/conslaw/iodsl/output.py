@@ -72,9 +72,11 @@ class OutputHeader:
 
 
 def write_snapshot(field: Field, header: OutputHeader, path, components=None) -> None:
-    """Self-describing snapshot of the interior cells; read back bitwise."""
+    """Self-describing snapshot of the interior cells; read back bitwise.
+    The parent directory is made if it is missing."""
     grid = field.grid
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"{FORMAT_MAGIC} {FORMAT_VERSION}"]
     lines += header.lines()
     lines += [
@@ -148,8 +150,10 @@ def read_snapshot(path) -> tuple[Field, dict]:
 def write_csv(path, header: OutputHeader, columns: str, rows) -> Path:
     """A CSV file: the header as comment lines, the column names, then one
     line per row.  A numpy scalar is written as the Python number it holds,
-    so every field parses with ``float``."""
+    so every field parses with ``float``.  The parent directory is made if it
+    is missing."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(header.comments())
         fh.write(columns + "\n")
@@ -167,7 +171,6 @@ def write_stats(results, header: OutputHeader, directory) -> list[Path]:
     CSV with the header carried in comment lines.
     """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
     def write_moments(grid, mean, variance):

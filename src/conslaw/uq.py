@@ -4,7 +4,8 @@ Single-level estimates average a statistical functional G over M independent
 samples.  A multilevel estimate is the single-level estimate on the coarsest
 grid of a hierarchy of nested grids plus, per finer level, the
 fine-minus-coarse difference of G, both runs of each correction pair driven
-by the same random vector.
+by the same random vector.  One ``SamplePlan`` holds the draws, grids and
+counts of either: Monte Carlo is the plan of one level.
 
 Random numbers come from a counter-based generator keyed by (seed, level,
 sample index), so any sample is reproducible in isolation.  Every estimator
@@ -30,55 +31,45 @@ QMC = "qmc"
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 
-def _check_draws(plan) -> None:
-    """The draw settings of either plan, checked before any sample is solved;
-    the generator key is a uint64, so it bounds the seed."""
-    if plan.method not in (MC, QMC):
-        raise ConfigError(f"unknown sampling method {plan.method!r}", key="method")
-    if plan.stochastic_dim < 1:
-        raise ConfigError(
-            f"stochastic_dim must be >= 1, got {plan.stochastic_dim}", key="stochastic_dim"
-        )
-    if plan.method == QMC and plan.stochastic_dim > len(_PRIMES):
-        raise ConfigError(f"Halton supports up to {len(_PRIMES)} dimensions", key="stochastic_dim")
-    if not 0 <= plan.seed < 2 ** 64:
-        raise ConfigError(f"seed must lie in [0, 2**64), got {plan.seed}", key="seed")
-
-
 @dataclass(frozen=True)
 class SamplePlan:
+    """The draws and sample counts of a campaign.
+
+    ``grids`` are the level grids, coarsest first, every axis equal to or
+    double the one below; Monte Carlo is the plan of one level.  Level l runs
+    ``level_samples[l]`` samples when that is set, else ``samples``.  A plan
+    without grids only draws (``draw_sample``); the estimators need them.
+    Every setting is checked before any sample is solved; the generator key
+    is a uint64, so it bounds the seed.
+    """
+
     method: str = MC
     samples: int = 1
     seed: int = 0
     stochastic_dim: int = 1
+    grids: tuple = ()
+    level_samples: tuple = ()
 
     def __post_init__(self):
         if self.samples < 1:
             raise ConfigError(f"sample count must be >= 1, got {self.samples}", key="samples")
-        _check_draws(self)
-
-
-@dataclass(frozen=True)
-class MlmcPlan:
-    """Level grids run coarsest to finest; every axis doubles per level."""
-
-    grids: tuple
-    samples_per_level: tuple
-    method: str = MC
-    seed: int = 0
-    stochastic_dim: int = 1
-
-    def __post_init__(self):
-        if len(self.grids) < 1:
-            raise ConfigError("levels must be >= 1", key="levels")
-        if len(self.grids) != len(self.samples_per_level):
-            raise ConfigError(f"level_samples needs {len(self.grids)} entries, got "
-                              f"{len(self.samples_per_level)}", key="level_samples")
-        if any(m < 1 for m in self.samples_per_level):
+        if self.method not in (MC, QMC):
+            raise ConfigError(f"unknown sampling method {self.method!r}", key="method")
+        if self.stochastic_dim < 1:
+            raise ConfigError(
+                f"stochastic_dim must be >= 1, got {self.stochastic_dim}", key="stochastic_dim"
+            )
+        if self.method == QMC and self.stochastic_dim > len(_PRIMES):
+            raise ConfigError(f"Halton supports up to {len(_PRIMES)} dimensions",
+                              key="stochastic_dim")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}", key="seed")
+        if self.level_samples and len(self.level_samples) != self.levels:
+            raise ConfigError(f"level_samples needs {self.levels} entries, got "
+                              f"{len(self.level_samples)}", key="level_samples")
+        if any(m < 1 for m in self.level_samples):
             raise ConfigError("per-level sample counts must be >= 1", key="level_samples")
-        _check_draws(self)
-        for l in range(1, len(self.grids)):
-            coarse, fine = self.grids[l - 1], self.grids[l]
+        for l, (coarse, fine) in enumerate(zip(self.grids, self.grids[1:]), 1):
             same = all(f == c for f, c in zip(fine.cells, coarse.cells))
             doubled = all(f == 2 * c for f, c in zip(fine.cells, coarse.cells))
             if not (same or doubled):
@@ -89,16 +80,21 @@ class MlmcPlan:
 
     @property
     def levels(self) -> int:
-        return len(self.grids)
+        return max(len(self.grids), 1)
+
+    def count(self, level: int) -> int:
+        """The number of samples of ``level``."""
+        return self.level_samples[level] if self.level_samples else self.samples
 
 
 def level_grids(grid: GridSpec, levels: int) -> tuple:
-    """The grids of an MLMC hierarchy of ``levels`` levels whose finest is
-    ``grid``, coarsest first, every axis halving per level down (none for
-    ``levels`` < 1, which ``MlmcPlan`` rejects)."""
+    """The grids of a hierarchy of ``levels`` >= 1 levels whose finest is
+    ``grid``, coarsest first, every axis halving per level down."""
+    if levels < 1:
+        raise ConfigError("levels must be >= 1", key="levels")
     for axis, n in enumerate(grid.cells):
         # a multiple of 2**(levels - 1), tested by shifts: no huge power of two
-        if levels > 1 and n >> (levels - 1) << (levels - 1) != n:
+        if n >> (levels - 1) << (levels - 1) != n:
             raise ConfigError(
                 f"{n} cells on axis {axis} cannot be coarsened {levels - 1} times", key="levels"
             )
@@ -121,17 +117,13 @@ def radical_inverse(index: int, base: int) -> float:
 
 
 def halton_point(index: int, dim: int) -> np.ndarray:
-    """Point ``index`` (1-based) of the Halton sequence in [0,1)^dim; the plans bound dim."""
+    """Point ``index`` (1-based) of the Halton sequence in [0,1)^dim; the plan bounds dim."""
     return np.array([radical_inverse(index, _PRIMES[d]) for d in range(dim)])
 
 
-def _sample_count(plan, level: int) -> int:
-    return plan.samples_per_level[level] if isinstance(plan, MlmcPlan) else plan.samples
-
-
-def draw_sample(plan, k: int, level: int = 0) -> np.ndarray:
+def draw_sample(plan: SamplePlan, k: int, level: int = 0) -> np.ndarray:
     """Random vector in [0,1)^d for sample k of a level."""
-    samples = _sample_count(plan, level)
+    samples = plan.count(level)
     if not 0 <= k < samples:
         raise ConfigError(f"sample index {k} out of range [0, {samples})")
     if plan.method == QMC:
@@ -311,29 +303,24 @@ class StructureFunctionAccumulator:
 def _run_level(plan, level, grid, cfg, evaluate_init, functionals):
     """Run the samples of one level on one grid, in index order, update
     ``functionals`` with each final field and return them."""
-    for k in range(_sample_count(plan, level)):
+    for k in range(plan.count(level)):
         vector = draw_sample(plan, k, level)
         try:
             init = evaluate_init(grid, vector)
             final, _ = run_simulation(init, cfg)
         except Exception as exc:
-            where = f"level {level}, " if isinstance(plan, MlmcPlan) else ""
+            where = f"level {level}, " if plan.levels > 1 else ""
             raise SimulationError(f"{where}sample {k} failed: {exc}") from exc
         for f in functionals:
             f.update(final)
     return functionals
 
 
-def run_mc(
-    plan: SamplePlan,
-    grid: GridSpec,
-    cfg: SchemeConfig,
-    evaluate_init,
-    functionals,
-):
-    """Single-level estimate: run M independent samples and stream every
-    final field into each functional, in sample-index order."""
-    return _run_level(plan, 0, grid, cfg, evaluate_init, functionals)
+def run_mc(plan: SamplePlan, cfg: SchemeConfig, evaluate_init, functionals):
+    """Single-level estimate: run the level-0 samples of ``plan`` on its
+    first grid and stream every final field into each functional, in
+    sample-index order."""
+    return _run_level(plan, 0, plan.grids[0], cfg, evaluate_init, functionals)
 
 
 @dataclass
@@ -360,7 +347,7 @@ def prolong(values: np.ndarray, factor_per_axis) -> np.ndarray:
     return out
 
 
-def run_mlmc(plan: MlmcPlan, cfg: SchemeConfig, evaluate_init) -> MlmcMoments:
+def run_mlmc(plan: SamplePlan, cfg: SchemeConfig, evaluate_init) -> MlmcMoments:
     """Multilevel estimate of the field mean and variance: the single-level
     estimate on the coarsest grid plus a telescoping sum of corrections.
 

@@ -20,7 +20,6 @@ from conslaw.presets import ADVECTION_SMOOTH, KH2D, KH3D, SOD
 from conslaw.solver import run_simulation
 from conslaw.uq import (
     FieldMoments,
-    MlmcPlan,
     SamplePlan,
     draw_sample,
     run_mc,
@@ -160,8 +159,9 @@ def test_criterion_5_mc_convergence():
     for m in sizes:
         sq = 0.0
         for seed in range(replications):
-            plan = SamplePlan(method="mc", samples=m, seed=seed, stochastic_dim=1)
-            out = run_mc(plan, grid, cfg, evaluate_init, [FieldMoments(grid, 3)])
+            plan = SamplePlan(method="mc", samples=m, seed=seed, stochastic_dim=1,
+                              grids=(grid,))
+            out = run_mc(plan, cfg, evaluate_init, [FieldMoments(grid, 3)])
             estimate = float(out[0].acc.mean[0].mean())  # domain average of rho
             sq += (estimate - 1.5) ** 2
         rmse.append(np.sqrt(sq / replications))
@@ -188,18 +188,16 @@ def test_criterion_6_mlmc_degeneracy():
         )
         return field_from_interior(g, primitive_to_conserved(model, w))
 
-    single = run_mlmc(
-        MlmcPlan((grid,), (8,), method="mc", seed=21, stochastic_dim=1),
-        cfg, evaluate_init,
-    )
+    plan = SamplePlan(method="mc", samples=8, seed=21, stochastic_dim=1, grids=(grid,))
+    single = run_mlmc(plan, cfg, evaluate_init)
     stacked = run_mlmc(
-        MlmcPlan((grid, grid), (8, 6), method="mc", seed=21, stochastic_dim=1),
+        SamplePlan(method="mc", seed=21, stochastic_dim=1, grids=(grid, grid),
+                   level_samples=(8, 6)),
         cfg, evaluate_init,
     )
     correction = float(np.abs(stacked.mean - single.mean).max())
 
-    plan = SamplePlan(method="mc", samples=8, seed=21, stochastic_dim=1)
-    mc = run_mc(plan, grid, cfg, evaluate_init, [FieldMoments(grid, 3)])[0].acc
+    mc = run_mc(plan, cfg, evaluate_init, [FieldMoments(grid, 3)])[0].acc
     bitwise = np.array_equal(single.mean, mc.mean) and np.array_equal(
         single.variance, mc.variance(ddof=1)
     )

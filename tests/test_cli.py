@@ -12,7 +12,7 @@ from conslaw.iodsl.config import parse_config
 from conslaw.iodsl.output import read_snapshot
 from conslaw.presets import KH2D, PRESETS, SOD
 from conslaw.solver import TimeStepRecord
-from conslaw.uq import MlmcPlan, level_grids as _level_grids, run_mlmc
+from conslaw.uq import SamplePlan, level_grids as _level_grids, run_mlmc
 
 
 def small_sod(tmp_path, cells=64):
@@ -60,6 +60,23 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     bad.write_text("[grid]\nzells = 4\n")
     assert main(["bench", str(bad)]) == 2
     capsys.readouterr()
+
+
+def test_a_preset_file_in_a_missing_directory_exits_1_without_a_traceback(tmp_path, capsys):
+    path = tmp_path / "nodir" / "sod.cfg"
+    assert main(["preset", "sod", "--output", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: [Errno 2] No such file or directory: '{path}'\n"
+    )
+    assert not path.parent.exists()
+
+
+def test_run_output_under_a_regular_file_exits_1_without_a_traceback(tmp_path, capsys):
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    out = blocker / "out"
+    assert main(["run", str(small_sod(tmp_path, cells=16)), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 20] Not a directory: '{out}'\n"
 
 
 def test_run_writes_outputs(tmp_path, capsys):
@@ -469,7 +486,6 @@ def test_one_level_runs_its_level_samples(tmp_path, monkeypatch, capsys):
     assert len(solves) == 3
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow of u * u
 @pytest.mark.parametrize("command, message", [
     ("run", r"non-finite value after step 1 \(t = \S+\) at cell \(0,\)"),
     ("uq", r"sample 0 failed: non-finite value after step 1 \(t = \S+\) at cell \(0,\)"),
@@ -480,7 +496,7 @@ def test_a_run_that_fails_mid_flight_exits_1(tmp_path, capsys, command, message)
     out = tmp_path / "out"
     assert main([command, str(cfg), "--output", str(out)]) == 1
     assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
-    assert not (out / "final.snap").exists() and not (out / "mean.snap").exists()
+    assert not out.exists()
 
 
 def test_uq_multilevel(tmp_path, capsys):
@@ -502,8 +518,8 @@ def test_uq_multilevel_writes_the_mlmc_variance_bitwise(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["uq", str(cfg_path), "--output", str(out)]) == 0
     cfg = parse_config(cfg_path.read_text())
-    plan = MlmcPlan(
-        grids=_level_grids(cfg.grid, 2), samples_per_level=(4, 2),
+    plan = SamplePlan(
+        grids=_level_grids(cfg.grid, 2), level_samples=(4, 2),
         method=cfg.uq.method, seed=cfg.uq.seed, stochastic_dim=cfg.uq.stochastic_dim,
     )
 

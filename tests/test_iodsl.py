@@ -23,6 +23,7 @@ from conslaw.iodsl.output import (
 )
 from conslaw.numerics import FluxKind, ReconstructionKind
 from conslaw.presets import ADVECTION_SMOOTH, KH2D, KH3D, SOD
+from conslaw.uq import SamplePlan, draw_sample
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +385,27 @@ def test_ranks_must_divide_cells():
     text = KH2D.replace("ranks = 1 1", "ranks = 3 1")
     with pytest.raises(ConfigError, match="divisible"):
         parse_config(text)
+
+
+@pytest.mark.parametrize("extra, cells, counts", [
+    ("", [(64, 64)], [8]),
+    ("levels = 3\nlevel_samples = 8 4 2\n", [(16, 16), (32, 32), (64, 64)], [8, 4, 2]),
+])
+def test_the_plan_of_any_level_count_draws_as_its_keyword_form_without_grids(
+    extra, cells, counts
+):
+    # the keyword form is how perfbench's set-up probe draws sample 0
+    cfg = parse_config(KH2D.replace("functionals = moments", "functionals = moments\n" + extra))
+    plan = cfg.uq.plan(cfg.grid)
+    assert isinstance(plan, SamplePlan)
+    assert [g.cells for g in plan.grids] == cells
+    assert [plan.count(level) for level in range(plan.levels)] == counts
+    bare = SamplePlan(
+        method=cfg.uq.method, samples=max(cfg.uq.samples, 1),
+        seed=cfg.uq.seed, stochastic_dim=cfg.uq.stochastic_dim,
+    )
+    assert bare.grids == () and bare.levels == 1
+    assert draw_sample(bare, 0).tobytes() == draw_sample(plan, 0).tobytes()
 
 
 # ---------------------------------------------------------------------------

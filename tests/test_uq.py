@@ -11,7 +11,6 @@ from conslaw.solver import SchemeConfig, run_simulation
 from conslaw.uq import (
     FieldMoments,
     Histogram,
-    MlmcPlan,
     MomentAccumulator,
     SamplePlan,
     StructureFunctionAccumulator,
@@ -77,14 +76,14 @@ def test_draw_sample_reproducible_and_distinct():
 
 
 def test_seed_must_fit_the_uint64_generator_key():
-    # the largest key draws; one past either end is refused by both plans
+    # the largest key draws; one past either end is refused, grids or not
     draw_sample(SamplePlan(seed=2 ** 64 - 1), 0)
     grid = GridSpec(1, (4,), (0.0,), (1.0,))
     for seed in (-1, 2 ** 64):
         with pytest.raises(ConfigError, match="seed"):
             SamplePlan(seed=seed)
         with pytest.raises(ConfigError, match="seed"):
-            MlmcPlan(grids=(grid,), samples_per_level=(1,), seed=seed)
+            SamplePlan(grids=(grid,), level_samples=(1,), seed=seed)
 
 
 def test_qmc_samples_are_halton():
@@ -247,10 +246,8 @@ def _instant_setup(n=8):
 
 def test_mc_mean_matches_direct_average():
     grid, cfg, evaluate_init = _instant_setup()
-    plan = SamplePlan(method="mc", samples=20, seed=12, stochastic_dim=1)
-    out = run_mc(
-        plan, grid, cfg, evaluate_init, [FieldMoments(grid, cfg.model.ncomp)]
-    )
+    plan = SamplePlan(method="mc", samples=20, seed=12, stochastic_dim=1, grids=(grid,))
+    out = run_mc(plan, cfg, evaluate_init, [FieldMoments(grid, cfg.model.ncomp)])
     draws = [draw_sample(plan, k)[0] for k in range(20)]
     want = 1.0 + np.mean(draws)
     np.testing.assert_allclose(out[0].acc.mean[0], want, rtol=1e-13)
@@ -268,17 +265,17 @@ def _failing_on(vector, evaluate_init):
 def test_sample_failure_names_the_level_and_the_sample():
     grid, cfg, evaluate_init = _instant_setup(n=8)
     coarse = GridSpec(1, (4,), (0.0,), (1.0,))
-    mlmc = MlmcPlan(
-        grids=(coarse, grid), samples_per_level=(3, 2), method="mc",
+    mlmc = SamplePlan(
+        grids=(coarse, grid), level_samples=(3, 2), method="mc",
         seed=18, stochastic_dim=1,
     )
     failing = _failing_on(draw_sample(mlmc, 1, 1), evaluate_init)
     with pytest.raises(SimulationError, match=r"^level 1, sample 1 failed: bad initial data"):
         run_mlmc(mlmc, cfg, failing)
-    mc = SamplePlan(method="mc", samples=5, seed=18, stochastic_dim=1)
+    mc = SamplePlan(method="mc", samples=5, seed=18, stochastic_dim=1, grids=(grid,))
     failing = _failing_on(draw_sample(mc, 3), evaluate_init)
     with pytest.raises(SimulationError, match=r"^sample 3 failed: bad initial data"):
-        run_mc(mc, grid, cfg, failing, [FieldMoments(grid, cfg.model.ncomp)])
+        run_mc(mc, cfg, failing, [FieldMoments(grid, cfg.model.ncomp)])
 
 
 def _record_solves(monkeypatch, evaluate_init):
@@ -307,9 +304,9 @@ def test_mc_solves_every_sample_in_index_order_on_the_calling_thread(monkeypatch
     import threading
 
     grid, cfg, evaluate_init = _instant_setup()
-    plan = SamplePlan(method="mc", samples=5, seed=16, stochastic_dim=2)
+    plan = SamplePlan(method="mc", samples=5, seed=16, stochastic_dim=2, grids=(grid,))
     logged_init, inits, solves = _record_solves(monkeypatch, evaluate_init)
-    run_mc(plan, grid, cfg, logged_init, [FieldMoments(grid, cfg.model.ncomp)])
+    run_mc(plan, cfg, logged_init, [FieldMoments(grid, cfg.model.ncomp)])
     assert len(inits) == len(solves) == 5
     for k, (cells, vector) in enumerate(inits):
         assert cells == grid.cells
@@ -322,8 +319,8 @@ def test_mlmc_runs_coarse_and_fine_grids_on_the_same_vectors(monkeypatch):
 
     grid, cfg, evaluate_init = _instant_setup(n=8)
     coarse = GridSpec(1, (4,), (0.0,), (1.0,))
-    plan = MlmcPlan(
-        grids=(coarse, grid), samples_per_level=(3, 2), method="mc",
+    plan = SamplePlan(
+        grids=(coarse, grid), level_samples=(3, 2), method="mc",
         seed=17, stochastic_dim=1,
     )
     logged_init, inits, solves = _record_solves(monkeypatch, evaluate_init)
@@ -353,18 +350,9 @@ def test_prolongation_repeats_cells():
 
 def test_mlmc_single_level_is_plain_mc_bitwise():
     grid, cfg, evaluate_init = _instant_setup()
-    plan = SamplePlan(method="mc", samples=10, seed=13, stochastic_dim=1)
-    mc = run_mc(
-        plan, grid, cfg, evaluate_init, [FieldMoments(grid, cfg.model.ncomp)]
-    )[0].acc
-    mlmc = run_mlmc(
-        MlmcPlan(
-            grids=(grid,), samples_per_level=(10,), method="mc",
-            seed=13, stochastic_dim=1,
-        ),
-        cfg,
-        evaluate_init,
-    )
+    plan = SamplePlan(method="mc", samples=10, seed=13, stochastic_dim=1, grids=(grid,))
+    mc = run_mc(plan, cfg, evaluate_init, [FieldMoments(grid, cfg.model.ncomp)])[0].acc
+    mlmc = run_mlmc(plan, cfg, evaluate_init)
     np.testing.assert_array_equal(mlmc.mean, mc.mean)
     np.testing.assert_array_equal(mlmc.variance, mc.variance(ddof=1))
 
@@ -372,15 +360,15 @@ def test_mlmc_single_level_is_plain_mc_bitwise():
 def test_mlmc_identical_grids_have_vanishing_corrections():
     grid, cfg, evaluate_init = _instant_setup()
     single = run_mlmc(
-        MlmcPlan(
-            grids=(grid,), samples_per_level=(6,), method="mc",
+        SamplePlan(
+            grids=(grid,), level_samples=(6,), method="mc",
             seed=14, stochastic_dim=1,
         ),
         cfg, evaluate_init,
     )
     stacked = run_mlmc(
-        MlmcPlan(
-            grids=(grid, grid), samples_per_level=(6, 5), method="mc",
+        SamplePlan(
+            grids=(grid, grid), level_samples=(6, 5), method="mc",
             seed=14, stochastic_dim=1,
         ),
         cfg, evaluate_init,
@@ -397,8 +385,8 @@ def test_mlmc_two_levels_produces_finite_fields():
     grid, cfg, evaluate_init = _instant_setup(n=8)
     coarse = GridSpec(1, (4,), (0.0,), (1.0,))
     res = run_mlmc(
-        MlmcPlan(
-            grids=(coarse, grid), samples_per_level=(8, 4), method="mc",
+        SamplePlan(
+            grids=(coarse, grid), level_samples=(8, 4), method="mc",
             seed=15, stochastic_dim=1,
         ),
         cfg, evaluate_init,
@@ -424,7 +412,7 @@ def test_mlmc_of_three_levels_is_level_0_plus_each_correction_bitwise():
         u = 1.0 + 0.5 * vector[0] * np.sin(2 * np.pi * (x + vector[1]))
         return field_from_interior(g, u[None])
 
-    plan = MlmcPlan(grids=grids, samples_per_level=(6, 4, 3), method="mc",
+    plan = SamplePlan(grids=grids, level_samples=(6, 4, 3), method="mc",
                     seed=19, stochastic_dim=2)
     got = run_mlmc(plan, cfg, evaluate_init)
 
@@ -432,7 +420,7 @@ def test_mlmc_of_three_levels_is_level_0_plus_each_correction_bitwise():
         """The mean and second moment of a level's samples on ``grid``,
         repeated onto the 16 cells of the finest grid."""
         moments = FieldMoments(grid, 1)
-        for k in range(plan.samples_per_level[level]):
+        for k in range(plan.count(level)):
             final, _ = run_simulation(evaluate_init(grid, draw_sample(plan, k, level)), cfg)
             moments.update(final)
         repeat = 16 // grid.cells[0]
@@ -458,7 +446,7 @@ def test_mlmc_plan_requires_nested_grids():
     g8 = GridSpec(1, (8,), (0.0,), (1.0,))
     g6 = GridSpec(1, (6,), (0.0,), (1.0,))
     with pytest.raises(ConfigError):
-        MlmcPlan(
-            grids=(g6, g8), samples_per_level=(4, 2), method="mc",
+        SamplePlan(
+            grids=(g6, g8), level_samples=(4, 2), method="mc",
             seed=1, stochastic_dim=1,
         )
