@@ -9,6 +9,7 @@ cannot be written included), 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import sys
@@ -50,13 +51,25 @@ def _load_config(path: str):
 
 def _output_dir(args, cfg) -> Path:
     """``--output``, else ``CONSLAW_OUTPUT_DIR``, else the config's
-    ``[output] directory``, which is relative to the config file."""
+    ``[output] directory``, which is relative to the config file.
+
+    Called before any solve, it makes nothing (the first write makes the
+    directory) but raises the OSError of that write now, not after the
+    solve, when the nearest existing ancestor of the directory is not a
+    directory or is not writable."""
     if getattr(args, "output", None):
-        return Path(args.output)
-    env = os.environ.get("CONSLAW_OUTPUT_DIR")
-    if env:
-        return Path(env)
-    return Path(args.config).parent / cfg.output.directory
+        outdir = Path(args.output)
+    else:
+        env = os.environ.get("CONSLAW_OUTPUT_DIR")
+        outdir = Path(env) if env else Path(args.config).parent / cfg.output.directory
+    base = outdir
+    while not base.exists() and base != base.parent:
+        base = base.parent
+    if not base.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(outdir))
+    if not os.access(base, os.W_OK | os.X_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(outdir))
+    return outdir
 
 
 def _parse_ranks(text: str, dim: int) -> tuple:

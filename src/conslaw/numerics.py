@@ -87,7 +87,7 @@ from .equations import (
 )
 from .errors import ConfigError
 from .grid import Field, slab
-from .parallel import exchange_halos
+from .parallel import exchange_halos, scatter_field
 
 
 class ReconstructionKind(Enum):
@@ -255,15 +255,32 @@ class Stack(Field):
     wave speed.  Every value of a step rounds as the reference SSP
     Runge-Kutta step of ``tests/oracles.py``.  The state must be changed in
     place only, never replaced.
+
+    A run's stack (``solver.bind_run``) also has its ``layout``, the rank
+    layout and the global grid; other stacks have None.  ``load`` puts the
+    initial field of the run's next solve into it, so one stack serves every
+    solve on its grid.
     """
 
     def __init__(self, field: Field, cfg, halo=()):
         super().__init__(field.grid, field.ncomp, field.data)
         self.cfg = cfg
         self.halo = halo
+        self.layout = None
         self.residual = _aligned_empty(self.interior.shape)
         self.start = _aligned_empty(self.interior.shape)
         self.maxima = np.empty(field.grid.dim)
+
+    def load(self, field: Field) -> None:
+        """Copy the interior of ``field``, a field on the global grid of the
+        run, into the subdomains of the stack.  The ghosts keep what the last
+        solve left: every stage's halo pass writes them before they are
+        read, and the residual, ``start`` and ``maxima`` are written before
+        they are read too."""
+        ranks, grid = self.layout
+        if field.grid != grid:
+            raise ValueError(f"a stack bound on {grid} cannot load a field on {field.grid}")
+        scatter_field(field, ranks, self)
 
 
 class ScalarStack(Stack):

@@ -137,11 +137,14 @@ def fill_boundary(field: Field, bc) -> Field:
     return field
 
 
-def scatter_field(field: Field, ranks) -> Field:
+def scatter_field(field: Field, ranks, stack: Field | None = None) -> Field:
     """The stack of ``field``'s subdomains on the layout ``ranks`` (checked
-    by ``local_grid``), with ghosts zero; its grid is rank 0's."""
-    local, c = local_grid(field.grid, ranks), field.ncomp
-    stack = Field(local, c, np.zeros((c, math.prod(ranks)) + local.data_shape))
+    by ``local_grid``), with ghosts zero; its grid is rank 0's.  Given
+    ``stack``, a stack of that layout, the interior goes into it instead and
+    its ghosts are kept."""
+    if stack is None:
+        local, c = local_grid(field.grid, ranks), field.ncomp
+        stack = Field(local, c, np.zeros((c, math.prod(ranks)) + local.data_shape))
     _rank_grid(stack.interior, ranks)[...] = _subdomains(field.interior, ranks)
     return stack
 

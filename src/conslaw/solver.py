@@ -21,7 +21,9 @@ and every failure are those of one thread.  The numpy checks run only when
 a stack reports a failure, to name the rank and the cell or face.
 ``run_simulation`` is the one entry point of a solve: it runs serial and
 decomposed runs through the same time loop, a serial run being the layout
-with one rank per axis (see ``conslaw.parallel``).
+with one rank per axis (see ``conslaw.parallel``).  It binds the run's stack
+(``bind_run``) or takes one already bound, so the solves of many initial
+fields on one grid, the samples of a UQ level, bind once.
 """
 
 from __future__ import annotations
@@ -140,6 +142,22 @@ def bind_stack(field: Field, cfg: SchemeConfig, halo=()) -> Stack:
         return field
     check_scheme(field.grid, cfg)
     return (EulerStack if cfg.model.kind == EULER else ScalarStack)(field, cfg, halo)
+
+
+def bind_run(init: Field, cfg: SchemeConfig, ranks=None) -> Stack:
+    """The stack of a run of ``init`` on the rank layout ``ranks`` (see
+    ``run_simulation``): ``init`` split into subdomains, bound to the stack
+    of its model with its halo plan, and its ``layout`` the layout and
+    ``init``'s grid.  ``run_simulation`` runs it as it stands, and its
+    ``load`` puts another initial field on that grid into it, so the solves
+    of many fields on one grid bind once."""
+    # before the layout check of scatter_field, in parse_config's order
+    check_scheme(init.grid, cfg)
+    ranks = tuple(ranks) if ranks is not None else (1,) * init.grid.dim
+    stack = scatter_field(init, ranks)
+    state = bind_stack(stack, cfg, halo_plan(stack, ranks, cfg.bc))
+    state.layout = ranks, init.grid
+    return state
 
 
 def spatial_residual(field: Field, cfg: SchemeConfig) -> np.ndarray:
@@ -302,6 +320,13 @@ def run_simulation(
     step; ``field()`` stitches the global field (once per call of the
     observers) and is valid only during that call.
 
+    ``init`` may also be a run's stack bound for ``cfg`` (``bind_run``, the
+    rule of ``bind_stack``): its state is then the initial state, it runs on
+    its own layout (``ranks`` must be None or that layout), and nothing is
+    bound again.  Its solve changes it in place; load the next initial field
+    into it (``Stack.load``) and every bit of the next solve is that of a
+    solve of that field.
+
     Returns the final global field and one step record per step, whose
     ``seconds`` is the wall time of the step.  A check runs once, on the
     whole stack, and no check is repeated rank by rank: a failure names the
@@ -310,12 +335,15 @@ def run_simulation(
     and its step: ``after step N (t = T)`` for the cell pass, ``in step N
     (t = T), stage S`` for a residual (T the step's start, S from 1).
     """
-    # before the layout check of scatter_field, in parse_config's order
-    check_scheme(init.grid, cfg)
-    ranks = tuple(ranks) if ranks is not None else (1,) * init.grid.dim
-    stack = scatter_field(init, ranks)
-    state = bind_stack(stack, cfg, halo_plan(stack, ranks, cfg.bc))
-    field = functools.cache(functools.partial(stitch_fields, state, ranks, init.grid))
+    if isinstance(init, Stack) and init.cfg is cfg and init.layout is not None:
+        if ranks is not None and tuple(ranks) != init.layout[0]:
+            raise ConfigError(f"a stack bound on the rank layout {init.layout[0]} "
+                              f"cannot run on {tuple(ranks)}")
+        state = init
+    else:
+        state = bind_run(init, cfg, ranks)
+    ranks, grid = state.layout
+    field = functools.cache(functools.partial(stitch_fields, state, ranks, grid))
     records: list[TimeStepRecord] = []
     t = 0.0
     step = 0
@@ -345,4 +373,4 @@ def run_simulation(
         if exc.rank is None or state.data.shape[1] == 1:
             raise
         raise SimulationError(f"rank {exc.rank} failed: {exc}") from exc
-    return stitch_fields(state, ranks, init.grid), records
+    return stitch_fields(state, ranks, grid), records

@@ -7,12 +7,15 @@ fine-minus-coarse difference of G, both runs of each correction pair driven
 by the same random vector.  One ``SamplePlan`` holds the draws, grids and
 counts of either: Monte Carlo is the plan of one level.
 
-Random numbers come from a counter-based generator keyed by (seed, level,
-sample index), so any sample is reproducible in isolation.  Every estimator
-runs its samples through one loop, in sample-index order on the calling
-thread, and updates each functional once with every final field as soon as
-its sample finishes.  There are no worker threads: the ``workers`` setting of
-a campaign is accepted but has no effect.
+Monte Carlo draws come from Philox4x64-10, a counter-based generator,
+computed here with Python ints and keyed by (seed, (level << 48) + sample
+index), so any sample is reproducible in isolation; each is bitwise numpy's
+``Generator(Philox(key)).random(d)``, and no run imports numpy's random
+module.  Every estimator runs its samples through one loop, in sample-index
+order on the calling thread, and updates each functional once with every
+final field as soon as its sample finishes.  A level binds one solver stack,
+once, and each sample loads its initial field into it.  There are no worker
+threads: the ``workers`` setting of a campaign is accepted but has no effect.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, SimulationError
 from .grid import BoundaryKind, Field, GridSpec, slab
-from .solver import SchemeConfig, run_simulation
+from .solver import SchemeConfig, bind_run, run_simulation
 
 MC = "mc"
 QMC = "qmc"
@@ -121,16 +124,37 @@ def halton_point(index: int, dim: int) -> np.ndarray:
     return np.array([radical_inverse(index, _PRIMES[d]) for d in range(dim)])
 
 
+_U64 = (1 << 64) - 1
+
+
+def _philox_block(counter: int, k0: int, k1: int) -> tuple:
+    """The four 64-bit words of Philox4x64-10 (Salmon et al., SC11) for the
+    counter (counter, 0, 0, 0) under the key (k0, k1), in Python ints."""
+    c0, c1, c2, c3 = counter, 0, 0, 0
+    for _ in range(10):
+        p0, p1 = 0xD2E7470EE14C6C93 * c0, 0xCA5A826395121157 * c2
+        c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & _U64, (p0 >> 64) ^ c3 ^ k1, p0 & _U64
+        k0, k1 = (k0 + 0x9E3779B97F4A7C15) & _U64, (k1 + 0xBB67AE8584CAA73B) & _U64
+    return c0, c1, c2, c3
+
+
 def draw_sample(plan: SamplePlan, k: int, level: int = 0) -> np.ndarray:
-    """Random vector in [0,1)^d for sample k of a level."""
+    """Random vector in [0,1)^d for sample k of a level.
+
+    Monte Carlo: the words of Philox4x64-10 keyed by (seed, (level << 48) +
+    k), from counter 1 up, four per counter, each word w giving (w >> 11)
+    2**-53; bitwise numpy's ``Generator(Philox(key)).random(d)``.  QMC: the
+    Halton point k + 1.
+    """
     samples = plan.count(level)
     if not 0 <= k < samples:
         raise ConfigError(f"sample index {k} out of range [0, {samples})")
+    d = plan.stochastic_dim
     if plan.method == QMC:
-        return halton_point(k + 1, plan.stochastic_dim)
-    key = [np.uint64(plan.seed), np.uint64((level << 48) + k)]
-    rng = np.random.Generator(np.random.Philox(key=key))
-    return rng.random(plan.stochastic_dim)
+        return halton_point(k + 1, d)
+    key = (plan.seed, (level << 48) + k)
+    words = [w for n in range(1, (d + 3) // 4 + 1) for w in _philox_block(n, *key)]
+    return np.array([(w >> 11) * 2.0 ** -53 for w in words[:d]])
 
 
 # ---------------------------------------------------------------------------
@@ -302,12 +326,22 @@ class StructureFunctionAccumulator:
 
 def _run_level(plan, level, grid, cfg, evaluate_init, functionals):
     """Run the samples of one level on one grid, in index order, update
-    ``functionals`` with each final field and return them."""
+    ``functionals`` with each final field and return them.
+
+    The level binds one serial stack, from its first sample, and loads each
+    later sample's initial field into it; every sample is one
+    ``run_simulation`` of that stack, bitwise a fresh solve of its field.
+    """
+    stack = None
     for k in range(plan.count(level)):
         vector = draw_sample(plan, k, level)
         try:
             init = evaluate_init(grid, vector)
-            final, _ = run_simulation(init, cfg)
+            if stack is None:
+                stack = bind_run(init, cfg)
+            else:
+                stack.load(init)
+            final, _ = run_simulation(stack, cfg)
         except Exception as exc:
             where = f"level {level}, " if plan.levels > 1 else ""
             raise SimulationError(f"{where}sample {k} failed: {exc}") from exc

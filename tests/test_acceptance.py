@@ -86,6 +86,39 @@ def test_criterion_2_smooth_convergence():
     )
 
 
+#: the density wave of ADVECTION_SMOOTH along the diagonal of the unit
+#: square, rho = 1 + 0.5 sin(2 pi (x + y)) carried by v = (1, 1): its phase
+#: moves by 2t, so at t = 0.5, one period, it is the initial data again
+DIAGONAL_WAVE = (
+    ADVECTION_SMOOTH.replace("origin = 0\n", "origin = 0 0\n")
+    .replace("extent = 1\n", "extent = 1 1\n")
+    .replace("t_end = 1.0\n", "t_end = 0.5\n")
+    .replace("sin(2 * pi * x)", "sin(2 * pi * (x + y))")
+    .replace("vx = 1.0\n", "vx = 1.0\nvy = 1.0\n")
+)
+
+
+def test_criterion_2_smooth_convergence_in_2d():
+    tic = time.perf_counter()
+    sizes = (32, 64, 128)
+    errors = []
+    for n in sizes:
+        cfg = parse_config(DIAGONAL_WAVE.replace("cells = 128", f"cells = {n} {n}"))
+        init = eval_init(cfg.initial_exprs, cfg.scheme.model, cfg.grid, ())
+        final, _ = run_simulation(init, cfg.scheme)
+        errors.append(float(np.mean(np.abs(final.interior[0] - init.interior[0]))))
+    order = -float(np.polyfit(np.log2(sizes), np.log2(errors), 1)[0])
+    elapsed = time.perf_counter() - tic
+    # the least-squares order reads 2.18 (1.99 from 32 to 64, 2.37 from 64 to
+    # 128): WENO3 is not yet at its third order on these grids
+    ok = order >= 2.0 and elapsed < 20.0
+    report(
+        2, ok,
+        f"diagonal 2D density-wave observed L1 order {order:.2f} over N={list(sizes)} "
+        f"(errors {errors[0]:.2e} -> {errors[-1]:.2e}), in {elapsed:.1f} s",
+    )
+
+
 def test_criterion_3_conservation():
     tic = time.perf_counter()
     cfg = parse_config(KH2D)

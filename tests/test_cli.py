@@ -1,5 +1,9 @@
+import os
 import re
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +81,25 @@ def test_run_output_under_a_regular_file_exits_1_without_a_traceback(tmp_path, c
     out = blocker / "out"
     assert main(["run", str(small_sod(tmp_path, cells=16)), "--output", str(out)]) == 1
     assert capsys.readouterr().err == f"error: [Errno 20] Not a directory: '{out}'\n"
+
+
+@pytest.mark.parametrize("command", ["run", "uq", "bench"])
+def test_an_output_path_under_a_regular_file_exits_1_before_the_first_step(
+    tmp_path, monkeypatch, capsys, command
+):
+    def run_simulation(init, cfg, *args, **kwargs):
+        raise AssertionError("a solve started")
+
+    for module in (conslaw.cli, conslaw.uq):
+        monkeypatch.setattr(module, "run_simulation", run_simulation)
+    cfg = tmp_path / "kh2d.cfg"
+    cfg.write_text(KH2D)  # 64 x 64 to t_end 2.0: the solve would take seconds
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    out = blocker / "deeper" / "out"
+    assert main([command, str(cfg), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 20] Not a directory: '{out}'\n"
+    assert blocker.read_text() == ""
 
 
 def test_run_writes_outputs(tmp_path, capsys):
@@ -585,6 +608,22 @@ def test_uq_starts_no_thread(tmp_path, monkeypatch, capsys):
         out = tmp_path / tag
         assert main(["uq", str(cfg), "--output", str(out), "--workers", "4"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["run", "uq"])
+def test_a_kh2d_run_or_campaign_leaves_numpy_random_unimported(tmp_path, command):
+    cfg = small_kh(tmp_path, cells=8)
+    code = (
+        "import sys\n"
+        "from conslaw.cli import main\n"
+        f"assert main({[command, str(cfg), '--output', str(tmp_path / 'out')]!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(conslaw.cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_bench_emits_csvs(tmp_path, capsys):

@@ -7,6 +7,7 @@ from conslaw.grid import BoundaryKind, GridSpec, field_from_interior, make_field
 from conslaw.numerics import FluxKind, Reconstruction, ReconstructionKind
 from conslaw.solver import (
     SchemeConfig,
+    bind_run,
     dt_from_maxima,
     run_simulation,
     spatial_residual,
@@ -208,3 +209,35 @@ def test_scheme_validation():
             recon=Reconstruction(ReconstructionKind.NONE),
             rk_order=1, t_end=1.0, bc=(BoundaryKind.PERIODIC,),
         )  # contact-restoring flux needs the full Euler system
+
+
+def _kh_field(grid, shift):
+    model = EquationModel(kind="euler", dim=2)
+    x, y = np.meshgrid(grid.cell_centers(0), grid.cell_centers(1))
+    w = np.stack([1.0 + 0.5 * np.sin(2 * np.pi * (x + y + shift)), 0.5 + 0 * x,
+                  np.cos(2 * np.pi * x) * 0.2, 1.0 + 0 * x])
+    return field_from_interior(grid, primitive_to_conserved(model, w))
+
+
+@pytest.mark.parametrize("ranks", [None, (2, 1), (2, 2)])
+def test_a_bound_stack_runs_each_loaded_field_as_a_fresh_solve(ranks):
+    grid = GridSpec(2, (8, 8), (0.0, 0.0), (1.0, 1.0))
+    cfg = euler_cfg(2, t_end=0.05)
+    stack = bind_run(_kh_field(grid, 0.0), cfg, ranks)
+    for shift in (0.0, 0.3, 0.7):
+        stack.load(_kh_field(grid, shift))
+        final, records = run_simulation(stack, cfg, ranks)
+        fresh, fresh_records = run_simulation(_kh_field(grid, shift), cfg, ranks)
+        assert final.grid == grid
+        assert final.data.tobytes() == fresh.data.tobytes()
+        assert [r.dt for r in records] == [r.dt for r in fresh_records]
+
+
+def test_a_bound_stack_runs_on_its_own_layout_and_grid_only():
+    grid = GridSpec(2, (8, 8), (0.0, 0.0), (1.0, 1.0))
+    cfg = euler_cfg(2, t_end=0.05)
+    stack = bind_run(_kh_field(grid, 0.0), cfg, (2, 1))
+    with pytest.raises(ConfigError, match=r"rank layout \(2, 1\) cannot run on \(1, 2\)"):
+        run_simulation(stack, cfg, (1, 2))
+    with pytest.raises(ValueError, match="cannot load"):
+        stack.load(_kh_field(GridSpec(2, (8, 8), (0.0, 0.0), (2.0, 1.0)), 0.0))

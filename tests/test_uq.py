@@ -86,6 +86,28 @@ def test_seed_must_fit_the_uint64_generator_key():
             SamplePlan(grids=(grid,), level_samples=(1,), seed=seed)
 
 
+def _numpy_philox(seed, level, k, d):
+    """The reference draw: numpy's Philox generator under the same key."""
+    key = [np.uint64(seed), np.uint64((level << 48) + k)]
+    return np.random.Generator(np.random.Philox(key=key)).random(d)
+
+
+def test_the_draw_is_numpys_philox_bitwise():
+    rng = np.random.default_rng(26)
+    seeds = [0, 1, 42, 2 ** 64 - 1] + [int(s) for s in rng.integers(0, 2 ** 64, 4, np.uint64)]
+    cases = [(seed, level, k, d) for seed in seeds for level in range(5)
+             for k in (0, 1, 2 ** 20 - 1) for d in (1, 4, 5, 16)]
+    # and random ones: above 4 dimensions a draw spans several Philox blocks
+    cases += [(int(rng.integers(0, 2 ** 64, dtype=np.uint64)), int(rng.integers(5)),
+               int(rng.integers(2 ** 20)), int(rng.integers(1, 17))) for _ in range(3000)]
+    for seed, level, k, d in cases:
+        plan = SamplePlan(samples=2 ** 20, seed=seed, stochastic_dim=d)
+        got = draw_sample(plan, k, level)
+        want = _numpy_philox(seed, level, k, d)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (seed, level, k, d)
+
+
 def test_qmc_samples_are_halton():
     plan = SamplePlan(method="qmc", samples=8, seed=3, stochastic_dim=2)
     np.testing.assert_allclose(draw_sample(plan, 0), halton_point(1, 2))
@@ -337,6 +359,86 @@ def test_mlmc_runs_coarse_and_fine_grids_on_the_same_vectors(monkeypatch):
         np.testing.assert_array_equal(got, vector)
     assert [cells for cells, _ in solves] == [cells for cells, _ in want]
     assert {ident for _, ident in solves} == {threading.get_ident()}
+
+
+def _varied_euler_setup():
+    """A 2D Euler config whose samples differ in their wave speeds, so they
+    take different numbers of steps, on the grids 4x4 and 8x8."""
+    model = EquationModel(kind="euler", dim=2)
+    cfg = SchemeConfig(
+        model=model, flux=FluxKind.HLLC, recon=Reconstruction(ReconstructionKind.WENO3),
+        rk_order=3, t_end=0.05, bc=(BoundaryKind.PERIODIC, BoundaryKind.OUTFLOW),
+    )
+
+    def evaluate_init(g, vector):
+        x, y = np.meshgrid(g.cell_centers(0), g.cell_centers(1))
+        rho = 1.0 + 0.5 * np.sin(2 * np.pi * (x + vector[0])) * (y + 0.5)
+        speed = 4.0 * vector[1]
+        w = np.stack([rho, speed + 0 * x, 0.3 * np.cos(2 * np.pi * y) + 0 * x,
+                      1.0 + 0 * x])
+        return field_from_interior(g, primitive_to_conserved(model, w))
+
+    grids = tuple(GridSpec(2, (n, n), (0.0, 0.0), (1.0, 1.0)) for n in (4, 8))
+    return grids, cfg, evaluate_init
+
+
+@pytest.mark.parametrize("method, levels", [("mc", 1), ("qmc", 1), ("mc", 2)])
+def test_each_sample_of_a_bound_level_is_bitwise_a_fresh_solve(monkeypatch, method, levels):
+    import conslaw.uq as uq
+
+    grids, cfg, evaluate_init = _varied_euler_setup()
+    plan = SamplePlan(method=method, samples=6, seed=26, stochastic_dim=2,
+                      grids=grids[2 - levels:])
+    binds, solves, inits = [], [], []
+    bind, solve = uq.bind_run, uq.run_simulation
+
+    def logged_init(g, vector):
+        inits.append((g, vector))
+        return evaluate_init(g, vector)
+
+    def counted_bind(init, cfg):
+        binds.append(init.grid.cells)
+        return bind(init, cfg)
+
+    def logged_solve(stack, cfg):
+        final, records = solve(stack, cfg)
+        solves.append((final, len(records)))
+        return final, records
+
+    monkeypatch.setattr(uq, "bind_run", counted_bind)
+    monkeypatch.setattr(uq, "run_simulation", logged_solve)
+    if levels == 1:
+        run_mc(plan, cfg, logged_init, [FieldMoments(grids[1], cfg.model.ncomp)])
+    else:
+        run_mlmc(plan, cfg, logged_init)
+    # one bind per level grid: level 0, then each finer level's fine and coarse grid
+    assert len(binds) == 2 * levels - 1
+    assert len(solves) == len(inits) == 6 * len(binds)
+    # on the first stack, some sample takes fewer steps than the one before it
+    steps = [n for _, n in solves[:6]]
+    assert any(b < a for a, b in zip(steps, steps[1:]))
+    for (g, vector), (final, n) in zip(inits, solves):
+        fresh, records = run_simulation(evaluate_init(g, vector), cfg)
+        assert final.grid == fresh.grid == g and n == len(records)
+        assert final.data.tobytes() == fresh.data.tobytes()
+
+
+def test_a_later_sample_fails_on_a_bound_level_as_its_fresh_solve_does():
+    grids, cfg, evaluate_init = _varied_euler_setup()
+    plan = SamplePlan(method="mc", samples=4, seed=26, stochastic_dim=2, grids=grids[1:])
+    bad = draw_sample(plan, 2)
+
+    def negative_density_on_sample_2(g, vector):
+        field = evaluate_init(g, vector)
+        if np.array_equal(vector, bad):
+            field.interior[0, 3, 5] = -1.0
+        return field
+
+    with pytest.raises(SimulationError) as fresh:
+        run_simulation(negative_density_on_sample_2(grids[1], bad), cfg)
+    with pytest.raises(SimulationError) as campaign:
+        run_mc(plan, cfg, negative_density_on_sample_2, [FieldMoments(grids[1], 4)])
+    assert str(campaign.value) == f"sample 2 failed: {fresh.value}"
 
 
 def test_prolongation_repeats_cells():
