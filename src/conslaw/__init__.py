@@ -3,18 +3,29 @@ with built-in sampling-based uncertainty quantification."""
 
 __version__ = "0.1.0"
 
-from .grid import (  # noqa: E402
-    BoundaryKind,
-    Field,
-    GridSpec,
-    cell_center,
-    make_field,
-    total_integral,
-)
-from .parallel import fill_boundary  # noqa: E402
-from .equations import EquationModel  # noqa: E402
-from .numerics import FluxKind, Reconstruction, ReconstructionKind  # noqa: E402
-from .solver import SchemeConfig, run_simulation, stable_dt  # noqa: E402
+import gc
+
+# A collection during these imports walks the growing module graph, numpy's
+# included, and frees nothing; the caller's collector state comes back after.
+_collecting = gc.isenabled()
+gc.disable()
+try:
+    from .grid import (
+        BoundaryKind,
+        Field,
+        GridSpec,
+        cell_center,
+        make_field,
+        total_integral,
+    )
+    from .parallel import fill_boundary
+    from .equations import EquationModel
+    from .numerics import FluxKind, Reconstruction, ReconstructionKind
+    from .solver import SchemeConfig, run_simulation, stable_dt
+finally:
+    if _collecting:
+        gc.enable()
+    del _collecting
 
 __all__ = [
     "__version__",

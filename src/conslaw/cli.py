@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import math
 import os
 import sys
@@ -367,6 +368,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
+
+# The modules loaded so far live until exit: the collections of a run, and the
+# one at interpreter exit, skip them from here on.
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -8,13 +8,12 @@ under comments, whitespace and reordering, and changes with any value.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 from ..equations import ADVECTION, BURGERS, EULER, EquationModel
 from ..errors import ConfigError, ConslawError, ExprError
 from ..grid import BoundaryKind, GridSpec
-from ..numerics import FluxKind, Reconstruction, ReconstructionKind
+from ..numerics import FluxKind, Reconstruction, ReconstructionKind, sha256
 from ..parallel import check_boundary, local_grid
 from ..solver import SchemeConfig, check_scheme
 from ..uq import FieldMoments, Histogram, SamplePlan, level_grids
@@ -134,7 +133,7 @@ def canonical_digest(text: str) -> str:
             value, _line = entries[key]
             pieces.append(f"{key} = {' '.join(value.split())}")
     canon = "\n".join(pieces) + "\n"
-    return hashlib.sha256(canon.encode()).hexdigest()
+    return sha256(canon.encode()).hexdigest()
 
 
 def _parse_sections(text: str):

@@ -68,7 +68,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import hashlib
 import os
 import platform
 import shutil
@@ -79,6 +78,16 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
+
+# the one SHA-256 of src/: CPython's built-in module, so that hashing a config
+# or the kernel library loads no OpenSSL (about 3.6 MB per process)
+try:
+    from _sha2 import sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256  # a build without built-in hashes
 
 import numpy as np
 
@@ -448,7 +457,7 @@ def _intact(lib: Path) -> bool:
         blob = lib.read_bytes()
     except OSError:
         return False
-    return len(blob) > 32 and hashlib.sha256(blob[:-32]).digest() == blob[-32:]
+    return len(blob) > 32 and sha256(blob[:-32]).digest() == blob[-32:]
 
 
 def _load_face_kernel(cache_dir: Path):
@@ -466,8 +475,8 @@ def _load_face_kernel(cache_dir: Path):
         )
     if not _SOURCE.is_file():
         raise ConfigError(f"Euler runs need the face sweep source, but {_SOURCE} is missing")
-    source = hashlib.sha256(_SOURCE.read_bytes()).hexdigest()[:16]
-    build = hashlib.sha256(
+    source = sha256(_SOURCE.read_bytes()).hexdigest()[:16]
+    build = sha256(
         " ".join(_CFLAGS).encode() + platform.machine().encode() + _host_cpu()
     ).hexdigest()[:16]
     private = None
@@ -486,7 +495,7 @@ def _load_face_kernel(cache_dir: Path):
                 check=True, capture_output=True, timeout=120,
             )
             with open(tmp, "ab") as fh:
-                fh.write(hashlib.sha256(tmp.read_bytes()).digest())
+                fh.write(sha256(tmp.read_bytes()).digest())
             # concurrent builders each write their own file; the rename is atomic
             os.replace(tmp, lib)
             # the pattern leaves a concurrent builder's *.tmp file alone; a

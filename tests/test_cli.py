@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -610,20 +611,51 @@ def test_uq_starts_no_thread(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("command", ["run", "uq"])
-def test_a_kh2d_run_or_campaign_leaves_numpy_random_unimported(tmp_path, command):
-    cfg = small_kh(tmp_path, cells=8)
-    code = (
-        "import sys\n"
-        "from conslaw.cli import main\n"
-        f"assert main({[command, str(cfg), '--output', str(tmp_path / 'out')]!r}) == 0\n"
-        "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))\n"
-    )
+def _in_a_fresh_interpreter(tmp_path, code: str) -> str:
+    """The last line that ``code`` prints, run by a new interpreter that
+    imports conslaw from the tree under test."""
     env = dict(os.environ, PYTHONPATH=str(Path(conslaw.cli.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    return done.stdout.splitlines()[-1]
+
+
+def _modules_after_kh2d(tmp_path, command) -> set:
+    """``sys.modules`` after a ``conslaw`` command on an 8x8 kh2d config."""
+    cfg = small_kh(tmp_path, cells=8)
+    return set(json.loads(_in_a_fresh_interpreter(tmp_path, (
+        "import json, sys\n"
+        "from conslaw.cli import main\n"
+        f"assert main({[command, str(cfg), '--output', str(tmp_path / 'out')]!r}) == 0\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    ))))
+
+
+@pytest.mark.parametrize("command", ["run", "uq"])
+def test_a_kh2d_run_or_campaign_leaves_numpy_random_unimported(tmp_path, command):
+    modules = _modules_after_kh2d(tmp_path, command)
+    assert sorted(m for m in modules if m.startswith("numpy.random")) == []
+
+
+@pytest.mark.parametrize("command", ["run", "uq"])
+def test_a_kh2d_run_or_campaign_loads_no_openssl(tmp_path, command):
+    assert {"hashlib", "_hashlib"} & _modules_after_kh2d(tmp_path, command) == set()
+
+
+@pytest.mark.parametrize("before,code,after", [
+    # the CLI leaves the collector as it found it and its modules frozen
+    ("", "import conslaw.cli", "True True"),
+    ("gc.disable()\n", "import conslaw.cli", "False True"),
+    # the package alone restores the collector and freezes nothing
+    ("", "import conslaw", "True False"),
+    ("gc.disable()\n", "import conslaw", "False False"),
+], ids=["cli", "cli-collector-off", "package", "package-collector-off"])
+def test_import_keeps_the_callers_collector_state(tmp_path, before, code, after):
+    assert _in_a_fresh_interpreter(tmp_path, (
+        f"import gc\n{before}{code}\n"
+        "print(gc.isenabled(), gc.get_freeze_count() > 0)\n"
+    )) == after
 
 
 def test_bench_emits_csvs(tmp_path, capsys):

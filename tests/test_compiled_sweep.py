@@ -3,7 +3,10 @@ reference on whole runs, its failure statuses, the checks of its arguments,
 and its loader: the compiler requirement and the library cache.
 """
 
+import hashlib
+import platform
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -360,3 +363,31 @@ def test_a_build_deletes_the_libraries_of_other_sources_only(tmp_path, good_libr
     numerics._load_face_kernel(cache)
     assert _builds(stub_compiler) == 1
     assert other_source.exists()
+
+
+def test_the_library_name_and_trailer_are_hashlibs_sha256(tmp_path, good_library,
+                                                          stub_compiler):
+    _kernel, good = good_library
+    source = hashlib.sha256(numerics._SOURCE.read_bytes()).hexdigest()[:16]
+    build = hashlib.sha256(
+        " ".join(numerics._CFLAGS).encode() + platform.machine().encode()
+        + numerics._host_cpu()
+    ).hexdigest()[:16]
+    # the name a library got when the loader hashed with hashlib
+    assert good.name == f"faces-{source}-{build}.so"
+    # a library cached with hashlib's trailer is intact and loads unbuilt
+    body = good.read_bytes()[:-32]
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / good.name).write_bytes(body + hashlib.sha256(body).digest())
+    assert numerics._intact(cache / good.name)
+    numerics._load_face_kernel(cache)
+    assert _builds(stub_compiler) == 0
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or not (3, 10) <= sys.version_info[:2] <= (3, 13),
+    reason="CPython 3.10 to 3.13 ship _sha256 or _sha2",
+)
+def test_sha256_is_cpythons_builtin_not_openssls():
+    assert numerics.sha256.__module__ in ("_sha2", "_sha256")

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from conslaw.equations import EquationModel, primitive_to_conserved
 from conslaw.errors import ConfigError, ExprError, SnapshotError
 from conslaw.grid import GridSpec
+from conslaw.iodsl import config
 from conslaw.iodsl.config import canonical_digest, parse_config
 from conslaw.iodsl.expr import (
     eval_expr,
@@ -22,7 +24,7 @@ from conslaw.iodsl.output import (
     write_snapshot,
 )
 from conslaw.numerics import FluxKind, ReconstructionKind
-from conslaw.presets import ADVECTION_SMOOTH, KH2D, KH3D, SOD
+from conslaw.presets import ADVECTION_SMOOTH, KH2D, KH3D, PRESETS, SOD
 from conslaw.uq import SamplePlan, draw_sample
 
 
@@ -299,6 +301,31 @@ def test_digest_ignores_comments_whitespace_and_order():
     parts = SOD.split("[output]")
     reordered = "[output]" + parts[1] + "\n" + parts[0]
     assert canonical_digest(reordered) == base
+
+
+#: each shipped preset's digest as hashlib's OpenSSL SHA-256 gave it before
+#: conslaw took the built-in one; a cached output's header carries it
+PRESET_DIGESTS = {
+    "advection-smooth": "34733910ef562efef428c6d2bca0a26718e9daba36d9b8aa73d2cf9acab36b0d",
+    "kh2d": "49f31943a68aacc344092ca15201177206affdb2d053260baad370d8831a1465",
+    "kh3d": "44b4f1b05f1ae7c602b040dbe50243a9f00c73dd250e3be05243dfdd32d9b700",
+    "sod": "b3b3718616fed693706a37e9092ee81c7b720a53d1ced595ab4d1b886081c0b3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_digest_is_hashlibs_sha256_of_the_canonical_text(name, monkeypatch):
+    hashed, builtin = [], config.sha256
+
+    def recording_sha256(data):
+        hashed.append(data)
+        return builtin(data)
+
+    monkeypatch.setattr(config, "sha256", recording_sha256)
+    digest = canonical_digest(PRESETS[name])
+    (canon,) = hashed
+    assert canon.startswith(b"[grid]\n") and canon.endswith(b"\n")
+    assert digest == hashlib.sha256(canon).hexdigest() == PRESET_DIGESTS[name]
 
 
 def test_digest_changes_with_any_value():
