@@ -31,7 +31,6 @@ from .uq import (
     Histogram,
     StructureFunctionAccumulator,
     draw_sample,
-    run_mc,
     run_mlmc,
 )
 
@@ -155,40 +154,31 @@ def cmd_uq(args) -> int:
             cfg.initial_exprs, model, grid, vector, primitive=cfg.initial_primitive
         )
 
-    if plan.levels > 1:
-        result = run_mlmc(plan, cfg.scheme, evaluate_init)
-        written = write_stats([result], header, outdir)
-        sys.stdout.write(
-            f"mlmc levels={plan.levels} samples={[plan.count(l) for l in range(plan.levels)]} "
-            f"mean(rho) range [{result.mean[0].min():.6g}, {result.mean[0].max():.6g}]\n"
-        )
-        negative = int(np.any(result.variance < 0, axis=0).sum())
-        if negative:
-            print(
-                f"warning: MLMC variance is negative in {negative} of "
-                f"{math.prod(cfg.grid.cells)} cells",
-                file=sys.stderr,
+    results = run_mlmc(plan, cfg.scheme, evaluate_init,
+                       lambda grid: cfg.uq.build_functionals(grid, model.ncomp, cfg.scheme.bc))
+    written = write_stats(results, header, outdir)
+    counts = " ".join(str(plan.count(l)) for l in range(plan.levels))
+    for res in results:
+        if isinstance(res, FieldMoments):
+            variance = res.variance()
+            sys.stdout.write(
+                f"moments over {counts} samples: mean(c0) in "
+                f"[{res.mean[0].min():.6g}, {res.mean[0].max():.6g}], "
+                f"max variance {variance.max():.6g}\n"
             )
-    else:
-        functionals = cfg.uq.build_functionals(cfg.grid, model.ncomp, cfg.scheme.bc)
-        results = run_mc(plan, cfg.scheme, evaluate_init, functionals)
-        written = write_stats(results, header, outdir)
-        for res in results:
-            if isinstance(res, FieldMoments):
-                sys.stdout.write(
-                    f"moments over {plan.count(0)} samples: mean(c0) in "
-                    f"[{res.acc.mean[0].min():.6g}, {res.acc.mean[0].max():.6g}], "
-                    f"max variance {res.acc.variance().max():.6g}\n"
-                )
-            elif isinstance(res, Histogram):
-                sys.stdout.write(
-                    f"histogram: {len(res.probe_cells)} probes x {res.bins} bins, "
-                    f"{res.samples} samples\n"
-                )
-            elif isinstance(res, StructureFunctionAccumulator):
-                sys.stdout.write(
-                    f"structure function p={res.p:g}: offsets 0..{res.max_offset}\n"
-                )
+            negative = int(np.any(variance < 0, axis=0).sum())
+            if negative:
+                print(f"warning: MLMC variance is negative in {negative} of "
+                      f"{math.prod(res.grid.cells)} cells", file=sys.stderr)
+        elif isinstance(res, Histogram):
+            sys.stdout.write(
+                f"histogram: {len(res.probe_cells)} probes x {res.bins} bins, "
+                f"{res.samples} samples\n"
+            )
+        elif isinstance(res, StructureFunctionAccumulator):
+            sys.stdout.write(
+                f"structure function p={res.p:g}: offsets 0..{res.max_offset}\n"
+            )
     sys.stdout.write("wrote: " + " ".join(str(p) for p in written) + "\n")
     return EXIT_OK
 

@@ -20,7 +20,7 @@ import numpy as np
 from .. import __version__ as _version
 from ..errors import ConfigError, SnapshotError
 from ..grid import Field, GridSpec, field_from_interior
-from ..uq import FieldMoments, Histogram, MlmcMoments, StructureFunctionAccumulator
+from ..uq import FieldMoments, Histogram, StructureFunctionAccumulator
 
 FORMAT_MAGIC = "conslaw-snapshot"
 FORMAT_VERSION = 1
@@ -166,24 +166,18 @@ def write_csv(path, header: OutputHeader, columns: str, rows) -> Path:
 def write_stats(results, header: OutputHeader, directory) -> list[Path]:
     """Write finalized accumulators, one file per functional.
 
-    Mean/variance (of ``FieldMoments`` or an ``MlmcMoments`` result) become
-    snapshot-format field files; histograms and structure functions become
-    CSV with the header carried in comment lines.
+    The mean and variance of ``FieldMoments`` become snapshot-format field
+    files; histograms and structure functions become CSV with the header
+    carried in comment lines.
     """
     directory = Path(directory)
     written: list[Path] = []
-
-    def write_moments(grid, mean, variance):
-        for name, values in (("mean", mean), ("variance", variance)):
-            path = directory / f"{name}.snap"
-            write_snapshot(field_from_interior(grid, values), header, path)
-            written.append(path)
-
     for res in results:
         if isinstance(res, FieldMoments):
-            write_moments(res.grid, res.acc.mean, res.acc.variance(ddof=1))
-        elif isinstance(res, MlmcMoments):
-            write_moments(res.grid, res.mean, res.variance)
+            for name, values in (("mean", res.mean), ("variance", res.variance())):
+                path = directory / f"{name}.snap"
+                write_snapshot(field_from_interior(res.grid, values), header, path)
+                written.append(path)
         elif isinstance(res, Histogram):
             # bin b of a probe spans bounds[b] .. bounds[b + 1], overflow bins included
             bounds = [-math.inf, *res.edges, math.inf]

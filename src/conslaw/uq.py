@@ -1,17 +1,17 @@
 """Sampling-based uncertainty quantification over solver runs.
 
-Single-level estimates average a statistical functional G over M independent
-samples.  A multilevel estimate is the single-level estimate on the coarsest
-grid of a hierarchy of nested grids plus, per finer level, the
-fine-minus-coarse difference of G, both runs of each correction pair driven
-by the same random vector.  One ``SamplePlan`` holds the draws, grids and
-counts of either: Monte Carlo is the plan of one level.
+One estimator, ``run_mlmc``, serves every campaign: the average of a
+statistical functional G over the level-0 samples on the coarsest grid of a
+hierarchy of nested grids plus, per finer level, the fine-minus-coarse
+difference of G, both runs of each correction pair driven by the same random
+vector (Giles, Acta Numerica 2015, section 2).  Monte Carlo is its one-level
+case, with the same ``SamplePlan`` and the same ``FieldMoments``.
 
 Monte Carlo draws come from Philox4x64-10, a counter-based generator,
 computed here with Python ints and keyed by (seed, (level << 48) + sample
 index), so any sample is reproducible in isolation; each is bitwise numpy's
 ``Generator(Philox(key)).random(d)``, and no run imports numpy's random
-module.  Every estimator runs its samples through one loop, in sample-index
+module.  Each level runs its samples through one loop, in sample-index
 order on the calling thread, and updates each functional once with every
 final field as soon as its sample finishes.  A level binds one solver stack,
 once, and each sample loads its initial field into it.  There are no worker
@@ -202,7 +202,9 @@ class MomentAccumulator:
 
 
 class FieldMoments:
-    """Mean/variance of the full conserved field."""
+    """Mean/variance of the full conserved field: the samples' mean and
+    variance, or after a ``correct`` the telescoped mean and
+    ``second - mean**2``, which may come out negative."""
 
     name = "moments"
 
@@ -210,9 +212,33 @@ class FieldMoments:
         self.grid = grid
         self.ncomp = ncomp
         self.acc = MomentAccumulator((ncomp,) + grid.interior_shape)
+        self._telescoped = None  # (mean, second moment) once corrected
 
     def update(self, field: Field) -> None:
         self.acc.update(np.asarray(field.interior))
+
+    @property
+    def mean(self) -> np.ndarray:
+        return self.acc.mean if self._telescoped is None else self._telescoped[0]
+
+    def second_moment(self) -> np.ndarray:
+        return self.acc.second_moment() if self._telescoped is None else self._telescoped[1]
+
+    def variance(self) -> np.ndarray:
+        if self._telescoped is None:
+            return self.acc.variance(ddof=1)
+        mean, second = self._telescoped
+        return second - mean ** 2
+
+    def correct(self, fine: FieldMoments, coarse: FieldMoments) -> None:
+        """Add one level's fine-minus-coarse mean and second moment, the
+        coarse ones prolonged, and move the estimate onto the fine grid."""
+        factors = tuple(f // c for f, c in zip(fine.grid.cells, self.grid.cells))
+        terms = ((self.mean, fine.acc.mean, coarse.acc.mean),
+                 (self.second_moment(), fine.acc.second_moment(), coarse.acc.second_moment()))
+        self._telescoped = tuple(prolong(total, factors) + (f - prolong(c, factors))
+                                 for total, f, c in terms)
+        self.grid = fine.grid
 
 
 class Histogram:
@@ -350,23 +376,6 @@ def _run_level(plan, level, grid, cfg, evaluate_init, functionals):
     return functionals
 
 
-def run_mc(plan: SamplePlan, cfg: SchemeConfig, evaluate_init, functionals):
-    """Single-level estimate: run the level-0 samples of ``plan`` on its
-    first grid and stream every final field into each functional, in
-    sample-index order."""
-    return _run_level(plan, 0, plan.grids[0], cfg, evaluate_init, functionals)
-
-
-@dataclass
-class MlmcMoments:
-    """Telescoped first/second moments, combined on the finest grid."""
-
-    grid: GridSpec
-    mean: np.ndarray
-    second_moment: np.ndarray
-    variance: np.ndarray
-
-
 def prolong(values: np.ndarray, factor_per_axis) -> np.ndarray:
     """Piecewise-constant injection of a coarse field onto a finer grid.
 
@@ -381,32 +390,19 @@ def prolong(values: np.ndarray, factor_per_axis) -> np.ndarray:
     return out
 
 
-def run_mlmc(plan: SamplePlan, cfg: SchemeConfig, evaluate_init) -> MlmcMoments:
-    """Multilevel estimate of the field mean and variance: the single-level
-    estimate on the coarsest grid plus a telescoping sum of corrections.
-
-    Level 0 gives the mean and the second moment of its samples, prolonged to
-    the finest grid.  Each level l >= 1 then adds the fine-minus-coarse
-    difference of its two runs, sample k of both driven by the same random
-    vector, the level-l grid first, with the scheme ``cfg`` on every level.
-    The variance is ``second - mean**2`` after the last correction; a single
-    level keeps its plain sample variance, bitwise that of ``run_mc``.
-    """
-    finest = plan.grids[-1]
-
-    def moments(level, grid):
-        """The moments of a level's samples on ``grid``, and its mean and
-        second moment on the finest grid."""
-        functionals = [FieldMoments(grid, cfg.model.ncomp)]
-        acc = _run_level(plan, level, grid, cfg, evaluate_init, functionals)[0].acc
-        factors = tuple(nf // n for nf, n in zip(finest.cells, grid.cells))
-        return acc, prolong(acc.mean, factors), prolong(acc.second_moment(), factors)
-
-    level0, mean, second = moments(0, plan.grids[0])
+def run_mlmc(plan: SamplePlan, cfg: SchemeConfig, evaluate_init, build) -> list:
+    """The functionals that ``build(grid)`` returns for the coarsest grid,
+    fed by the level-0 samples and then corrected once per finer level l:
+    the level-l samples run on its grid and then on level l - 1's, sample k
+    of both from one random vector, each grid into fresh functionals, and
+    ``correct`` takes the pair (only ``FieldMoments`` has one).  Monte Carlo
+    is the plan of one level."""
+    grids = plan.grids
+    estimate = _run_level(plan, 0, grids[0], cfg, evaluate_init, build(grids[0]))
     for level in range(1, plan.levels):
-        _, mean_f, second_f = moments(level, plan.grids[level])
-        _, mean_c, second_c = moments(level, plan.grids[level - 1])
-        mean = mean + (mean_f - mean_c)
-        second = second + (second_f - second_c)
-    variance = level0.variance(ddof=1) if plan.levels == 1 else second - mean ** 2
-    return MlmcMoments(finest, mean, second, variance)
+        fine = _run_level(plan, level, grids[level], cfg, evaluate_init, build(grids[level]))
+        coarse = _run_level(plan, level, grids[level - 1], cfg, evaluate_init,
+                            build(grids[level - 1]))
+        for f, fine_f, coarse_f in zip(estimate, fine, coarse):
+            f.correct(fine_f, coarse_f)
+    return estimate

@@ -17,7 +17,7 @@ from conslaw.iodsl.config import parse_config
 from conslaw.iodsl.output import read_snapshot
 from conslaw.presets import KH2D, PRESETS, SOD
 from conslaw.solver import TimeStepRecord
-from conslaw.uq import SamplePlan, level_grids as _level_grids, run_mlmc
+from conslaw.uq import FieldMoments, SamplePlan, level_grids as _level_grids, run_mlmc
 
 
 def small_sod(tmp_path, cells=64):
@@ -529,9 +529,15 @@ def test_uq_multilevel(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["uq", str(cfg), "--output", str(out)]) == 0
     mean, meta = read_snapshot(out / "mean.snap")
+    variance, _ = read_snapshot(out / "variance.snap")
     assert mean.grid.cells == (16, 16)
     assert np.isfinite(mean.interior).all()
-    capsys.readouterr()
+    # the moments line of a one-level campaign, with a count per level
+    assert capsys.readouterr().out.startswith(
+        f"moments over 4 2 samples: mean(c0) in [{mean.interior[0].min():.6g}, "
+        f"{mean.interior[0].max():.6g}], max variance {variance.interior.max():.6g}\n"
+        f"wrote: {out / 'mean.snap'} {out / 'variance.snap'}\n"
+    )
 
 
 def test_uq_multilevel_writes_the_mlmc_variance_bitwise(tmp_path, capsys):
@@ -553,11 +559,12 @@ def test_uq_multilevel_writes_the_mlmc_variance_bitwise(tmp_path, capsys):
             primitive=cfg.initial_primitive,
         )
 
-    want = run_mlmc(plan, cfg.scheme, evaluate_init)
+    (want,) = run_mlmc(plan, cfg.scheme, evaluate_init,
+                       lambda g: [FieldMoments(g, cfg.scheme.model.ncomp)])
     mean, _ = read_snapshot(out / "mean.snap")
     variance, _ = read_snapshot(out / "variance.snap")
     np.testing.assert_array_equal(mean.interior, want.mean)
-    np.testing.assert_array_equal(variance.interior, want.variance)
+    np.testing.assert_array_equal(variance.interior, want.variance())
     capsys.readouterr()
 
 

@@ -18,7 +18,6 @@ from conslaw.uq import (
     halton_point,
     prolong,
     radical_inverse,
-    run_mc,
     run_mlmc,
 )
 from oracles import digit_reversal, streamed_moments, two_pass_moments
@@ -269,7 +268,7 @@ def _instant_setup(n=8):
 def test_mc_mean_matches_direct_average():
     grid, cfg, evaluate_init = _instant_setup()
     plan = SamplePlan(method="mc", samples=20, seed=12, stochastic_dim=1, grids=(grid,))
-    out = run_mc(plan, cfg, evaluate_init, [FieldMoments(grid, cfg.model.ncomp)])
+    out = run_mlmc(plan, cfg, evaluate_init, lambda g: [FieldMoments(g, cfg.model.ncomp)])
     draws = [draw_sample(plan, k)[0] for k in range(20)]
     want = 1.0 + np.mean(draws)
     np.testing.assert_allclose(out[0].acc.mean[0], want, rtol=1e-13)
@@ -293,11 +292,11 @@ def test_sample_failure_names_the_level_and_the_sample():
     )
     failing = _failing_on(draw_sample(mlmc, 1, 1), evaluate_init)
     with pytest.raises(SimulationError, match=r"^level 1, sample 1 failed: bad initial data"):
-        run_mlmc(mlmc, cfg, failing)
+        run_mlmc(mlmc, cfg, failing, lambda g: [FieldMoments(g, cfg.model.ncomp)])
     mc = SamplePlan(method="mc", samples=5, seed=18, stochastic_dim=1, grids=(grid,))
     failing = _failing_on(draw_sample(mc, 3), evaluate_init)
     with pytest.raises(SimulationError, match=r"^sample 3 failed: bad initial data"):
-        run_mc(mc, cfg, failing, [FieldMoments(grid, cfg.model.ncomp)])
+        run_mlmc(mc, cfg, failing, lambda g: [FieldMoments(g, cfg.model.ncomp)])
 
 
 def _record_solves(monkeypatch, evaluate_init):
@@ -328,7 +327,7 @@ def test_mc_solves_every_sample_in_index_order_on_the_calling_thread(monkeypatch
     grid, cfg, evaluate_init = _instant_setup()
     plan = SamplePlan(method="mc", samples=5, seed=16, stochastic_dim=2, grids=(grid,))
     logged_init, inits, solves = _record_solves(monkeypatch, evaluate_init)
-    run_mc(plan, cfg, logged_init, [FieldMoments(grid, cfg.model.ncomp)])
+    run_mlmc(plan, cfg, logged_init, lambda g: [FieldMoments(g, cfg.model.ncomp)])
     assert len(inits) == len(solves) == 5
     for k, (cells, vector) in enumerate(inits):
         assert cells == grid.cells
@@ -346,7 +345,7 @@ def test_mlmc_runs_coarse_and_fine_grids_on_the_same_vectors(monkeypatch):
         seed=17, stochastic_dim=1,
     )
     logged_init, inits, solves = _record_solves(monkeypatch, evaluate_init)
-    run_mlmc(plan, cfg, logged_init)
+    run_mlmc(plan, cfg, logged_init, lambda g: [FieldMoments(g, cfg.model.ncomp)])
     # level 0 on the coarse grid, then level 1 on the fine and the coarse
     # grid, each in sample-index order
     want = (
@@ -407,10 +406,7 @@ def test_each_sample_of_a_bound_level_is_bitwise_a_fresh_solve(monkeypatch, meth
 
     monkeypatch.setattr(uq, "bind_run", counted_bind)
     monkeypatch.setattr(uq, "run_simulation", logged_solve)
-    if levels == 1:
-        run_mc(plan, cfg, logged_init, [FieldMoments(grids[1], cfg.model.ncomp)])
-    else:
-        run_mlmc(plan, cfg, logged_init)
+    run_mlmc(plan, cfg, logged_init, lambda g: [FieldMoments(g, cfg.model.ncomp)])
     # one bind per level grid: level 0, then each finer level's fine and coarse grid
     assert len(binds) == 2 * levels - 1
     assert len(solves) == len(inits) == 6 * len(binds)
@@ -437,7 +433,7 @@ def test_a_later_sample_fails_on_a_bound_level_as_its_fresh_solve_does():
     with pytest.raises(SimulationError) as fresh:
         run_simulation(negative_density_on_sample_2(grids[1], bad), cfg)
     with pytest.raises(SimulationError) as campaign:
-        run_mc(plan, cfg, negative_density_on_sample_2, [FieldMoments(grids[1], 4)])
+        run_mlmc(plan, cfg, negative_density_on_sample_2, lambda g: [FieldMoments(g, 4)])
     assert str(campaign.value) == f"sample 2 failed: {fresh.value}"
 
 
@@ -450,55 +446,9 @@ def test_prolongation_repeats_cells():
     )
 
 
-def test_mlmc_single_level_is_plain_mc_bitwise():
-    grid, cfg, evaluate_init = _instant_setup()
-    plan = SamplePlan(method="mc", samples=10, seed=13, stochastic_dim=1, grids=(grid,))
-    mc = run_mc(plan, cfg, evaluate_init, [FieldMoments(grid, cfg.model.ncomp)])[0].acc
-    mlmc = run_mlmc(plan, cfg, evaluate_init)
-    np.testing.assert_array_equal(mlmc.mean, mc.mean)
-    np.testing.assert_array_equal(mlmc.variance, mc.variance(ddof=1))
-
-
-def test_mlmc_identical_grids_have_vanishing_corrections():
-    grid, cfg, evaluate_init = _instant_setup()
-    single = run_mlmc(
-        SamplePlan(
-            grids=(grid,), level_samples=(6,), method="mc",
-            seed=14, stochastic_dim=1,
-        ),
-        cfg, evaluate_init,
-    )
-    stacked = run_mlmc(
-        SamplePlan(
-            grids=(grid, grid), level_samples=(6, 5), method="mc",
-            seed=14, stochastic_dim=1,
-        ),
-        cfg, evaluate_init,
-    )
-    # fine and coarse samples coincide on identical grids, so every
-    # correction term cancels and the answer is the level-0 estimate
-    np.testing.assert_allclose(stacked.mean, single.mean, atol=1e-12)
-    np.testing.assert_allclose(
-        stacked.second_moment, single.second_moment, atol=1e-12
-    )
-
-
-def test_mlmc_two_levels_produces_finite_fields():
-    grid, cfg, evaluate_init = _instant_setup(n=8)
-    coarse = GridSpec(1, (4,), (0.0,), (1.0,))
-    res = run_mlmc(
-        SamplePlan(
-            grids=(coarse, grid), level_samples=(8, 4), method="mc",
-            seed=15, stochastic_dim=1,
-        ),
-        cfg, evaluate_init,
-    )
-    assert res.mean.shape == (3, 8)
-    assert np.isfinite(res.mean).all()
-    assert np.isfinite(res.variance).all()
-
-
-def test_mlmc_of_three_levels_is_level_0_plus_each_correction_bitwise():
+def _burgers_setup():
+    """A 1D Burgers scheme whose samples vary from cell to cell, on the
+    grids 4, 8 and 16."""
     grids = tuple(GridSpec(1, (n,), (0.0,), (1.0,)) for n in (4, 8, 16))
     cfg = SchemeConfig(
         model=EquationModel(kind="burgers", dim=1),
@@ -514,9 +464,90 @@ def test_mlmc_of_three_levels_is_level_0_plus_each_correction_bitwise():
         u = 1.0 + 0.5 * vector[0] * np.sin(2 * np.pi * (x + vector[1]))
         return field_from_interior(g, u[None])
 
+    return grids, cfg, evaluate_init
+
+
+def test_mlmc_single_level_is_plain_mc_bitwise():
+    grids, cfg, evaluate_init = _burgers_setup()
+    grid = grids[-1]
+    plan = SamplePlan(method="mc", samples=10, seed=13, stochastic_dim=2, grids=(grid,))
+
+    def build(g):
+        return [FieldMoments(g, 1), Histogram([(2,), (9,)], 0, 0.8, 1.2, bins=8),
+                StructureFunctionAccumulator(2.0, 3, 0, g, cfg.bc)]
+
+    moments, histogram, structure = run_mlmc(plan, cfg, evaluate_init, build)
+    # the reference: fresh functionals fed by fresh solves, no estimator
+    want = build(grid)
+    for k in range(plan.count(0)):
+        final, _ = run_simulation(evaluate_init(grid, draw_sample(plan, k)), cfg)
+        for f in want:
+            f.update(final)
+    assert moments.grid == grid and moments.acc.count == want[0].acc.count == 10
+    np.testing.assert_array_equal(moments.acc.mean, want[0].acc.mean)
+    np.testing.assert_array_equal(moments.acc.m2, want[0].acc.m2)
+    np.testing.assert_array_equal(moments.mean, want[0].acc.mean)
+    np.testing.assert_array_equal(moments.variance(), want[0].acc.variance(ddof=1))
+    np.testing.assert_array_equal(moments.second_moment(), want[0].acc.second_moment())
+    # the histogram sees values on both sides of a bin edge, not one bin
+    assert histogram.samples == want[1].samples == 10
+    assert (histogram.counts > 0).sum() > 2
+    np.testing.assert_array_equal(histogram.counts, want[1].counts)
+    assert structure.samples == want[2].samples == 10
+    assert structure.values()[1] > 0
+    np.testing.assert_array_equal(structure.sums, want[2].sums)
+
+
+def test_mlmc_identical_grids_have_vanishing_corrections():
+    grid, cfg, evaluate_init = _instant_setup()
+
+    def build(g):
+        return [FieldMoments(g, cfg.model.ncomp)]
+
+    (single,) = run_mlmc(
+        SamplePlan(
+            grids=(grid,), level_samples=(6,), method="mc",
+            seed=14, stochastic_dim=1,
+        ),
+        cfg, evaluate_init, build,
+    )
+    (stacked,) = run_mlmc(
+        SamplePlan(
+            grids=(grid, grid), level_samples=(6, 5), method="mc",
+            seed=14, stochastic_dim=1,
+        ),
+        cfg, evaluate_init, build,
+    )
+    # fine and coarse samples share every bit on identical grids, so each
+    # correction is exactly 0 and the answer is the level-0 estimate, whose
+    # variance is then the telescoped form second - mean**2
+    np.testing.assert_array_equal(stacked.mean, single.mean)
+    np.testing.assert_array_equal(stacked.second_moment(), single.second_moment())
+    np.testing.assert_array_equal(
+        stacked.variance(), single.second_moment() - single.mean ** 2
+    )
+
+
+def test_mlmc_two_levels_produces_finite_fields():
+    grid, cfg, evaluate_init = _instant_setup(n=8)
+    coarse = GridSpec(1, (4,), (0.0,), (1.0,))
+    (res,) = run_mlmc(
+        SamplePlan(
+            grids=(coarse, grid), level_samples=(8, 4), method="mc",
+            seed=15, stochastic_dim=1,
+        ),
+        cfg, evaluate_init, lambda g: [FieldMoments(g, cfg.model.ncomp)],
+    )
+    assert res.grid == grid and res.mean.shape == (3, 8)
+    assert np.isfinite(res.mean).all()
+    assert np.isfinite(res.variance()).all()
+
+
+def test_mlmc_of_three_levels_is_level_0_plus_each_correction_bitwise():
+    grids, cfg, evaluate_init = _burgers_setup()
     plan = SamplePlan(grids=grids, level_samples=(6, 4, 3), method="mc",
                     seed=19, stochastic_dim=2)
-    got = run_mlmc(plan, cfg, evaluate_init)
+    (got,) = run_mlmc(plan, cfg, evaluate_init, lambda g: [FieldMoments(g, 1)])
 
     def on_finest(level, grid):
         """The mean and second moment of a level's samples on ``grid``,
@@ -539,9 +570,10 @@ def test_mlmc_of_three_levels_is_level_0_plus_each_correction_bitwise():
         second = second + (second_f - second_c)
     # the corrections do not vanish: each level changes the estimate
     assert not np.array_equal(mean, level0[0])
+    assert got.grid == grids[-1]
     assert np.array_equal(got.mean, mean)
-    assert np.array_equal(got.second_moment, second)
-    assert np.array_equal(got.variance, second - mean ** 2)
+    assert np.array_equal(got.second_moment(), second)
+    assert np.array_equal(got.variance(), second - mean ** 2)
 
 
 def test_mlmc_plan_requires_nested_grids():
