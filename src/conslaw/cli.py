@@ -25,7 +25,7 @@ from .iodsl.config import check_workers
 from .iodsl.output import OutputHeader, write_csv, write_snapshot, write_stats
 from .parallel import local_grid
 from .presets import PRESETS
-from .solver import run_simulation
+from .solver import bind_run, run_simulation
 from .uq import (
     FieldMoments,
     Histogram,
@@ -97,6 +97,11 @@ def cmd_run(args) -> int:
         cfg.initial_exprs, model, cfg.grid, draw_sample(plan, 0),
         primitive=cfg.initial_primitive,
     )
+    # the initial field is read twice, for its integral and to fill the
+    # stack, and then let go: the stack is the state from here on
+    q0 = total_integral(init)
+    state = bind_run(init, cfg.scheme, ranks)
+    del init
     names = model.component_names
 
     pending = sorted(cfg.output.snapshot_times)
@@ -108,7 +113,8 @@ def cmd_run(args) -> int:
             write_snapshot(field(), header, path, components=names)
 
     observers = [snapshot_observer] if pending else []
-    final, records = run_simulation(init, cfg.scheme, ranks, observers)
+    final, records = run_simulation(state, cfg.scheme, ranks, observers)
+    del state
     step_rows = [(r.step, r.t, r.dt, r.seconds) for r in records]
     for target in pending:
         print(f"warning: snapshot time {target:g} lies past t_end {cfg.scheme.t_end:g}, "
@@ -117,7 +123,6 @@ def cmd_run(args) -> int:
     write_snapshot(final, header, outdir / "final.snap", components=names)
     write_csv(outdir / "timing.csv", header, "step,t,dt,seconds", step_rows)
 
-    q0 = total_integral(init)
     q1 = total_integral(final)
     scale = max(np.max(np.abs(q0)), 1e-300)
     drift = np.max(np.abs(q1 - q0)) / scale

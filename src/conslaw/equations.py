@@ -131,16 +131,30 @@ def max_wave_speeds(model: EquationModel, u: np.ndarray) -> list:
 
 
 def primitive_to_conserved(model: EquationModel, w: np.ndarray) -> np.ndarray:
-    """(rho, v, p) -> (rho, m, E) with E = p/(gamma-1) + rho |v|^2 / 2."""
-    w = np.asarray(w, dtype=float)
+    """(rho, v, p) -> (rho, m, E) with E = p/(gamma-1) + rho |v|^2 / 2, in a
+    new array (``conserve_in_place`` on a copy of ``w``)."""
+    return conserve_in_place(model, np.array(w, dtype=float))
+
+
+def conserve_in_place(model: EquationModel, w: np.ndarray) -> np.ndarray:
+    """Overwrite the primitive state ``w`` (rho, v, p), a float64 array or a
+    view of one, with its conserved state (rho, m, E), and return it.
+
+    Its temporaries are single components, the kinetic term among them,
+    summed over the velocities before the momenta overwrite them.  Every
+    value rounds as in the out-of-place formula ``m_k = rho v_k``, ``E = p
+    / (gamma - 1) + 0.5 rho |v|^2`` with ``|v|^2 = 0 + v_0^2 + ...``:
+    adding the leading zero and swapping the factors of a product change no
+    bit."""
     rho, p = w[0], w[1 + model.dim]
     if np.any(rho <= POSITIVITY_FLOOR) or np.any(p <= POSITIVITY_FLOOR):
         raise UnphysicalStateError("non-positive density or pressure in primitive state")
-    u = np.empty_like(w)
-    u[0] = rho
-    kinetic = np.zeros_like(rho)
+    kinetic = w[1] ** 2
+    for k in range(1, model.dim):
+        kinetic += w[1 + k] ** 2
     for k in range(model.dim):
-        u[1 + k] = rho * w[1 + k]
-        kinetic = kinetic + w[1 + k] ** 2
-    u[1 + model.dim] = p / (model.gamma - 1.0) + 0.5 * rho * kinetic
-    return u
+        w[1 + k] *= rho
+    kinetic *= 0.5 * rho
+    p /= model.gamma - 1.0
+    p += kinetic
+    return w

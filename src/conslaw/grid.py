@@ -163,7 +163,11 @@ def field_from_interior(grid: GridSpec, interior: np.ndarray) -> Field:
 
 
 def total_integral(field: Field) -> np.ndarray:
-    """Per-component integral over the interior: sum(u) * cell volume."""
-    interior = field.interior
-    sums = interior.reshape(field.ncomp, -1).sum(axis=1)
+    """Per-component integral over the interior: sum(u) * cell volume.
+
+    Each component is summed on its own, as one contiguous run of its cells
+    in C order (of every rank, for a stack), so it holds one component, not
+    a copy of the whole interior, and every sum is numpy's pairwise sum of
+    ``interior.reshape(ncomp, -1)``'s row, bit for bit."""
+    sums = np.array([np.ascontiguousarray(u).sum() for u in field.interior])
     return sums * field.grid.cell_volume

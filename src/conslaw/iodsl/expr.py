@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..equations import EULER, EquationModel, primitive_to_conserved, is_physical
+from ..equations import EULER, EquationModel, conserve_in_place, is_physical
 from ..errors import ExprError, UnphysicalStateError
-from ..grid import Field, GridSpec, field_from_interior
+from ..grid import Field, GridSpec, make_field
 
 
 # --- abstract syntax -------------------------------------------------------
@@ -355,9 +355,12 @@ def eval_init(
 ) -> Field:
     """Evaluate per-component expressions at every cell center.
 
-    Cell averages use midpoint quadrature.  Euler data given in primitive
-    variables (rho, v, p) is converted to conserved form; the result must be
-    finite and physical everywhere.
+    Cell averages use midpoint quadrature.  Each component is evaluated into
+    the interior of the padded field returned, whose ghosts are zero, and
+    Euler data given in primitive variables (rho, v, p) is converted to
+    conserved form in place (``conserve_in_place``), so the field is the one
+    field-sized array made; the result must be finite and physical
+    everywhere.
     """
     if len(exprs) != model.ncomp:
         raise ExprError(
@@ -366,7 +369,8 @@ def eval_init(
     env = _coordinate_env(grid)
     for j, v in enumerate(random_vector):
         env[f"X{j}"] = float(v)
-    values = np.empty((model.ncomp,) + grid.interior_shape)
+    field = make_field(grid, model.ncomp)
+    values = field.interior
     for c, expr in enumerate(exprs):
         v = eval_expr(expr, env)
         values[c] = np.broadcast_to(np.asarray(v, dtype=float), grid.interior_shape)
@@ -377,7 +381,7 @@ def eval_init(
                 f"{print_expr(expr)}"
             )
     if model.kind == EULER and primitive:
-        values = primitive_to_conserved(model, values)
+        conserve_in_place(model, values)
     if not is_physical(model, values):
         raise UnphysicalStateError("initial data is unphysical")
-    return field_from_interior(grid, values)
+    return field

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import math
-import subprocess
+import re
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -26,21 +26,47 @@ FORMAT_MAGIC = "conslaw-snapshot"
 FORMAT_VERSION = 1
 
 
+#: the checkout root, the directory above ``src/``
+_CHECKOUT = Path(__file__).resolve().parents[3]
+
+#: a full commit id: 40 hex digits (SHA-1) or 64 (SHA-256)
+_COMMIT_RE = re.compile(r"[0-9a-f]{40}([0-9a-f]{24})?")
+
+
 def source_revision() -> str:
-    """Best-effort git revision of the source tree, else 'unknown'."""
+    """The commit of the checkout that holds this package, as its first 7
+    hex digits, else 'unknown' (a package outside a checkout, or a ``.git``
+    that cannot be read).
+
+    It reads ``.git`` at the checkout root, as ``git rev-parse --short
+    HEAD`` would, and starts no process: ``HEAD``, then the ref it names,
+    as a loose file or a line of ``packed-refs``; a ``.git`` file (of a
+    worktree or a submodule) names the git directory on its ``gitdir:``
+    line.  Git itself prints more than 7 digits where 7 are ambiguous among
+    the objects of the repository; only there do the two differ."""
     try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=Path(__file__).parent,
-            capture_output=True,
-            text=True,
-            timeout=5,
-        )
-        if out.returncode == 0:
-            return out.stdout.strip()
-    except (OSError, subprocess.SubprocessError):
-        pass
-    return "unknown"
+        gitdir = _CHECKOUT / ".git"
+        if gitdir.is_file():
+            key, _, path = gitdir.read_text().partition(":")
+            if key != "gitdir":
+                return "unknown"
+            gitdir = _CHECKOUT / path.strip()
+        # a worktree's refs live in the common directory of its repository
+        common = gitdir / "commondir"
+        common = gitdir / common.read_text().strip() if common.is_file() else gitdir
+        head = (gitdir / "HEAD").read_text().strip()
+        if head.startswith("ref:"):
+            ref = head[len("ref:"):].strip()
+            loose = [p for p in (gitdir / ref, common / ref) if p.is_file()]
+            if loose:
+                head = loose[0].read_text().strip()
+            else:
+                packed = (common / "packed-refs").read_text().splitlines()
+                head = next((sha for sha, _, name in (line.partition(" ") for line in packed)
+                             if name == ref), "")
+    except (OSError, UnicodeDecodeError):
+        return "unknown"
+    return head[:7] if _COMMIT_RE.fullmatch(head) else "unknown"
 
 
 @dataclass
@@ -73,8 +99,18 @@ class OutputHeader:
 
 def write_snapshot(field: Field, header: OutputHeader, path, components=None) -> None:
     """Self-describing snapshot of the interior cells; read back bitwise.
-    The parent directory is made if it is missing."""
-    grid = field.grid
+    The parent directory is made if it is missing.
+
+    The payload is written one component at a time, each as one contiguous
+    array (a copy of it only where the interior is strided, as a padded
+    field's is), so a write holds at most one component besides the field."""
+    _write_cells(field.grid, field.interior, header, path, components)
+
+
+def _write_cells(grid: GridSpec, interior: np.ndarray, header: OutputHeader, path,
+                 components=None) -> None:
+    """``write_snapshot`` of cell values without ghosts, ``interior`` of
+    shape ``(ncomp, *grid.interior_shape)``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"{FORMAT_MAGIC} {FORMAT_VERSION}"]
@@ -85,14 +121,14 @@ def write_snapshot(field: Field, header: OutputHeader, path, components=None) ->
         f"origin: {' '.join(repr(v) for v in grid.origin)}",
         f"extent: {' '.join(repr(v) for v in grid.extent)}",
         f"ghost_width: {grid.ghost_width}",
-        f"ncomp: {field.ncomp}",
+        f"ncomp: {len(interior)}",
     ]
     if components:
         lines.append(f"components: {' '.join(components)}")
-    payload = np.ascontiguousarray(field.interior, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n\n").encode())
-        fh.write(payload.tobytes())
+        for values in interior:
+            fh.write(np.ascontiguousarray(values, dtype="<f8"))
 
 
 def _parse_header(blob: bytes, path) -> tuple[dict, int]:
@@ -176,7 +212,7 @@ def write_stats(results, header: OutputHeader, directory) -> list[Path]:
         if isinstance(res, FieldMoments):
             for name, values in (("mean", res.mean), ("variance", res.variance())):
                 path = directory / f"{name}.snap"
-                write_snapshot(field_from_interior(res.grid, values), header, path)
+                _write_cells(res.grid, values, header, path)
                 written.append(path)
         elif isinstance(res, Histogram):
             # bin b of a probe spans bounds[b] .. bounds[b + 1], overflow bins included

@@ -71,7 +71,6 @@ import functools
 import os
 import platform
 import shutil
-import subprocess
 import tempfile
 from collections import namedtuple
 from dataclasses import dataclass
@@ -488,8 +487,12 @@ def _load_face_kernel(cache_dir: Path):
         cache_dir = private = Path(tempfile.mkdtemp(prefix="conslaw-faces-"))
     lib = cache_dir / f"faces-{source}-{build}.so"
     tmp = cache_dir / f"{lib.name}.{os.getpid()}.tmp"
+    failures = (OSError, AttributeError)
     try:
         if not _intact(lib):
+            # only a build starts a process, so only a build imports subprocess
+            import subprocess
+            failures += (subprocess.SubprocessError,)
             subprocess.run(
                 [compiler, *_CFLAGS, "-o", str(tmp), str(_SOURCE), "-lm"],
                 check=True, capture_output=True, timeout=120,
@@ -506,7 +509,7 @@ def _load_face_kernel(cache_dir: Path):
                         other.unlink()
         loaded = ctypes.CDLL(str(lib))
         kernel = FaceKernel(*(getattr(loaded, name) for name, _, _ in _ENTRY_POINTS.values()))
-    except (OSError, AttributeError, subprocess.SubprocessError) as exc:
+    except failures as exc:
         detail = (getattr(exc, "stderr", None) or b"").decode(errors="replace").strip()
         raise ConfigError(
             f"Euler runs need the face sweep, but building or loading {_SOURCE.name} "

@@ -328,12 +328,15 @@ def run_simulation(
     solve of that field.
 
     Returns the final global field and one step record per step, whose
-    ``seconds`` is the wall time of the step.  A check runs once, on the
-    whole stack, and no check is repeated rank by rank: a failure names the
-    check a serial run fails, the first rank (in rank order) failing it and
-    that rank's first failing cell, as ``rank N failed: ...`` with several ranks,
-    and its step: ``after step N (t = T)`` for the cell pass, ``in step N
-    (t = T), stage S`` for a residual (T the step's start, S from 1).
+    ``seconds`` is the wall time of the step.  The final field is the stitch
+    that the observers' last call made, when one of them asked for it, else
+    one fresh stitch: a run holds one global field beside its stack.  A
+    check runs once, on the whole stack, and no check is repeated rank by
+    rank: a failure names the check a serial run fails, the first rank (in
+    rank order) failing it and that rank's first failing cell, as ``rank N
+    failed: ...`` with several ranks, and its step: ``after step N (t =
+    T)`` for the cell pass, ``in step N (t = T), stage S`` for a residual (T
+    the step's start, S from 1).
     """
     if isinstance(init, Stack) and init.cfg is cfg and init.layout is not None:
         if ranks is not None and tuple(ranks) != init.layout[0]:
@@ -373,4 +376,4 @@ def run_simulation(
         if exc.rank is None or state.data.shape[1] == 1:
             raise
         raise SimulationError(f"rank {exc.rank} failed: {exc}") from exc
-    return stitch_fields(state, ranks, grid), records
+    return field(), records

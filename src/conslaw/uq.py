@@ -357,6 +357,8 @@ def _run_level(plan, level, grid, cfg, evaluate_init, functionals):
     The level binds one serial stack, from its first sample, and loads each
     later sample's initial field into it; every sample is one
     ``run_simulation`` of that stack, bitwise a fresh solve of its field.
+    A sample's initial field goes once it is in the stack, and its final
+    field once the functionals have read it, so a solve holds neither.
     """
     stack = None
     for k in range(plan.count(level)):
@@ -367,12 +369,14 @@ def _run_level(plan, level, grid, cfg, evaluate_init, functionals):
                 stack = bind_run(init, cfg)
             else:
                 stack.load(init)
+            del init
             final, _ = run_simulation(stack, cfg)
         except Exception as exc:
             where = f"level {level}, " if plan.levels > 1 else ""
             raise SimulationError(f"{where}sample {k} failed: {exc}") from exc
         for f in functionals:
             f.update(final)
+        del final
     return functionals
 
 

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from conslaw.cli import main
 from conslaw.iodsl import eval_init
 from conslaw.iodsl.config import parse_config
 from conslaw.iodsl.output import read_snapshot
+from conslaw.numerics import face_kernel
 from conslaw.presets import KH2D, PRESETS, SOD
 from conslaw.solver import TimeStepRecord
 from conslaw.uq import FieldMoments, SamplePlan, level_grids as _level_grids, run_mlmc
@@ -648,6 +650,32 @@ def test_a_kh2d_run_or_campaign_leaves_numpy_random_unimported(tmp_path, command
 @pytest.mark.parametrize("command", ["run", "uq"])
 def test_a_kh2d_run_or_campaign_loads_no_openssl(tmp_path, command):
     assert {"hashlib", "_hashlib"} & _modules_after_kh2d(tmp_path, command) == set()
+
+
+@pytest.mark.parametrize("command", ["run", "uq"])
+def test_a_kh2d_run_or_campaign_starts_no_process(tmp_path, command):
+    face_kernel()  # a build, the one step that runs a compiler, happens here
+    assert "subprocess" not in _modules_after_kh2d(tmp_path, command)
+
+
+def test_a_kh3d_run_holds_at_most_four_padded_fields(tmp_path, capsys):
+    # the stack (state, residual, stage start), then one stitched field and
+    # one component while a snapshot at the end time is written
+    cfg = tmp_path / "kh3d.cfg"
+    cfg.write_text(PRESETS["kh3d"].replace("t_end = 1.0", "t_end = 0.01").replace(
+        "snapshot_times = 1.0", "snapshot_times = 0.01"))
+    argv = ["run", str(cfg), "--output", str(tmp_path / "out")]
+    assert main(argv) == 0  # imports, the kernel and the caches of a first run
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "out" / "snapshot_t0.01.snap").is_file()
+    field = 5 * 36 ** 3 * 8  # a padded field of 32^3 cells, 5 components
+    assert peak <= 4.0 * field
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("before,code,after", [

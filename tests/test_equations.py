@@ -3,6 +3,7 @@ import pytest
 
 from conslaw.equations import (
     EquationModel,
+    conserve_in_place,
     is_physical,
     max_wave_speed,
     max_wave_speeds,
@@ -107,3 +108,49 @@ def test_model_validation():
         EquationModel(kind="advection", dim=2)  # needs a speed
     with pytest.raises(ConfigError):
         EquationModel(kind="mhd", dim=2)
+
+
+def _conserved_out_of_place(model, w):
+    """The conversion written out into a new array, term by term."""
+    rho, p = w[0], w[1 + model.dim]
+    u = np.empty_like(w)
+    u[0] = rho
+    kinetic = np.zeros_like(rho)
+    for k in range(model.dim):
+        u[1 + k] = rho * w[1 + k]
+        kinetic = kinetic + w[1 + k] ** 2
+    u[1 + model.dim] = p / (model.gamma - 1.0) + 0.5 * rho * kinetic
+    return u
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("gamma", [1.4, 5.0 / 3.0])
+def test_in_place_conversion_rounds_as_the_out_of_place_formula(dim, gamma):
+    model = EquationModel(kind="euler", dim=dim, gamma=gamma)
+    rng = np.random.default_rng(dim)
+    cells = (11, 7, 5)[:dim]
+    w = np.concatenate([
+        rng.uniform(1e-3, 5.0, (1, *cells)),
+        rng.normal(0.0, 3.0, (dim, *cells)),
+        rng.uniform(1e-3, 5.0, (1, *cells)),
+    ])
+    # signed zeros and velocities whose squares are subnormal
+    w[1].flat[:4] = (0.0, -0.0, 3e-160, -7e-162)
+    expected = _conserved_out_of_place(model, w).tobytes()
+    assert conserve_in_place(model, w.copy()).tobytes() == expected
+    assert primitive_to_conserved(model, w).tobytes() == expected
+    # the strided interior of a padded field, whose ghosts stay as they were
+    data = np.full((dim + 2, *(n + 4 for n in cells)), np.nan)
+    interior = data[(slice(None),) + (slice(2, -2),) * dim]
+    interior[...] = w
+    conserve_in_place(model, interior)
+    assert np.ascontiguousarray(interior).tobytes() == expected
+    assert np.isnan(data).sum() == data.size - interior.size
+
+
+def test_in_place_conversion_rejects_a_non_positive_state_untouched():
+    w = np.array([[1.0, 0.0], [2.0, 1.0], [1.0, 1.0]])
+    before = w.copy()
+    with pytest.raises(UnphysicalStateError, match="non-positive density or pressure"):
+        conserve_in_place(EULER1, w)
+    np.testing.assert_array_equal(w, before)

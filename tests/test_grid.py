@@ -10,7 +10,7 @@ from conslaw.grid import (
     make_field,
     total_integral,
 )
-from conslaw.parallel import fill_boundary
+from conslaw.parallel import fill_boundary, scatter_field
 
 
 def test_axis_to_array_axis_mapping():
@@ -107,3 +107,21 @@ def test_deltas_override_is_exact():
     g = GridSpec(1, (3,), (0.0,), (0.3,))
     sub = GridSpec(1, (1,), (0.1,), (0.1,), deltas=g.deltas)
     assert sub.deltas[0] == g.deltas[0]
+
+
+@pytest.mark.parametrize("cells,ranks", [
+    ((9, 7), (1, 1)),
+    ((40, 24, 20), (1, 1, 1)),  # more cells than one numpy buffer holds
+    ((40, 24, 20), (2, 1, 1)),
+    ((96, 100), (2, 2)),
+])
+def test_total_integral_sums_each_component_as_the_flattened_interior(cells, ranks):
+    dim = len(cells)
+    grid = GridSpec(dim, cells, (0.0,) * dim, (0.7, 1.3, 2.1)[:dim])
+    field = make_field(grid, 3)
+    field.interior[...] = np.random.default_rng(len(cells)).normal(
+        1.0, 2.0, field.interior.shape)
+    # a padded field, and the stack of its subdomains on the rank layout
+    for f in (field, scatter_field(field, ranks)):
+        expected = f.interior.reshape(f.ncomp, -1).sum(axis=1) * f.grid.cell_volume
+        assert total_integral(f).tobytes() == expected.tobytes()

@@ -1,5 +1,11 @@
 import hashlib
+import os
 import re
+import shutil
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +14,8 @@ from hypothesis import strategies as st
 
 from conslaw.equations import EquationModel, primitive_to_conserved
 from conslaw.errors import ConfigError, ExprError, SnapshotError
-from conslaw.grid import GridSpec
-from conslaw.iodsl import config
+from conslaw.grid import GridSpec, make_field
+from conslaw.iodsl import config, output
 from conslaw.iodsl.config import canonical_digest, parse_config
 from conslaw.iodsl.expr import (
     eval_expr,
@@ -21,6 +27,7 @@ from conslaw.iodsl.expr import (
 from conslaw.iodsl.output import (
     OutputHeader,
     read_snapshot,
+    source_revision,
     write_snapshot,
 )
 from conslaw.numerics import FluxKind, ReconstructionKind
@@ -505,3 +512,96 @@ def test_non_snapshot_file_rejected(tmp_path):
     path.write_bytes(b"hello world\n\nnot a snapshot")
     with pytest.raises(SnapshotError, match="not a snapshot"):
         read_snapshot(path)
+
+
+def test_write_snapshot_holds_one_component_beyond_its_header(tmp_path):
+    grid = GridSpec(3, (40, 24, 20), (0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+    field = make_field(grid, 5)
+    field.interior[...] = np.random.default_rng(3).normal(0.0, 1.0, field.interior.shape)
+    header = OutputHeader("d", 0)
+    write_snapshot(field, header, tmp_path / "warm-up.snap")
+    tracemalloc.start()
+    try:
+        write_snapshot(field, header, tmp_path / "field.snap")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the header lines, the path and the file's buffer take a few kB
+    assert peak <= field.interior[0].nbytes + 64 * 1024
+    back, _ = read_snapshot(tmp_path / "field.snap")
+    assert np.ascontiguousarray(back.interior).tobytes() == np.ascontiguousarray(
+        field.interior).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Revision stamps
+# ---------------------------------------------------------------------------
+
+SHA = "0123456789abcdef0123456789abcdef01234567"
+
+
+def test_source_revision_is_the_short_head_of_this_checkout():
+    root = output._CHECKOUT
+    # git, like the stamp, looks at the checkout root and no further up
+    env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(root.parent))
+    try:
+        done = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=root / "src",
+                              env=env, capture_output=True, text=True, timeout=60)
+    except OSError:
+        pytest.skip("no git")
+    if done.returncode != 0:
+        pytest.skip(f"git reads no revision here: {done.stderr.strip()}")
+    assert source_revision() == done.stdout.strip()
+
+
+def _git_dir(path, head, loose=None, packed=None):
+    (path / "refs" / "heads").mkdir(parents=True)
+    (path / "HEAD").write_text(head)
+    if loose:
+        (path / "refs" / "heads" / "main").write_text(loose + "\n")
+    if packed:
+        (path / "packed-refs").write_text(packed)
+    return path
+
+
+@pytest.mark.parametrize("layout", [
+    "loose", "packed", "detached", "gitdir-file", "worktree", "none", "no-ref", "garbage",
+])
+def test_source_revision_reads_the_git_directory(tmp_path, monkeypatch, layout):
+    monkeypatch.setattr(output, "_CHECKOUT", tmp_path)
+    ref = "ref: refs/heads/main\n"
+    packed = ("# pack-refs with: peeled fully-peeled sorted \n"
+              f"{'f' * 40} refs/heads/other\n{SHA} refs/heads/main\n^{'e' * 40}\n")
+    if layout == "loose":
+        _git_dir(tmp_path / ".git", ref, loose=SHA, packed=packed.replace(SHA, "a" * 40))
+    elif layout == "packed":
+        _git_dir(tmp_path / ".git", ref, packed=packed)
+    elif layout == "detached":
+        _git_dir(tmp_path / ".git", SHA + "\n")
+    elif layout == "gitdir-file":
+        _git_dir(tmp_path / "elsewhere.git", ref, loose=SHA)
+        (tmp_path / ".git").write_text("gitdir: elsewhere.git\n")
+    elif layout == "worktree":
+        common = _git_dir(tmp_path / "main.git", "ref: refs/heads/other\n", packed=packed)
+        tree = _git_dir(common / "worktrees" / "wt", ref)
+        (tree / "commondir").write_text("../..\n")
+        (tmp_path / ".git").write_text(f"gitdir: {tree}\n")
+    elif layout == "no-ref":
+        _git_dir(tmp_path / ".git", "ref: refs/heads/gone\n", packed=packed)
+    elif layout == "garbage":
+        _git_dir(tmp_path / ".git", "not a revision\n")
+    expected = "unknown" if layout in ("none", "no-ref", "garbage") else SHA[:7]
+    assert source_revision() == expected
+
+
+def test_a_copy_of_the_package_outside_a_checkout_is_stamped_unknown(tmp_path):
+    package = Path(output.__file__).parents[1]
+    shutil.copytree(package, tmp_path / "src" / "conslaw",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env = dict(os.environ, PYTHONPATH=str(tmp_path / "src"), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-c", "from conslaw.iodsl import output\n"
+                               "print(output.__file__, output.source_revision())"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [str(tmp_path / "src/conslaw/iodsl/output.py"), "unknown"]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import conslaw.solver
 from conslaw.equations import EquationModel, primitive_to_conserved
 from conslaw.errors import ConfigError, StaticFieldError
 from conslaw.grid import BoundaryKind, GridSpec, field_from_interior, make_field, total_integral
@@ -241,3 +242,31 @@ def test_a_bound_stack_runs_on_its_own_layout_and_grid_only():
         run_simulation(stack, cfg, (1, 2))
     with pytest.raises(ValueError, match="cannot load"):
         stack.load(_kh_field(GridSpec(2, (8, 8), (0.0, 0.0), (2.0, 1.0)), 0.0))
+
+
+@pytest.mark.parametrize("ranks", [None, (2, 1)])
+@pytest.mark.parametrize("stitch_at", [None, "final", "every"])
+def test_a_run_stitches_its_final_field_once(monkeypatch, ranks, stitch_at):
+    # an observer that stitches the final state hands the run its result
+    stitches = []
+    stitch = conslaw.solver.stitch_fields
+
+    def counting(*args):
+        stitches.append(args)
+        return stitch(*args)
+
+    def observer(step, t, field):
+        if stitch_at == "every" or stitch_at == "final" and step == 3:
+            seen.append(field())
+
+    seen = []
+    grid = GridSpec(2, (8, 8), (0.0, 0.0), (1.0, 1.0))
+    cfg = euler_cfg(2)
+    stack = bind_run(_kh_field(grid, 0.3), cfg, ranks)
+    monkeypatch.setattr(conslaw.solver, "stitch_fields", counting)
+    final, _ = run_simulation(stack, cfg, ranks, [observer], steps=3)
+    assert len(stitches) == len(seen) + (stitch_at is None)
+    if seen:
+        assert final is seen[-1]
+    fresh = stitch(stack, *stack.layout)
+    assert final.data.tobytes() == fresh.data.tobytes()
