@@ -26,13 +26,7 @@ from .iodsl.output import OutputHeader, write_csv, write_snapshot, write_stats
 from .parallel import local_grid
 from .presets import PRESETS
 from .solver import bind_run, run_simulation
-from .uq import (
-    FieldMoments,
-    Histogram,
-    StructureFunctionAccumulator,
-    draw_sample,
-    run_mlmc,
-)
+from .uq import draw_sample, run_mlmc
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -162,28 +156,8 @@ def cmd_uq(args) -> int:
     results = run_mlmc(plan, cfg.scheme, evaluate_init,
                        lambda grid: cfg.uq.build_functionals(grid, model.ncomp, cfg.scheme.bc))
     written = write_stats(results, header, outdir)
-    counts = " ".join(str(plan.count(l)) for l in range(plan.levels))
     for res in results:
-        if isinstance(res, FieldMoments):
-            variance = res.variance()
-            sys.stdout.write(
-                f"moments over {counts} samples: mean(c0) in "
-                f"[{res.mean[0].min():.6g}, {res.mean[0].max():.6g}], "
-                f"max variance {variance.max():.6g}\n"
-            )
-            negative = int(np.any(variance < 0, axis=0).sum())
-            if negative:
-                print(f"warning: MLMC variance is negative in {negative} of "
-                      f"{math.prod(res.grid.cells)} cells", file=sys.stderr)
-        elif isinstance(res, Histogram):
-            sys.stdout.write(
-                f"histogram: {len(res.probe_cells)} probes x {res.bins} bins, "
-                f"{res.samples} samples\n"
-            )
-        elif isinstance(res, StructureFunctionAccumulator):
-            sys.stdout.write(
-                f"structure function p={res.p:g}: offsets 0..{res.max_offset}\n"
-            )
+        res.report(sys.stdout, sys.stderr)
     sys.stdout.write("wrote: " + " ".join(str(p) for p in written) + "\n")
     return EXIT_OK
 

@@ -16,7 +16,7 @@ from ..grid import BoundaryKind, GridSpec
 from ..numerics import FluxKind, Reconstruction, ReconstructionKind, sha256
 from ..parallel import check_boundary, local_grid
 from ..solver import SchemeConfig, check_scheme
-from ..uq import FieldMoments, Histogram, SamplePlan, level_grids
+from ..uq import FUNCTIONALS, FieldMoments, Histogram, SamplePlan, level_grids
 from ..uq import StructureFunctionAccumulator
 from .expr import eval_init, max_random_index, parse_expr
 
@@ -43,8 +43,6 @@ _KEYS = {
     "output": {"directory", "snapshot_times"},
 }
 
-_FUNCTIONAL_NAMES = ("moments", "histogram", "structure_function")
-
 
 @dataclass
 class UqSettings:
@@ -69,7 +67,8 @@ class UqSettings:
         finest is ``grid``, with ``seed`` for the config's when given.  Level
         l runs ``level_samples[l]`` samples when that is set, else
         ``samples``, whatever the number of levels."""
-        if self.levels > 1 and any(f != "moments" for f in self.functionals):
+        if self.levels > 1 and not all(hasattr(FUNCTIONALS.get(f), "correct")
+                                       for f in self.functionals):
             raise ConfigError(
                 "multilevel estimation supports only the 'moments' functional", key="functionals"
             )
@@ -332,9 +331,9 @@ def _build_uq(uq: _Section, grid: GridSpec, model) -> UqSettings:
             )
     check_workers(settings.workers)
     for f in settings.functionals:
-        if f not in _FUNCTIONAL_NAMES:
+        if f not in FUNCTIONALS:
             raise ConfigError(
-                f"unknown functional {f!r} (choose from {_FUNCTIONAL_NAMES})",
+                f"unknown functional {f!r} (choose from {tuple(FUNCTIONALS)})",
                 key="functionals",
             )
     rng = settings.histogram_range = uq.floats("histogram_range", (0.0, 1.0))

@@ -20,7 +20,6 @@ import numpy as np
 from .. import __version__ as _version
 from ..errors import ConfigError, SnapshotError
 from ..grid import Field, GridSpec, field_from_interior
-from ..uq import FieldMoments, Histogram, StructureFunctionAccumulator
 
 FORMAT_MAGIC = "conslaw-snapshot"
 FORMAT_VERSION = 1
@@ -200,31 +199,17 @@ def write_csv(path, header: OutputHeader, columns: str, rows) -> Path:
 
 
 def write_stats(results, header: OutputHeader, directory) -> list[Path]:
-    """Write finalized accumulators, one file per functional.
-
-    The mean and variance of ``FieldMoments`` become snapshot-format field
-    files; histograms and structure functions become CSV with the header
-    carried in comment lines.
-    """
-    directory = Path(directory)
-    written: list[Path] = []
+    """Write the files of finalized functionals, in order, and return their
+    paths.  Each entry of a functional's ``files()`` is a file name with a
+    cell array on the functional's ``grid``, written in snapshot format, or
+    with CSV columns and rows, written with the header in comment lines."""
+    written = []
     for res in results:
-        if isinstance(res, FieldMoments):
-            for name, values in (("mean", res.mean), ("variance", res.variance())):
-                path = directory / f"{name}.snap"
-                _write_cells(res.grid, values, header, path)
-                written.append(path)
-        elif isinstance(res, Histogram):
-            # bin b of a probe spans bounds[b] .. bounds[b + 1], overflow bins included
-            bounds = [-math.inf, *res.edges, math.inf]
-            written.append(write_csv(
-                directory / "histogram.csv", header, "probe,bin_lo,bin_hi,count",
-                [(p, bounds[b], bounds[b + 1], res.counts[p, b])
-                 for p in range(len(res.probe_cells)) for b in range(res.bins + 2)],
-            ))
-        elif isinstance(res, StructureFunctionAccumulator):
-            written.append(write_csv(directory / "structure_function.csv", header,
-                                     "offset,value", enumerate(res.values())))
-        else:
-            raise TypeError(f"cannot write functional of type {type(res).__name__}")
+        for name, *payload in res.files():
+            path = Path(directory) / name
+            if len(payload) == 1:
+                _write_cells(res.grid, payload[0], header, path)
+            else:
+                write_csv(path, header, *payload)
+            written.append(path)
     return written

@@ -121,6 +121,14 @@ class Reconstruction:
             raise ConfigError(
                 f"weno_epsilon must be finite and > 0, got {self.epsilon}", key="weno_epsilon"
             )
+        # q = (epsilon + d^2)^2: an epsilon whose square overflows makes every
+        # weight 0 and the face first order, one whose square is subnormal or 0
+        # makes the weights 0/0 on flat data
+        if not np.finfo(float).tiny <= self.epsilon * self.epsilon < np.inf:
+            raise ConfigError(
+                f"weno_epsilon squared must be a normal double (epsilon in about "
+                f"[1.5e-154, 1.3e154]), got {self.epsilon}", key="weno_epsilon"
+            )
 
     @property
     def radius(self) -> int:

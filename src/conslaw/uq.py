@@ -16,6 +16,12 @@ order on the calling thread, and updates each functional once with every
 final field as soon as its sample finishes.  A level binds one solver stack,
 once, and each sample loads its initial field into it.  There are no worker
 threads: the ``workers`` setting of a campaign is accepted but has no effect.
+
+Each functional of ``FUNCTIONALS`` (config name to class) takes every sample
+with ``update(field)``, names the files of its estimate with ``files()``, each
+a file name with a cell array on its ``grid`` or with CSV columns and rows, and
+prints its summary with ``report(out, err)``.  ``FieldMoments`` alone has the
+multilevel ``correct``, so only it runs on two or more levels.
 """
 
 from __future__ import annotations
@@ -213,6 +219,7 @@ class FieldMoments:
         self.ncomp = ncomp
         self.acc = MomentAccumulator((ncomp,) + grid.interior_shape)
         self._telescoped = None  # (mean, second moment) once corrected
+        self._fine_counts = ()  # the fine sample count of each correction
 
     def update(self, field: Field) -> None:
         self.acc.update(np.asarray(field.interior))
@@ -239,6 +246,23 @@ class FieldMoments:
         self._telescoped = tuple(prolong(total, factors) + (f - prolong(c, factors))
                                  for total, f, c in terms)
         self.grid = fine.grid
+        self._fine_counts += (fine.acc.count,)
+
+    def files(self):
+        yield "mean.snap", self.mean
+        yield "variance.snap", self.variance()
+
+    def report(self, out, err) -> None:
+        """The estimate's line, and a warning where the variance is negative."""
+        variance = self.variance()
+        counts = " ".join(str(n) for n in (self.acc.count,) + self._fine_counts)
+        out.write(f"moments over {counts} samples: mean(c0) in "
+                  f"[{self.mean[0].min():.6g}, {self.mean[0].max():.6g}], "
+                  f"max variance {variance.max():.6g}\n")
+        negative = int(np.any(variance < 0, axis=0).sum())
+        if negative:
+            print(f"warning: MLMC variance is negative in {negative} of "
+                  f"{variance[0].size} cells", file=err)
 
 
 class Histogram:
@@ -250,11 +274,16 @@ class Histogram:
     name = "histogram"
 
     def __init__(self, probe_cells, component: int, lo: float, hi: float, bins: int = 64):
-        if not -np.inf < lo < hi < np.inf:  # an infinite bin width makes nan bins
+        if not -np.inf < lo < hi < np.inf:
             raise ConfigError(f"histogram_range must be 'lo hi' with lo < hi, got {(lo, hi)}",
                               key="histogram_range")
         if bins < 1:
             raise ConfigError(f"histogram needs >= 1 bins, got {bins}", key="histogram_bins")
+        # an infinite width (hi - lo overflows) makes nan bins, and a zero one
+        # (a subnormal hi - lo) divides by zero in update
+        if not 0 < (hi - lo) / bins < np.inf:
+            raise ConfigError(f"histogram bin width (hi - lo) / bins must be finite and > 0, "
+                              f"got {(hi - lo) / bins}", key="histogram_range")
         self.probe_cells = tuple(tuple(int(i) for i in p) for p in probe_cells)
         self.component = component
         self.lo = float(lo)
@@ -282,6 +311,16 @@ class Histogram:
                 self.counts[p, 1 + min(int((v - self.lo) / width), self.bins - 1)] += 1
         self.samples += 1
 
+    def files(self):
+        bounds = [-np.inf, *self.edges, np.inf]  # bin b spans bounds[b] .. bounds[b + 1]
+        yield "histogram.csv", "probe,bin_lo,bin_hi,count", [
+            (p, bounds[b], bounds[b + 1], n) for p, row in enumerate(self.counts)
+            for b, n in enumerate(row)]
+
+    def report(self, out, err) -> None:
+        out.write(f"histogram: {len(self.probe_cells)} probes x {self.bins} bins, "
+                  f"{self.samples} samples\n")
+
 
 class StructureFunctionAccumulator:
     """Mean two-point structure function |u(x + h e_k) - u(x)|^p.
@@ -302,6 +341,10 @@ class StructureFunctionAccumulator:
         if not p >= 1:
             raise ConfigError(
                 f"structure-function exponent must be >= 1, got {p}", key="structure_p"
+            )
+        if p == np.inf:
+            raise ConfigError(
+                f"structure-function exponent must be finite, got {p}", key="structure_p"
             )
         if max_offset < 0:
             raise ConfigError(
@@ -343,6 +386,15 @@ class StructureFunctionAccumulator:
         if self.samples == 0:
             return np.zeros_like(self.sums)
         return self.sums / self.samples
+
+    def files(self):
+        yield "structure_function.csv", "offset,value", enumerate(self.values())
+
+    def report(self, out, err) -> None:
+        out.write(f"structure function p={self.p:g}: offsets 0..{self.max_offset}\n")
+
+
+FUNCTIONALS = {f.name: f for f in (FieldMoments, Histogram, StructureFunctionAccumulator)}
 
 
 # ---------------------------------------------------------------------------

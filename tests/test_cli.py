@@ -167,8 +167,15 @@ BAD_LINES = [
      r"histogram_range must be 'lo hi' with lo < hi, got \(1\.0, 0\.0\)$"),
     ("functionals = moments", "functionals = histogram\nhistogram_range = -inf inf",
      r"histogram_range must be 'lo hi' with lo < hi, got \(-inf, inf\)$"),
+    # hi - lo overflows, or a bin is narrower than the smallest double
+    ("functionals = moments", "functionals = histogram\nhistogram_range = -1e308 1e308",
+     r"histogram bin width \(hi - lo\) / bins must be finite and > 0, got inf$"),
+    ("functionals = moments", "functionals = histogram\nhistogram_range = 0 1e-322",
+     r"histogram bin width \(hi - lo\) / bins must be finite and > 0, got 0\.0$"),
     ("functionals = moments", "functionals = histogram structure_function\nstructure_p = 0.5",
      r"structure-function exponent must be >= 1, got 0\.5$"),
+    ("functionals = moments", "functionals = structure_function\nstructure_p = inf",
+     r"structure-function exponent must be finite, got inf$"),
     ("functionals = moments", "functionals = moments\nstructure_max_offset = -1",
      r"max offset must be >= 0, got -1$"),
     ("snapshot_times = 2.0", "snapshot_times = 0.1 0.5 -1",
@@ -343,7 +350,7 @@ def test_run_bad_rank_layout_exits_2(tmp_path, capsys):
         assert "ranks per axis must be >= 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["0", "-1e-6", "nan", "inf"])
+@pytest.mark.parametrize("value", ["0", "-1e-6", "nan", "inf", "1e200", "1e-200"])
 def test_run_rejects_a_weno_epsilon_that_is_not_finite_and_positive(tmp_path, capsys, value):
     cfg = small_kh(tmp_path)
     cfg.write_text(cfg.read_text().replace(
@@ -476,6 +483,15 @@ def test_uq_extra_functionals(tmp_path, capsys):
     cfg.write_text(cfg_text)
     out = tmp_path / "out"
     assert main(["uq", str(cfg), "--output", str(out)]) == 0
+    # each functional's line, in the order of the functionals setting
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("moments over 3 samples: mean(c0) in [")
+    assert lines[1:] == [
+        "histogram: 1 probes x 8 bins, 3 samples",
+        "structure function p=2: offsets 0..4",
+        "wrote: " + " ".join(str(out / name) for name in (
+            "mean.snap", "variance.snap", "histogram.csv", "structure_function.csv")),
+    ]
     hist = (out / "histogram.csv").read_text()
     assert "probe,bin_lo,bin_hi,count" in hist
     counts = [int(l.rsplit(",", 1)[1]) for l in hist.splitlines()
@@ -484,7 +500,6 @@ def test_uq_extra_functionals(tmp_path, capsys):
     sf = (out / "structure_function.csv").read_text()
     assert "offset,value" in sf
     assert (out / "mean.snap").exists() and (out / "variance.snap").exists()
-    capsys.readouterr()
 
 
 BURGERS_UQ = (

@@ -29,6 +29,7 @@ from conslaw.iodsl.output import (
     read_snapshot,
     source_revision,
     write_snapshot,
+    write_stats,
 )
 from conslaw.numerics import FluxKind, ReconstructionKind
 from conslaw.presets import ADVECTION_SMOOTH, KH2D, KH3D, PRESETS, SOD
@@ -531,6 +532,24 @@ def test_write_snapshot_holds_one_component_beyond_its_header(tmp_path):
     back, _ = read_snapshot(tmp_path / "field.snap")
     assert np.ascontiguousarray(back.interior).tobytes() == np.ascontiguousarray(
         field.interior).tobytes()
+
+
+def test_write_stats_writes_the_files_a_functional_names(tmp_path):
+    # write_stats knows no functional class: a grid and files() are all it reads
+    class Stub:
+        grid = GridSpec(1, (4,), (0.0,), (1.0,))
+
+        def files(self):
+            yield "cells.snap", np.arange(8.0).reshape(2, 4)
+            yield "rows.csv", "k,v", [(0, 1.5), (1, np.float64(2.5))]
+
+    header = OutputHeader("d", 7)
+    out = tmp_path / "out"
+    assert write_stats([Stub()], header, out) == [out / "cells.snap", out / "rows.csv"]
+    back, meta = read_snapshot(out / "cells.snap")
+    np.testing.assert_array_equal(back.interior, np.arange(8.0).reshape(2, 4))
+    assert back.grid.cells == (4,) and meta["seed"] == "7"
+    assert (out / "rows.csv").read_text() == header.comments() + "k,v\n0,1.5\n1,2.5\n"
 
 
 # ---------------------------------------------------------------------------
