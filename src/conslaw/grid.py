@@ -12,6 +12,7 @@ pass of ``conslaw.parallel`` (``fill_boundary`` for a plain field).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -81,6 +82,12 @@ class GridSpec:
             )
         else:
             object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
+        # a subnormal width loses digits, and the CFL quotient s / delta overflows
+        if not all(d >= sys.float_info.min for d in self.deltas):
+            raise ConfigError(
+                f"cell width extent / cells must be a normal double "
+                f"(>= {sys.float_info.min:.6g}), got {self.deltas}", key="extent"
+            )
 
     @property
     def padded(self) -> tuple:

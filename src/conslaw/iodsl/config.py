@@ -8,6 +8,7 @@ under comments, whitespace and reordering, and changes with any value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..equations import ADVECTION, BURGERS, EULER, EquationModel
@@ -456,8 +457,8 @@ def parse_config(text: str) -> RunConfig:
         snapshot_times=output_s.floats("snapshot_times", ()),
     )
     for t in output.snapshot_times:
-        if not t >= 0:
-            raise ConfigError(f"snapshot_times must be >= 0, got {t}",
+        if not 0 <= t < math.inf:
+            raise ConfigError(f"snapshot_times must be finite and >= 0, got {t}",
                               line=output_s.raw("snapshot_times")[1])
 
     return RunConfig(

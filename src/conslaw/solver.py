@@ -219,10 +219,12 @@ def _require_cells(stack: Stack, cfg: SchemeConfig) -> None:
 
 
 def dt_from_maxima(maxima: np.ndarray, deltas, cfl: float, remaining: float | None = None) -> float:
-    """CFL timestep from per-axis speed maxima: cfl / sum_k s_k / delta_k."""
+    """CFL timestep from per-axis speed maxima: cfl / sum_k s_k / delta_k,
+    summed in Python floats, so that a quotient that overflows gives inf and
+    a timestep of 0 without a numpy warning."""
     denom = 0.0
-    for k in range(len(deltas)):
-        denom += maxima[k] / deltas[k]
+    for s, delta in zip(maxima.tolist(), deltas):
+        denom += s / delta
     if denom == 0.0:
         raise StaticFieldError("static field: all wave speeds vanish")
     dt = cfl / denom
@@ -336,7 +338,8 @@ def run_simulation(
     rank order) failing it and that rank's first failing cell, as ``rank N
     failed: ...`` with several ranks, and its step: ``after step N (t =
     T)`` for the cell pass, ``in step N (t = T), stage S`` for a residual (T
-    the step's start, S from 1).
+    the step's start, S from 1).  A timestep too small to advance t raises
+    SimulationError before its step, naming the step and t.
     """
     if isinstance(init, Stack) and init.cfg is cfg and init.layout is not None:
         if ranks is not None and tuple(ranks) != init.layout[0]:
@@ -361,6 +364,10 @@ def run_simulation(
                 if remaining <= 1e-14 * cfg.t_end:
                     break
             dt = dt_from_maxima(maxima, state.grid.deltas, cfg.cfl, remaining)
+            if t + dt == t:
+                raise SimulationError(
+                    f"time step {dt:.6g} does not advance t in step {step + 1} (t = {t:.6g})"
+                )
             try:
                 bad = ssp_rk_step(state, dt, cfg)
             except (SimulationError, UnphysicalStateError) as exc:

@@ -136,6 +136,10 @@ def test_run_summary_final_time_is_a_plain_number(tmp_path, capsys):
 BAD_LINES = [
     ("extent = 1 1", "extent = 1 nan", r"extent must be finite and strictly positive"),
     ("extent = 1 1", "extent = 1 inf", r"extent must be finite and strictly positive"),
+    # a subnormal cell width: its CFL quotient s / delta overflows, and dt is 0
+    ("extent = 1 1", "extent = 1e-320 1",
+     r"cell width extent / cells must be a normal double \(>= 2\.22507e-308\), "
+     r"got \(1\.6e-322, 0\.015625\)$"),
     ("origin = 0 0", "origin = nan 0", r"origin must be finite"),
     ("gamma = 1.4", "gamma = nan", r"gamma must be finite and > 1, got nan"),
     ("gamma = 1.4", "gamma = 1", r"gamma must be finite and > 1, got 1\.0"),
@@ -179,7 +183,9 @@ BAD_LINES = [
     ("functionals = moments", "functionals = moments\nstructure_max_offset = -1",
      r"max offset must be >= 0, got -1$"),
     ("snapshot_times = 2.0", "snapshot_times = 0.1 0.5 -1",
-     r"snapshot_times must be >= 0, got -1\.0$"),
+     r"snapshot_times must be finite and >= 0, got -1\.0$"),
+    ("snapshot_times = 2.0", "snapshot_times = inf",
+     r"snapshot_times must be finite and >= 0, got inf$"),
 ]
 
 
@@ -540,6 +546,25 @@ def test_a_run_that_fails_mid_flight_exits_1(tmp_path, capsys, command, message)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, prefix", [("run", ""), ("uq", "sample 0 failed: ")])
+def test_a_time_step_that_does_not_advance_t_exits_1(tmp_path, command, prefix):
+    # normal cell widths of 1e-300 on x, and a sound speed of about 1e11:
+    # s / delta overflows, so dt is 0 and t stays at 0.  The command runs in
+    # its own process, so that a loop that never ends fails the test.
+    cfg = small_kh(tmp_path).read_text().replace("extent = 1 1", "extent = 1.6e-299 1")
+    (tmp_path / "frozen.cfg").write_text(cfg.replace("p = 2.5", "p = 1e22"))
+    env = dict(os.environ, PYTHONPATH=str(Path(conslaw.cli.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "conslaw.cli", command, "frozen.cfg", "--output", "out"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1
+    assert done.stderr == (
+        f"error: {prefix}time step 0 does not advance t in step 1 (t = 0)\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_uq_multilevel(tmp_path, capsys):
     extra = "levels = 2\nlevel_samples = 4 2\n"
     cfg = small_kh(tmp_path, extra=extra)
@@ -635,10 +660,10 @@ def test_uq_starts_no_thread(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
-def _in_a_fresh_interpreter(tmp_path, code: str) -> str:
+def _in_a_fresh_interpreter(tmp_path, code: str, environ=os.environ) -> str:
     """The last line that ``code`` prints, run by a new interpreter that
-    imports conslaw from the tree under test."""
-    env = dict(os.environ, PYTHONPATH=str(Path(conslaw.cli.__file__).parents[1]))
+    imports conslaw from the tree under test, in ``environ``."""
+    env = dict(environ, PYTHONPATH=str(Path(conslaw.cli.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
@@ -671,6 +696,60 @@ def test_a_kh2d_run_or_campaign_loads_no_openssl(tmp_path, command):
 def test_a_kh2d_run_or_campaign_starts_no_process(tmp_path, command):
     face_kernel()  # a build, the one step that runs a compiler, happens here
     assert "subprocess" not in _modules_after_kh2d(tmp_path, command)
+
+
+BLAS_THREAD_KEYS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _tasks_after(tmp_path, code: str, **settings) -> tuple[int, dict]:
+    """The threads of a fresh interpreter after ``code``, and the keys of
+    ``os.environ`` it changed (key: [before, after]); the environment sets no
+    BLAS thread count but ``settings``."""
+    if not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs Linux and 2 CPUs: OpenBLAS starts no worker on one CPU")
+    environ = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_KEYS}
+    tasks, changed = json.loads(_in_a_fresh_interpreter(tmp_path, (
+        "import json, os\n"
+        "before = dict(os.environ)\n"
+        f"{code}\n"
+        "after = dict(os.environ)\n"
+        "changed = {k: [before.get(k), after.get(k)] for k in before.keys() | after.keys()\n"
+        "           if before.get(k) != after.get(k)}\n"
+        "print(json.dumps([len(os.listdir('/proc/self/task')), changed]))\n"
+    ), dict(environ, **settings)))
+    return tasks, changed
+
+
+def _numpy_blas_pool(tmp_path) -> int:
+    """The threads after a bare ``import numpy``; skips where numpy's BLAS
+    starts no worker of its own, so that no pool is there to keep."""
+    tasks, _ = _tasks_after(tmp_path, "import numpy")
+    if tasks < 2:
+        pytest.skip("numpy's BLAS starts no worker thread")
+    return tasks
+
+
+def test_import_conslaw_loads_openblas_with_one_thread(tmp_path):
+    # numpy alone starts an OpenBLAS worker per extra CPU
+    assert _tasks_after(tmp_path, "import conslaw") == (1, {})
+
+
+def test_a_callers_openblas_thread_count_wins(tmp_path):
+    _numpy_blas_pool(tmp_path)
+    assert _tasks_after(tmp_path, "import conslaw", OPENBLAS_NUM_THREADS="2") == (2, {})
+
+
+def test_a_program_that_imported_numpy_first_keeps_its_blas_pool(tmp_path):
+    pool = _numpy_blas_pool(tmp_path)
+    assert _tasks_after(tmp_path, "import numpy\nimport conslaw") == (pool, {})
+
+
+def test_a_kh2d_run_holds_the_caller_and_the_kernels_helper_alone(tmp_path):
+    face_kernel()  # built here, not in the child
+    cfg = small_kh(tmp_path, cells=64)
+    argv = ["run", str(cfg), "--output", str(tmp_path / "out")]
+    code = f"from conslaw.cli import main\nassert main({argv!r}) == 0"
+    assert _tasks_after(tmp_path, code) == (2, {})
 
 
 def test_a_kh3d_run_holds_at_most_four_padded_fields(tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 
 import conslaw.solver
 from conslaw.equations import EquationModel, primitive_to_conserved
-from conslaw.errors import ConfigError, StaticFieldError
+from conslaw.errors import ConfigError, SimulationError, StaticFieldError
 from conslaw.grid import BoundaryKind, GridSpec, field_from_interior, make_field, total_integral
 from conslaw.numerics import FluxKind, Reconstruction, ReconstructionKind
 from conslaw.solver import (
@@ -135,6 +135,28 @@ def test_static_field_raises():
     f = make_field(g, 1, 0.0)  # zero Burgers field: no waves at all
     with pytest.raises(StaticFieldError):
         stable_dt(f, burgers_cfg())
+
+
+def test_a_cfl_quotient_that_overflows_gives_dt_0_without_a_warning():
+    assert dt_from_maxima(np.array([1e11]), (1e-300,), 0.475) == 0.0
+
+
+def test_a_time_step_that_does_not_advance_t_raises():
+    # normal cell widths of 1e-300 and a sound speed of about 1e11; a run to
+    # t_end is tested in a process of its own (test_cli.py), where a loop
+    # that never ends fails the test rather than hanging the suite
+    g = GridSpec(1, (16,), (0.0,), (1.6e-299,))
+    cfg = euler_cfg(1, t_end=0.02)
+    w = np.stack([np.ones(16), np.zeros(16), np.full(16, 1e22)])
+    f = field_from_interior(g, primitive_to_conserved(cfg.model, w))
+    with pytest.raises(SimulationError, match=r"^time step 0 does not advance t in step 1 \(t = 0\)$"):
+        run_simulation(f, cfg, steps=3)
+
+
+def test_a_cell_width_that_is_not_a_normal_double_is_rejected():
+    GridSpec(1, (16,), (0.0,), (16 * 2.0 ** -1022,))
+    with pytest.raises(ConfigError, match="cell width extent / cells must be a normal double"):
+        GridSpec(1, (16,), (0.0,), (16 * 2.0 ** -1023,))
 
 
 # ---------------------------------------------------------------------------
